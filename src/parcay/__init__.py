@@ -19,8 +19,8 @@ from .builder import (ball_sp, build_sp, deck_group, invariant_report,
 from .decompose import (EdgeColouring, Matching, euler_orientation,
                         is_multicycle, is_partition_friendly,
                         is_weak_multicycle, k_n_factorization,
-                        maximum_matching, perfect_matching, two_factor,
-                        two_factorization, weak_multicycle_colouring)
+                        maximum_matching, two_factor, two_factorization,
+                        weak_multicycle_colouring)
 from .extract import (bicayley_to_presentation, pipeline_presentation,
                       presentation_from_colouring, refine_colouring)
 from .constructions import (FiniteGroupTable, bi_cayley, cayley_graph,

@@ -11,10 +11,11 @@ the conjugation closure of the relator subgroups.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BallRejected, Overflow
-from .graph import ColouredGraph, dictated_walk
+from .graph import ColouredGraph, _Matcher, dart_bijections, dictated_walk
 
 DEFAULT_MAX_ROWS = 1_000_000
 
@@ -365,8 +366,8 @@ def check_cover(sp, p):
         u, v = sp.src(d), sp.tau[d]
         colour = sp.colour[d]
         cu, cv = c.vertex(sp.classes[u]), c.vertex(sp.classes[v])
-        image = [e for e in range(c.n_darts)
-                 if c.src(e) == cu and c.tau[e] == cv and c.colour[e] == colour]
+        image = [e for e in c.out_darts(cu)
+                 if c.tau[e] == cv and c.colour[e] == colour]
         if len(image) != 1:
             return False
     for v in range(sp.n):
@@ -488,57 +489,24 @@ def _cell_canonical(graph, darts):
     return min(views)
 
 
-def _graph_dart_automorphisms(g):
-    """All (vertex map, dart map) automorphism pairs of a small graph,
-    ignoring colours.  Loops may map to either orientation of their image."""
-    from .graph import _Matcher
-
-    bundles = {}
-    for d in range(g.n_darts):
-        bundles.setdefault((g.src(d), g.tau[d]), []).append(d)
-    order = sorted(g.edges())
-    out = []
-    for sol in _Matcher(g, g).search() or []:
-        vmap = tuple(sol[v] for v in range(g.n))
-        dmap = {}
-        used = set()
-
-        def assign(i):
-            if i == len(order):
-                out.append((vmap, dict(dmap)))
-                return
-            d = order[i]
-            u, v = g.src(d), g.tau[d]
-            for e in bundles.get((vmap[u], vmap[v]), ()):
-                if e in used or g.inv[e] in used:
-                    continue
-                dmap[d] = e
-                dmap[g.inv[d]] = g.inv[e]
-                used.update((e, g.inv[e]))
-                assign(i + 1)
-                used.difference_update((e, g.inv[e]))
-                del dmap[d], dmap[g.inv[d]]
-
-        assign(0)
-    return out
-
-
 def presentation_symmetry_implies_vt(p):
     """A set of automorphisms of the presentation complex acting transitively
     on the classes, or None.  Presence is a sufficient certificate that the
     partite Cayley graph is vertex transitive; absence proves nothing."""
     complex_ = presentation_complex(p)
     g = complex_.graph
-    from collections import Counter
-
     cell_counter = Counter(_cell_canonical(g, darts)
                            for _, _, darts in complex_.cells)
     witnesses = []
-    for vmap, dmap in _graph_dart_automorphisms(g):
-        image = Counter(_cell_canonical(g, tuple(dmap[d] for d in darts))
-                        for _, _, darts in complex_.cells)
-        if image == cell_counter:
-            witnesses.append(vmap)
+    # Every (vertex map, dart map) automorphism of the presentation graph,
+    # ignoring colours, one witness per pair that preserves the cells.
+    for sol in _Matcher(g, g).search() or []:
+        vmap = tuple(sol[v] for v in range(g.n))
+        for dmap in dart_bijections(g, g, sol):
+            image = Counter(_cell_canonical(g, tuple(dmap[d] for d in darts))
+                            for _, _, darts in complex_.cells)
+            if image == cell_counter:
+                witnesses.append(vmap)
     if not witnesses:
         return None
     orbit = {0}

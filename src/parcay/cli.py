@@ -215,18 +215,14 @@ def cmd_matchings(args):
 
 
 def cmd_suite(args):
+    results = acceptance.run_suite()
     if args.report == "json":
-        results = []
-        for name, fn in acceptance.CRITERIA:
-            try:
-                ok, detail = fn()
-            except Exception as exc:
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append({"criterion": name, "pass": ok, "detail": detail})
         print(json.dumps(results, indent=2))
-        return 0 if all(r["pass"] for r in results) else 1
-    ok = acceptance.run_suite()
-    return 0 if ok else 1
+    else:
+        for r in results:
+            print(f"[{'PASS' if r['pass'] else 'FAIL'}] criterion "
+                  f"{r['criterion']}: {r['detail']}")
+    return 0 if all(r["pass"] for r in results) else 1
 
 
 def make_parser():
@@ -234,9 +230,6 @@ def make_parser():
         prog="parcay",
         description="partite presentations of graphs: build, decompose, "
                     "extract and verify")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized corpus generation (unused "
-                             "by the deterministic core)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="validate a presentation file")

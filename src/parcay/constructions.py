@@ -13,7 +13,29 @@ from .words import Alphabet, ClassAction, Word, parse_word
 
 
 # ---------------------------------------------------------------------------
-# Generalized Petersen graphs.
+# Cycles, complete graphs and generalized Petersen graphs.
+
+
+def cycle_graph(n):
+    """The n-cycle on vertices named 0..n-1 (n = 2 gives a doubled edge,
+    n = 1 a loop)."""
+    g = ColouredGraph()
+    for i in range(n):
+        g.add_vertex(name=i)
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n)
+    return g
+
+
+def complete_graph(n):
+    """K_n on vertices named 0..n-1."""
+    g = ColouredGraph()
+    for i in range(n):
+        g.add_vertex(name=i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            g.add_edge(i, j)
+    return g
 
 
 def generalized_petersen(n, k):
@@ -204,9 +226,8 @@ def line_graph(g):
     index = {}
     for d in g.edges():
         index[d] = lg.add_vertex(name=tuple(sorted(g.edge_ends(d))))
-    out = g._out_table()
     for v in range(g.n):
-        incident = sorted({min(d, g.inv[d]) for d in out[v]})
+        incident = sorted({min(d, g.inv[d]) for d in g.out_darts(v)})
         for i, d in enumerate(incident):
             for e in incident[i + 1:]:
                 lg.add_edge(index[d], index[e])

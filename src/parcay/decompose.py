@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
+from .constructions import complete_graph
 from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
 from .graph import ColouredGraph
 
@@ -99,20 +100,20 @@ def euler_orientation(g):
     for v in range(g.n):
         if g.degree(v) % 2:
             raise OddDegree(v)
-    out = g._out_table()
     ptr = [0] * g.n
     used = set()
     orientation = []
     for start in range(g.n):
-        if all(canonical(g, d) in used for d in out[start]):
+        if all(canonical(g, d) in used for d in g.out_darts(start)):
             continue
         stack_v = [start]
         stack_d = []
         while stack_v:
             v = stack_v[-1]
+            out = g.out_darts(v)
             found = None
-            while ptr[v] < len(out[v]):
-                d = out[v][ptr[v]]
+            while ptr[v] < len(out):
+                d = out[ptr[v]]
                 ptr[v] += 1
                 if canonical(g, d) not in used:
                     used.add(canonical(g, d))
@@ -225,11 +226,6 @@ def maximum_matching(g, edge_darts=None):
         if w > v:
             darts.append(dart_of[(v, w)])
     return Matching(g, darts)
-
-
-def perfect_matching(g):
-    """A maximum matching; the caller checks perfection via ``is_perfect``."""
-    return maximum_matching(g)
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +412,13 @@ class KFactorization:
     perms: dict  # colour -> vertex permutation tuple
 
 
-def _complete_graph(n):
-    g = ColouredGraph()
-    for i in range(n):
-        g.add_vertex(name=i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
-
-
 def k_n_factorization(n):
     """K_n split into (n-1)/2 Hamiltonian cycles (odd n, Walecki) or n-1
     perfect matchings (even n, circle method), with one permutation per
     colour: the cycle successor map, or the matching involution."""
     if n < 2:
         raise ValueError("need n >= 2")
-    g = _complete_graph(n)
+    g = complete_graph(n)
     dart_of = {}
     for d in g.edges():
         u, v = g.edge_ends(d)

@@ -33,6 +33,10 @@ class DslSyntaxError(ParcayError):
         self.col = col
 
 
+class GraphSyntaxError(DslSyntaxError):
+    """Malformed graph text.  Carries the line number."""
+
+
 class SemanticError(ParcayError):
     """Structurally valid text that does not describe a valid presentation."""
 

@@ -5,13 +5,21 @@ A dart is an index; ``inv`` pairs each dart with its reverse and ``tau``
 gives its head.  An undirected edge is a dart orbit under ``inv``; loops are
 dart pairs with both termini equal and contribute 2 to the degree.
 Multi-edges are simply repeated dart pairs, so the model is a multigraph.
+
+``ColouredGraph`` keeps one index, vertex -> out-darts in dart order.  Darts
+are only ever added through ``add_edge``, which appends each new dart to the
+index of its source, so ``degree``, ``out_darts`` and ``neighbours`` cost
+O(deg) and a connectivity search costs O(darts it reaches).  Routines that
+walk out of a vertex read this index, and its dart order keeps their
+traversals, and so their outputs, deterministic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
-from .errors import Disconnected, NotCayleyLike, SearchBoundExceeded
+from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
+                     SearchBoundExceeded)
 from .words import Alphabet, reduce as word_reduce
 
 
@@ -25,6 +33,7 @@ class ColouredGraph:
         self.inv = []            # dart -> reverse dart
         self.colour = []         # dart -> colour string or None
         self.colour_inv = {}     # colour -> inverse colour (total on used colours)
+        self._out = []           # vertex -> out-darts in dart order
         self._name_index = {}
         self.meta = {}
 
@@ -35,6 +44,7 @@ class ColouredGraph:
         self.n += 1
         self.names.append(name)
         self.classes.append(cls)
+        self._out.append([])
         if name is not None:
             self._name_index[name] = idx
         return idx
@@ -55,10 +65,14 @@ class ColouredGraph:
             self.declare_colour(colour, colour_rev)
         if colour_rev is None:
             colour_rev = self.colour_inv.get(colour) if colour is not None else None
+        out_u, out_v = self._out[u], self._out[v]
         d = len(self.tau)
+        r = d + 1   # one int object shared by inv and the index
         self.tau += [v, u]
-        self.inv += [d + 1, d]
+        self.inv += [r, d]
         self.colour += [colour, colour_rev]
+        out_u.append(d)
+        out_v.append(r)
         return d
 
     # -- basic queries -------------------------------------------------------
@@ -78,11 +92,12 @@ class ColouredGraph:
         return self.tau[d] == self.tau[self.inv[d]]
 
     def degree(self, v):
-        return sum(1 for h in self.tau if h == v)
+        return len(self._out[v])
 
     def out_darts(self, v):
-        """Darts leaving v (reverse darts of those arriving at v)."""
-        return [self.inv[d] for d in range(self.n_darts) if self.tau[d] == v]
+        """Darts leaving v, in dart order.  This is the index itself, so
+        callers must not modify it."""
+        return self._out[v]
 
     def edges(self):
         """One canonical dart per undirected edge."""
@@ -92,34 +107,27 @@ class ColouredGraph:
         return self.src(d), self.tau[d]
 
     def neighbours(self, v):
-        return sorted({self.tau[d] for d in self.out_darts(v)})
+        return sorted({self.tau[d] for d in self._out[v]})
 
     def is_regular(self):
-        if self.n == 0:
-            return True
-        degs = {self.degree(v) for v in range(self.n)}
-        return len(degs) == 1
+        return len({len(out) for out in self._out}) <= 1
 
-    def is_connected(self):
-        if self.n == 0:
+    def is_connected(self, vertices=None):
+        """Whether the subgraph induced on ``vertices`` (default: all of
+        them) is connected; an empty set counts as connected."""
+        inside = set(range(self.n) if vertices is None else vertices)
+        if not inside:
             return True
-        seen = {0}
-        queue = deque([0])
-        out = self._out_table()
-        while queue:
-            v = queue.popleft()
-            for d in out[v]:
+        start = next(iter(inside))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for d in self._out[stack.pop()]:
                 w = self.tau[d]
-                if w not in seen:
+                if w in inside and w not in seen:
                     seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
-
-    def _out_table(self):
-        out = [[] for _ in range(self.n)]
-        for d in range(self.n_darts):
-            out[self.src(d)].append(d)
-        return out
+                    stack.append(w)
+        return len(seen) == len(inside)
 
     def class_sizes(self):
         sizes = Counter()
@@ -265,11 +273,10 @@ def spanning_tree(g, base):
     parent = [None] * g.n
     order = [base]
     seen = {base}
-    out = g._out_table()
     queue = deque([base])
     while queue:
         v = queue.popleft()
-        for d in sorted(out[v]):
+        for d in g.out_darts(v):
             w = g.tau[d]
             if w not in seen:
                 seen.add(w)
@@ -390,11 +397,6 @@ class _Matcher:
 
     def _vertex_order(self):
         g = self.g
-        if g.n == 0:
-            return []
-        adj = [set() for _ in range(g.n)]
-        for d in range(g.n_darts):
-            adj[g.src(d)].add(g.tau[d])
         order, seen = [], set()
         for root in sorted(range(g.n), key=lambda v: -self.deg_g[v]):
             if root in seen:
@@ -404,7 +406,7 @@ class _Matcher:
             while queue:
                 v = queue.popleft()
                 order.append(v)
-                for w in sorted(adj[v]):
+                for w in g.neighbours(v):
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
@@ -465,37 +467,42 @@ class _Matcher:
         return results
 
 
-def _dart_bijection(g, h, vmap, colour_ok):
-    """Extend a vertex bijection to darts, respecting inv and colours.
-    Parallel bundles are assigned by backtracking (bundles are tiny)."""
-    by_ends_h = {}
-    for e in range(h.n_darts):
-        by_ends_h.setdefault((h.src(e), h.tau[e]), []).append(e)
-    order = sorted(g.edges())
-    dmap = {}
-    used = set()
-
-    def assign(i):
-        if i == len(order):
-            return True
-        d = order[i]
-        u, v = g.src(d), g.tau[d]
-        for e in by_ends_h.get((vmap[u], vmap[v]), ()):
-            if e in used or h.inv[e] in used:
-                continue
-            if not (colour_ok(g.colour[d], h.colour[e])
-                    and colour_ok(g.colour[g.inv[d]], h.colour[h.inv[e]])):
-                continue
-            dmap[d] = e
-            dmap[g.inv[d]] = h.inv[e]
-            used.update((e, h.inv[e]))
-            if assign(i + 1):
-                return True
+def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
+    """Yield every dart bijection from g to h over the vertex bijection
+    ``vmap`` that commutes with inv and passes ``colour_ok`` on both darts of
+    each edge.  Parallel bundles are assigned by backtracking, with an
+    explicit stack of one level per edge; a loop may map to either
+    orientation of its image."""
+    order = g.edges()
+    candidates = []
+    for d in order:
+        a, b, rev = vmap[g.src(d)], vmap[g.tau[d]], g.inv[d]
+        candidates.append([
+            e for e in h.out_darts(a)
+            if h.tau[e] == b and colour_ok(g.colour[d], h.colour[e])
+            and colour_ok(g.colour[rev], h.colour[h.inv[e]])])
+    if not order:
+        yield {}
+        return
+    chosen, used = [], set()   # h-dart per edge of ``order`` so far
+    stack = [iter(candidates[0])]
+    while stack:
+        if len(chosen) == len(stack):   # retract this level's last choice
+            e = chosen.pop()
             used.difference_update((e, h.inv[e]))
-            del dmap[d], dmap[g.inv[d]]
-        return False
-
-    return dict(dmap) if assign(0) else None
+        e = next((e for e in stack[-1] if e not in used), None)
+        if e is None:
+            stack.pop()
+            continue
+        chosen.append(e)
+        used.update((e, h.inv[e]))
+        if len(chosen) < len(order):
+            stack.append(iter(candidates[len(chosen)]))
+        else:
+            dmap = {}
+            for d, e in zip(order, chosen):
+                dmap[d], dmap[g.inv[d]] = e, h.inv[e]
+            yield dmap
 
 
 def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=None):
@@ -505,17 +512,16 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     found = m.search(limit=1)
     if not found:
         return None
-    vmap = found[0]
-    dmap = _dart_bijection(g, h, vmap, m.dart_colour_ok)
-    if dmap is None:
-        # Vertex-level match exists but dart multiplicities clash; keep
-        # searching other vertex maps.
-        for vmap in m.search() or []:
-            dmap = _dart_bijection(g, h, vmap, m.dart_colour_ok)
-            if dmap is not None:
-                return vmap, dmap
-        return None
-    return vmap, dmap
+    dmap = next(dart_bijections(g, h, found[0], m.dart_colour_ok), None)
+    if dmap is not None:
+        return found[0], dmap
+    # Vertex-level match exists but dart multiplicities clash; keep
+    # searching other vertex maps.
+    for vmap in m.search():
+        dmap = next(dart_bijections(g, h, vmap, m.dart_colour_ok), None)
+        if dmap is not None:
+            return vmap, dmap
+    return None
 
 
 AUTOMORPHISM_BOUND = 64
@@ -638,28 +644,54 @@ def write_graph(g):
     return "\n".join(lines) + "\n"
 
 
+# Fields after the keyword: (fewest, most).
+_GRAPH_FIELDS = {"vertices": (1, 1), "colour": (1, 2), "class": (2, 2),
+                 "edge": (2, 3)}
+
+
+def _graph_number(token, lineno, bound=None):
+    """A non-negative integer field, below ``bound`` for a vertex."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphSyntaxError(f"{token!r} is not an integer", lineno) from None
+    if value < 0 or (bound is not None and value >= bound):
+        what = "a count" if bound is None else f"a vertex of 0..{bound - 1}"
+        raise GraphSyntaxError(f"{value} is not {what}", lineno)
+    return value
+
+
 def read_graph(text):
+    """Parse the text exchange format.  Malformed input raises
+    ``GraphSyntaxError`` with the line number."""
     g = ColouredGraph()
-    declared = None
-    for raw in text.splitlines():
+    declared = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "vertices":
-            declared = int(parts[1])
-            for _ in range(declared):
+        kind, *fields = line.split()
+        if kind not in _GRAPH_FIELDS:
+            raise GraphSyntaxError(f"unknown graph line {line!r}", lineno)
+        fewest, most = _GRAPH_FIELDS[kind]
+        if not fewest <= len(fields) <= most:
+            raise GraphSyntaxError(f"wrong number of fields in {line!r}", lineno)
+        if kind == "vertices":
+            if declared:
+                raise GraphSyntaxError("repeated 'vertices' line", lineno)
+            declared = True
+            for _ in range(_graph_number(fields[0], lineno)):
                 g.add_vertex()
-        elif parts[0] == "colour":
-            g.declare_colour(parts[1], parts[2] if len(parts) > 2 else None)
-        elif parts[0] == "class":
-            g.classes[int(parts[1])] = parts[2]
-        elif parts[0] == "edge":
-            u, v = int(parts[1]), int(parts[2])
-            colour = parts[3] if len(parts) > 3 else None
-            g.add_edge(u, v, colour)
+        elif kind == "colour":
+            g.declare_colour(*fields)
+        elif not declared:
+            raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
+                                   lineno)
+        elif kind == "class":
+            g.classes[_graph_number(fields[0], lineno, g.n)] = fields[1]
         else:
-            raise ValueError(f"unknown graph line {line!r}")
+            g.add_edge(_graph_number(fields[0], lineno, g.n),
+                       _graph_number(fields[1], lineno, g.n), *fields[2:])
     return g
 
 

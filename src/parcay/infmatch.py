@@ -18,43 +18,26 @@ from .errors import NoTransitiveSupply
 from .graph import ColouredGraph
 
 
-def _induced_connected(g, vertices):
-    vertices = set(vertices)
-    if len(vertices) <= 1:
-        return True
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for d in g.out_darts(v):
-            w = g.tau[d]
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vertices
-
-
 @dataclass
 class Exhaustion:
-    """Nested finite vertex sets of a window, innermost first, each inducing
-    a connected subgraph.  ``frontier`` marks window-boundary vertices whose
-    incidences are truncated."""
+    """Nested finite vertex sets of a window, innermost first.  ``frontier``
+    marks window-boundary vertices whose incidences are truncated.  The
+    window theory wants every level to induce a connected subgraph;
+    ``connected`` says whether it does."""
     graph: ColouredGraph
     levels: list
     frontier: frozenset = frozenset()
 
     def __post_init__(self):
         self.levels = [frozenset(B) for B in self.levels]
-        prev = frozenset()
-        for B in self.levels:
-            if not prev <= B:
+        for inner, outer in zip(self.levels, self.levels[1:]):
+            if not inner <= outer:
                 raise ValueError("exhaustion levels must be nested")
-            prev = B
-        for B in self.levels:
-            if not _induced_connected(self.graph, B):
-                raise ValueError("each exhaustion level must induce a "
-                                 "connected subgraph")
+
+    @property
+    def connected(self):
+        """Every level induces a connected subgraph."""
+        return all(self.graph.is_connected(B) for B in self.levels)
 
     def shell(self, v):
         """Index of the first level containing v, or None."""
@@ -252,8 +235,11 @@ FAMILIES = {
 
 def window_exhaustion(family, n, margin=2, shift=0):
     fam = FAMILIES[family] if isinstance(family, str) else family
-    g, levels, frontier = fam.build(n, margin, shift)
-    return Exhaustion(g, levels, frontier)
+    ex = Exhaustion(*fam.build(n, margin, shift))
+    if not ex.connected:
+        raise ValueError(f"family {fam.name!r} built a level that does not "
+                         f"induce a connected subgraph")
+    return ex
 
 
 def windowed_perfect_matching(family, n, margin=2):
@@ -264,15 +250,11 @@ def windowed_perfect_matching(family, n, margin=2):
     outside the ball, and the matching is re-derived.
     """
     fam = FAMILIES[family] if isinstance(family, str) else family
-    last = None
     for shift in fam.shifts:
-        g, levels, frontier = fam.build(n, margin, shift)
-        m = maximum_matching(g)
-        ball = levels[-1]
-        if all(m.covers(v) for v in ball):
-            ex = Exhaustion(g, levels, frontier)
+        ex = window_exhaustion(fam, n, margin, shift)
+        m = maximum_matching(ex.graph)
+        if all(m.covers(v) for v in ex.levels[-1]):
             return ex, m
-        last = (g, m)
     if len(fam.shifts) <= 1:
         raise NoTransitiveSupply(
             f"family {fam.name!r} provides no translations to move the "

@@ -2,26 +2,8 @@ import random
 
 import pytest
 
+from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
 from parcay.graph import ColouredGraph
-
-
-def cycle_graph(n):
-    g = ColouredGraph()
-    for _ in range(n):
-        g.add_vertex()
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
-    return g
-
-
-def complete_graph(n):
-    g = ColouredGraph()
-    for _ in range(n):
-        g.add_vertex()
-    for i in range(n):
-        for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
 
 
 def random_graph(n, p, seed):
@@ -54,6 +36,28 @@ def random_connected_graph(n, p, seed):
             if frozenset((i, j)) not in present and rng.random() < p:
                 g.add_edge(i, j)
     return g
+
+
+def scan_out_darts(g, v):
+    """Independent oracle: the darts leaving v, by a scan of every dart."""
+    return {d for d in range(g.n_darts) if g.tau[g.inv[d]] == v}
+
+
+def scan_connected(g, vertices):
+    """Independent oracle: connectivity of the subgraph induced on
+    ``vertices``, by a union-find over every dart."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for d in range(g.n_darts):
+        u, w = g.tau[g.inv[d]], g.tau[d]
+        if u in parent and w in parent:
+            parent[find(u)] = find(w)
+    return len({find(v) for v in parent}) <= 1
 
 
 def bfs_levels(g, cuts, start=0):

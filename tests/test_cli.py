@@ -105,6 +105,19 @@ def test_matchings_report(capsys):
     assert "miss sequence" in out
 
 
+@pytest.mark.parametrize("edge", ["edge 1 7", "edge 0 x", "edge 1 -1"])
+def test_malformed_graph_file_exits_2(edge, pp, tmp_path, capsys):
+    good = tmp_path / "good.graph"
+    good.write_text("vertices 3\nedge 0 1\nedge 1 2\n")
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"vertices 3\nedge 0 1\n{edge}\n")
+    assert main(["iso", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "(line 3)" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/x.pp"]) == 2
 
@@ -120,6 +133,13 @@ def test_suite_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data) == 13
     assert all(entry["pass"] for entry in data)
+
+
+def test_suite_text_has_one_line_per_criterion(capsys):
+    assert main(["suite"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith("[PASS] criterion ") for line in lines)
 
 
 def test_output_is_byte_identical_across_runs(pp, tmp_path):

@@ -11,7 +11,7 @@ from parcay.decompose import (EdgeColouring, Matching,
                               euler_orientation, is_multicycle,
                               is_partition_friendly, is_weak_multicycle,
                               k_n_factorization, maximum_matching,
-                              perfect_matching, two_factor, two_factorization,
+                              two_factor, two_factorization,
                               weak_multicycle_colouring)
 from parcay.errors import NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree
 from parcay.graph import ColouredGraph
@@ -62,7 +62,7 @@ def test_euler_handles_loops_and_components():
 # -- matchings ----------------------------------------------------------------------
 
 def test_petersen_has_perfect_matching():
-    m = perfect_matching(generalized_petersen(5, 2))
+    m = maximum_matching(generalized_petersen(5, 2))
     assert m.is_perfect() and len(m) == 5
 
 

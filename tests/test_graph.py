@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, scan_connected, scan_out_darts
 
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
-from parcay.errors import Disconnected, NotCayleyLike, SearchBoundExceeded
+from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
+                           SearchBoundExceeded)
 from parcay.graph import (ColouredGraph, automorphism_group,
-                          cayley_like_witness, dictated_walk,
+                          cayley_like_witness, dart_bijections, dictated_walk,
                           fundamental_cycle_words, is_cayley,
                           is_vertex_transitive, isomorphic, read_graph, to_dot,
                           walk_word, write_graph)
@@ -37,6 +39,41 @@ def test_loops_count_twice_in_degree():
     v = g.add_vertex()
     g.add_edge(v, v)
     assert g.degree(v) == 2
+
+
+@st.composite
+def multigraphs(draw):
+    """Random multigraphs with loops and parallel edges, possibly passed
+    through ``subgraph_edges`` or ``copy``."""
+    n = draw(st.integers(1, 7))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=14)):
+        g.add_edge(u, v)
+    how = draw(st.sampled_from(("built", "subgraph", "copy")))
+    if how == "subgraph":
+        g = g.subgraph_edges([d for d in g.edges() if draw(st.booleans())])
+    elif how == "copy":
+        g = g.copy()
+    return g, draw(st.sets(vertex))
+
+
+@given(multigraphs())
+def test_out_dart_index_matches_a_dart_scan(case):
+    g, subset = case
+    degrees = []
+    for v in range(g.n):
+        scan = scan_out_darts(g, v)
+        assert g.degree(v) == sum(1 for h in g.tau if h == v) == len(scan)
+        assert set(g.out_darts(v)) == scan
+        assert g.out_darts(v) == sorted(scan)  # dart order
+        assert g.neighbours(v) == sorted({g.tau[d] for d in scan})
+        degrees.append(len(scan))
+    assert g.is_regular() == (len(set(degrees)) <= 1)
+    assert g.is_connected() == scan_connected(g, range(g.n))
+    assert g.is_connected(subset) == scan_connected(g, subset)
 
 
 # -- walks and words -----------------------------------------------------------
@@ -196,6 +233,29 @@ def test_iso_returns_commuting_maps(petersen_sp):
         assert dmap[g.inv[d]] == h.inv[dmap[d]]
 
 
+def test_dart_bijections_enumerate_parallel_and_loop_choices():
+    # a triple edge and two loops at one vertex: 3! ways for the triple
+    # edge, 2! for the loops, each loop in either orientation
+    g = ColouredGraph()
+    for _ in range(2):
+        g.add_vertex()
+    for _ in range(3):
+        g.add_edge(0, 1)
+    g.add_edge(1, 1)
+    g.add_edge(1, 1)
+    maps = list(dart_bijections(g, g, {0: 0, 1: 1}))
+    assert len(maps) == 3 * 2 * 2 * 2 * 2 == len({tuple(sorted(m.items())) for m in maps})
+    for dmap in maps:
+        assert sorted(dmap.values()) == list(range(g.n_darts))
+        assert all(dmap[g.inv[d]] == g.inv[dmap[d]] for d in dmap)
+
+
+def test_dart_bijections_need_no_recursion_per_edge():
+    g = cycle_graph(3000)
+    dmap = next(dart_bijections(g, g, {v: v for v in range(g.n)}))
+    assert dmap == {d: d for d in range(g.n_darts)}
+
+
 # -- automorphisms ----------------------------------------------------------------
 
 def test_petersen_automorphism_group_order():
@@ -298,6 +358,25 @@ def test_graph_format_multi_edges_and_loops():
     h = read_graph(write_graph(g))
     assert h.n_edges == 3
     assert h.degree(0) == 4
+
+
+@pytest.mark.parametrize("text,line", [
+    ("vertices 3\nedge 1 7\n", 2),
+    ("vertices 3\nedge 0 x\n", 2),
+    ("vertices 3\n\nedge 1 -1\n", 3),
+    ("vertices 3\nclass 3 a\n", 2),
+    ("vertices -2\n", 1),
+    ("edge 0 1\nvertices 2\n", 1),
+    ("class 0 a\nvertices 2\n", 1),
+    ("vertices 2\nvertices 2\n", 2),
+    ("vertices 2\nedge 0\n", 2),
+    ("vertices 2\nedge 0 1 a b\n", 2),
+    ("vertices 2\nvertex 0\n", 2),
+])
+def test_malformed_graph_text_names_its_line(text, line):
+    with pytest.raises(GraphSyntaxError) as info:
+        read_graph(text)
+    assert info.value.line == line
 
 
 def test_dot_export(petersen_sp):

@@ -65,6 +65,13 @@ def test_exhaustion_requires_nesting():
         Exhaustion(g, [{0, 1}, {2, 3}])
 
 
+def test_disconnected_nested_levels_are_accepted():
+    g = path_graph(5)
+    ex = Exhaustion(g, [{0, 4}, set(range(5))])
+    assert not ex.connected
+    assert Exhaustion(g, [{2}, {1, 2, 3}, set(range(5))]).connected
+
+
 def test_compare_perfect_beats_empty():
     g = cycle_graph(6)
     ex = Exhaustion(g, [set(range(6))])
@@ -231,3 +238,12 @@ def test_window_exhaustion_shapes():
     ex = window_exhaustion("two-ended", 2)
     assert len(ex.levels) == 3
     assert ex.frontier
+    assert ex.connected
+
+
+def test_window_family_levels_must_be_connected():
+    def build(n, margin, shift):
+        return path_graph(3), [frozenset({0, 2})], frozenset()
+
+    with pytest.raises(ValueError):
+        window_exhaustion(WindowFamily("split", build), 1)
