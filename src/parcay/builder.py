@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BallRejected, Overflow
-from .graph import ColouredGraph, _Matcher, dart_bijections, dictated_walk
+from .graph import ColouredGraph, dart_bijections, dictated_walk, graph_maps
 
 DEFAULT_MAX_ROWS = 1_000_000
 
@@ -387,46 +387,12 @@ def check_relator_closure(sp, p):
 
 
 def deck_group(sp):
-    """Colour- and class-preserving automorphisms, via walk propagation from
-    vertex 0; complete because a colour-preserving map of a connected
-    Cayley-like graph is determined by one image."""
-    if sp.n == 0:
-        return []
-    out_by_colour = [dict() for _ in range(sp.n)]
-    for d in range(sp.n_darts):
-        v = sp.src(d)
-        if sp.colour[d] in out_by_colour[v]:
+    """Colour- and class-preserving automorphisms, or None when some vertex
+    has two out-darts of one colour."""
+    for v in range(sp.n):
+        if len({sp.colour[d] for d in sp.out_darts(v)}) < sp.degree(v):
             return None
-        out_by_colour[v][sp.colour[d]] = d
-    autos = []
-    for target in range(sp.n):
-        if sp.classes[target] != sp.classes[0]:
-            continue
-        mapping = {0: target}
-        queue = [0]
-        ok = True
-        while queue and ok:
-            v = queue.pop()
-            w = mapping[v]
-            if sp.classes[v] != sp.classes[w]:
-                ok = False
-                break
-            for colour, d in out_by_colour[v].items():
-                e = out_by_colour[w].get(colour)
-                if e is None:
-                    ok = False
-                    break
-                nv, nw = sp.tau[d], sp.tau[e]
-                if nv in mapping:
-                    if mapping[nv] != nw:
-                        ok = False
-                        break
-                else:
-                    mapping[nv] = nw
-                    queue.append(nv)
-        if ok and len(mapping) == sp.n and len(set(mapping.values())) == sp.n:
-            autos.append(tuple(mapping[v] for v in range(sp.n)))
-    return autos
+    return sorted(graph_maps(sp, sp, respect_colours=True, respect_classes=True))
 
 
 def check_deck_regular(sp):
@@ -500,9 +466,8 @@ def presentation_symmetry_implies_vt(p):
     witnesses = []
     # Every (vertex map, dart map) automorphism of the presentation graph,
     # ignoring colours, one witness per pair that preserves the cells.
-    for sol in _Matcher(g, g).search() or []:
-        vmap = tuple(sol[v] for v in range(g.n))
-        for dmap in dart_bijections(g, g, sol):
+    for vmap in graph_maps(g, g):
+        for dmap in dart_bijections(g, g, vmap):
             image = Counter(_cell_canonical(g, tuple(dmap[d] for d in darts))
                             for _, _, darts in complex_.cells)
             if image == cell_counter:

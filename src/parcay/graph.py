@@ -16,6 +16,7 @@ traversals, and so their outputs, deterministic.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
@@ -320,151 +321,81 @@ def fundamental_cycle_words(g, base, alphabet=None):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and automorphisms: exhaustive backtracking with degree and
-# colour-profile pruning.  Complete at fixture scale (tens of vertices).
+# Isomorphism and automorphisms: one search over vertex bijections.  Vertices
+# are placed in BFS order; a vertex is tried only at unused neighbours of its
+# BFS parent's image, and kept there only if its out-darts to placed vertices
+# match those of the image in number (and colour, if asked).  The search is
+# exhaustive, so an empty result is a certificate.
 
 
-def _pair_profile(g, colour_key):
-    """(u, v) -> multiset of dart colour keys from u to v."""
-    prof = {}
-    for d in range(g.n_darts):
-        key = (g.src(d), g.tau[d])
-        prof.setdefault(key, Counter())[colour_key(g.colour[d])] += 1
-    return prof
-
-
-def _colour_counts_compatible(cg, ch, colour_map):
-    """Can the g-side colour multiset be mapped onto the h-side one, sending
-    each g-colour into its allowed set?  Exact search over tiny multisets."""
-    if sum(cg.values()) != sum(ch.values()):
-        return False
-    remaining = dict(ch)
-
-    items = sorted(cg.items())
-
-    def place(i):
-        if i == len(items):
-            return all(v == 0 for v in remaining.values())
-        colour, count = items[i]
-        allowed = [c for c in colour_map(colour) if remaining.get(c, 0) > 0]
-
-        def distribute(k, idx):
-            if k == 0:
-                return place(i + 1)
-            if idx >= len(allowed):
-                return False
-            c = allowed[idx]
-            take_max = min(k, remaining.get(c, 0))
-            for take in range(take_max, -1, -1):
-                remaining[c] -= take
-                if distribute(k - take, idx + 1):
-                    remaining[c] += take
-                    return True
-                remaining[c] += take
-            return False
-
-        return distribute(count, 0)
-
-    return place(0)
-
-
-class _Matcher:
-    """Backtracking search for graph maps g -> h commuting with tau and inv
-    and compatible with colours/classes as requested."""
-
-    def __init__(self, g, h, respect_colours=False, respect_classes=False,
-                 colour_map=None):
-        self.g, self.h = g, h
-        self.respect_classes = respect_classes
-        if colour_map is not None:
-            self.colour_key_g = lambda c: c
-            self.allowed = lambda c: colour_map.get(c, {c})
-            self.dart_colour_ok = lambda gc, hc: hc in colour_map.get(gc, {gc})
-        elif respect_colours:
-            self.colour_key_g = lambda c: c
-            self.allowed = lambda c: {c}
-            self.dart_colour_ok = lambda gc, hc: gc == hc
-        else:
-            self.colour_key_g = lambda c: None
-            self.allowed = lambda c: {None}
-            self.dart_colour_ok = lambda gc, hc: True
-        key_h = (lambda c: c) if (respect_colours or colour_map) else (lambda c: None)
-        self.prof_g = _pair_profile(g, self.colour_key_g)
-        self.prof_h = _pair_profile(h, key_h)
-        self.deg_g = [g.degree(v) for v in range(g.n)]
-        self.deg_h = [h.degree(v) for v in range(h.n)]
-        self.order = self._vertex_order()
-
-    def _vertex_order(self):
-        g = self.g
-        order, seen = [], set()
-        for root in sorted(range(g.n), key=lambda v: -self.deg_g[v]):
-            if root in seen:
-                continue
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                v = queue.popleft()
-                order.append(v)
-                for w in g.neighbours(v):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return order
-
-    def _feasible(self, v, w, mapping):
-        g, h = self.g, self.h
-        if self.deg_g[v] != self.deg_h[w]:
-            return False
-        if self.respect_classes and g.classes[v] != h.classes[w]:
-            return False
-        for u in range(g.n):
-            img = mapping.get(u)
-            if img is None:
-                continue
-            for a, b in (((v, u), (w, img)), ((u, v), (img, w))):
-                cg = self.prof_g.get(a, Counter())
-                ch = self.prof_h.get(b, Counter())
-                if not _colour_counts_compatible(cg, ch, self.allowed):
-                    return False
-        return True
-
-    def search(self, limit=None, fixed=None):
-        """Yield complete vertex mappings; stop after ``limit`` if given."""
-        g, h = self.g, self.h
-        if g.n != h.n or g.n_edges != h.n_edges:
-            return
-        if sorted(self.deg_g) != sorted(self.deg_h):
-            return
-        mapping = dict(fixed or {})
-        used = set(mapping.values())
-        order = [v for v in self.order if v not in mapping]
-        for v, w in (fixed or {}).items():
-            if not self._feasible(v, w, {u: x for u, x in mapping.items() if u != v}):
-                return
-        results = []
-
-        def extend(i):
-            if limit is not None and len(results) >= limit:
-                return
-            if i == len(order):
-                results.append(dict(mapping))
-                return
+def graph_maps(g, h, respect_colours=False, respect_classes=False):
+    """Yield, as vertex-image tuples, every vertex bijection from g to h that
+    preserves degrees, the number of darts between each pair of vertices
+    (per dart colour if ``respect_colours``) and, if asked, class labels.
+    A map extends to a graph isomorphism exactly when ``dart_bijections``
+    yields a dart map over it.  The search keeps an explicit stack of
+    candidate iterators, one per placed vertex."""
+    n = g.n
+    if n != h.n or g.n_darts != h.n_darts:
+        return
+    if sorted(map(len, g._out)) != sorted(map(len, h._out)):
+        return
+    if n == 0:
+        yield ()
+        return
+    order, parent, seen = [], [None] * n, [False] * n
+    for root in sorted(range(n), key=lambda v: -len(g._out[v])):
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):
             v = order[i]
-            for w in range(h.n):
-                if w in used:
-                    continue
-                if self._feasible(v, w, mapping):
-                    mapping[v] = w
-                    used.add(w)
-                    extend(i + 1)
-                    del mapping[v]
-                    used.discard(w)
-                if limit is not None and len(results) >= limit:
-                    return
+            i += 1
+            for d in g._out[v]:
+                w = g.tau[d]
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+    g_colour = g.colour if respect_colours else [None] * g.n_darts
+    h_colour = h.colour if respect_colours else [None] * h.n_darts
+    image, used = [None] * n, [False] * n
 
-        extend(0)
-        return results
+    def fits(v, w):
+        """Darts out of v to placed vertices match those out of w, with v
+        already placed at w, so loops count too."""
+        mine = Counter((image[g.tau[d]], g_colour[d]) for d in g._out[v]
+                       if image[g.tau[d]] is not None)
+        theirs = Counter((h.tau[e], h_colour[e]) for e in h._out[w]
+                         if used[h.tau[e]])
+        return mine == theirs
+
+    stack = [iter(range(n))]
+    while stack:
+        v = order[len(stack) - 1]
+        if image[v] is not None:   # retract this level's last choice
+            used[image[v]] = False
+            image[v] = None
+        deg, cls = len(g._out[v]), g.classes[v]
+        for w in stack[-1]:
+            if (used[w] or len(h._out[w]) != deg
+                    or (respect_classes and h.classes[w] != cls)):
+                continue
+            image[v], used[w] = w, True
+            if fits(v, w):
+                break
+            image[v], used[w] = None, False
+        else:
+            stack.pop()
+            continue
+        if len(stack) == n:
+            yield tuple(image)
+            continue
+        p = parent[order[len(stack)]]
+        stack.append(iter(range(n)) if p is None else
+                     iter(dict.fromkeys(h.tau[e] for e in h._out[image[p]])))
 
 
 def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
@@ -506,47 +437,39 @@ def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
 
 
 def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=None):
-    """A vertex/dart bijection witnessing isomorphism, or None (complete
-    search, so None is a certificate at fixture scale)."""
-    m = _Matcher(g, h, respect_colours, respect_classes, colour_map)
-    found = m.search(limit=1)
-    if not found:
-        return None
-    dmap = next(dart_bijections(g, h, found[0], m.dart_colour_ok), None)
-    if dmap is not None:
-        return found[0], dmap
-    # Vertex-level match exists but dart multiplicities clash; keep
-    # searching other vertex maps.
-    for vmap in m.search():
-        dmap = next(dart_bijections(g, h, vmap, m.dart_colour_ok), None)
+    """A vertex/dart bijection witnessing isomorphism, or None.  The first
+    vertex map of ``graph_maps`` that ``dart_bijections`` extends is
+    returned; with a ``colour_map`` (g-colour -> allowed h-colours) only
+    dart counts are matched per vertex and colours are left to the dart
+    map.  Both searches are exhaustive, so None is a certificate."""
+    if colour_map is not None:
+        colour_ok = lambda gc, hc: hc in colour_map.get(gc, {gc})
+    elif respect_colours:
+        colour_ok = operator.eq
+    else:
+        colour_ok = lambda gc, hc: True
+    exact = respect_colours and colour_map is None
+    for vmap in graph_maps(g, h, exact, respect_classes):
+        dmap = next(dart_bijections(g, h, vmap, colour_ok), None)
         if dmap is not None:
-            return vmap, dmap
+            return dict(enumerate(vmap)), dmap
     return None
 
 
 AUTOMORPHISM_BOUND = 64
 
 
-def automorphism_group(g, colour_mode="plain", bound=AUTOMORPHISM_BOUND):
-    """Complete list of automorphisms as vertex-image tuples."""
-    if g.n > bound:
-        raise SearchBoundExceeded(f"{g.n} vertices exceeds the bound {bound}")
-    if g.n == 0:
-        return [()]
-    respect = colour_mode == "colour_preserving"
-    m = _Matcher(g, g, respect_colours=respect)
-    sols = m.search()
-    return sorted(tuple(s[v] for v in range(g.n)) for s in sols)
+def automorphism_group(g, colour_mode="plain"):
+    """Complete list of automorphisms as vertex-image tuples, for graphs of
+    at most ``AUTOMORPHISM_BOUND`` vertices."""
+    if g.n > AUTOMORPHISM_BOUND:
+        raise SearchBoundExceeded(
+            f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
+    return sorted(graph_maps(g, g, colour_mode == "colour_preserving"))
 
 
-def colour_class_automorphisms(g):
-    """Automorphisms preserving both dart colours and vertex class labels."""
-    m = _Matcher(g, g, respect_colours=True, respect_classes=True)
-    return sorted(tuple(s[v] for v in range(g.n)) for s in m.search())
-
-
-def is_vertex_transitive(g, bound=AUTOMORPHISM_BOUND):
-    auts = automorphism_group(g, bound=bound)
+def is_vertex_transitive(g):
+    auts = automorphism_group(g)
     orbit = {a[0] for a in auts}
     return len(orbit) == g.n
 
@@ -577,10 +500,10 @@ def mulclose(perms, cap=None):
     return group
 
 
-def is_cayley(g, bound=AUTOMORPHISM_BOUND):
+def is_cayley(g):
     """A subgroup of Aut(g) acting regularly on the vertices, as a generator
     list, or None after a complete search of semiregular subgroups."""
-    auts = automorphism_group(g, bound=bound)
+    auts = automorphism_group(g)
     n = g.n
     ident = tuple(range(n))
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -58,6 +60,19 @@ def scan_connected(g, vertices):
         if u in parent and w in parent:
             parent[find(u)] = find(w)
     return len({find(v) for v in parent}) <= 1
+
+
+def brute_force_automorphisms(g, colour_preserving=False):
+    """Independent oracle: every vertex permutation that maps the multiset
+    of darts (source, head and, if asked, colour) onto itself, in
+    lexicographic order."""
+    def darts(p):
+        return Counter((p[g.tau[g.inv[d]]], p[g.tau[d]],
+                        g.colour[d] if colour_preserving else None)
+                       for d in range(g.n_darts))
+
+    identity = darts(range(g.n))
+    return [p for p in itertools.permutations(range(g.n)) if darts(p) == identity]
 
 
 def bfs_levels(g, cuts, start=0):

@@ -10,7 +10,8 @@ from parcay.builder import (ball_sp, build_sp, check_cover, check_relator_closur
                             presentation_graph, vertex_group_order)
 from parcay.constructions import petersen_presentation
 from parcay.errors import Overflow
-from parcay.graph import isomorphic, write_graph
+from parcay.graph import (ColouredGraph, automorphism_group, isomorphic,
+                          write_graph)
 from parcay.presentation import PartitePresentation, from_two_partite
 from parcay.words import Alphabet, ClassAction, parse_word
 
@@ -165,6 +166,26 @@ def test_deck_group_acts_regularly(petersen_sp):
         fibre = [v for v in range(petersen_sp.n)
                  if petersen_sp.classes[v] == cls]
         assert {a[fibre[0]] for a in autos} == set(fibre)
+
+
+def test_deck_group_needs_one_out_dart_per_colour():
+    g = ColouredGraph()
+    for _ in range(2):
+        g.add_vertex(cls="0")
+    g.add_edge(0, 1, "a")
+    g.add_edge(0, 1, "a")
+    assert deck_group(g) is None
+
+
+@pytest.mark.parametrize("p", [petersen(), from_two_partite(
+    counterexample_presentations()[1])], ids=["petersen", "counterexample"])
+def test_deck_group_is_the_class_preserving_colour_group(p):
+    sp = build_sp(p)
+    autos = deck_group(sp)
+    assert autos
+    assert autos == [a for a in automorphism_group(sp, "colour_preserving")
+                     if all(sp.classes[a[v]] == sp.classes[v]
+                            for v in range(sp.n))]
 
 
 def test_invariant_report_all_green():

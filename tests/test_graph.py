@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import complete_graph, cycle_graph, scan_connected, scan_out_darts
+from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
+                      scan_connected, scan_out_darts)
 
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
@@ -256,6 +259,75 @@ def test_dart_bijections_need_no_recursion_per_edge():
     assert dmap == {d: d for d in range(g.n_darts)}
 
 
+def _relabelled(g, perm, flips):
+    """g with vertex v renamed perm[v], edges added in reverse order and the
+    i-th edge's orientation flipped where flips[i] is set."""
+    h = ColouredGraph()
+    for _ in range(g.n):
+        h.add_vertex()
+    h.colour_inv = dict(g.colour_inv)
+    for d, flip in zip(reversed(g.edges()), flips):
+        if flip:
+            d = g.inv[d]
+        h.add_edge(perm[g.src(d)], perm[g.tau[d]], g.colour[d],
+                   g.colour[g.inv[d]])
+    return h
+
+
+def _from_edges(n, edges, colours=None):
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    g.declare_colour("a", "A")
+    for i, (u, v) in enumerate(edges):
+        g.add_edge(u, v, None if colours is None else colours[i])
+    return g
+
+
+def _networkx(nx, g):
+    m = nx.MultiGraph()
+    m.add_nodes_from(range(g.n))
+    m.add_edges_from(g.edge_ends(d) for d in g.edges())
+    return m
+
+
+@given(st.data())
+def test_isomorphic_agrees_with_networkx(data):
+    nx = pytest.importorskip("networkx")
+    n = data.draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    g = _from_edges(n, edges)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                   max_size=len(edges)))
+        h = _relabelled(g, perm, flips)
+    else:
+        h = _from_edges(n, data.draw(st.lists(st.tuples(vertex, vertex),
+                                              min_size=len(edges),
+                                              max_size=len(edges))))
+    want = nx.is_isomorphic(_networkx(nx, g), _networkx(nx, h))
+    found = isomorphic(g, h)
+    assert (found is not None) == want
+    if found is not None:
+        vmap, dmap = found
+        assert sorted(dmap) == sorted(dmap.values()) == list(range(g.n_darts))
+        for d in range(g.n_darts):
+            assert h.tau[dmap[d]] == vmap[g.tau[d]]
+            assert dmap[g.inv[d]] == h.inv[dmap[d]]
+
+
+def test_isomorphic_needs_no_recursion_per_vertex():
+    g = cycle_graph(3000)
+    perm = list(range(3000))
+    random.Random(0).shuffle(perm)
+    found = isomorphic(g, _relabelled(g, perm, [False] * g.n_edges))
+    assert found is not None
+    vmap, _ = found
+    assert sorted(vmap.values()) == list(range(3000))
+
+
 # -- automorphisms ----------------------------------------------------------------
 
 def test_petersen_automorphism_group_order():
@@ -281,6 +353,19 @@ def test_single_vertex_automorphisms():
 def test_colour_preserving_group_of_petersen(petersen_sp):
     auts = automorphism_group(petersen_sp, "colour_preserving")
     assert len(auts) == 5
+
+
+@given(st.data())
+def test_automorphism_group_matches_brute_force(data):
+    n = data.draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    colours = data.draw(st.lists(st.sampled_from(("a", "A", "b")),
+                                 min_size=len(edges), max_size=len(edges)))
+    g = _from_edges(n, edges, colours)
+    assert automorphism_group(g) == brute_force_automorphisms(g)
+    assert (automorphism_group(g, "colour_preserving")
+            == brute_force_automorphisms(g, colour_preserving=True))
 
 
 def test_search_bound():
