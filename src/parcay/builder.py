@@ -7,6 +7,12 @@ deductions fill slots in both directions, and coincidences are merged through
 a union-find with slot merging, processed to a fixpoint before any new
 definition.  Scanning a relator at every row of its class is what realises
 the conjugation closure of the relator subgroups.
+
+The coset table is one flat list, ``table[row * width + slot]``, with one
+slot per letter code.  Relators are encoded once, per class, as tuples of
+slot indices, and the slot of each letter's inverse is precomputed, so the
+scans index lists and never translate letters (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, 2005, ch. 5).
 """
 
 from __future__ import annotations
@@ -60,22 +66,36 @@ def presentation_complex(p):
 
 
 class CosetTable:
-    """Working state of the enumeration.  Rows are vertices-to-be; one slot
-    per letter code (involutive letters get a single slot)."""
+    """Working state of the enumeration.  Rows are vertices-to-be, with one
+    slot per letter code (involutive letters get a single slot), stored flat:
+    slot ``s`` of row ``r`` is ``table[r * width + s]``.  Relators are kept
+    per class as tuples of slot indices, and ``inverse[s]`` is the slot of
+    the inverse letter, so the walks never look at letter codes."""
 
     def __init__(self, p, max_rows=DEFAULT_MAX_ROWS, max_dist=None):
         self.p = p
         self.alphabet = p.alphabet
         self.codes = self.alphabet.letters()
-        self.slot_of = {c: i for i, c in enumerate(self.codes)}
+        self.width = len(self.codes)
+        slot_of = {c: s for s, c in enumerate(self.codes)}
+        self.inverse = [slot_of[self.alphabet.inverse_letter(c)] for c in self.codes]
+        self.relators = {x: [tuple(slot_of[c] for c in r.letters) for r in rels]
+                         for x, rels in p.relators.items()}
         self.max_rows = max_rows
         self.max_dist = max_dist
         self.parent = []
         self.cls = []
         self.dist = []
         self.table = []
+        self._blank = [None] * self.width
         self.version = 0       # bumps on every slot write or merge
-        self.stats = {"rows": 0, "coincidences": 0, "scans": 0}
+        self.coincidences = 0
+        self.scans = 0
+
+    @property
+    def stats(self):
+        return {"rows": len(self.parent), "coincidences": self.coincidences,
+                "scans": self.scans}
 
     # -- rows ---------------------------------------------------------------
 
@@ -86,53 +106,53 @@ class CosetTable:
         self.parent.append(r)
         self.cls.append(cls)
         self.dist.append(dist)
-        self.table.append([None] * len(self.codes))
-        self.stats["rows"] += 1
+        self.table += self._blank
         return r
 
     def find(self, r):
+        parent = self.parent
         root = r
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[r] != root:
-            self.parent[r], r = root, self.parent[r]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[r] != root:
+            parent[r], r = root, parent[r]
         return root
 
-    def slot(self, r, code):
-        v = self.table[self.find(r)][self.slot_of[code]]
-        return None if v is None else self.find(v)
+    def row(self, r):
+        """The slots of live row r, as live rows or None."""
+        find = self.find
+        return [None if w is None else find(w)
+                for w in self.table[r * self.width:(r + 1) * self.width]]
 
     def live_rows(self):
-        return [r for r in range(len(self.parent)) if self.find(r) == r]
+        parent = self.parent
+        return [r for r in range(len(parent)) if parent[r] == r]
 
     # -- updates -------------------------------------------------------------
 
-    def set_slot(self, v, code, w):
-        v, w = self.find(v), self.find(w)
-        inv = self.alphabet.inverse_letter(code)
-        for a, c, b in ((v, code, w), (w, inv, v)):
-            cur = self.table[a][self.slot_of[c]]
-            if cur is None:
-                self.table[a][self.slot_of[c]] = b
-                self.version += 1
-            elif self.find(cur) != self.find(b):
-                self.coincide(cur, b)
+    def set_slot(self, v, s, w):
+        """Join live rows v --s--> w.  Slot s of v and the inverse slot of
+        w must be empty (for an involution at a loop, they are one slot)."""
+        self.table[v * self.width + s] = w
+        self.table[w * self.width + self.inverse[s]] = v
+        self.version += 1
 
-    def define(self, v, code):
-        v = self.find(v)
+    def define(self, v, s):
+        """A new row behind the empty slot s of the live row v, or None
+        past the distance budget."""
         d = self.dist[v] + 1
         if self.max_dist is not None and d > self.max_dist:
             return None
-        cls = self.p.action.image(code, self.cls[v])
-        w = self.new_row(cls, d)
-        self.set_slot(v, code, w)
-        return self.find(w)
+        w = self.new_row(self.p.action.image(self.codes[s], self.cls[v]), d)
+        self.set_slot(v, s, w)
+        return w
 
     def coincide(self, a, b):
+        table, width, find = self.table, self.width, self.find
         queue = [(a, b)]
         while queue:
             a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
+            a, b = find(a), find(b)
             if a == b:
                 continue
             a, b = min(a, b), max(a, b)
@@ -141,65 +161,71 @@ class CosetTable:
                                  "the presentation is inconsistent")
             self.parent[b] = a
             self.dist[a] = min(self.dist[a], self.dist[b])
-            self.stats["coincidences"] += 1
+            self.coincidences += 1
             self.version += 1
-            for i in range(len(self.codes)):
-                x = self.table[b][i]
+            ra, rb = a * width, b * width
+            for i in range(width):
+                x = table[rb + i]
                 if x is None:
                     continue
-                y = self.table[a][i]
+                y = table[ra + i]
                 if y is None:
-                    self.table[a][i] = x
-                elif self.find(x) != self.find(y):
+                    table[ra + i] = x
+                elif find(x) != find(y):
                     queue.append((x, y))
 
     # -- scanning -------------------------------------------------------------
 
-    def scan(self, v, letters, fill=True):
-        """Trace a relator at a row; returns False when left incomplete
-        (only possible when filling is blocked by the distance budget)."""
-        self.stats["scans"] += 1
-        inv = self.alphabet.inverse_letter
-        f = self.find(v)
-        b = self.find(v)
-        i, j = 0, len(letters)
+    def scan(self, v, rel, fill=True):
+        """Trace a relator (a tuple of slots) at a row; returns False when
+        left incomplete (only possible when filling is blocked by the
+        distance budget)."""
+        self.scans += 1
+        table, parent, width, inverse = self.table, self.parent, self.width, self.inverse
+        f = b = self.find(v)
+        i, j = 0, len(rel)
         while True:
             while i < j:
-                nxt = self.slot(f, letters[i])
+                nxt = table[f * width + rel[i]]
                 if nxt is None:
                     break
-                f, i = nxt, i + 1
+                f = nxt if parent[nxt] == nxt else self.find(nxt)
+                i += 1
             if i == j:
                 if f != b:
                     self.coincide(f, b)
                 return True
             while j > i:
-                prev = self.slot(b, inv(letters[j - 1]))
+                prev = table[b * width + inverse[rel[j - 1]]]
                 if prev is None:
                     break
-                b, j = prev, j - 1
+                b = prev if parent[prev] == prev else self.find(prev)
+                j -= 1
             if i == j:
                 if f != b:
                     self.coincide(f, b)
                 return True
             if i == j - 1:
-                self.set_slot(f, letters[i], b)
+                self.set_slot(f, rel[i], b)
                 return True
             if not fill:
                 return False
-            w = self.define(f, letters[i])
+            w = self.define(f, rel[i])
             if w is None:
                 return False
             f, i = w, i + 1
 
-    def scan_closes(self, v, letters):
+    def scan_closes(self, v, rel):
         """Non-modifying check that the relator's walk closes at v."""
-        here = self.find(v)
-        for code in letters:
-            here = self.slot(here, code)
+        table, parent, width = self.table, self.parent, self.width
+        start = here = v if parent[v] == v else self.find(v)
+        for s in rel:
+            here = table[here * width + s]
             if here is None:
                 return False
-        return here == self.find(v)
+            if parent[here] != here:
+                here = self.find(here)
+        return here == start
 
     # -- main loop -------------------------------------------------------------
 
@@ -207,55 +233,60 @@ class CosetTable:
         p = self.p
         base_class = base_class or p.classes[0]
         base = self.new_row(base_class, 0)
+        parent, table, width, dist = self.parent, self.table, self.width, self.dist
+        max_dist = self.max_dist
         idx = 0
-        while idx < len(self.parent):
+        while idx < len(parent):
             v = idx
             idx += 1
-            if self.find(v) != v:
+            if parent[v] != v:
                 continue
-            for r in p.relators[self.cls[v]]:
-                if not self._relator_fits(v, r):
+            for rel in self.relators[self.cls[v]]:
+                if max_dist is not None and dist[v] + len(rel) > max_dist:
                     continue
-                self.scan(v, r.letters)
-                if self.find(v) != v:
+                self.scan(v, rel)
+                if parent[v] != v:
                     break
-            if self.find(v) != v:
+            if parent[v] != v:
                 continue
-            for code in self.codes:
-                if self.slot(v, code) is None:
-                    self.define(v, code)
-                if self.find(v) != v:
-                    break
+            # Every definition from a row at the edge of the budget would
+            # be refused.
+            if max_dist is not None and dist[v] >= max_dist:
+                continue
+            row = v * width
+            for s in range(width):
+                if table[row + s] is None:
+                    self.define(v, s)
         self._settle()
         return self.find(base)
-
-    def _relator_fits(self, v, r):
-        if self.max_dist is None:
-            return True
-        return self.dist[self.find(v)] + len(r) <= self.max_dist
 
     def _settle(self):
         """Re-scan everything to a fixpoint; merges can outrun the single
         pass over rows.  The loop keys on actual table modifications, since
         a distance-budgeted scan may legitimately make no progress."""
+        parent, dist, max_dist = self.parent, self.dist, self.max_dist
+        fill = max_dist is None
         while True:
             before = self.version
             for v in self.live_rows():
-                for r in self.p.relators[self.cls[v]]:
-                    if not self._relator_fits(v, r):
+                for rel in self.relators[self.cls[v]]:
+                    if max_dist is not None:
+                        root = v if parent[v] == v else self.find(v)
+                        if dist[root] + len(rel) > max_dist:
+                            continue
+                    if self.scan_closes(v, rel):
                         continue
-                    if self.scan_closes(v, r.letters):
-                        continue
-                    self.scan(v, r.letters, fill=self.max_dist is None)
+                    self.scan(v, rel, fill=fill)
             if self.version == before:
                 return
 
     def is_closed(self):
+        table, width = self.table, self.width
         for v in self.live_rows():
-            if any(s is None for s in self.table[v]):
+            if None in table[v * width:(v + 1) * width]:
                 return False
-            for r in self.p.relators[self.cls[v]]:
-                if not self.scan_closes(v, r.letters):
+            for rel in self.relators[self.cls[v]]:
+                if not self.scan_closes(v, rel):
                     return False
         return True
 
@@ -275,15 +306,21 @@ class CosetTable:
             g.declare_colour(name, name + "^-1")
         for name in alphabet.i_gens:
             g.declare_colour(name)
+        u_slots = [(name, self.codes.index(alphabet.code(name)))
+                   for name in alphabet.u_gens]
+        i_slots = [(name, self.codes.index(alphabet.code(name)))
+                   for name in alphabet.i_gens]
         for r in rows:
-            for name in alphabet.u_gens:
-                w = self.slot(r, alphabet.code(name))
+            out = self.row(r)
+            for name, s in u_slots:
+                w = out[s]
                 if w is not None and w in number:
                     g.add_edge(number[r], number[w], name)
         done = set()
         for r in rows:
-            for name in alphabet.i_gens:
-                w = self.slot(r, alphabet.code(name))
+            out = self.row(r)
+            for name, s in i_slots:
+                w = out[s]
                 if w is None or w not in number:
                     continue
                 key = (min(r, w), max(r, w), name)
@@ -291,7 +328,7 @@ class CosetTable:
                     continue
                 done.add(key)
                 g.add_edge(number[r], number[w], name)
-        g.meta["stats"] = dict(self.stats)
+        g.meta["stats"] = self.stats
         return g
 
 
@@ -323,9 +360,10 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     for v in table.live_rows():
         if table.dist[v] > radius:
             continue
-        for r in p.relators[table.cls[v]]:
-            if table.dist[v] + len(r) <= radius:
-                if not table.scan_closes(v, r.letters):
+        cls = table.cls[v]
+        for r, rel in zip(p.relators[cls], table.relators[cls]):
+            if table.dist[v] + len(rel) <= radius:
+                if not table.scan_closes(v, rel):
                     raise BallRejected(
                         f"relator {r} does not close at a row of distance "
                         f"{table.dist[v]}; enlarge the scan margin")
@@ -336,8 +374,7 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
         if table.dist[row] == radius:
             frontier.add(i)
         else:
-            for code in table.codes:
-                w = table.slot(row, code)
+            for w in table.row(row):
                 if w is None or table.dist[w] > radius:
                     frontier.add(i)
                     break

@@ -480,22 +480,24 @@ def _perm_mul(p, q):
 
 
 def mulclose(perms, cap=None):
-    """Closure of a permutation set under composition; stops past ``cap``."""
-    n = len(next(iter(perms)))
-    ident = tuple(range(n))
+    """The group generated by a set of permutations of one degree, or None
+    once it has more than ``cap`` elements.  Each new element is multiplied
+    on the right by the generators only, which reaches every product of
+    them; in a finite group that is the whole generated group."""
+    gens = list(perms)
+    ident = tuple(range(len(gens[0])))
     group = {ident}
-    frontier = set(perms) - group
-    group |= frontier
+    frontier = [ident]
     while frontier:
-        new = set()
+        new = []
         for p in frontier:
-            for q in list(group):
-                for r in (_perm_mul(p, q), _perm_mul(q, p)):
-                    if r not in group:
-                        new.add(r)
-            if cap is not None and len(group) + len(new) > cap:
+            for q in gens:
+                r = _perm_mul(p, q)
+                if r not in group:
+                    group.add(r)
+                    new.append(r)
+            if cap is not None and len(group) > cap:
                 return None
-        group |= new
         frontier = new
     return group
 
@@ -530,7 +532,7 @@ def is_cayley(g):
         for p in elements:
             if p in group:
                 continue
-            closed = mulclose(group | {p}, cap=n)
+            closed = mulclose(gens + (p,), cap=n)
             if closed is None:
                 continue
             closed = frozenset(closed)

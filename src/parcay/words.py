@@ -9,6 +9,8 @@ keeps relator scanning cheap.
 
 from __future__ import annotations
 
+import re
+
 from .errors import UnknownClass, UnknownGenerator, WordSyntaxError
 
 
@@ -174,9 +176,17 @@ def epsilon(alphabet):
 # ---------------------------------------------------------------------------
 # Word literals: juxtaposed names, ^k exponents, parenthesised subwords.
 
+# One factor: an opening parenthesis, or a closing one or a run of name
+# characters, each with an optional exponent.
+_FACTOR = re.compile(r"\s*(?:(\()|(?:(\))|(\w+))(\s*\^\s*([+-]?[0-9]+)?)?)")
+_SPACE = re.compile(r"\s*")
+
+
 def _lex_names(run, alphabet, pos):
     """Split a run of name characters into known generator names, longest
     match first; single characters must then all be generators."""
+    if run in alphabet._code:
+        return [run]
     out = []
     i = 0
     names = sorted(alphabet.names, key=len, reverse=True)
@@ -192,63 +202,51 @@ def _lex_names(run, alphabet, pos):
 
 
 def parse_word(text, alphabet):
-    """Parse a word literal like ``a^5``, ``a b a^2 b`` or ``(ab)^5``."""
+    """Parse a word literal like ``a^5``, ``a b a^2 b`` or ``(ab)^5``.
+
+    Open parentheses are kept on an explicit stack, so nesting depth is
+    not limited by the interpreter's recursion limit."""
+    groups = [[]]      # letters of the whole word and of each open group
+    runs = {}          # name run -> its letter codes
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        if pos < n and text[pos] in "+-":
-            pos += 1
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start or text[start:pos] in ("+", "-"):
-            raise WordSyntaxError("expected an integer exponent", pos)
-        return int(text[start:pos])
-
-    def parse_factors(closing):
-        nonlocal pos
-        letters = []
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] == closing:
-                return letters
-            ch = text[pos]
-            if ch == "(":
-                pos += 1
-                sub = parse_factors(")")
-                if pos >= n or text[pos] != ")":
-                    raise WordSyntaxError("unbalanced parenthesis", pos)
-                pos += 1
-            elif ch.isalnum() or ch == "_":
-                start = pos
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                run = text[start:pos]
-                sub = [alphabet.code(name) for name in _lex_names(run, alphabet, start)]
-            else:
-                raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                k = parse_int()
-                if k < 0:
-                    sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
-                    k = -k
+    while True:
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            break
+        pos = m.end()
+        opening, closing, run, caret, exponent = m.groups()
+        if opening:
+            groups.append([])
+            continue
+        if closing:
+            if len(groups) == 1:
+                raise WordSyntaxError("unexpected character ')'", m.start(2))
+            sub = groups.pop()
+        else:
+            sub = runs.get(run)
+            if sub is None:
+                sub = runs[run] = [alphabet.code(name) for name in
+                                   _lex_names(run, alphabet, m.start(3))]
+        if caret:
+            if exponent is None:
+                sign = text[pos:pos + 1] in ("+", "-")
+                raise WordSyntaxError("expected an integer exponent", pos + sign)
+            k = int(exponent)
+            if k < 0:
+                sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
+                k = -k
+            try:
                 sub = sub * k
-            letters.extend(sub)
-
-    letters = parse_factors(None)
-    if pos < n:
+            except OverflowError:
+                raise WordSyntaxError(f"exponent {exponent} is too large",
+                                      m.start(5)) from None
+        groups[-1].extend(sub)
+    pos = _SPACE.match(text, pos).end()
+    if pos < len(text):
         raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return reduce(letters, alphabet)
+    if len(groups) > 1:
+        raise WordSyntaxError("unbalanced parenthesis", pos)
+    return reduce(groups[0], alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,49 @@ def brute_force_automorphisms(g, colour_preserving=False):
     return [p for p in itertools.permutations(range(g.n)) if darts(p) == identity]
 
 
+def two_sided_closure(perms, cap=None):
+    """Independent oracle for ``mulclose``: close a permutation set by
+    multiplying every new element by every element found so far, on both
+    sides; None once the closure has more than ``cap`` elements."""
+    def mul(p, q):
+        return tuple(p[q[i]] for i in range(len(p)))
+
+    n = len(next(iter(perms)))
+    ident = tuple(range(n))
+    group = {ident}
+    frontier = set(perms) - group
+    group |= frontier
+    while frontier:
+        new = set()
+        for p in frontier:
+            for q in list(group):
+                for r in (mul(p, q), mul(q, p)):
+                    if r not in group:
+                        new.add(r)
+            if cap is not None and len(group) + len(new) > cap:
+                return None
+        group |= new
+        frontier = new
+    return group
+
+
+def table_cayley_graph(group, gens):
+    """Independent oracle for ``build_sp`` of one-class presentations: the
+    Cayley graph of a ``FiniteGroupTable``, read straight off its
+    multiplication table.  ``gens`` maps each free generator's name to its
+    element; every element x gets an edge x -> x s coloured by that name,
+    and every vertex is in class "0"."""
+    g = ColouredGraph()
+    for _ in range(len(group)):
+        g.add_vertex(cls="0")
+    for name in gens:
+        g.declare_colour(name, name + "^-1")
+    for x in range(len(group)):
+        for name, s in gens.items():
+            g.add_edge(x, group.mul(x, s), name)
+    return g
+
+
 def bfs_levels(g, cuts, start=0):
     """Nested vertex sets from BFS prefixes; each induces a connected
     subgraph."""

@@ -1,6 +1,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import table_cayley_graph
 
 from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
@@ -8,11 +11,12 @@ from parcay.acceptance import (counterexample_expected_graph,
 from parcay.builder import (ball_sp, build_sp, check_cover, check_relator_closure,
                             deck_group, invariant_report, presentation_complex,
                             presentation_graph, vertex_group_order)
-from parcay.constructions import petersen_presentation
+from parcay.constructions import (FiniteGroupTable, dihedral_group,
+                                  petersen_presentation)
 from parcay.errors import Overflow
 from parcay.graph import (ColouredGraph, automorphism_group, isomorphic,
                           write_graph)
-from parcay.presentation import PartitePresentation, from_two_partite
+from parcay.presentation import PartitePresentation, from_two_partite, parse
 from parcay.words import Alphabet, ClassAction, parse_word
 
 
@@ -100,6 +104,56 @@ def test_build_is_deterministic():
 def test_overflow_on_free_presentation():
     with pytest.raises(Overflow):
         build_sp(one_class(["a", "b"], []), max_rows=50)
+
+
+def _abelian_group(m, n):
+    """Z_m x Z_n, element (i, j) numbered i * n + j."""
+    table = [[((x // n + y // n) % m) * n + (x % n + y % n) % n
+              for y in range(m * n)] for x in range(m * n)]
+    return FiniteGroupTable([f"{x // n},{x % n}" for x in range(m * n)], table)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_build_matches_the_table_cayley_graph_of_abelian_groups(m, n):
+    sp = build_sp(one_class(["a", "b"], [f"a^{m}", f"b^{n}", "a b a^-1 b^-1"]))
+    # a = (1, 0) and b = (0, 1), either of which is 0 in a trivial factor.
+    oracle = table_cayley_graph(_abelian_group(m, n),
+                                {"a": (1 % m) * n, "b": 1 % n})
+    assert sp.n == m * n
+    assert isomorphic(sp, oracle, respect_colours=True,
+                      respect_classes=True) is not None
+
+
+@settings(deadline=None)
+@given(st.integers(3, 12))
+def test_build_matches_the_table_cayley_graph_of_dihedral_groups(n):
+    sp = build_sp(one_class(["r", "s"], [f"r^{n}", "s^2", "(r s)^2"]))
+    # In dihedral_group(n), element 1 is r and element n is s.
+    oracle = table_cayley_graph(dihedral_group(n), {"r": 1, "s": n})
+    assert sp.n == 2 * n
+    assert isomorphic(sp, oracle, respect_colours=True,
+                      respect_classes=True) is not None
+
+
+FREE_F2 = "classes: 0\ngen a : U : (0)\ngen b : U : (0)\n"
+FREE_Z2_Z = FREE_F2 + "rel 0 : a^2\n"
+
+
+@pytest.mark.parametrize("make,vertices,stats", [
+    (lambda: build_sp(petersen()), 10,
+     {"rows": 15, "coincidences": 5, "scans": 15}),
+    (lambda: build_sp(from_two_partite(petersen_presentation(200, 3))), 400,
+     {"rows": 800, "coincidences": 400, "scans": 600}),
+    (lambda: ball_sp(parse(FREE_F2), 4), 161,
+     {"rows": 485, "coincidences": 0, "scans": 0}),
+    (lambda: ball_sp(parse(FREE_Z2_Z), 6), 190,
+     {"rows": 894, "coincidences": 0, "scans": 190}),
+], ids=["P(5,2)", "P(200,3)", "F2 ball r4", "Z2*Z ball r6"])
+def test_builder_counters_are_pinned(make, vertices, stats):
+    g = make()
+    assert g.n == vertices
+    assert g.meta["stats"] == stats
 
 
 # -- ball_sp ----------------------------------------------------------------------

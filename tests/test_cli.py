@@ -118,6 +118,17 @@ def test_malformed_graph_file_exits_2(edge, pp, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rel", ["rel 0 : " + "(" * 3000 + "a" + ")" * 2999,
+                                 "rel 0 : a^99999999999999999999999"],
+                         ids=["nesting", "exponent"])
+def test_malformed_word_exits_2(rel, tmp_path, capsys):
+    f = tmp_path / "bad.pp"
+    f.write_text(PETERSEN + rel + "\n")
+    assert main(["build", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/x.pp"]) == 2
 

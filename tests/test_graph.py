@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
-                      scan_connected, scan_out_darts)
+                      scan_connected, scan_out_darts, two_sided_closure)
 
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
@@ -13,8 +13,8 @@ from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
 from parcay.graph import (ColouredGraph, automorphism_group,
                           cayley_like_witness, dart_bijections, dictated_walk,
                           fundamental_cycle_words, is_cayley,
-                          is_vertex_transitive, isomorphic, read_graph, to_dot,
-                          walk_word, write_graph)
+                          is_vertex_transitive, isomorphic, mulclose,
+                          read_graph, to_dot, walk_word, write_graph)
 from parcay.presentation import from_two_partite
 from parcay.words import Alphabet, parse_word
 
@@ -384,9 +384,30 @@ def test_is_cayley():
     assert is_cayley(generalized_petersen(5, 2)) is None
     gens = is_cayley(cycle_graph(6))
     assert gens is not None
-    from parcay.graph import mulclose
     group = mulclose(set(gens) | {tuple(range(6))})
     assert len(group) == 6 and len({p[0] for p in group}) == 6
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_mulclose_matches_the_two_sided_closure(data):
+    n = data.draw(st.integers(1, 6))
+    perms = data.draw(st.lists(st.permutations(range(n)).map(tuple),
+                               min_size=1, max_size=3))
+    # Degree 6 always has a cap: the oracle takes over a second on S6.
+    caps = st.integers(1, 130)
+    cap = data.draw(caps if n == 6 else st.none() | caps)
+    assert mulclose(perms, cap) == two_sided_closure(perms, cap)
+
+
+def test_is_cayley_of_petersen_graphs():
+    # P(n, k) is a Cayley graph exactly when k^2 = 1 (mod n).
+    for n, k in ((8, 1), (5, 2), (12, 5), (8, 3)):
+        gens = is_cayley(generalized_petersen(n, k))
+        assert (gens is not None) == (k * k % n == 1)
+        if gens is not None:
+            group = mulclose(gens)
+            assert len(group) == 2 * n and len({p[0] for p in group}) == 2 * n
 
 
 def test_regular_witness_implies_transitive():

@@ -1,8 +1,11 @@
+import math
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from parcay.errors import DslSyntaxError, EmptyS2, SemanticError
+from parcay.errors import DslSyntaxError, EmptyS2, ParcayError, SemanticError
 from parcay.presentation import (PartitePresentation, from_two_partite, parse,
                                  serialize, two_partite, validate)
 from parcay.words import Alphabet, ClassAction, apply_action, parse_word, reduce
@@ -158,3 +161,46 @@ def test_relators_reducing_to_identity_are_violations():
     with pytest.raises(SemanticError) as err:
         parse(text)
     assert "EmptyRelator" in str(err.value)
+
+
+# Texts to mutate: the Petersen presentation and one with a class-swapping
+# involution, a multi-character name and a parenthesised power.
+MUTATION_SEEDS = (PETERSEN_TEXT, """\
+classes: left right
+gen a : U : (left)(right)
+gen s_1 : I : (left right)
+rel left : (a s_1)^4, a^-3
+rel right : a^3
+""")
+MUTATION_PIECES = ("(", ")", "^", "^-", "-", "+", "0", "7", " ", "\t", ":",
+                   ",", "#", "\n", "a", "b", "s_1", "z", "U", "I", "gen ",
+                   "rel ", "classes:", "\u00b2", "\u00e9")
+
+
+@given(st.data())
+def test_mutated_presentation_text_parses_or_raises_parcay_error(data):
+    text = data.draw(st.sampled_from(MUTATION_SEEDS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = data.draw(st.sampled_from(MUTATION_PIECES))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    # Bound the product of every number in the text, which bounds the
+    # length of every word the text can spell.
+    assume(math.prod(int(d) or 1 for d in re.findall("[0-9]+", text)) < 10 ** 4)
+    try:
+        parse(text)
+    except ParcayError:
+        pass
+
+
+def test_deeply_nested_relator_is_a_syntax_error_not_a_crash():
+    text = PETERSEN_TEXT + "rel 1 : " + "(" * 3000 + "a" + ")" * 2999 + "\n"
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert err.value.line == 7

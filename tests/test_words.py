@@ -102,6 +102,30 @@ def test_parse_word_errors():
         parse_word("a z", AB)
 
 
+def test_parse_word_nesting_needs_no_recursion():
+    depth = 3000
+    w = parse_word("(" * depth + "a" + ")" * depth, AB)
+    assert w.letters == (AB.code("a"),)
+    with pytest.raises(WordSyntaxError):
+        parse_word("(" * depth + "a" + ")" * (depth - 1), AB)
+    with pytest.raises(WordSyntaxError):
+        parse_word("(" * (depth - 1) + "a" + ")" * depth, AB)
+
+
+def test_parse_word_rejects_exponents_past_the_index_range():
+    with pytest.raises(WordSyntaxError):
+        parse_word("a^99999999999999999999999", AB)
+    with pytest.raises(WordSyntaxError):
+        parse_word("(a b)^-99999999999999999999999", AB)
+
+
+def test_parse_word_exponents_are_ascii_digits():
+    with pytest.raises(WordSyntaxError):
+        parse_word("a^\u00b2", AB)
+    with pytest.raises((WordSyntaxError, UnknownGenerator)):
+        parse_word("a^-1\u00b2", AB)
+
+
 def test_multicharacter_names_need_longest_match():
     alph = Alphabet(("ab", "a"), ())
     assert parse_word("ab", alph).letters == (alph.code("ab"),)
