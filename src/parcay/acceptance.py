@@ -296,22 +296,22 @@ def c11_complete_graph_factorizations():
     return True, "n = 2..12 factorized and validated"
 
 
-def _all_matchings(g):
-    """Brute-force enumeration of all matchings (the oracle side)."""
+def all_matchings(g):
+    """Every matching of a small graph, by brute force (the oracle side), as
+    tuples of canonical darts."""
     edges = [d for d in g.edges() if not g.is_loop(d)]
     out = []
 
     def recurse(i, used, chosen):
         if i == len(edges):
-            out.append(Matching(g, chosen))
+            out.append(chosen)
             return
         recurse(i + 1, used, chosen)
-        d = edges[i]
-        u, v = g.edge_ends(d)
+        u, v = g.edge_ends(edges[i])
         if u not in used and v not in used:
-            recurse(i + 1, used | {u, v}, chosen + [d])
+            recurse(i + 1, used | {u, v}, chosen + (edges[i],))
 
-    recurse(0, frozenset(), [])
+    recurse(0, frozenset(), ())
     return out
 
 
@@ -345,11 +345,11 @@ def c12_appendix_finitization():
         if not ex.connected:
             return False, f"{name}: a level does not induce a connected subgraph"
         staged = maximal_matching_wrt_miss(ex)
-        best = min(miss_sequence(m, ex) for m in _all_matchings(ex.graph))
+        matchings = [Matching(ex.graph, ds) for ds in all_matchings(ex.graph)]
+        best = min(miss_sequence(m, ex) for m in matchings)
         if miss_sequence(staged, ex) != best:
             return False, f"{name}: staged optimum {miss_sequence(staged, ex)} != {best}"
-        optima = [m for m in _all_matchings(ex.graph)
-                  if miss_sequence(m, ex) == best]
+        optima = [m for m in matchings if miss_sequence(m, ex) == best]
         for m1 in optima:
             for m2 in optima:
                 for entry in symmetric_difference_report(m1, m2, ex):

@@ -134,32 +134,31 @@ def euler_orientation(g):
 # Maximum matching (blossom algorithm).
 
 
-def maximum_matching(g, edge_darts=None):
-    """Maximum-cardinality matching; exact, with blossom contraction."""
-    n = g.n
-    adj = [[] for _ in range(n)]
-    pool = g.edges() if edge_darts is None else edge_darts
-    for d in pool:
-        u, v = g.edge_ends(d)
-        if u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    match = [-1] * n
+def blossom_search(adj, match, root, release=None):
+    """Edmonds' search, with blossom contraction, from the exposed vertex
+    ``root`` over the neighbour lists ``adj``, on the caller's mate list
+    ``match`` (-1 marks an exposed vertex).  On reaching an exposed vertex
+    it flips the augmenting path and returns True.  With ``release`` it
+    also stops at the first outer vertex x != root with ``release(x)`` and
+    flips the even alternating path from root to x, leaving x exposed: an
+    augmentation to a virtual exposed vertex joined to every released
+    vertex.  A failed search returns False and leaves ``match`` as it was."""
+    n = len(adj)
+    used = [False] * n
     parent = [-1] * n
     base = list(range(n))
 
     def lca(a, b):
-        used_path = [False] * n
+        on_path = set()
         while True:
             a = base[a]
-            used_path[a] = True
+            on_path.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if used_path[b]:
+            if b in on_path:
                 return b
             b = parent[match[b]]
 
@@ -171,61 +170,70 @@ def maximum_matching(g, edge_darts=None):
             child = match[v]
             v = parent[match[v]]
 
-    def find_path(root):
-        nonlocal parent, base
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        # augment along the alternating path ending here
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
+    def flip(u):
+        # u was reached from the outer vertex parent[u]
+        while u != -1:
+            pv = parent[u]
+            ppv = match[pv]
+            match[u] = pv
+            match[pv] = u
+            u = ppv
+        return True
 
-    for v in range(n):
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        if release is not None and v != root and release(v):
+            u = match[v]
+            match[v] = -1
+            return flip(u)
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, cur, to, blossom)
+                mark_path(to, cur, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return flip(to)
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
+
+
+def _maximum_mates(g):
+    """Neighbour lists of g without its loops, and the mate list of a
+    maximum matching: one search from each vertex still exposed."""
+    adj = [[g.tau[d] for d in g.out_darts(v) if g.tau[d] != v]
+           for v in range(g.n)]
+    match = [-1] * g.n
+    for v in range(g.n):
         if match[v] == -1 and adj[v]:
-            find_path(v)
+            blossom_search(adj, match, v)
+    return adj, match
 
-    # translate vertex pairing back into edge darts
-    dart_of = {}
-    for d in pool:
-        u, v = g.edge_ends(d)
-        if u != v:
-            dart_of.setdefault((min(u, v), max(u, v)), canonical(g, d))
-    darts = []
-    for v in range(n):
-        w = match[v]
-        if w > v:
-            darts.append(dart_of[(v, w)])
-    return Matching(g, darts)
+
+def _matching_of(g, match):
+    """The Matching pairing each v with match[v], on the least edge joining
+    them."""
+    return Matching(g, [min(canonical(g, d) for d in g.out_darts(v)
+                            if g.tau[d] == w)
+                        for v, w in enumerate(match) if w > v])
+
+
+def maximum_matching(g):
+    """Maximum-cardinality matching; exact, with blossom contraction."""
+    return _matching_of(g, _maximum_mates(g)[1])
 
 
 # ---------------------------------------------------------------------------

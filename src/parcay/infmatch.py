@@ -5,15 +5,17 @@ and windowed perfect matchings for infinite vertex-transitive families.
 The miss-sequence order prefers fewer misses on earlier exhaustion levels.
 On a finite window a lexicographically optimal matching is computed greedily
 vertex by vertex: the sets of vertices coverable by a single matching form a
-matroid, so forcing vertices in exhaustion order and testing coverability
-with a blossom call per vertex is exact.
+matroid, so forcing vertices in exhaustion order is exact.  One maximum
+matching is kept covering the forced set, and a vertex it misses costs one
+alternating-path search, not a blossom run of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import Matching, canonical, maximum_matching
+from .decompose import (_matching_of, _maximum_mates, blossom_search,
+                        maximum_matching)
 from .errors import NoTransitiveSupply
 from .graph import ColouredGraph
 
@@ -67,66 +69,48 @@ def compare(m1, m2, exhaustion):
 
 
 # ---------------------------------------------------------------------------
-# Coverability: does some matching cover a given vertex set?  Tested on two
-# copies of the graph with bridges at the unconstrained vertices; the set is
-# coverable exactly when the doubled graph has a perfect matching.
+# Coverability: the vertex sets some matching covers are the independent sets
+# of the matching matroid, so they are found greedily on one maximum
+# matching.
 
 
-def _coverability(g, forced):
-    n = g.n
-    gg = ColouredGraph()
-    for _ in range(2 * n):
-        gg.add_vertex()
-    back = {}
-    for d in g.edges():
-        u, v = g.edge_ends(d)
-        if u == v:
-            continue
-        nd = gg.add_edge(u, v)
-        back[canonical(gg, nd)] = d
-        gg.add_edge(n + u, n + v)
-    for v in range(n):
-        if v not in forced:
-            gg.add_edge(v, n + v)
-    m = maximum_matching(gg)
-    if 2 * len(m) != gg.n:
-        return None
-    darts = [back[d] for d in m.darts if d in back]
-    return Matching(g, darts)
+def _cover_greedy(g, order):
+    """Force the vertices of ``order`` in turn, keeping each that some
+    matching covers together with those forced before it.  One maximum
+    matching is kept covering the forced set; a vertex it misses is forced
+    when one search from it augments or moves the miss to an unforced
+    vertex.  Returns that matching and the forced set."""
+    adj, match = _maximum_mates(g)
+    forced = set()
+    for v in order:
+        if match[v] != -1 or blossom_search(adj, match, v,
+                                            lambda x: x not in forced):
+            forced.add(v)
+    return _matching_of(g, match), forced
 
 
 def is_coverable(g, vertices):
-    return _coverability(g, frozenset(vertices)) is not None
+    """Whether one matching covers every vertex of ``vertices``."""
+    vertices = set(vertices)
+    return _cover_greedy(g, vertices)[1] == vertices
 
 
 def maximal_matching_wrt_miss(exhaustion):
-    """A matching maximal for the miss-sequence order: greedy over vertices
-    in exhaustion order, forcing each vertex whose addition keeps the forced
-    set coverable."""
-    g = exhaustion.graph
-    order = []
-    seen = set()
-    for B in exhaustion.levels:
-        for v in sorted(B):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    forced = set()
-    witness = _coverability(g, frozenset())
-    for v in order:
-        candidate = _coverability(g, frozenset(forced | {v}))
-        if candidate is not None:
-            forced.add(v)
-            witness = candidate
-    return witness
+    """A maximum matching maximal for the miss-sequence order: greedy over
+    vertices in exhaustion order, forcing each vertex whose addition keeps
+    the forced set coverable."""
+    order = dict.fromkeys(v for B in exhaustion.levels for v in sorted(B))
+    return _cover_greedy(exhaustion.graph, order)[0]
 
 
 def is_critical(g, v):
-    """True when every maximum matching covers v."""
-    full = len(maximum_matching(g))
-    without = len(maximum_matching(
-        g, [d for d in g.edges() if v not in g.edge_ends(d)]))
-    return without < full
+    """True when every maximum matching covers v (Gallai-Edmonds: a maximum
+    matching covers v and no even alternating path joins v to a vertex it
+    misses)."""
+    adj, match = _maximum_mates(g)
+    return match[v] != -1 and not any(
+        blossom_search(adj, match, r, v.__eq__)
+        for r in range(g.n) if match[r] == -1)
 
 
 # ---------------------------------------------------------------------------

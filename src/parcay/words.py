@@ -180,6 +180,7 @@ def epsilon(alphabet):
 # characters, each with an optional exponent.
 _FACTOR = re.compile(r"\s*(?:(\()|(?:(\))|(\w+))(\s*\^\s*([+-]?[0-9]+)?)?)")
 _SPACE = re.compile(r"\s*")
+MAX_WORD_LETTERS = 1_000_000   # letters a literal may spell out
 
 
 def _lex_names(run, alphabet, pos):
@@ -205,7 +206,9 @@ def parse_word(text, alphabet):
     """Parse a word literal like ``a^5``, ``a b a^2 b`` or ``(ab)^5``.
 
     Open parentheses are kept on an explicit stack, so nesting depth is
-    not limited by the interpreter's recursion limit."""
+    not limited by the interpreter's recursion limit.  A literal that would
+    spell out more than ``MAX_WORD_LETTERS`` letters is a syntax error,
+    raised before the letters are built."""
     groups = [[]]      # letters of the whole word and of each open group
     runs = {}          # name run -> its letter codes
     pos = 0
@@ -227,19 +230,20 @@ def parse_word(text, alphabet):
             if sub is None:
                 sub = runs[run] = [alphabet.code(name) for name in
                                    _lex_names(run, alphabet, m.start(3))]
+        k = 1
         if caret:
             if exponent is None:
                 sign = text[pos:pos + 1] in ("+", "-")
                 raise WordSyntaxError("expected an integer exponent", pos + sign)
             k = int(exponent)
-            if k < 0:
-                sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
-                k = -k
-            try:
-                sub = sub * k
-            except OverflowError:
-                raise WordSyntaxError(f"exponent {exponent} is too large",
-                                      m.start(5)) from None
+        if len(groups[-1]) + len(sub) * abs(k) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word longer than {MAX_WORD_LETTERS} letters",
+                m.start(5 if caret else 2 if closing else 3))
+        if k < 0:
+            sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
+        if sub and abs(k) != 1:     # an empty group takes any exponent
+            sub = sub * abs(k)
         groups[-1].extend(sub)
     pos = _SPACE.match(text, pos).end()
     if pos < len(text):

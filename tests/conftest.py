@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
+from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
+from parcay.decompose import maximum_matching
 from parcay.graph import ColouredGraph
 
 
@@ -151,24 +153,23 @@ def brute_force_max_matching_size(g):
     return best(0, frozenset())
 
 
-def all_matchings(g):
-    """Every matching of a small graph, as lists of canonical darts."""
-    edges = [d for d in g.edges() if not g.is_loop(d)]
-    out = []
-
-    def rec(i, used, chosen):
-        if i == len(edges):
-            out.append(tuple(chosen))
-            return
-        rec(i + 1, used, chosen)
-        u, v = g.edge_ends(edges[i])
-        if u not in used and v not in used:
-            chosen.append(edges[i])
-            rec(i + 1, used | {u, v}, chosen)
-            chosen.pop()
-
-    rec(0, frozenset(), [])
-    return out
+def doubled_graph_coverable(g, vertices):
+    """Independent oracle for ``is_coverable``: take two copies of the graph
+    without its loops and join each vertex outside ``vertices`` to its copy;
+    the set is coverable exactly when that graph has a perfect matching."""
+    forced = set(vertices)
+    gg = ColouredGraph()
+    for _ in range(2 * g.n):
+        gg.add_vertex()
+    for d in g.edges():
+        u, v = g.edge_ends(d)
+        if u != v:
+            gg.add_edge(u, v)
+            gg.add_edge(g.n + u, g.n + v)
+    for v in range(g.n):
+        if v not in forced:
+            gg.add_edge(v, g.n + v)
+    return maximum_matching(gg).is_perfect()
 
 
 @pytest.fixture

@@ -119,8 +119,9 @@ def test_malformed_graph_file_exits_2(edge, pp, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rel", ["rel 0 : " + "(" * 3000 + "a" + ")" * 2999,
-                                 "rel 0 : a^99999999999999999999999"],
-                         ids=["nesting", "exponent"])
+                                 "rel 0 : a^99999999999999999999999",
+                                 "rel 0 : a^1000001"],
+                         ids=["nesting", "exponent", "length"])
 def test_malformed_word_exits_2(rel, tmp_path, capsys):
     f = tmp_path / "bad.pp"
     f.write_text(PETERSEN + rel + "\n")

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_matchings, cycle_graph, random_graph
+from conftest import (all_matchings, cycle_graph, doubled_graph_coverable,
+                      random_graph)
 
 from parcay.constructions import cubic_no_perfect_matching
 from parcay.decompose import Matching, maximum_matching
@@ -24,19 +26,28 @@ def path_graph(n):
 
 
 def ladder_exhaustion(width):
+    ex = window_exhaustion("ladder", width, margin=0)
+    g = ex.graph
+    rungs = [d for d in g.edges() if g.colour[d] == "rung"]
+    return g, ex.levels, rungs
+
+
+@st.composite
+def multigraphs(draw):
+    """Random multigraphs of at most 10 vertices with loops and parallel
+    edges."""
+    n = draw(st.integers(1, 10))
     g = ColouredGraph()
-    for i in range(-width, width + 1):
-        g.add_vertex(name=(i, 0))
-        g.add_vertex(name=(i, 1))
-    rungs = []
-    for i in range(-width, width + 1):
-        rungs.append(g.add_edge(g.vertex((i, 0)), g.vertex((i, 1))))
-        if i < width:
-            g.add_edge(g.vertex((i, 0)), g.vertex((i + 1, 0)))
-            g.add_edge(g.vertex((i, 1)), g.vertex((i + 1, 1)))
-    levels = [frozenset(v for v in range(g.n) if abs(g.names[v][0]) <= k)
-              for k in range(width + 1)]
-    return g, levels, rungs
+    for _ in range(n):
+        g.add_vertex()
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=15)):
+        g.add_edge(u, v)
+    return g
+
+
+def covered(g, darts):
+    return {v for d in darts for v in g.edge_ends(d)}
 
 
 def test_rung_matching_has_zero_misses():
@@ -149,6 +160,41 @@ def test_is_coverable():
     g = path_graph(3)
     assert is_coverable(g, {0, 1})
     assert not is_coverable(g, {0, 2})
+
+
+@settings(deadline=None)
+@given(multigraphs(), st.data())
+def test_is_coverable_agrees_with_the_doubled_graph_and_brute_force(g, data):
+    vertices = data.draw(st.sets(st.integers(0, g.n - 1)))
+    expected = any(vertices <= covered(g, ds) for ds in all_matchings(g))
+    assert doubled_graph_coverable(g, vertices) == expected
+    assert is_coverable(g, vertices) == expected
+
+
+@settings(deadline=None)
+@given(multigraphs(), st.data())
+def test_staged_optimum_on_random_nested_levels(g, data):
+    # the levels are prefixes of a random order, so they need not induce
+    # connected subgraphs
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = data.draw(st.lists(st.integers(1, g.n), min_size=1, max_size=4))
+    ex = Exhaustion(g, [order[:k] for k in sorted(cuts)])
+    staged = maximal_matching_wrt_miss(ex)
+    matchings = [Matching(g, ds) for ds in all_matchings(g)]
+    assert miss_sequence(staged, ex) == min(miss_sequence(m, ex)
+                                            for m in matchings)
+    assert len(staged) == max(len(m) for m in matchings)
+
+
+@settings(deadline=None)
+@given(multigraphs())
+def test_is_critical_agrees_with_brute_force_on_multigraphs(g):
+    matchings = all_matchings(g)
+    full = max(len(ds) for ds in matchings)
+    for v in range(g.n):
+        misses_best = max(len(ds) for ds in matchings
+                          if v not in covered(g, ds))
+        assert is_critical(g, v) == (misses_best < full)
 
 
 def test_is_critical_matches_brute_force():

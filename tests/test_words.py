@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parcay.errors import UnknownClass, UnknownGenerator, WordSyntaxError
-from parcay.words import (Alphabet, ClassAction, apply_action, epsilon,
-                          in_stabilizer, invert, parse_word, reduce)
+from parcay.words import (MAX_WORD_LETTERS, Alphabet, ClassAction,
+                          apply_action, epsilon, in_stabilizer, invert,
+                          parse_word, reduce)
 
 AB = Alphabet(("a",), ("b",))          # a free, b involutive
 PETERSEN = ClassAction(AB, ("0", "1"), {"a": {"0": "0", "1": "1"},
@@ -117,6 +118,13 @@ def test_parse_word_rejects_exponents_past_the_index_range():
         parse_word("a^99999999999999999999999", AB)
     with pytest.raises(WordSyntaxError):
         parse_word("(a b)^-99999999999999999999999", AB)
+
+
+def test_parse_word_bounds_the_spelled_out_length():
+    for text in ("a^1000001", "(a b)^500001", "(a^600000)(a^600000)"):
+        with pytest.raises(WordSyntaxError):
+            parse_word(text, AB)
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
 
 
 def test_parse_word_exponents_are_ascii_digits():
