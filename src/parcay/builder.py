@@ -257,13 +257,15 @@ class CosetTable:
             for s in range(width):
                 if table[row + s] is None:
                     self.define(v, s)
-        self._settle()
         return self.find(base)
 
     def _settle(self):
-        """Re-scan everything to a fixpoint; merges can outrun the single
-        pass over rows.  The loop keys on actual table modifications, since
-        a distance-budgeted scan may legitimately make no progress."""
+        """Re-scan everything to a fixpoint.  Without a distance budget
+        every live row has had every relator scanned to completion by
+        ``run``, and merges keep a closed relator closed, so only a
+        budgeted table needs this.  The loop keys on actual table
+        modifications, since a budgeted scan may legitimately make no
+        progress."""
         parent, dist, max_dist = self.parent, self.dist, self.max_dist
         fill = max_dist is None
         while True:
@@ -354,9 +356,10 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     inside the requested radius fails to close.
     """
     if scan_margin is None:
-        scan_margin = max((len(r) for _, r in p.all_relators()), default=1)
+        scan_margin = max((len(r) for _, r in p.all_relators()), default=0)
     table = CosetTable(p, max_rows=max_rows, max_dist=radius + scan_margin)
     table.run()
+    table._settle()
     for v in table.live_rows():
         if table.dist[v] > radius:
             continue
@@ -509,16 +512,7 @@ def presentation_symmetry_implies_vt(p):
                             for _, _, darts in complex_.cells)
             if image == cell_counter:
                 witnesses.append(vmap)
-    if not witnesses:
-        return None
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in witnesses:
-            if w[v] not in orbit:
-                orbit.add(w[v])
-                frontier.append(w[v])
-    if len(orbit) == g.n:
+    # The witnesses form a group, so their images of vertex 0 are its orbit.
+    if witnesses and len({w[0] for w in witnesses}) == g.n:
         return witnesses
     return None

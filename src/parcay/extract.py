@@ -13,8 +13,7 @@ connected and the rebuild reproduces the input.
 
 from __future__ import annotations
 
-from .decompose import (canonical, is_partition_friendly,
-                        weak_multicycle_colouring)
+from .decompose import is_partition_friendly, weak_multicycle_colouring
 from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
 from .graph import fundamental_cycle_words
@@ -26,19 +25,15 @@ def _orient_colour(g, darts):
     """Orientation of a 2-regular colour class: the successor dart per
     vertex.  Each cycle is traversed from its least vertex toward its least
     neighbour, which makes the choice deterministic."""
-    out_darts = {}
-    for d in darts:
-        for e in (d, g.inv[d]):
-            out_darts.setdefault(g.src(e), []).append(e)
+    free = set(darts) | {g.inv[d] for d in darts}   # both darts of each unused edge
     succ = {}
-    taken = set()
-    for start in sorted(out_darts):
+    for start in sorted({g.src(d) for d in free}):
         here = start
         while here not in succ:
-            e = min((x for x in out_darts[here] if canonical(g, x) not in taken),
+            e = min((x for x in g.out_darts(here) if x in free),
                     key=lambda x: (g.tau[x], x))
             succ[here] = e
-            taken.add(canonical(g, e))
+            free -= {e, g.inv[e]}
             here = g.tau[e]
     return succ
 

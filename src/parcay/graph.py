@@ -291,32 +291,42 @@ def spanning_tree(g, base):
 
 def fundamental_cycle_words(g, base, alphabet=None):
     """Free generators of the image of the fundamental group at ``base``
-    under the walk-to-word map: one word per non-tree edge."""
+    under the walk-to-word map: one word per non-tree edge u -> w of the
+    BFS tree.  Its walk runs from ``base`` down the tree to u, across the
+    edge and back up; both ends climb by parent darts to their lowest
+    common ancestor, then on to ``base``, so no root path is stored."""
     witness = cayley_like_witness(g)
     if witness is None:
         raise NotCayleyLike("graph colouring is not Cayley-like")
     alphabet = alphabet or graph_alphabet(g)
-    parent, _ = spanning_tree(g, base)
-
-    path_letters = {base: []}
-
-    def letters_to(v):
-        if v not in path_letters:
-            d = parent[v]
-            path_letters[v] = letters_to(g.src(d)) + [
-                _letter_for_colour(alphabet, g, g.colour[d])]
-        return path_letters[v]
-
-    tree_darts = {d for d in parent if d is not None}
-    tree_darts |= {g.inv[d] for d in tree_darts}
+    parent, order = spanning_tree(g, base)
+    letter = [_letter_for_colour(alphabet, g, c) for c in g.colour]
+    inverse = alphabet.inverse_letter
+    depth = [0] * g.n
+    for v in order[1:]:
+        depth[v] = depth[g.src(parent[v])] + 1
     out = []
     for d in g.edges():
-        if d in tree_darts:
-            continue
         u, w = g.src(d), g.tau[d]
-        letters = (letters_to(u) + [_letter_for_colour(alphabet, g, g.colour[d])]
-                   + [alphabet.inverse_letter(c) for c in reversed(letters_to(w))])
-        out.append(word_reduce(letters, alphabet))
+        if parent[w] == d or parent[u] == g.inv[d]:
+            continue
+        down, up = [letter[d]], []   # the word's two halves, down reversed
+        while u != w:                # up to the lowest common ancestor
+            if depth[u] >= depth[w]:
+                e = parent[u]
+                down.append(letter[e])
+                u = g.src(e)
+            else:
+                e = parent[w]
+                up.append(inverse(letter[e]))
+                w = g.src(e)
+        while u != base:             # and on to base
+            e = parent[u]
+            down.append(letter[e])
+            up.append(inverse(letter[e]))
+            u = g.src(e)
+        down.reverse()
+        out.append(word_reduce(down + up, alphabet))
     return out
 
 

@@ -171,7 +171,7 @@ def _parse_cycles(text, classes, line_no):
     return table
 
 
-def parse(text, run_validate=True):
+def parse(text):
     """Parse presentation text; raises DslSyntaxError / SemanticError."""
     classes = None
     gens = []            # (name, kind, image table, line)
@@ -246,19 +246,18 @@ def parse(text, run_validate=True):
 
     p = PartitePresentation(classes, alphabet, action, relators)
     p.source_map = source_map
-    if run_validate:
-        violations = validate(p)
-        if violations:
-            line = None
-            for v in violations:
-                if v.code == "FixedPointInvolution":
-                    line = source_map["gen"].get(v.witness)
-                elif v.code in ("RelatorNotClosed", "EmptyRelator"):
-                    x, r = v.witness
-                    line = source_map["rel"].get((x, r.letters))
-                if line is not None:
-                    break
-            raise SemanticError("; ".join(str(v) for v in violations), line)
+    violations = validate(p)
+    if violations:
+        line = None
+        for v in violations:
+            if v.code == "FixedPointInvolution":
+                line = source_map["gen"].get(v.witness)
+            elif v.code in ("RelatorNotClosed", "EmptyRelator"):
+                x, r = v.witness
+                line = source_map["rel"].get((x, r.letters))
+            if line is not None:
+                break
+        raise SemanticError("; ".join(str(v) for v in violations), line)
     return p
 
 

@@ -26,6 +26,11 @@ class Alphabet:
             raise ValueError("generator names must be pairwise distinct")
         self._code = {name: i + 1 for i, name in enumerate(self.names)}
         self._n_u = len(self.u_gens)
+        # Normal form and inverse of every code, an involutive letter's
+        # negative code included.
+        codes = [s * c for c in range(1, len(self.names) + 1) for s in (1, -1)]
+        self._normal = {x: abs(x) if self.is_involution(x) else x for x in codes}
+        self._inverse = {x: abs(x) if self.is_involution(x) else -x for x in codes}
 
     def __len__(self):
         return len(self.names)
@@ -55,10 +60,10 @@ class Alphabet:
 
     def normalize_letter(self, code):
         """Involutive letters always carry positive sign."""
-        return abs(code) if self.is_involution(code) else code
+        return _look_up(self._normal, code)
 
     def inverse_letter(self, code):
-        return abs(code) if self.is_involution(code) else -code
+        return _look_up(self._inverse, code)
 
     def letters(self):
         """All distinct letter codes: u-gens signed both ways, i-gens once."""
@@ -72,28 +77,25 @@ class Alphabet:
         name = self.name_of(code)
         return name if code > 0 or self.is_involution(code) else name + "^-1"
 
-    def letter_of_colour(self, colour):
-        if colour.endswith("^-1"):
-            return self.code(colour[:-3], -1)
-        return self.code(colour)
 
-    def colour_inverse_table(self):
-        """Map colour string -> inverse colour string, for graph building."""
-        table = {}
-        for code in self.letters():
-            table[self.colour_of(code)] = self.colour_of(self.inverse_letter(code))
-        return table
+def _look_up(table, code):
+    try:
+        return table[code]
+    except KeyError:
+        raise UnknownGenerator(f"letter code {code} outside alphabet") from None
 
 
 def reduce(raw, alphabet):
     """Normal form of a raw letter sequence: free cancellation plus s*s = 1
     for involutive s.  Idempotent."""
+    normal, inverse = alphabet._normal, alphabet._inverse
     stack = []
     for code in raw:
-        if code == 0 or abs(code) > len(alphabet.names):
-            raise UnknownGenerator(f"letter code {code} outside alphabet")
-        code = alphabet.normalize_letter(code)
-        if stack and stack[-1] == alphabet.inverse_letter(code):
+        try:
+            code = normal[code]
+        except KeyError:
+            raise UnknownGenerator(f"letter code {code} outside alphabet") from None
+        if stack and stack[-1] == inverse[code]:
             stack.pop()
         else:
             stack.append(code)
@@ -111,11 +113,6 @@ class Word:
             letters = reduce(letters, alphabet).letters
         self.alphabet = alphabet
         self.letters = tuple(letters)
-
-    @classmethod
-    def from_pairs(cls, alphabet, pairs):
-        """Build from (name, sign) pairs."""
-        return reduce([alphabet.code(n, s) for n, s in pairs], alphabet)
 
     def __len__(self):
         return len(self.letters)

@@ -7,7 +7,10 @@ import pytest
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
 from parcay.decompose import maximum_matching
-from parcay.graph import ColouredGraph
+from parcay.errors import NotCayleyLike
+from parcay.graph import (ColouredGraph, _letter_for_colour, cayley_like_witness,
+                          graph_alphabet, spanning_tree)
+from parcay.words import reduce as word_reduce
 
 
 def random_graph(n, p, seed):
@@ -75,6 +78,39 @@ def brute_force_automorphisms(g, colour_preserving=False):
 
     identity = darts(range(g.n))
     return [p for p in itertools.permutations(range(g.n)) if darts(p) == identity]
+
+
+def root_path_cycle_words(g, base, alphabet=None):
+    """Independent oracle for ``fundamental_cycle_words``: the word of each
+    non-tree edge u -> w is the root path to u, the edge, and the inverse of
+    the root path to w, reduced; root paths are built recursively and kept
+    for every vertex."""
+    witness = cayley_like_witness(g)
+    if witness is None:
+        raise NotCayleyLike("graph colouring is not Cayley-like")
+    alphabet = alphabet or graph_alphabet(g)
+    parent, _ = spanning_tree(g, base)
+
+    path_letters = {base: []}
+
+    def letters_to(v):
+        if v not in path_letters:
+            d = parent[v]
+            path_letters[v] = letters_to(g.src(d)) + [
+                _letter_for_colour(alphabet, g, g.colour[d])]
+        return path_letters[v]
+
+    tree_darts = {d for d in parent if d is not None}
+    tree_darts |= {g.inv[d] for d in tree_darts}
+    out = []
+    for d in g.edges():
+        if d in tree_darts:
+            continue
+        u, w = g.src(d), g.tau[d]
+        letters = (letters_to(u) + [_letter_for_colour(alphabet, g, g.colour[d])]
+                   + [alphabet.inverse_letter(c) for c in reversed(letters_to(w))])
+        out.append(word_reduce(letters, alphabet))
+    return out
 
 
 def two_sided_closure(perms, cap=None):

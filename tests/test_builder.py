@@ -146,7 +146,7 @@ FREE_Z2_Z = FREE_F2 + "rel 0 : a^2\n"
     (lambda: build_sp(from_two_partite(petersen_presentation(200, 3))), 400,
      {"rows": 800, "coincidences": 400, "scans": 600}),
     (lambda: ball_sp(parse(FREE_F2), 4), 161,
-     {"rows": 485, "coincidences": 0, "scans": 0}),
+     {"rows": 161, "coincidences": 0, "scans": 0}),
     (lambda: ball_sp(parse(FREE_Z2_Z), 6), 190,
      {"rows": 894, "coincidences": 0, "scans": 190}),
 ], ids=["P(5,2)", "P(200,3)", "F2 ball r4", "Z2*Z ball r6"])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from parcay.cli import main
+from parcay.constructions import cycle_graph
+from parcay.graph import write_graph
 
 PETERSEN = """\
 classes: 0 1
@@ -116,6 +118,14 @@ def test_malformed_graph_file_exits_2(edge, pp, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "(line 3)" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_extract_of_a_long_cycle_exits_0(tmp_path):
+    g = tmp_path / "c3000.graph"
+    g.write_text(write_graph(cycle_graph(3000)))
+    out = tmp_path / "c3000.pp"
+    assert main(["extract", str(g), "-o", str(out)]) == 0
+    assert out.read_text().count("rel ") == 1
 
 
 @pytest.mark.parametrize("rel", ["rel 0 : " + "(" * 3000 + "a" + ")" * 2999,

@@ -180,3 +180,11 @@ def test_circulant_pipeline_roundtrips():
         g = circulant(n, steps)
         p = pipeline_presentation(g)
         assert isomorphic(build_sp(p), g) is not None
+
+
+def test_extract_long_cycle_needs_no_recursion():
+    # The breadth-first tree of C3000 is 1500 deep, past the default
+    # recursion limit.
+    p, ok = roundtrip(cycle_graph(3000))
+    assert ok
+    assert [len(r) for r in p.relators["0"]] == [3000]

@@ -1,15 +1,18 @@
+import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
-                      scan_connected, scan_out_darts, two_sided_closure)
+                      root_path_cycle_words, scan_connected, scan_out_darts,
+                      two_sided_closure)
 
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
 from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
-                           SearchBoundExceeded)
+                           ParcayError, SearchBoundExceeded)
 from parcay.graph import (ColouredGraph, automorphism_group,
                           cayley_like_witness, dart_bijections, dictated_walk,
                           fundamental_cycle_words, is_cayley,
@@ -178,6 +181,40 @@ def test_fundamental_cycles_need_connectivity():
     g.add_edge(1, 1, "a")
     with pytest.raises(Disconnected):
         fundamental_cycle_words(g, 0)
+
+
+@st.composite
+def cayley_like_graphs(draw):
+    """A connected Cayley-like colouring on at most 12 vertices: each random
+    permutation (fixed points give loops) is a free colour, and an optional
+    perfect matching is an involutive one.  Returns the graph and a base."""
+    n = draw(st.integers(1, 12))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for i in range(draw(st.integers(0, 3))):
+        perm = draw(st.permutations(range(n)))
+        g.declare_colour(f"a{i}", f"a{i}^-1")
+        for v in range(n):
+            g.add_edge(v, perm[v], f"a{i}")
+    if n % 2 == 0 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        g.declare_colour("s")
+        for i in range(0, n, 2):
+            g.add_edge(order[i], order[i + 1], "s")
+    assume(g.n_darts and g.is_connected())
+    return g, draw(st.integers(0, n - 1))
+
+
+@given(cayley_like_graphs())
+def test_fundamental_cycle_words_match_the_root_path_words(case):
+    g, base = case
+    words = fundamental_cycle_words(g, base)
+    assert [w.letters for w in words] == [w.letters
+                                          for w in root_path_cycle_words(g, base)]
+    assert len(words) == g.n_edges - g.n + 1
+    for w in words:
+        assert dictated_walk(g, base, w).is_closed()
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -483,6 +520,40 @@ def test_malformed_graph_text_names_its_line(text, line):
     with pytest.raises(GraphSyntaxError) as info:
         read_graph(text)
     assert info.value.line == line
+
+
+# Graph texts to mutate: a coloured, classed build and a plain multigraph
+# with a loop.
+GRAPH_MUTATION_SEEDS = (
+    "vertices 4\ncolour a a^-1\nclass 0 x\nclass 1 y\nclass 2 x\nclass 3 y\n"
+    "edge 0 1 a\nedge 1 2 a\nedge 2 3 s\nedge 3 0 a^-1\n",
+    "# plain\nvertices 3\nedge 0 1\nedge 1 2\nedge 1 2\nedge 2 2\n")
+GRAPH_MUTATION_PIECES = ("vertices ", "edge ", "class ", "colour ", "0", "2",
+                         "9", "-", "+", "_", " ", "\t", "\n", "#", "a", "a^-1",
+                         "x", "\u00b2", "\u0663", "\u00e9")
+
+
+@given(st.data())
+def test_mutated_graph_text_reads_or_raises_parcay_error(data):
+    text = data.draw(st.sampled_from(GRAPH_MUTATION_SEEDS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = data.draw(st.sampled_from(GRAPH_MUTATION_PIECES))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    # Bound the product of every number in the text, which bounds the
+    # vertex count.
+    numbers = re.findall(r"\d+(?:_\d+)*", text)   # int() reads 1_0 as 10
+    assume(math.prod(int(d) or 1 for d in numbers) < 10 ** 4)
+    try:
+        read_graph(text)
+    except ParcayError:
+        pass
 
 
 def test_dot_export(petersen_sp):
