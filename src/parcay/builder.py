@@ -21,33 +21,19 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BallRejected, Overflow
-from .graph import ColouredGraph, dart_bijections, dictated_walk, graph_maps
+from .graph import (ColouredGraph, alphabet_graph, dart_bijections,
+                    dictated_walk, graph_maps)
 
 DEFAULT_MAX_ROWS = 1_000_000
 
 
 def presentation_graph(p):
     """One vertex per class, one edge orbit per generator along the action."""
-    g = ColouredGraph()
-    for x in p.classes:
-        g.add_vertex(name=x, cls=x)
-    alphabet = p.alphabet
-    for name in alphabet.u_gens:
-        g.declare_colour(name, name + "^-1")
-        for x in p.classes:
-            y = p.action.image(alphabet.code(name), x)
-            g.add_edge(g.vertex(x), g.vertex(y), name)
-    for name in alphabet.i_gens:
-        g.declare_colour(name)
-        done = set()
-        for x in p.classes:
-            if x in done:
-                continue
-            y = p.action.image(alphabet.code(name), x)
-            done.add(x)
-            done.add(y)
-            g.add_edge(g.vertex(x), g.vertex(y), name)
-    return g
+    alphabet, image = p.alphabet, p.action.image
+    index = {x: i for i, x in enumerate(p.classes)}
+    targets = {name: [index[image(alphabet.code(name), x)] for x in p.classes]
+               for name in alphabet.names}
+    return alphabet_graph(alphabet, targets, p.classes, p.classes)
 
 
 @dataclass
@@ -117,12 +103,6 @@ class CosetTable:
         while parent[r] != root:
             parent[r], r = root, parent[r]
         return root
-
-    def row(self, r):
-        """The slots of live row r, as live rows or None."""
-        find = self.find
-        return [None if w is None else find(w)
-                for w in self.table[r * self.width:(r + 1) * self.width]]
 
     def live_rows(self):
         parent = self.parent
@@ -295,41 +275,25 @@ class CosetTable:
     # -- extraction -------------------------------------------------------------
 
     def to_graph(self, keep=None):
-        """Quotient graph on the live rows (optionally restricted)."""
+        """Quotient graph on the live rows (optionally restricted), numbered
+        by distance, with edges added in row order."""
         rows = self.live_rows()
         if keep is not None:
             rows = [r for r in rows if keep(r)]
-        number = {r: i for i, r in enumerate(sorted(rows, key=lambda r: self.dist[r]))}
-        g = ColouredGraph()
-        for r in sorted(rows, key=lambda r: self.dist[r]):
-            g.add_vertex(name=r, cls=self.cls[r])
-        alphabet = self.alphabet
-        for name in alphabet.u_gens:
-            g.declare_colour(name, name + "^-1")
-        for name in alphabet.i_gens:
-            g.declare_colour(name)
-        u_slots = [(name, self.codes.index(alphabet.code(name)))
-                   for name in alphabet.u_gens]
-        i_slots = [(name, self.codes.index(alphabet.code(name)))
-                   for name in alphabet.i_gens]
-        for r in rows:
-            out = self.row(r)
-            for name, s in u_slots:
-                w = out[s]
-                if w is not None and w in number:
-                    g.add_edge(number[r], number[w], name)
-        done = set()
-        for r in rows:
-            out = self.row(r)
-            for name, s in i_slots:
-                w = out[s]
-                if w is None or w not in number:
-                    continue
-                key = (min(r, w), max(r, w), name)
-                if key in done:
-                    continue
-                done.add(key)
-                g.add_edge(number[r], number[w], name)
+        by_dist = sorted(rows, key=self.dist.__getitem__)
+        number = {r: i for i, r in enumerate(by_dist)}
+        table, width, find, parent = self.table, self.width, self.find, self.parent
+        targets = {}
+        for name in self.alphabet.names:
+            s = self.codes.index(self.alphabet.code(name))
+            image = targets[name] = [None] * len(rows)
+            for r in rows:
+                w = table[r * width + s]
+                if w is not None:
+                    image[number[r]] = number.get(w if parent[w] == w else find(w))
+        g = alphabet_graph(self.alphabet, targets, by_dist,
+                           [self.cls[r] for r in by_dist],
+                           [number[r] for r in rows])
         g.meta["stats"] = self.stats
         return g
 
@@ -353,7 +317,8 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     scanned wherever their walk fits inside that budget.  Vertices are
     guaranteed distinct only relative to the identifications actually
     performed; the window is rejected if any relator that fits entirely
-    inside the requested radius fails to close.
+    inside the requested radius fails to close.  The frontier is every
+    vertex at the radius or with fewer darts than the presentation's degree.
     """
     if scan_margin is None:
         scan_margin = max((len(r) for _, r in p.all_relators()), default=0)
@@ -371,18 +336,11 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
                         f"relator {r} does not close at a row of distance "
                         f"{table.dist[v]}; enlarge the scan margin")
     g = table.to_graph(keep=lambda r: table.dist[r] <= radius)
-    frontier = set()
-    for i in range(g.n):
-        row = g.names[i]
-        if table.dist[row] == radius:
-            frontier.add(i)
-        else:
-            for w in table.row(row):
-                if w is None or table.dist[w] > radius:
-                    frontier.add(i)
-                    break
-    g.meta["frontier"] = frontier
-    g.meta["distance"] = {i: table.dist[g.names[i]] for i in range(g.n)}
+    distance = {i: table.dist[g.names[i]] for i in range(g.n)}
+    degree = p.degree()
+    g.meta["frontier"] = {i for i in range(g.n)
+                          if distance[i] == radius or g.degree(i) < degree}
+    g.meta["distance"] = distance
     g.meta["soundness"] = ("vertices are distinct only relative to the "
                            "identifications performed within the scan margin")
     return g
@@ -456,7 +414,7 @@ def check_deck_regular(sp):
 def check_two_partite_discipline(sp, tp_s1):
     """Edges coloured by the stay-inside generators join equal classes; all
     other colours join different classes."""
-    stay = set(tp_s1) | {s + "^-1" for s in tp_s1}
+    stay = set(tp_s1) | {sp.colour_inv[s] for s in tp_s1}
     for d in sp.edges():
         u, v = sp.src(d), sp.tau[d]
         same = sp.classes[u] == sp.classes[v]

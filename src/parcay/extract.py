@@ -13,10 +13,11 @@ connected and the rebuild reproduces the input.
 
 from __future__ import annotations
 
+from .builder import presentation_graph
 from .decompose import is_partition_friendly, weak_multicycle_colouring
 from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
-from .graph import fundamental_cycle_words
+from .graph import alphabet_graph, fundamental_cycle_words
 from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
 
@@ -38,55 +39,51 @@ def _orient_colour(g, darts):
     return succ
 
 
-def refine_colouring(g, colouring):
-    """Copy of ``g`` with the undirected decomposition colours refined onto
-    the darts: 2-regular colours get a deterministic cycle orientation and an
-    inverse colour, matching colours stay self-inverse."""
+def _colouring_presentation(g, colouring):
+    """The relator-free presentation with one class ``str(v)`` per vertex v
+    of ``g``: each 2-regular colour is a free generator taking every vertex
+    to its cycle successor, each matching colour an involutive generator."""
     if not is_partition_friendly(g, colouring):
         raise NotPartitionFriendly(
             "the colouring is not a partition-friendly weak multicycle colouring")
-    directed = g.subgraph_edges([])
-    directed.colour_inv = {}
-    images = {}
-    for colour, darts in sorted(colouring.colour_classes().items()):
+    classes = tuple(str(v) for v in range(g.n))
+    u_gens, i_gens, images = [], [], {}
+    for colour, darts in colouring.colour_classes().items():
         name = str(colour)
-        deg = colouring.class_degree(colour)[0]
-        if deg == 2:
-            directed.declare_colour(name, name + "^-1")
-            orient = _orient_colour(g, darts)
-            images[name] = {str(v): str(g.tau[orient[v]]) for v in range(g.n)}
-            for v, d in orient.items():
-                directed.add_edge(v, g.tau[d], name)
+        if colouring.class_degree(colour)[0] == 2:
+            u_gens.append(name)
+            succ = _orient_colour(g, darts).items()
+            images[name] = {str(v): str(g.tau[d]) for v, d in succ}
         else:
-            directed.declare_colour(name)
-            table = {}
+            i_gens.append(name)
+            images[name] = table = {}
             for d in darts:
                 u, w = g.edge_ends(d)
-                table[str(u)] = str(w)
-                table[str(w)] = str(u)
-                directed.add_edge(u, w, name)
-            images[name] = table
-    directed.meta["images"] = images
-    return directed
+                table[str(u)], table[str(w)] = str(w), str(u)
+    alphabet = Alphabet(tuple(sorted(u_gens)), tuple(sorted(i_gens)))
+    action = ClassAction(alphabet, classes, images)
+    return PartitePresentation(classes, alphabet, action, {})
+
+
+def refine_colouring(g, colouring):
+    """The undirected decomposition colours refined onto the darts: the
+    presentation graph of the relator-free one-class-per-vertex presentation,
+    so 2-regular colours get a deterministic cycle orientation and an
+    inverse colour, matching colours stay self-inverse.  Vertex v is named
+    and classed ``str(v)``; this is also the presentation graph of
+    ``presentation_from_colouring(g, colouring)``."""
+    return presentation_graph(_colouring_presentation(g, colouring))
 
 
 def presentation_from_colouring(g, colouring, base=0):
-    """Partite presentation with one class per vertex of ``g``."""
+    """Partite presentation with one class per vertex of ``g``; its relators
+    are the fundamental cycle words of its own presentation graph."""
     if not g.is_connected():
         raise Disconnected("input graph must be connected")
-    directed = refine_colouring(g, colouring)
-    images = directed.meta["images"]
-    classes = tuple(str(v) for v in range(g.n))
-    u_gens = sorted(c for c in directed.colour_inv
-                    if directed.colour_inv[c] != c and not c.endswith("^-1"))
-    i_gens = sorted(c for c in directed.colour_inv if directed.colour_inv[c] == c)
-    for v in range(g.n):
-        directed.classes[v] = str(v)
-    alphabet = Alphabet(tuple(u_gens), tuple(i_gens))
-    action = ClassAction(alphabet, classes, images)
-    relators = {x: [] for x in classes}
-    relators[str(base)] = fundamental_cycle_words(directed, base, alphabet)
-    return PartitePresentation(classes, alphabet, action, relators)
+    free = _colouring_presentation(g, colouring)
+    words = fundamental_cycle_words(presentation_graph(free), base, free.alphabet)
+    return PartitePresentation(free.classes, free.alphabet, free.action,
+                               {str(base): words})
 
 
 def pipeline_presentation(g, base=0):
@@ -107,8 +104,6 @@ def bicayley_to_presentation(group, R, L, S):
     bi-Cayley graph connected.  Returns the presentation together with the
     chosen orientation set and pairing, so callers can match colours.
     """
-    from .constructions import bi_cayley
-
     R = sorted(set(R))
     L = sorted(set(L))
     for label, conn in (("R", R), ("L", L)):
@@ -132,59 +127,42 @@ def bicayley_to_presentation(group, R, L, S):
             pairs.append((x, group.inv(x)))
         return pairs
 
-    pairing = {}
-    s1 = []
+    pairing = {}      # l -> r and l^-1 -> r^-1
+    stay = []         # (r, l): r acts as r on side 0 and as l on side 1
     for (r, r_inv), (l, l_inv) in zip(inverse_pairs(R), inverse_pairs(L)):
-        s1.append(group.names[r])
-        pairing[l] = r
-        pairing[l_inv] = r_inv
+        stay.append((r, l))
+        pairing[l], pairing[l_inv] = r, r_inv
+    s1 = tuple(group.names[r] for r, _ in stay)
 
-    graph = bi_cayley(group, R, L, S)
-    if not graph.is_connected():
-        raise Disconnected("the bi-Cayley graph is not connected")
-
-    # Recolour with the presentation generators: r-edges keep their name, the
-    # paired l-edges borrow it, spokes become involutive generators.  Spoke
-    # names clashing with a stay-side generator get a suffix.
-    used = set(s1) | {group.names[group.inv(group.index(x))] for x in s1}
+    # Spokes become involutive generators; a spoke name clashing with a
+    # stay-side generator or its inverse gets a suffix.
+    used = {group.names[x] for r, _ in stay for x in (r, group.inv(r))}
     spoke_name = {}
     for s in sorted(set(S)):
         name = group.names[s]
         while name in used:
             name += "_s"
         used.add(name)
-        spoke_name[group.names[s]] = name
-    coloured = graph.subgraph_edges([])
-    coloured.colour_inv = {}
-    i_gens = sorted(spoke_name.values())
-    for name in s1:
-        coloured.declare_colour(name, name + "^-1")
-    for name in i_gens:
-        coloured.declare_colour(name)
-    for d in graph.edges():
-        label = graph.colour[d]
-        kind, elem = label.split(":", 1)
-        u, v = graph.src(d), graph.tau[d]
-        if kind == "S":
-            coloured.add_edge(u, v, spoke_name[elem])
-        elif kind == "R":
-            if elem in s1:
-                coloured.add_edge(u, v, elem)
-            else:
-                coloured.add_edge(v, u, group.names[group.inv(group.index(elem))])
-        else:
-            r = pairing[group.index(elem)]
-            name = group.names[r]
-            if name in s1:
-                coloured.add_edge(u, v, name)
-            else:
-                coloured.add_edge(v, u, group.names[group.inv(r)])
+        spoke_name[s] = name
+    alphabet = Alphabet(s1, tuple(sorted(spoke_name.values())))
 
-    alphabet = Alphabet(tuple(s1), tuple(i_gens))
-    base = graph.vertex((group.names[group.identity], 0))
-    relators = fundamental_cycle_words(coloured, base, alphabet)
-    tp = TwoPartitePresentation(tuple(s1), (), tuple(i_gens),
-                                tuple(relators), ())
+    # Point x is the element x of side 0, point n + x that of side 1.
+    n, mul = len(group), group.mul
+    targets = {}
+    for r, l in stay:
+        targets[group.names[r]] = ([mul(x, r) for x in range(n)]
+                                   + [n + mul(x, l) for x in range(n)])
+    for s, name in spoke_name.items():
+        s_inv = group.inv(s)
+        targets[name] = ([n + mul(x, s) for x in range(n)]
+                         + [mul(x, s_inv) for x in range(n)])
+    graph = alphabet_graph(alphabet, targets,
+                           [(group.names[x], side) for side in (0, 1)
+                            for x in range(n)],
+                           ["0"] * n + ["1"] * n)
+    if not graph.is_connected():
+        raise Disconnected("the bi-Cayley graph is not connected")
+    relators = fundamental_cycle_words(graph, group.identity, alphabet)
+    tp = TwoPartitePresentation(s1, (), alphabet.i_gens, tuple(relators), ())
     tp.pairing = {group.names[l]: group.names[r] for l, r in pairing.items()}
-    tp.coloured_graph = coloured
     return tp

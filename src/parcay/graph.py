@@ -233,6 +233,42 @@ def graph_alphabet(g):
     return Alphabet(u_gens, i_gens)
 
 
+def alphabet_graph(alphabet, targets, names, classes, order=None):
+    """The generator-coloured graph of an action on the points 0..n-1:
+    point v becomes a vertex named ``names[v]`` in class ``classes[v]``, and
+    ``targets[name][v]`` is the point that generator ``name`` takes v to, or
+    None where the edge is missing.  Points are visited in ``order``
+    (default: by number).  A free generator adds one dart pair per point,
+    coloured by its letter and the inverse letter; an involutive generator
+    adds one edge per pair, at the pair's first visited point.  Free edges
+    come before involutive ones, each point's in alphabet order."""
+    g = ColouredGraph()
+    for name, cls in zip(names, classes):
+        g.add_vertex(name, cls)
+    order = range(g.n) if order is None else order
+    free, involutive = [], []
+    for name in alphabet.names:
+        code = alphabet.code(name)
+        colour, inverse = alphabet.colour_of(code), alphabet.colour_of(-code)
+        g.declare_colour(colour, inverse)
+        kind = involutive if alphabet.is_involution(code) else free
+        kind.append((targets[name], colour, inverse))
+    for v in order:
+        for image, colour, inverse in free:
+            w = image[v]
+            if w is not None:
+                g.add_edge(v, w, colour, inverse)
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    for v in order:
+        for image, colour, _ in involutive:
+            w = image[v]
+            if w is not None and rank[v] <= rank[w]:
+                g.add_edge(v, w, colour, colour)
+    return g
+
+
 def _letter_for_colour(alphabet, g, colour):
     name = colour
     if name in alphabet.names:

@@ -58,10 +58,6 @@ class Alphabet:
     def name_of(self, code):
         return self.names[abs(code) - 1]
 
-    def normalize_letter(self, code):
-        """Involutive letters always carry positive sign."""
-        return _look_up(self._normal, code)
-
     def inverse_letter(self, code):
         return _look_up(self._inverse, code)
 

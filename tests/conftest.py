@@ -156,6 +156,24 @@ def table_cayley_graph(group, gens):
     return g
 
 
+def action_darts(p):
+    """Independent oracle for ``presentation_graph``: the multiset of its
+    darts as (source class, head class, colour), read off the class action.
+    A free generator a gives, at every class x, the dart x -> a(x) coloured
+    a and its reverse coloured a^-1; an involutive generator b, a
+    fixed-point-free involution, gives the dart x -> b(x) coloured b at
+    every class x, so each of its edges is counted from both ends."""
+    darts = Counter()
+    for name in p.alphabet.u_gens:
+        for x, y in p.action.table(name).items():
+            darts[(x, y, name)] += 1
+            darts[(y, x, name + "^-1")] += 1
+    for name in p.alphabet.i_gens:
+        for x, y in p.action.table(name).items():
+            darts[(x, y, name)] += 1
+    return darts
+
+
 def bfs_levels(g, cuts, start=0):
     """Nested vertex sets from BFS prefixes; each induces a connected
     subgraph."""

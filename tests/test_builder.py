@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import table_cayley_graph
+from conftest import action_darts, table_cayley_graph
 
 from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
@@ -50,6 +50,33 @@ def test_presentation_graph_line_petersen():
     c = presentation_graph(line_petersen_presentation())
     assert c.n == 3
     assert all(c.degree(v) == 4 for v in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_presentation_graph_matches_the_action(data):
+    # Random class actions: free generators act by any permutation, fixed
+    # points included; involutive ones by a fixed-point-free involution.
+    n = data.draw(st.integers(1, 7), label="classes")
+    classes = tuple(f"c{i}" for i in range(n))
+    u_gens = tuple(f"a{i}" for i in range(data.draw(st.integers(0, 3))))
+    i_gens = tuple(f"b{i}" for i in range(
+        data.draw(st.integers(0, 2)) if n % 2 == 0 else 0))
+    images = {}
+    for name in u_gens:
+        images[name] = dict(zip(classes, data.draw(st.permutations(classes))))
+    for name in i_gens:
+        perm = data.draw(st.permutations(classes))
+        images[name] = {**dict(zip(perm[::2], perm[1::2])),
+                        **dict(zip(perm[1::2], perm[::2]))}
+    alphabet = Alphabet(u_gens, i_gens)
+    p = PartitePresentation(classes, alphabet,
+                            ClassAction(alphabet, classes, images), {})
+    c = presentation_graph(p)
+    assert c.names == c.classes == list(classes)
+    darts = Counter((c.names[c.src(d)], c.names[c.tau[d]], c.colour[d])
+                    for d in range(c.n_darts))
+    assert darts == action_darts(p)
 
 
 def test_presentation_complex_cells_close():

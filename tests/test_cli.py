@@ -68,6 +68,21 @@ def test_ball(pp, capsys):
     assert "frontier: (none)" in out
 
 
+FREE_F2 = "classes: 0\ngen a : U : (0)\ngen b : U : (0)\n"
+
+
+@pytest.mark.parametrize("text,radius,frontier", [
+    (FREE_F2, 3, " ".join(map(str, range(17, 53)))),
+    (FREE_F2 + "rel 0 : a^2\n", 4, " ".join(map(str, range(22, 46)))),
+    (PETERSEN, 1, "0 1"),
+], ids=["F2 r3", "Z2*Z r4", "P(5,2) r1"])
+def test_ball_frontier_line_is_pinned(tmp_path, capsys, text, radius, frontier):
+    f = tmp_path / "ball.pp"
+    f.write_text(text)
+    assert main(["ball", str(f), "--radius", str(radius)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"# frontier: {frontier}"
+
+
 def test_decompose_extract_roundtrip(tmp_path, capsys):
     g = tmp_path / "p52.graph"
     main(["make", "petersen", "5", "2", "-o", str(g)])

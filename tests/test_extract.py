@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph
 
-from parcay.builder import build_sp
+from parcay.acceptance import roundtrip_corpus
+from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   cyclic_group, dihedral_group,
                                   generalized_petersen)
@@ -11,7 +13,7 @@ from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
                            NotPartitionFriendly, SizeMismatch)
 from parcay.extract import (bicayley_to_presentation, pipeline_presentation,
                             presentation_from_colouring, refine_colouring)
-from parcay.graph import isomorphic
+from parcay.graph import isomorphic, write_graph
 from parcay.presentation import from_two_partite, validate
 
 
@@ -60,6 +62,17 @@ def test_relator_counts_match_cycle_rank():
         assert ok
         assert (sum(len(p.relators[x]) for x in p.classes)
                 == g.n_edges - g.n + 1)
+
+
+def test_refined_colouring_is_the_presentation_graph():
+    for name, g in roundtrip_corpus().items():
+        colouring = weak_multicycle_colouring(g)
+        refined = refine_colouring(g, colouring)
+        rebuilt = presentation_graph(presentation_from_colouring(g, colouring))
+        assert write_graph(refined) == write_graph(rebuilt), name
+        assert refined.names == rebuilt.names == [str(v) for v in range(g.n)]
+        assert refined.classes == rebuilt.classes
+        assert refined.colour_inv == rebuilt.colour_inv
 
 
 def test_pipeline_petersen():
@@ -121,6 +134,49 @@ def test_bicayley_haar_roundtrip():
     sp = build_sp(from_two_partite(tp))
     assert sp.n == 6
     assert isomorphic(sp, bi_cayley(group, [], [], [0, 1, 2])) is not None
+
+
+@st.composite
+def bicayley_inputs(draw):
+    """A cyclic or dihedral group with inverse-closed, involution-free R and
+    L of one size, and a non-empty spoke set S."""
+    if draw(st.booleans()):
+        group = cyclic_group(draw(st.integers(3, 8)))
+    else:
+        group = dihedral_group(draw(st.integers(3, 4)))
+    pairs = sorted({tuple(sorted((x, group.inv(x)))) for x in range(len(group))
+                    if group.inv(x) != x})
+    k = draw(st.integers(0, min(2, len(pairs))))
+
+    def connection_set():
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=k, max_size=k,
+                               unique=True))
+        return [x for pair in chosen for x in pair]
+
+    R, L = connection_set(), connection_set()
+    S = draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=3,
+                      unique=True))
+    return group, R, L, S
+
+
+@settings(max_examples=60, deadline=None)
+@given(bicayley_inputs())
+def test_bicayley_rebuild_matches_through_the_pairing(case):
+    group, R, L, S = case
+    target = bi_cayley(group, R, L, S)
+    assume(target.is_connected())
+    tp = bicayley_to_presentation(group, R, L, S)
+    sp = build_sp(from_two_partite(tp))
+    # A stay generator's colour covers its R-edges and the L-edges paired
+    # with them; a spoke generator is named after its spoke, plus suffixes.
+    cmap = {}
+    for l, r in tp.pairing.items():
+        colour = r if r in tp.s1 else (
+            group.names[group.inv(group.index(r))] + "^-1")
+        cmap.setdefault(colour, set()).update({f"R:{r}", f"L:{l}"})
+    for name in tp.i2:
+        cmap[name] = {"S:" + name.split("_")[0]}
+    assert isomorphic(sp, target, colour_map=cmap) is not None
 
 
 def test_bicayley_rejects_involutions():
