@@ -65,6 +65,7 @@ class CosetTable:
         self.width = len(self.codes)
         slot_of = {c: s for s, c in enumerate(self.codes)}
         self.inverse = [slot_of[self.alphabet.inverse_letter(c)] for c in self.codes]
+        self.images = [p.action._image[c] for c in self.codes]
         self.relators = {x: [tuple(slot_of[c] for c in r.letters) for r in rels]
                          for x, rels in p.relators.items()}
         self.max_rows = max_rows
@@ -123,7 +124,7 @@ class CosetTable:
         d = self.dist[v] + 1
         if self.max_dist is not None and d > self.max_dist:
             return None
-        w = self.new_row(self.p.action.image(self.codes[s], self.cls[v]), d)
+        w = self.new_row(self.images[s][self.cls[v]], d)
         self.set_slot(v, s, w)
         return w
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
 from .words import (Alphabet, ClassAction, Word, apply_action, in_stabilizer,
-                    parse_word)
+                    parse_word, parse_words)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def two_partite(s1, u2, i2, r0, r1):
 #   rel 1 : a^5
 
 
-def _parse_cycles(text, classes, line_no):
-    """Cycle notation over class names; omitted classes are fixed points."""
+def _parse_cycles(text, classes, class_set, line_no):
+    """Cycle notation over class names; omitted classes are fixed points.
+    ``class_set`` is ``set(classes)``."""
     table = {x: x for x in classes}
     moved = set()
     i = 0
@@ -159,7 +160,7 @@ def _parse_cycles(text, classes, line_no):
             raise DslSyntaxError("unclosed cycle", line_no, i + 1)
         entries = text[i + 1:j].replace(",", " ").split()
         for x in entries:
-            if x not in classes:
+            if x not in class_set:
                 raise SemanticError(f"unknown class {x!r} in cycle notation", line_no)
             if x in moved:
                 raise SemanticError(f"class {x!r} appears twice in cycle notation",
@@ -185,9 +186,10 @@ def parse(text):
             if classes is not None:
                 raise DslSyntaxError("duplicate classes line", line_no)
             classes = tuple(stripped[len("classes:"):].split())
+            class_set = set(classes)
             if not classes:
                 raise DslSyntaxError("empty class list", line_no)
-            if len(set(classes)) != len(classes):
+            if len(class_set) != len(classes):
                 raise SemanticError("duplicate class name", line_no)
         elif stripped.startswith("gen "):
             if classes is None:
@@ -204,7 +206,7 @@ def parse(text):
                                      line_no)
             if any(g[0] == name for g in gens):
                 raise SemanticError(f"duplicate generator {name!r}", line_no)
-            table = _parse_cycles(cycles, classes, line_no)
+            table = _parse_cycles(cycles, classes, class_set, line_no)
             gens.append((name, kind, table, line_no))
         elif stripped.startswith("rel "):
             if classes is None:
@@ -215,7 +217,7 @@ def parse(text):
                 raise DslSyntaxError("expected 'rel CLASS : word, word'", line_no)
             cname, words = body.split(":", 1)
             cname = cname.strip()
-            if cname not in classes:
+            if cname not in class_set:
                 raise SemanticError(f"unknown class {cname!r}", line_no)
             texts = [w.strip() for w in words.split(",") if w.strip()]
             rels.append((cname, texts, line_no))
@@ -235,14 +237,16 @@ def parse(text):
 
     relators = {x: [] for x in classes}
     source_map = {"gen": {name: line for name, _, _, line in gens}, "rel": {}}
-    for cname, texts, line_no in rels:
-        for t in texts:
-            try:
-                w = parse_word(t, alphabet)
-            except WordSyntaxError as exc:
-                raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
-            relators[cname].append(w)
-            source_map["rel"][(cname, w.letters)] = line_no
+    # One token table serves every relator of the text.
+    literals = [(cname, t, line_no) for cname, texts, line_no in rels for t in texts]
+    parsed = parse_words([t for _, t, _ in literals], alphabet)
+    for cname, t, line_no in literals:
+        try:
+            w = next(parsed)
+        except WordSyntaxError as exc:
+            raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
+        relators[cname].append(w)
+        source_map["rel"][(cname, w.letters)] = line_no
 
     p = PartitePresentation(classes, alphabet, action, relators)
     p.source_map = source_map

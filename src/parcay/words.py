@@ -5,6 +5,18 @@ i-th generator and its formal inverse.  Involutive generators are their own
 inverses and never carry a negative code in normal form.  Normal form also
 forbids adjacent cancelling pairs, so equal words are equal tuples, which
 keeps relator scanning cheap.
+
+Word literals (``a^5``, ``c1^-1 m``, ``(ab)^5``) are read one
+whitespace-separated token at a time through a token table, a dict from
+token text to the token's raw letter codes, so a literal costs one dict
+lookup per token.  On a miss the positional scanner reads the token alone,
+so the table is only a memo in front of the one grammar.  A literal with
+any token that is not one whole factor run (a parenthesis, a leading or
+trailing ``^``, an unknown name, or more than ``_TOKEN_LETTERS`` letters
+such as ``a^800``) is read by the scanner as a whole; only the scanner
+raises ``WordSyntaxError`` and places it.  ``parse_words`` shares one
+table across many literals, as ``presentation.parse`` does for all the
+relators of one text; no table outlives the call.
 """
 
 from __future__ import annotations
@@ -26,11 +38,14 @@ class Alphabet:
             raise ValueError("generator names must be pairwise distinct")
         self._code = {name: i + 1 for i, name in enumerate(self.names)}
         self._n_u = len(self.u_gens)
-        # Normal form and inverse of every code, an involutive letter's
-        # negative code included.
+        # Normal form, inverse, name and one-letter word text of every code,
+        # an involutive letter's negative code included.
         codes = [s * c for c in range(1, len(self.names) + 1) for s in (1, -1)]
         self._normal = {x: abs(x) if self.is_involution(x) else x for x in codes}
         self._inverse = {x: abs(x) if self.is_involution(x) else -x for x in codes}
+        self._name = {x: self.names[abs(x) - 1] for x in codes}
+        self._text = {x: name if x > 0 else name + "^-1"
+                      for x, name in self._name.items()}
 
     def __len__(self):
         return len(self.names)
@@ -131,27 +146,28 @@ class Word:
         return reduce(base.letters * abs(n), self.alphabet)
 
     def inverse(self):
-        inv = self.alphabet.inverse_letter
-        return Word(self.alphabet, tuple(inv(c) for c in reversed(self.letters)),
+        inverse = self.alphabet._inverse
+        return Word(self.alphabet, tuple([inverse[c] for c in reversed(self.letters)]),
                     _reduced=True)
 
     def pairs(self):
         return [(self.alphabet.name_of(c), 1 if c > 0 else -1) for c in self.letters]
 
     def __str__(self):
+        """Runs of one letter print as ``name`` or ``name^k``, k signed."""
         if not self.letters:
             return "1"
+        names, text = self.alphabet._name, self.alphabet._text
         out = []
-        i = 0
-        while i < len(self.letters):
-            c = self.letters[i]
-            j = i
-            while j < len(self.letters) and self.letters[j] == c:
-                j += 1
-            name = self.alphabet.name_of(c)
-            exp = (j - i) if c > 0 else -(j - i)
-            out.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
+        prev, n = None, 0
+        for c in self.letters + (0,):      # code 0 ends the last run
+            if c == prev:
+                n += 1
+                continue
+            if n:
+                out.append(text[prev] if n == 1
+                           else f"{names[prev]}^{n if prev > 0 else -n}")
+            prev, n = c, 1
         return " ".join(out)
 
     def __repr__(self):
@@ -167,13 +183,16 @@ def epsilon(alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Word literals: juxtaposed names, ^k exponents, parenthesised subwords.
+# Word literals: juxtaposed names, ^k exponents, parenthesised subwords,
+# read through a token table in front of the positional scanner (see the
+# module docstring).
 
 # One factor: an opening parenthesis, or a closing one or a run of name
 # characters, each with an optional exponent.
 _FACTOR = re.compile(r"\s*(?:(\()|(?:(\))|(\w+))(\s*\^\s*([+-]?[0-9]+)?)?)")
 _SPACE = re.compile(r"\s*")
 MAX_WORD_LETTERS = 1_000_000   # letters a literal may spell out
+_TOKEN_LETTERS = 64            # letters a token-table entry may hold
 
 
 def _lex_names(run, alphabet, pos):
@@ -195,13 +214,27 @@ def _lex_names(run, alphabet, pos):
     return out
 
 
-def parse_word(text, alphabet):
-    """Parse a word literal like ``a^5``, ``a b a^2 b`` or ``(ab)^5``.
+def _exponent(text):
+    """``int(text)`` for a signed run of ASCII digits, except that a value
+    past ``MAX_WORD_LETTERS`` becomes ``MAX_WORD_LETTERS + 1`` with its
+    sign: no literal can use more, and a long digit string is never
+    converted."""
+    digits = text.lstrip("+-").lstrip("0")
+    if len(digits) > len(str(MAX_WORD_LETTERS)):
+        k = MAX_WORD_LETTERS + 1
+    else:
+        k = int(digits or "0")
+    return -k if text[0] == "-" else k
+
+
+def _scan(text, alphabet):
+    """Raw letter codes of a literal, read factor by factor from the left.
 
     Open parentheses are kept on an explicit stack, so nesting depth is
     not limited by the interpreter's recursion limit.  A literal that would
     spell out more than ``MAX_WORD_LETTERS`` letters is a syntax error,
     raised before the letters are built."""
+    inverse = alphabet._inverse
     groups = [[]]      # letters of the whole word and of each open group
     runs = {}          # name run -> its letter codes
     pos = 0
@@ -228,13 +261,13 @@ def parse_word(text, alphabet):
             if exponent is None:
                 sign = text[pos:pos + 1] in ("+", "-")
                 raise WordSyntaxError("expected an integer exponent", pos + sign)
-            k = int(exponent)
+            k = _exponent(exponent)
         if len(groups[-1]) + len(sub) * abs(k) > MAX_WORD_LETTERS:
             raise WordSyntaxError(
                 f"word longer than {MAX_WORD_LETTERS} letters",
                 m.start(5 if caret else 2 if closing else 3))
         if k < 0:
-            sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
+            sub = [inverse[c] for c in reversed(sub)]
         if sub and abs(k) != 1:     # an empty group takes any exponent
             sub = sub * abs(k)
         groups[-1].extend(sub)
@@ -243,7 +276,58 @@ def parse_word(text, alphabet):
         raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
     if len(groups) > 1:
         raise WordSyntaxError("unbalanced parenthesis", pos)
-    return reduce(groups[0], alphabet)
+    return groups[0]
+
+
+def _token_letters(token, alphabet):
+    """Raw letter codes of a token that is one whole factor run of known
+    names, with at most ``_TOKEN_LETTERS`` letters, as the scanner reads
+    it; else None."""
+    m = _FACTOR.fullmatch(token)
+    if m is None or m.group(3) is None:
+        return None
+    if m.group(4) and (m.group(5) is None
+                       or abs(_exponent(m.group(5))) > _TOKEN_LETTERS):
+        return None
+    try:
+        letters = _scan(token, alphabet)
+    except WordSyntaxError:
+        return None
+    return tuple(letters) if len(letters) <= _TOKEN_LETTERS else None
+
+
+def _read_word(text, alphabet, table):
+    """The word of one literal, its tokens looked up in ``table`` (filled
+    on a miss); the whole literal goes to the scanner if a token is not a
+    factor run or the letters would pass ``MAX_WORD_LETTERS``."""
+    raw = []
+    for token in text.split():
+        try:
+            letters = table[token]
+        except KeyError:
+            letters = table[token] = _token_letters(token, alphabet)
+        if letters is None or len(raw) + len(letters) > MAX_WORD_LETTERS:
+            raw = _scan(text, alphabet)
+            break
+        raw += letters
+    return reduce(raw, alphabet)
+
+
+def parse_words(texts, alphabet):
+    """Yield the word of each literal in ``texts`` (see ``parse_word``),
+    in order, with one token table shared by all of them."""
+    table = {}
+    for text in texts:
+        yield _read_word(text, alphabet, table)
+
+
+def parse_word(text, alphabet):
+    """Parse a word literal like ``a^5``, ``a b a^2 b`` or ``(ab)^5``.
+
+    Parentheses nest to any depth.  A literal that would spell out more
+    than ``MAX_WORD_LETTERS`` letters is a syntax error, raised before the
+    letters are built."""
+    return _read_word(text, alphabet, {})
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +345,32 @@ class ClassAction:
         """``images[name]`` maps each class to its image under the generator."""
         self.alphabet = alphabet
         self.classes = tuple(classes)
-        class_set = set(self.classes)
-        if len(class_set) != len(self.classes):
+        self._class_set = frozenset(self.classes)
+        if len(self._class_set) != len(self.classes):
             raise ValueError("class names must be pairwise distinct")
-        self._fwd = {}
-        self._bwd = {}
+        # One image dict per signed code: a generator's table under +code,
+        # its inverse under -code.
+        self._image = {}
         for name in alphabet.names:
             table = dict(images[name])
-            if set(table) != class_set or set(table.values()) != class_set:
+            if set(table) != self._class_set or set(table.values()) != self._class_set:
                 raise ValueError(f"image table for {name!r} is not a permutation "
                                  f"of the class set")
             code = alphabet.code(name)
-            self._fwd[code] = table
-            self._bwd[code] = {v: k for k, v in table.items()}
+            self._image[code] = table
+            self._image[-code] = {v: k for k, v in table.items()}
 
     def image(self, code, x):
-        table = self._fwd if code > 0 else self._bwd
         try:
-            return table[abs(code)][x]
+            return self._image[code][x]
         except KeyError:
             raise UnknownClass(f"unknown class {x!r}") from None
 
     def table(self, name):
-        return dict(self._fwd[self.alphabet.code(name)])
+        return dict(self._image[self.alphabet.code(name)])
 
     def is_fixed_point_free_involution(self, name):
-        t = self._fwd[self.alphabet.code(name)]
+        t = self._image[self.alphabet.code(name)]
         return all(t[x] != x and t[t[x]] == x for x in self.classes)
 
     def is_transitive(self):
@@ -296,21 +380,25 @@ class ClassAction:
         stack = [self.classes[0]]
         while stack:
             x = stack.pop()
-            for code in self._fwd:
-                for y in (self._fwd[code][x], self._bwd[code][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+            for table in self._image.values():
+                y = table[x]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         return len(seen) == len(self.classes)
 
 
 def apply_action(action, word, x):
     """Image of class ``x`` under ``word``, letters applied left to right."""
-    if x not in action.classes:
+    if x not in action._class_set:
         raise UnknownClass(f"unknown class {x!r}")
+    image = action._image
     letters = word.letters if isinstance(word, Word) else word
-    for code in letters:
-        x = action.image(code, x)
+    try:
+        for code in letters:
+            x = image[code][x]
+    except KeyError:
+        raise UnknownClass(f"unknown class {x!r}") from None
     return x
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
 from parcay.decompose import maximum_matching
-from parcay.errors import NotCayleyLike
+from parcay.errors import NotCayleyLike, WordSyntaxError
 from parcay.graph import (ColouredGraph, _letter_for_colour, cayley_like_witness,
                           graph_alphabet, spanning_tree)
+from parcay.words import MAX_WORD_LETTERS
 from parcay.words import reduce as word_reduce
 
 
@@ -233,3 +235,70 @@ def petersen_sp():
     from parcay.presentation import from_two_partite
 
     return build_sp(from_two_partite(petersen_presentation(5, 2)))
+
+
+# Independent oracle: the positional word scanner alone, with no token
+# table in front of it.  It reads one factor at a time with the regular
+# expression below, splits name runs longest match first and spells the
+# letters out group by group.
+_ORACLE_FACTOR = re.compile(r"\s*(?:(\()|(?:(\))|(\w+))(\s*\^\s*([+-]?[0-9]+)?)?)")
+_ORACLE_SPACE = re.compile(r"\s*")
+
+
+def _oracle_lex_names(run, alphabet, pos):
+    if run in alphabet.names:
+        return [run]
+    out = []
+    i = 0
+    names = sorted(alphabet.names, key=len, reverse=True)
+    while i < len(run):
+        for name in names:
+            if run.startswith(name, i):
+                out.append(name)
+                i += len(name)
+                break
+        else:
+            raise WordSyntaxError(f"unknown generator in {run!r}", pos + i)
+    return out
+
+
+def positional_parse_word(text, alphabet):
+    groups = [[]]
+    pos = 0
+    while True:
+        m = _ORACLE_FACTOR.match(text, pos)
+        if m is None:
+            break
+        pos = m.end()
+        opening, closing, run, caret, exponent = m.groups()
+        if opening:
+            groups.append([])
+            continue
+        if closing:
+            if len(groups) == 1:
+                raise WordSyntaxError("unexpected character ')'", m.start(2))
+            sub = groups.pop()
+        else:
+            sub = [alphabet.code(name)
+                   for name in _oracle_lex_names(run, alphabet, m.start(3))]
+        k = 1
+        if caret:
+            if exponent is None:
+                sign = text[pos:pos + 1] in ("+", "-")
+                raise WordSyntaxError("expected an integer exponent", pos + sign)
+            k = int(exponent)
+        if len(groups[-1]) + len(sub) * abs(k) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word longer than {MAX_WORD_LETTERS} letters",
+                m.start(5 if caret else 2 if closing else 3))
+        if k < 0:
+            sub = [alphabet.inverse_letter(c) for c in reversed(sub)]
+        if sub and abs(k) != 1:
+            sub = sub * abs(k)
+        groups[-1].extend(sub)
+    pos = _ORACLE_SPACE.match(text, pos).end()
+    if pos < len(text):
+        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    if len(groups) > 1:
+        raise WordSyntaxError("unbalanced parenthesis", pos)
+    return word_reduce(groups[0], alphabet)

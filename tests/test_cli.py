@@ -155,6 +155,15 @@ def test_malformed_word_exits_2(rel, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_exponent_past_the_integer_digit_limit_exits_2(tmp_path, capsys):
+    # 5000 digits is past the interpreter's default int conversion limit.
+    f = tmp_path / "bad.pp"
+    f.write_text(PETERSEN + "rel 0 : a^" + "9" * 5000 + "\n")
+    assert main(["build", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/x.pp"]) == 2
 

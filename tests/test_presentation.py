@@ -108,6 +108,18 @@ def test_serialize_parse_roundtrip():
         assert parse(serialize(p)) == p
 
 
+def test_serialize_is_a_fixpoint_on_every_extraction_and_fixture():
+    from parcay.acceptance import presentation_fixtures, roundtrip_corpus
+    from parcay.extract import pipeline_presentation
+
+    presentations = {name: pipeline_presentation(g)
+                     for name, g in roundtrip_corpus().items()}
+    presentations.update((name, p) for name, (p, _) in presentation_fixtures().items())
+    for name, p in presentations.items():
+        text = serialize(p)
+        assert serialize(parse(text)) == text, name
+
+
 def test_serialize_is_stable():
     p = parse(PETERSEN_TEXT)
     assert serialize(p) == serialize(parse(serialize(p)))

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import positional_parse_word
 from parcay.errors import UnknownClass, UnknownGenerator, WordSyntaxError
-from parcay.words import (MAX_WORD_LETTERS, Alphabet, ClassAction,
+from parcay.words import (MAX_WORD_LETTERS, Alphabet, ClassAction, Word,
                           apply_action, epsilon, in_stabilizer, invert,
-                          parse_word, reduce)
+                          parse_word, parse_words, reduce)
 
 AB = Alphabet(("a",), ("b",))          # a free, b involutive
 PETERSEN = ClassAction(AB, ("0", "1"), {"a": {"0": "0", "1": "1"},
@@ -139,6 +140,65 @@ def test_multicharacter_names_need_longest_match():
     assert parse_word("ab", alph).letters == (alph.code("ab"),)
 
 
+def test_parse_word_refuses_exponents_past_the_integer_digit_limit():
+    huge = "9" * 5000          # past the interpreter's int conversion limit
+    for text in ("a^" + huge, "(a b)^-" + huge, "a ^ +" + huge):
+        with pytest.raises(WordSyntaxError, match="word longer than"):
+            parse_word(text, AB)
+    assert parse_word("()^" + huge, AB) == epsilon(AB)
+    assert parse_word("a^-" + "0" * 5000 + "2", AB) == parse_word("a^-2", AB)
+
+
+# -- the token table against the positional scanner -----------------------------
+
+# Multi-character names, one that is two others juxtaposed ("ab"), and
+# names with digits and underscores.
+NAMED = Alphabet(("a", "ab", "c1", "x_y"), ("b", "s"))
+FRAGMENTS = [
+    "a", "ab", "b", "c1", "x_y", "s", "abs",       # known names and runs
+    " a^-1", " ab^2", "c1 ", " s^3 ",              # whole tokens
+    "z", "q9", "\u00e9", "C1",                     # unknown names
+    "^", "^-", "^+", "+", "-",                     # exponent marks and signs
+    "0", "1", "2", "17", "80", "007",              # ASCII digits
+    "\u00b2", "\u0663", "\uff11",                  # non-ASCII digits
+    " ", "  ", "\t", "\n", " ^ ", "^ ",             # spaces, around ^ too
+    "(", ")", "()", "(a b)", "((", "))",           # parentheses
+    ",", "*",
+]
+literals = st.lists(st.one_of(st.sampled_from(FRAGMENTS),
+                              st.integers(10 ** 7, 10 ** 40).map(str)),
+                    max_size=14).map("".join)
+
+
+def outcome(parse, text):
+    try:
+        return "letters", parse(text, NAMED).letters
+    except WordSyntaxError as exc:
+        return "error", str(exc), exc.pos
+
+
+@settings(max_examples=500)
+@given(literals)
+def test_token_table_agrees_with_the_positional_scanner(text):
+    assert outcome(parse_word, text) == outcome(positional_parse_word, text)
+
+
+@given(st.lists(literals, max_size=6))
+def test_a_shared_token_table_agrees_with_the_positional_scanner(texts):
+    words = parse_words(texts, NAMED)
+    for text in texts:
+        expected = outcome(positional_parse_word, text)
+        assert outcome(lambda _text, _alphabet: next(words), text) == expected
+        if expected[0] == "error":
+            break
+
+
+def test_long_tokens_and_groups_fall_back_to_the_scanner():
+    for text in ("a^800 b", "b a^-800", "(a b)^3 c1", "a ^2", "a^ -2 b"):
+        assert outcome(parse_word, text) == outcome(positional_parse_word, text)
+        assert outcome(parse_word, text)[0] == "letters"
+
+
 # -- algebraic laws, property based -------------------------------------------
 
 raw_letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30)
@@ -175,3 +235,31 @@ def test_involution_action_is_fixed_point_free_of_order_two():
         y = apply_action(PETERSEN, parse_word("b", AB), x)
         assert y != x
         assert apply_action(PETERSEN, parse_word("b", AB), y) == x
+
+
+named_letters = st.lists(st.sampled_from(NAMED.letters() + [-5, -6]), max_size=30)
+
+
+@given(named_letters)
+def test_printed_words_parse_back(raw):
+    w = reduce(raw, NAMED)
+    if not w:
+        assert str(w) == "1"
+        return
+    assert parse_word(str(w), NAMED) == w
+    runs = str(w).split()
+    assert all(a.split("^")[0] != b.split("^")[0] for a, b in zip(runs, runs[1:]))
+
+
+# a is a 3-cycle, so its inverse image table differs from its own.
+ROTATE = ClassAction(AB, ("0", "1", "2", "3"),
+                     {"a": {"0": "1", "1": "2", "2": "0", "3": "3"},
+                      "b": {"0": "3", "3": "0", "1": "2", "2": "1"}})
+
+
+@given(raw_letters)
+def test_inverse_word_undoes_the_action(raw):
+    w = reduce(raw, AB)
+    for x in ROTATE.classes:
+        assert apply_action(ROTATE, w.inverse(), apply_action(ROTATE, w, x)) == x
+        assert apply_action(ROTATE, Word(AB, raw), x) == apply_action(ROTATE, raw, x)
