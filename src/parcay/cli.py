@@ -144,7 +144,7 @@ def cmd_decompose(args):
 
 def cmd_extract(args):
     g, colouring = _read_coloured_graph(args.file)
-    if args.pipeline or colouring is None:
+    if colouring is None:
         colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
     _emit(serialize(p), args.out)
@@ -256,8 +256,6 @@ def make_parser():
 
     s = sub.add_parser("extract", help="presentation from a coloured graph")
     s.add_argument("file")
-    s.add_argument("--pipeline", action="store_true",
-                   help="decompose first, ignoring any colour column")
     s.add_argument("--roundtrip", action="store_true",
                    help="rebuild and verify the extraction")
     s.add_argument("-o", "--out")

@@ -492,19 +492,16 @@ def two_ended_word(letters, v):
     return v
 
 
+_AUTO_LETTERS = Alphabet(("s", "t"))
+_AUTO_NAMES = {"s": "sigma", "t": "tau"}
+
+
 def parse_auto_word(text):
-    """Parse words like ``t^-3 s t s`` over s=sigma, t=tau."""
-    letters = []
-    for tok in text.split():
-        name = {"s": "sigma", "t": "tau"}.get(tok[0])
-        if name is None:
-            raise BadParameters(f"unknown automorphism letter {tok!r}")
-        exp = 1
-        if "^" in tok:
-            exp = int(tok.split("^", 1)[1])
-        sign = 1 if exp > 0 else -1
-        letters.extend([(name, sign)] * abs(exp))
-    return letters
+    """Parse words like ``t^-3 s t s`` over s=sigma, t=tau with the grammar
+    of ``parse_word``; the letters come back reduced, as (name, sign)
+    pairs."""
+    return [(_AUTO_NAMES[name], sign)
+            for name, sign in parse_word(text, _AUTO_LETTERS).pairs()]
 
 
 # ---------------------------------------------------------------------------

@@ -330,83 +330,83 @@ def weak_multicycle_colouring(g):
 
 
 # ---------------------------------------------------------------------------
-# Multicycle predicates.
+# Multicycle predicates, read off one walk per component of each colour class.
 
 
-def _class_components(g, darts):
-    """Components of one colour class: list of (vertex set, edge count)."""
-    adj = {}
+def component_walks(g, darts):
+    """The components of an edge set, given by one dart per edge, as walks:
+    lists of darts, each leaving the vertex the one before it enters.  A
+    path starts at its least end; a cycle starts at its least vertex and
+    leaves it by the least (head, dart).  Paths come first, then cycles,
+    each in order of first vertex.  None when some vertex meets more than
+    two darts (a loop meets its vertex twice)."""
+    tau, inv = g.tau, g.inv
+    at = {}                 # vertex -> the darts leaving it
     for d in darts:
-        u, v = g.edge_ends(d)
-        adj.setdefault(u, []).append((v, d))
-        adj.setdefault(v, []).append((u, d))
-    seen = set()
-    out = []
-    for start in adj:
-        if start in seen:
+        at.setdefault(tau[inv[d]], []).append(d)
+        at.setdefault(tau[d], []).append(inv[d])
+    if any(len(out) > 2 for out in at.values()):
+        return None
+    ends = sorted(v for v, out in at.items() if len(out) == 1)
+    walks = []
+    for v in ends + sorted(at):
+        out = at.pop(v, None)
+        if out is None:
             continue
-        comp_v = set()
-        comp_e = set()
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp_v.add(v)
-            for w, d in adj[v]:
-                comp_e.add(d)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        out.append((comp_v, comp_e))
+        d = out[0]
+        if len(out) == 2 and (tau[out[1]], out[1]) < (tau[d], d):
+            d = out[1]
+        walk = [d]
+        while tau[d] in at:
+            out = at.pop(tau[d])
+            if len(out) == 1:
+                break
+            d = out[1] if out[0] == inv[d] else out[0]
+            walk.append(d)
+        walks.append(walk)
+    return walks
+
+
+def _class_walks(g, colouring, kind):
+    """``{colour: component_walks}`` when the colouring is total and every
+    colour class is a vertex-disjoint union of cycles and edges ("weak"),
+    moreover spanning and regular ("pf"), moreover, if 2-regular, of
+    cycles of one length ("multicycle"); else None."""
+    if not colouring.is_total():
+        return None
+    tau, inv = g.tau, g.inv
+    out = {}
+    for colour, darts in colouring.colour_classes().items():
+        walks = component_walks(g, darts)
+        if walks is None:
+            return None
+        cycles = [len(w) for w in walks if tau[w[-1]] == tau[inv[w[0]]]]
+        paths = len(walks) - len(cycles)
+        if sum(cycles) + paths != len(darts):
+            return None             # a path of two or more edges
+        if kind != "weak" and (cycles and paths
+                               or sum(cycles) + 2 * paths != g.n):
+            return None             # not spanning and regular
+        if kind == "multicycle" and len(set(cycles)) > 1:
+            return None
+        out[colour] = walks
     return out
 
 
 def is_weak_multicycle(g, colouring):
     """Every colour class is a vertex-disjoint union of cycles and edges."""
-    if not colouring.is_total():
-        return False
-    for colour, darts in colouring.colour_classes().items():
-        deg = Counter()
-        for d in darts:
-            u, v = g.edge_ends(d)
-            deg[u] += 1
-            deg[v] += 1
-        if any(k > 2 for k in deg.values()):
-            return False
-        for comp_v, comp_e in _class_components(g, darts):
-            ones = [v for v in comp_v if deg[v] == 1]
-            if ones and len(comp_e) != 1:
-                return False
-            if not ones and len(comp_e) != len(comp_v):
-                # a degree-2 component must close up into a cycle
-                return False
-    return True
+    return _class_walks(g, colouring, "weak") is not None
 
 
 def is_partition_friendly(g, colouring):
     """Weak multicycle with every colour class spanning and regular."""
-    if not is_weak_multicycle(g, colouring):
-        return False
-    for colour in colouring.colour_classes():
-        deg = colouring.class_degree(colour)
-        if len(set(deg)) != 1 or deg[0] == 0:
-            return False
-    return True
+    return _class_walks(g, colouring, "pf") is not None
 
 
 def is_multicycle(g, colouring):
     """Every colour class is a perfect matching or a spanning disjoint union
     of equal-length cycles."""
-    if not is_partition_friendly(g, colouring):
-        return False
-    for colour, darts in colouring.colour_classes().items():
-        deg = colouring.class_degree(colour)
-        if deg[0] == 1:
-            continue
-        lengths = {len(comp_e) for _, comp_e in _class_components(g, darts)}
-        if len(lengths) != 1:
-            return False
-    return True
+    return _class_walks(g, colouring, "multicycle") is not None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ connected and the rebuild reproduces the input.
 from __future__ import annotations
 
 from .builder import presentation_graph
-from .decompose import is_partition_friendly, weak_multicycle_colouring
+from .decompose import _class_walks, weak_multicycle_colouring
 from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
 from .graph import alphabet_graph, fundamental_cycle_words
@@ -22,44 +22,27 @@ from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
 
 
-def _orient_colour(g, darts):
-    """Orientation of a 2-regular colour class: the successor dart per
-    vertex.  Each cycle is traversed from its least vertex toward its least
-    neighbour, which makes the choice deterministic."""
-    free = set(darts) | {g.inv[d] for d in darts}   # both darts of each unused edge
-    succ = {}
-    for start in sorted({g.src(d) for d in free}):
-        here = start
-        while here not in succ:
-            e = min((x for x in g.out_darts(here) if x in free),
-                    key=lambda x: (g.tau[x], x))
-            succ[here] = e
-            free -= {e, g.inv[e]}
-            here = g.tau[e]
-    return succ
-
-
 def _colouring_presentation(g, colouring):
     """The relator-free presentation with one class ``str(v)`` per vertex v
     of ``g``: each 2-regular colour is a free generator taking every vertex
-    to its cycle successor, each matching colour an involutive generator."""
-    if not is_partition_friendly(g, colouring):
+    to its successor on the colour's cycle walks, each matching colour an
+    involutive generator."""
+    walks_of = _class_walks(g, colouring, "pf")
+    if walks_of is None:
         raise NotPartitionFriendly(
             "the colouring is not a partition-friendly weak multicycle colouring")
     classes = tuple(str(v) for v in range(g.n))
+    tau, inv = g.tau, g.inv
     u_gens, i_gens, images = [], [], {}
-    for colour, darts in colouring.colour_classes().items():
+    for colour, walks in walks_of.items():
         name = str(colour)
-        if colouring.class_degree(colour)[0] == 2:
+        steps = [(str(tau[inv[d]]), str(tau[d])) for w in walks for d in w]
+        if tau[walks[0][-1]] == tau[inv[walks[0][0]]]:     # cycles
             u_gens.append(name)
-            succ = _orient_colour(g, darts).items()
-            images[name] = {str(v): str(g.tau[d]) for v, d in succ}
-        else:
+            images[name] = dict(steps)
+        else:                                              # single edges
             i_gens.append(name)
-            images[name] = table = {}
-            for d in darts:
-                u, w = g.edge_ends(d)
-                table[str(u)], table[str(w)] = str(w), str(u)
+            images[name] = dict(steps + [(w, u) for u, w in steps])
     alphabet = Alphabet(tuple(sorted(u_gens)), tuple(sorted(i_gens)))
     action = ClassAction(alphabet, classes, images)
     return PartitePresentation(classes, alphabet, action, {})

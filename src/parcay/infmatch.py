@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import (_matching_of, _maximum_mates, blossom_search,
-                        maximum_matching)
+                        canonical, component_walks, maximum_matching)
 from .errors import NoTransitiveSupply
 from .graph import ColouredGraph
 
@@ -120,51 +120,31 @@ def is_critical(g, v):
 def symmetric_difference_report(m1, m2, exhaustion):
     """Classify the components of the symmetric difference: even cycles,
     even paths with both ends in the same shell, or boundary-truncated
-    window artifacts (excluded from the parity assertions)."""
+    window artifacts (excluded from the parity assertions).  Entries come
+    in order of least vertex."""
     g = exhaustion.graph
-    sym = m1.darts ^ m2.darts
-    adj = {}
-    for d in sym:
-        u, v = g.edge_ends(d)
-        adj.setdefault(u, []).append((v, d))
-        adj.setdefault(v, []).append((u, d))
-    seen_v = set()
     reports = []
-    for start in sorted(adj):
-        if start in seen_v:
-            continue
-        comp_v, comp_e = set(), set()
-        stack = [start]
-        seen_v.add(start)
-        while stack:
-            v = stack.pop()
-            comp_v.add(v)
-            for w, d in adj[v]:
-                comp_e.add(d)
-                if w not in seen_v:
-                    seen_v.add(w)
-                    stack.append(w)
-        degrees = {v: sum(1 for _, d in adj[v] if d in comp_e) for v in comp_v}
-        ends = sorted(v for v, k in degrees.items() if k == 1)
-        kind = "cycle" if not ends else "path"
-        boundary = bool(comp_v & exhaustion.frontier)
-        alternating = all(
-            len({d in m1.darts for _, d in adj[v] if d in comp_e}) == 2
-            for v in comp_v if degrees[v] == 2)
+    for walk in component_walks(g, m1.darts ^ m2.darts):
+        first, heads = g.src(walk[0]), [g.tau[d] for d in walk]
+        kind = "cycle" if heads[-1] == first else "path"
+        vertices = sorted(heads if kind == "cycle" else [first] + heads)
+        boundary = not exhaustion.frontier.isdisjoint(vertices)
+        in_m1 = [canonical(g, d) in m1.darts for d in walk]
+        turns = in_m1[1:] + in_m1[:1] if kind == "cycle" else in_m1[1:]
         entry = {
             "kind": kind,
-            "vertices": sorted(comp_v),
-            "n_edges": len(comp_e),
+            "vertices": vertices,
+            "n_edges": len(walk),
             "boundary": boundary,
-            "alternating": alternating,
-            "even": len(comp_e) % 2 == 0,
+            "alternating": all(a != b for a, b in zip(in_m1, turns)),
+            "even": len(walk) % 2 == 0,
         }
         if kind == "path" and not boundary:
-            shells = [exhaustion.shell(v) for v in ends]
+            shells = [exhaustion.shell(first), exhaustion.shell(heads[-1])]
             entry["endpoint_shells"] = shells
             entry["same_shell"] = len(set(shells)) == 1
         reports.append(entry)
-    return reports
+    return sorted(reports, key=lambda entry: entry["vertices"][0])
 
 
 # ---------------------------------------------------------------------------

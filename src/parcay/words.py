@@ -154,9 +154,10 @@ class Word:
         return [(self.alphabet.name_of(c), 1 if c > 0 else -1) for c in self.letters]
 
     def __str__(self):
-        """Runs of one letter print as ``name`` or ``name^k``, k signed."""
+        """Runs of one letter print as ``name`` or ``name^k``, k signed; the
+        empty word prints as ``()``, which reads back as the empty word."""
         if not self.letters:
-            return "1"
+            return "()"
         names, text = self.alphabet._name, self.alphabet._text
         out = []
         prev, n = None, 0

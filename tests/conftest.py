@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import strategies as st
 
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
-from parcay.decompose import maximum_matching
+from parcay.decompose import EdgeColouring, maximum_matching
 from parcay.errors import NotCayleyLike, WordSyntaxError
 from parcay.graph import (ColouredGraph, _letter_for_colour, cayley_like_witness,
                           graph_alphabet, spanning_tree)
@@ -226,6 +227,194 @@ def doubled_graph_coverable(g, vertices):
         if v not in forced:
             gg.add_edge(v, g.n + v)
     return maximum_matching(gg).is_perfect()
+
+
+# Independent oracles for the colour-class walks: the multicycle predicates
+# by a BFS over each class with its own degree count, the cycle orientation
+# by a least-neighbour walk, and the symmetric-difference report by a DFS
+# over the difference with its own degree count.
+
+def bfs_class_components(g, darts):
+    """Components of one colour class: list of (vertex set, edge set)."""
+    adj = {}
+    for d in darts:
+        u, v = g.edge_ends(d)
+        adj.setdefault(u, []).append((v, d))
+        adj.setdefault(v, []).append((u, d))
+    seen = set()
+    out = []
+    for start in adj:
+        if start in seen:
+            continue
+        comp_v = set()
+        comp_e = set()
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            v = queue.popleft()
+            comp_v.add(v)
+            for w, d in adj[v]:
+                comp_e.add(d)
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out.append((comp_v, comp_e))
+    return out
+
+
+def bfs_is_weak_multicycle(g, colouring):
+    if not colouring.is_total():
+        return False
+    for colour, darts in colouring.colour_classes().items():
+        deg = Counter()
+        for d in darts:
+            u, v = g.edge_ends(d)
+            deg[u] += 1
+            deg[v] += 1
+        if any(k > 2 for k in deg.values()):
+            return False
+        for comp_v, comp_e in bfs_class_components(g, darts):
+            ones = [v for v in comp_v if deg[v] == 1]
+            if ones and len(comp_e) != 1:
+                return False
+            if not ones and len(comp_e) != len(comp_v):
+                return False
+    return True
+
+
+def bfs_is_partition_friendly(g, colouring):
+    if not bfs_is_weak_multicycle(g, colouring):
+        return False
+    for colour in colouring.colour_classes():
+        deg = colouring.class_degree(colour)
+        if len(set(deg)) != 1 or deg[0] == 0:
+            return False
+    return True
+
+
+def bfs_is_multicycle(g, colouring):
+    if not bfs_is_partition_friendly(g, colouring):
+        return False
+    for colour, darts in colouring.colour_classes().items():
+        deg = colouring.class_degree(colour)
+        if deg[0] == 1:
+            continue
+        lengths = {len(comp_e) for _, comp_e in bfs_class_components(g, darts)}
+        if len(lengths) != 1:
+            return False
+    return True
+
+
+def least_neighbour_successors(g, darts):
+    """Orientation of a class of cycles: the successor dart per vertex, each
+    cycle traversed from its least vertex toward its least (head, dart)."""
+    free = set(darts) | {g.inv[d] for d in darts}
+    succ = {}
+    for start in sorted({g.src(d) for d in free}):
+        here = start
+        while here not in succ:
+            e = min((x for x in g.out_darts(here) if x in free),
+                    key=lambda x: (g.tau[x], x))
+            succ[here] = e
+            free -= {e, g.inv[e]}
+            here = g.tau[e]
+    return succ
+
+
+def dfs_symmetric_difference_report(m1, m2, exhaustion):
+    g = exhaustion.graph
+    sym = m1.darts ^ m2.darts
+    adj = {}
+    for d in sym:
+        u, v = g.edge_ends(d)
+        adj.setdefault(u, []).append((v, d))
+        adj.setdefault(v, []).append((u, d))
+    seen_v = set()
+    reports = []
+    for start in sorted(adj):
+        if start in seen_v:
+            continue
+        comp_v, comp_e = set(), set()
+        stack = [start]
+        seen_v.add(start)
+        while stack:
+            v = stack.pop()
+            comp_v.add(v)
+            for w, d in adj[v]:
+                comp_e.add(d)
+                if w not in seen_v:
+                    seen_v.add(w)
+                    stack.append(w)
+        degrees = {v: sum(1 for _, d in adj[v] if d in comp_e) for v in comp_v}
+        ends = sorted(v for v, k in degrees.items() if k == 1)
+        kind = "cycle" if not ends else "path"
+        boundary = bool(comp_v & exhaustion.frontier)
+        alternating = all(
+            len({d in m1.darts for _, d in adj[v] if d in comp_e}) == 2
+            for v in comp_v if degrees[v] == 2)
+        entry = {
+            "kind": kind,
+            "vertices": sorted(comp_v),
+            "n_edges": len(comp_e),
+            "boundary": boundary,
+            "alternating": alternating,
+            "even": len(comp_e) % 2 == 0,
+        }
+        if kind == "path" and not boundary:
+            shells = [exhaustion.shell(v) for v in ends]
+            entry["endpoint_shells"] = shells
+            entry["same_shell"] = len(set(shells)) == 1
+        reports.append(entry)
+    return reports
+
+
+@st.composite
+def multigraph_colourings(draw):
+    """A multigraph of at most 10 vertices, loops and parallel edges
+    allowed, with an edge colouring.  Either the edges and colours are
+    random and an edge may stay uncoloured, or each colour class is a
+    spanning union of cycles of mixed lengths (a loop, two parallel edges,
+    or a longer cycle) or a perfect matching, added in random order and
+    direction, and then up to two edges are recoloured or uncoloured."""
+    n = draw(st.integers(1, 10))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    colours = st.sampled_from(["x", "y", "z"])
+    cycles = draw(st.booleans())
+    if not cycles:
+        ends = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(ends, ends, st.none() | colours),
+                              max_size=2 * n))
+    else:
+        edges = []
+        for colour in draw(st.lists(colours, min_size=1, max_size=3, unique=True)):
+            order = draw(st.permutations(range(n)))
+            if n % 2 == 0 and draw(st.booleans()):
+                edges += [(order[i], order[i + 1], colour) for i in range(0, n, 2)]
+                continue
+            i = 0
+            while i < n:
+                cycle = order[i:i + draw(st.integers(1, n - i))]
+                edges += [(v, cycle[(j + 1) % len(cycle)], colour)
+                          for j, v in enumerate(cycle)]
+                i += len(cycle)
+        edges = [(v, u, c) if draw(st.booleans()) else (u, v, c)
+                 for u, v, c in draw(st.permutations(edges))]
+    mapping = {}
+    for u, v, colour in edges:
+        d = g.add_edge(u, v)
+        if colour is not None:
+            mapping[d] = colour
+    recoloured = st.lists(st.sampled_from(sorted(mapping)), max_size=2,
+                          unique=True) if cycles else st.just([])
+    for d in draw(recoloured):
+        colour = draw(st.none() | colours)
+        if colour is None:
+            del mapping[d]
+        else:
+            mapping[d] = colour
+    return g, EdgeColouring(g, mapping)
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ from parcay.constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
                                   parse_auto_word, petersen_presentation,
                                   two_ended_adjacent, two_ended_auto,
                                   two_ended_window, two_ended_word)
-from parcay.errors import BadParameters, LoopsUnsupported, NotSymmetric
+from parcay.errors import (BadParameters, LoopsUnsupported, NotSymmetric,
+                           ParcayError)
 from parcay.graph import ColouredGraph, is_vertex_transitive, isomorphic
 from parcay.presentation import from_two_partite, validate
 from parcay.words import parse_word
@@ -251,6 +252,17 @@ def test_sigma_and_tau_examples():
     word = parse_auto_word("t^-3 s t s")
     assert two_ended_word(word, (0, 0)) == (0, 0)
     assert two_ended_word(word, (0, 1)) == (0, 9)
+
+
+@pytest.mark.parametrize("text", ["soup", "t^x", "s t^", "(s t"])
+def test_auto_words_use_the_word_grammar(text):
+    with pytest.raises(ParcayError):
+        parse_auto_word(text)
+
+
+def test_auto_word_letters_may_be_juxtaposed():
+    assert parse_auto_word("st") == [("sigma", 1), ("tau", 1)]
+    assert parse_auto_word("(st)^-1") == [("tau", -1), ("sigma", -1)]
 
 
 def test_tau_inverse_is_inverse():

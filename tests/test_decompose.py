@@ -1,14 +1,17 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import (brute_force_max_matching_size, complete_graph,
-                      cycle_graph, random_graph)
+from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
+                      bfs_is_weak_multicycle, brute_force_max_matching_size,
+                      complete_graph, cycle_graph, least_neighbour_successors,
+                      multigraph_colourings, random_graph)
 
 from parcay.constructions import (cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
-from parcay.decompose import (EdgeColouring, Matching,
-                              euler_orientation, is_multicycle,
+from parcay.decompose import (EdgeColouring, Matching, canonical,
+                              component_walks, euler_orientation, is_multicycle,
                               is_partition_friendly, is_weak_multicycle,
                               k_n_factorization, maximum_matching,
                               two_factor, two_factorization,
@@ -235,6 +238,36 @@ def test_partial_colouring_is_rejected():
     g = cycle_graph(3)
     c = EdgeColouring(g, {g.edges()[0]: "x"})
     assert not is_weak_multicycle(g, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraph_colourings())
+def test_multicycle_predicates_match_the_component_oracles(gc):
+    g, c = gc
+    assert is_weak_multicycle(g, c) == bfs_is_weak_multicycle(g, c)
+    assert is_partition_friendly(g, c) == bfs_is_partition_friendly(g, c)
+    assert is_multicycle(g, c) == bfs_is_multicycle(g, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraph_colourings())
+def test_component_walks_follow_the_least_neighbour_orientation(gc):
+    g, c = gc
+    for darts in c.colour_classes().values():
+        deg = Counter(v for d in darts for v in g.edge_ends(d))
+        walks = component_walks(g, darts)
+        assert (walks is None) == (max(deg.values()) > 2)
+        if walks is None:
+            continue
+        assert sorted(canonical(g, d) for w in walks for d in w) == darts
+        for w in walks:
+            assert all(g.tau[a] == g.src(b) for a, b in zip(w, w[1:]))
+            first, last = g.src(w[0]), g.tau[w[-1]]
+            if first != last:
+                assert deg[first] == deg[last] == 1 and first < last
+        if set(deg.values()) == {2}:
+            assert ([(g.src(d), d) for w in walks for d in w]
+                    == list(least_neighbour_successors(g, darts).items()))
 
 
 # -- complete graph factorizations ----------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph
+from conftest import (bfs_is_partition_friendly, complete_graph, cycle_graph,
+                      least_neighbour_successors, multigraph_colourings)
 
 from parcay.acceptance import roundtrip_corpus
 from parcay.builder import build_sp, presentation_graph
@@ -11,8 +12,9 @@ from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
 from parcay.decompose import EdgeColouring, weak_multicycle_colouring
 from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
                            NotPartitionFriendly, SizeMismatch)
-from parcay.extract import (bicayley_to_presentation, pipeline_presentation,
-                            presentation_from_colouring, refine_colouring)
+from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
+                            pipeline_presentation, presentation_from_colouring,
+                            refine_colouring)
 from parcay.graph import isomorphic, write_graph
 from parcay.presentation import from_two_partite, validate
 
@@ -244,3 +246,29 @@ def test_extract_long_cycle_needs_no_recursion():
     p, ok = roundtrip(cycle_graph(3000))
     assert ok
     assert [len(r) for r in p.relators["0"]] == [3000]
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraph_colourings())
+def test_extracted_generators_follow_the_least_neighbour_orientation(gc):
+    g, c = gc
+    if not bfs_is_partition_friendly(g, c):
+        with pytest.raises(NotPartitionFriendly):
+            _colouring_presentation(g, c)
+        return
+    p = _colouring_presentation(g, c)
+    classes = c.colour_classes()
+    assert p.alphabet.u_gens == tuple(
+        sorted(x for x in classes if c.class_degree(x)[0] == 2))
+    assert p.alphabet.i_gens == tuple(
+        sorted(x for x in classes if c.class_degree(x)[0] == 1))
+    for colour, darts in classes.items():
+        table = p.action.table(colour)
+        if colour in p.alphabet.u_gens:
+            succ = least_neighbour_successors(g, darts)
+            assert list(table.items()) == [(str(v), str(g.tau[d]))
+                                           for v, d in succ.items()]
+        else:
+            pairs = [g.edge_ends(d) for d in darts]
+            assert table == {str(u): str(w) for u, w in pairs + [
+                (w, u) for u, w in pairs]}

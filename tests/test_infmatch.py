@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (all_matchings, cycle_graph, doubled_graph_coverable,
+from conftest import (all_matchings, cycle_graph, dfs_symmetric_difference_report,
+                      doubled_graph_coverable, multigraph_colourings,
                       random_graph)
 
 from parcay.constructions import cubic_no_perfect_matching
@@ -253,6 +254,33 @@ def test_interior_paths_have_same_shell_endpoints():
                 assert entry["alternating"]
                 if entry["kind"] == "path":
                     assert entry["same_shell"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_symmetric_difference_report_matches_the_dfs_oracle(data):
+    g, _ = data.draw(multigraph_colourings())
+    edges = [d for d in g.edges() if not g.is_loop(d)]
+
+    def random_matching():
+        darts, covered = [], set()
+        order = data.draw(st.permutations(edges))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                  max_size=len(edges)))
+        for d, k in zip(order, keep):
+            u, v = g.edge_ends(d)
+            if k and u not in covered and v not in covered:
+                darts.append(d)
+                covered |= {u, v}
+        return Matching(g, darts)
+
+    m1, m2 = random_matching(), random_matching()
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = data.draw(st.lists(st.integers(0, g.n), max_size=3))
+    frontier = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    ex = Exhaustion(g, [order[:k] for k in sorted(cuts)], frontier)
+    assert (symmetric_difference_report(m1, m2, ex)
+            == dfs_symmetric_difference_report(m1, m2, ex))
 
 
 # -- windowed perfect matchings ----------------------------------------------------------

@@ -175,6 +175,19 @@ def test_relators_reducing_to_identity_are_violations():
     assert "EmptyRelator" in str(err.value)
 
 
+def test_serialized_empty_relator_is_reported_as_empty():
+    alph = Alphabet(("a",), ())
+    action = ClassAction(alph, ("0",), {"a": {"0": "0"}})
+    p = PartitePresentation(("0",), alph, action,
+                            {"0": [parse_word("a^5", alph),
+                                   parse_word("a a^-1", alph)]})
+    text = serialize(p)
+    assert text.splitlines()[-1] == "rel 0 : a^5, ()"
+    with pytest.raises(SemanticError) as err:
+        parse(text)
+    assert "EmptyRelator" in str(err.value) and "(line 3)" in str(err.value)
+
+
 # Texts to mutate: the Petersen presentation and one with a class-swapping
 # involution, a multi-character name and a parenthesised power.
 MUTATION_SEEDS = (PETERSEN_TEXT, """\

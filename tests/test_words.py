@@ -243,12 +243,15 @@ named_letters = st.lists(st.sampled_from(NAMED.letters() + [-5, -6]), max_size=3
 @given(named_letters)
 def test_printed_words_parse_back(raw):
     w = reduce(raw, NAMED)
-    if not w:
-        assert str(w) == "1"
-        return
     assert parse_word(str(w), NAMED) == w
     runs = str(w).split()
     assert all(a.split("^")[0] != b.split("^")[0] for a, b in zip(runs, runs[1:]))
+
+
+def test_empty_word_prints_as_the_empty_group():
+    assert str(epsilon(NAMED)) == "()"
+    assert parse_word("()", NAMED) == epsilon(NAMED)
+    assert parse_word(str(epsilon(NAMED)), NAMED) == epsilon(NAMED)
 
 
 # a is a 3-cycle, so its inverse image table differs from its own.
