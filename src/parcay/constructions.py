@@ -9,7 +9,7 @@ from .errors import (BadParameters, InfiniteCayleyGraph, LoopsUnsupported,
                      NotSymmetric, Overflow)
 from .graph import ColouredGraph
 from .presentation import PartitePresentation, two_partite
-from .words import Alphabet, ClassAction, Word, parse_word
+from .words import Alphabet, ClassAction, Word, _scan, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +493,15 @@ def two_ended_word(letters, v):
 
 
 _AUTO_LETTERS = Alphabet(("s", "t"))
-_AUTO_NAMES = {"s": "sigma", "t": "tau"}
+# letter code of _AUTO_LETTERS -> (name, sign) for two_ended_word
+_AUTO_PAIRS = {1: ("sigma", 1), -1: ("sigma", -1), 2: ("tau", 1), -2: ("tau", -1)}
 
 
 def parse_auto_word(text):
     """Parse words like ``t^-3 s t s`` over s=sigma, t=tau with the grammar
-    of ``parse_word``; the letters come back reduced, as (name, sign)
-    pairs."""
-    return [(_AUTO_NAMES[name], sign)
-            for name, sign in parse_word(text, _AUTO_LETTERS).pairs()]
+    of ``parse_word``.  The letters come back as written, unreduced, as
+    (name, sign) pairs: ``t t^-1`` applies both maps."""
+    return [_AUTO_PAIRS[c] for c in _scan(text, _AUTO_LETTERS)]
 
 
 # ---------------------------------------------------------------------------

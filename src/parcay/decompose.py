@@ -337,9 +337,9 @@ def component_walks(g, darts):
     """The components of an edge set, given by one dart per edge, as walks:
     lists of darts, each leaving the vertex the one before it enters.  A
     path starts at its least end; a cycle starts at its least vertex and
-    leaves it by the least (head, dart).  Paths come first, then cycles,
-    each in order of first vertex.  None when some vertex meets more than
-    two darts (a loop meets its vertex twice)."""
+    leaves it by the least (head, dart).  Returns (paths, cycles), each in
+    order of first vertex, or None when some vertex meets more than two
+    darts (a loop meets its vertex twice)."""
     tau, inv = g.tau, g.inv
     at = {}                 # vertex -> the darts leaving it
     for d in darts:
@@ -348,7 +348,7 @@ def component_walks(g, darts):
     if any(len(out) > 2 for out in at.values()):
         return None
     ends = sorted(v for v, out in at.items() if len(out) == 1)
-    walks = []
+    paths, cycles = [], []
     for v in ends + sorted(at):
         out = at.pop(v, None)
         if out is None:
@@ -357,14 +357,14 @@ def component_walks(g, darts):
         if len(out) == 2 and (tau[out[1]], out[1]) < (tau[d], d):
             d = out[1]
         walk = [d]
+        (paths if len(out) == 1 else cycles).append(walk)
         while tau[d] in at:
             out = at.pop(tau[d])
             if len(out) == 1:
                 break
             d = out[1] if out[0] == inv[d] else out[0]
             walk.append(d)
-        walks.append(walk)
-    return walks
+    return paths, cycles
 
 
 def _class_walks(g, colouring, kind):
@@ -374,20 +374,19 @@ def _class_walks(g, colouring, kind):
     cycles of one length ("multicycle"); else None."""
     if not colouring.is_total():
         return None
-    tau, inv = g.tau, g.inv
     out = {}
     for colour, darts in colouring.colour_classes().items():
         walks = component_walks(g, darts)
         if walks is None:
             return None
-        cycles = [len(w) for w in walks if tau[w[-1]] == tau[inv[w[0]]]]
-        paths = len(walks) - len(cycles)
-        if sum(cycles) + paths != len(darts):
+        paths, cycles = walks
+        cycle_edges = sum(map(len, cycles))
+        if cycle_edges + len(paths) != len(darts):
             return None             # a path of two or more edges
         if kind != "weak" and (cycles and paths
-                               or sum(cycles) + 2 * paths != g.n):
+                               or cycle_edges + 2 * len(paths) != g.n):
             return None             # not spanning and regular
-        if kind == "multicycle" and len(set(cycles)) > 1:
+        if kind == "multicycle" and len({len(w) for w in cycles}) > 1:
             return None
         out[colour] = walks
     return out

@@ -34,13 +34,14 @@ def _colouring_presentation(g, colouring):
     classes = tuple(str(v) for v in range(g.n))
     tau, inv = g.tau, g.inv
     u_gens, i_gens, images = [], [], {}
-    for colour, walks in walks_of.items():
+    for colour, (edges, cycles) in walks_of.items():
         name = str(colour)
-        steps = [(str(tau[inv[d]]), str(tau[d])) for w in walks for d in w]
-        if tau[walks[0][-1]] == tau[inv[walks[0][0]]]:     # cycles
+        steps = [(str(tau[inv[d]]), str(tau[d]))
+                 for w in cycles or edges for d in w]
+        if cycles:
             u_gens.append(name)
             images[name] = dict(steps)
-        else:                                              # single edges
+        else:
             i_gens.append(name)
             images[name] = dict(steps + [(w, u) for u, w in steps])
     alphabet = Alphabet(tuple(sorted(u_gens)), tuple(sorted(i_gens)))

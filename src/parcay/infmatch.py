@@ -124,9 +124,10 @@ def symmetric_difference_report(m1, m2, exhaustion):
     in order of least vertex."""
     g = exhaustion.graph
     reports = []
-    for walk in component_walks(g, m1.darts ^ m2.darts):
+    paths, cycles = component_walks(g, m1.darts ^ m2.darts)
+    for i, walk in enumerate(paths + cycles):
         first, heads = g.src(walk[0]), [g.tau[d] for d in walk]
-        kind = "cycle" if heads[-1] == first else "path"
+        kind = "path" if i < len(paths) else "cycle"
         vertices = sorted(heads if kind == "cycle" else [first] + heads)
         boundary = not exhaustion.frontier.isdisjoint(vertices)
         in_m1 = [canonical(g, d) in m1.darts for d in walk]

@@ -265,6 +265,19 @@ def test_auto_word_letters_may_be_juxtaposed():
     assert parse_auto_word("(st)^-1") == [("tau", -1), ("sigma", -1)]
 
 
+def test_auto_words_keep_the_letters_as_written():
+    assert parse_auto_word("t t^-1") == [("tau", 1), ("tau", -1)]
+    assert parse_auto_word("s^2 s^-1") == [("sigma", 1)] * 2 + [("sigma", -1)]
+
+
+def test_named_tau_maps_are_mutually_inverse():
+    for n in range(-5, 6):
+        for k in range(10):
+            v = (n, k)
+            assert two_ended_auto("tau^-1", two_ended_auto("tau", v)) == v
+            assert two_ended_auto("tau", two_ended_auto("tau^-1", v)) == v
+
+
 def test_tau_inverse_is_inverse():
     for n in range(-5, 6):
         for k in range(10):

@@ -259,14 +259,18 @@ def test_component_walks_follow_the_least_neighbour_orientation(gc):
         assert (walks is None) == (max(deg.values()) > 2)
         if walks is None:
             continue
-        assert sorted(canonical(g, d) for w in walks for d in w) == darts
-        for w in walks:
+        paths, cycles = walks
+        assert sorted(canonical(g, d) for w in paths + cycles for d in w) == darts
+        for w in paths + cycles:
             assert all(g.tau[a] == g.src(b) for a, b in zip(w, w[1:]))
             first, last = g.src(w[0]), g.tau[w[-1]]
-            if first != last:
+            if w in paths:
                 assert deg[first] == deg[last] == 1 and first < last
+            else:
+                assert first == last
         if set(deg.values()) == {2}:
-            assert ([(g.src(d), d) for w in walks for d in w]
+            assert not paths
+            assert ([(g.src(d), d) for w in cycles for d in w]
                     == list(least_neighbour_successors(g, darts).items()))
 
 
