@@ -5,8 +5,10 @@ The enumeration is HLT style: rows are discovered breadth first, every
 relator of a row's class is scanned at that row and completed by definitions,
 deductions fill slots in both directions, and coincidences are merged through
 a union-find with slot merging, processed to a fixpoint before any new
-definition.  Scanning a relator at every row of its class is what realises
-the conjugation closure of the relator subgroups.
+definition.  Closing a relator at every row of its class is what realises
+the conjugation closure of the relator subgroups.  A closed walk of a power
+s^e of one letter closes s^e at every row of its s-cycle, so such a relator
+is scanned once per cycle (Holt, Eick & O'Brien, §5.1–5.2).
 
 The coset table is one flat list, ``table[row * width + slot]``, with one
 slot per letter code.  Relators are encoded once, per class, as tuples of
@@ -66,8 +68,24 @@ class CosetTable:
         slot_of = {c: s for s, c in enumerate(self.codes)}
         self.inverse = [slot_of[self.alphabet.inverse_letter(c)] for c in self.codes]
         self.images = [p.action._image[c] for c in self.codes]
-        self.relators = {x: [tuple(slot_of[c] for c in r.letters) for r in rels]
+        self.relators = {x: [tuple(map(slot_of.__getitem__, r.letters))
+                             for r in rels]
                          for x, rels in p.relators.items()}
+        # Per class with relators, its plan: one (bit, relator, power) per
+        # relator, where power is (s, e) for a power s^e of one slot s with
+        # e > 1, else None.  Per class with powers, (s, e) -> their bits.
+        self.plans, self.powers = {}, {}
+        for x, rels in self.relators.items():
+            if not rels:
+                continue
+            plan = self.plans[x] = []
+            for k, rel in enumerate(rels):
+                power = None
+                if len(rel) > 1 and rel.count(rel[0]) == len(rel):
+                    power = rel[0], len(rel)
+                    bits = self.powers.setdefault(x, {})
+                    bits[power] = bits.get(power, 0) | 1 << k
+                plan.append((1 << k, rel, power))
         self.max_rows = max_rows
         self.max_dist = max_dist
         self.parent = []
@@ -208,26 +226,53 @@ class CosetTable:
                 here = self.find(here)
         return here == start
 
+    def _mark_power(self, v, power, first, marks):
+        """The walk of s^e, ``power == (s, e)``, closes at the live row v, so
+        it closes at every row of v's s-cycle.  Record the bit of s^e in
+        ``marks`` at each row from ``first`` on that the walk passes and
+        whose class has s^e among its relators."""
+        table, parent, width, cls, powers = (self.table, self.parent, self.width,
+                                             self.cls, self.powers)
+        s, e = power
+        w = v
+        for _ in range(e - 1):
+            w = table[w * width + s]
+            if parent[w] != w:
+                w = self.find(w)
+            if w >= first and cls[w] in powers:
+                bit = powers[cls[w]].get(power)
+                if bit:
+                    marks[w] = marks.get(w, 0) | bit
+
     # -- main loop -------------------------------------------------------------
 
     def run(self, base_class=None):
+        """Enumerate from a row of ``base_class``.  A power s^e of one
+        letter is not scanned at a row that an earlier closed walk of s^e
+        passed through: that scan would change nothing."""
         p = self.p
         base_class = base_class or p.classes[0]
         base = self.new_row(base_class, 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
-        max_dist = self.max_dist
+        cls, plans, max_dist = self.cls, self.plans, self.max_dist
+        marks = {}  # row -> the bits of its relators known to close there
         idx = 0
         while idx < len(parent):
             v = idx
             idx += 1
+            done = marks.pop(v, 0)
             if parent[v] != v:
                 continue
-            for rel in self.relators[self.cls[v]]:
+            for bit, rel, power in plans.get(cls[v], ()):
+                if done & bit:
+                    continue
                 if max_dist is not None and dist[v] + len(rel) > max_dist:
                     continue
-                self.scan(v, rel)
+                closed = self.scan(v, rel)
                 if parent[v] != v:
                     break
+                if power and closed:
+                    self._mark_power(v, power, idx, marks)
             if parent[v] != v:
                 continue
             # Every definition from a row at the edge of the budget would
@@ -264,13 +309,23 @@ class CosetTable:
                 return
 
     def is_closed(self):
-        table, width = self.table, self.width
+        """Every slot of every live row is filled and every relator closes
+        at every live row of its class.  A walk of a power s^e of one
+        letter that closes here certifies s^e at the rows it passes; no
+        mark of ``run`` is trusted."""
+        table, width, cls, plans = self.table, self.width, self.cls, self.plans
+        marks = {}
         for v in self.live_rows():
             if None in table[v * width:(v + 1) * width]:
                 return False
-            for rel in self.relators[self.cls[v]]:
+            done = marks.pop(v, 0)
+            for bit, rel, power in plans.get(cls[v], ()):
+                if done & bit:
+                    continue
                 if not self.scan_closes(v, rel):
                     return False
+                if power:
+                    self._mark_power(v, power, v + 1, marks)
         return True
 
     # -- extraction -------------------------------------------------------------

@@ -76,17 +76,6 @@ class EdgeColouring:
             classes.setdefault(c, []).append(d)
         return {c: sorted(ds) for c, ds in classes.items()}
 
-    def class_degree(self, colour):
-        """Per-vertex degrees of one colour class."""
-        deg = [0] * self.graph.n
-        for d, c in self.mapping.items():
-            if c != colour:
-                continue
-            u, v = self.graph.edge_ends(d)
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def __getitem__(self, d):
         return self.mapping[canonical(self.graph, d)]
 

@@ -12,7 +12,8 @@ from parcay.decompose import EdgeColouring, maximum_matching
 from parcay.errors import NotCayleyLike, WordSyntaxError
 from parcay.graph import (ColouredGraph, _letter_for_colour, cayley_like_witness,
                           graph_alphabet, spanning_tree)
-from parcay.words import MAX_WORD_LETTERS
+from parcay.presentation import PartitePresentation
+from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
 from parcay.words import reduce as word_reduce
 
 
@@ -234,6 +235,18 @@ def doubled_graph_coverable(g, vertices):
 # by a least-neighbour walk, and the symmetric-difference report by a DFS
 # over the difference with its own degree count.
 
+def class_degree(colouring, colour):
+    """Per-vertex degrees of one colour class."""
+    deg = [0] * colouring.graph.n
+    for d, c in colouring.mapping.items():
+        if c != colour:
+            continue
+        u, v = colouring.graph.edge_ends(d)
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def bfs_class_components(g, darts):
     """Components of one colour class: list of (vertex set, edge set)."""
     adj = {}
@@ -286,7 +299,7 @@ def bfs_is_partition_friendly(g, colouring):
     if not bfs_is_weak_multicycle(g, colouring):
         return False
     for colour in colouring.colour_classes():
-        deg = colouring.class_degree(colour)
+        deg = class_degree(colouring, colour)
         if len(set(deg)) != 1 or deg[0] == 0:
             return False
     return True
@@ -296,7 +309,7 @@ def bfs_is_multicycle(g, colouring):
     if not bfs_is_partition_friendly(g, colouring):
         return False
     for colour, darts in colouring.colour_classes().items():
-        deg = colouring.class_degree(colour)
+        deg = class_degree(colouring, colour)
         if deg[0] == 1:
             continue
         lengths = {len(comp_e) for _, comp_e in bfs_class_components(g, darts)}
@@ -491,3 +504,103 @@ def positional_parse_word(text, alphabet):
     if len(groups) > 1:
         raise WordSyntaxError("unbalanced parenthesis", pos)
     return word_reduce(groups[0], alphabet)
+
+
+# Oracle for the coset enumeration: the relator loops of ``CosetTable.run``
+# and ``CosetTable.is_closed`` as they stood before a closed walk of a power
+# of one letter came to certify that power at every row it passes.  They
+# scan every relator at every row of its class.
+
+def scan_everything_run(table, base_class=None):
+    p = table.p
+    base_class = base_class or p.classes[0]
+    base = table.new_row(base_class, 0)
+    parent, slots, width, dist = table.parent, table.table, table.width, table.dist
+    max_dist = table.max_dist
+    idx = 0
+    while idx < len(parent):
+        v = idx
+        idx += 1
+        if parent[v] != v:
+            continue
+        for rel in table.relators[table.cls[v]]:
+            if max_dist is not None and dist[v] + len(rel) > max_dist:
+                continue
+            table.scan(v, rel)
+            if parent[v] != v:
+                break
+        if parent[v] != v:
+            continue
+        if max_dist is not None and dist[v] >= max_dist:
+            continue
+        row = v * width
+        for s in range(width):
+            if slots[row + s] is None:
+                table.define(v, s)
+    return table.find(base)
+
+
+def scan_everything_is_closed(table):
+    slots, width = table.table, table.width
+    for v in table.live_rows():
+        if None in slots[v * width:(v + 1) * width]:
+            return False
+        for rel in table.relators[table.cls[v]]:
+            if not table.scan_closes(v, rel):
+                return False
+    return True
+
+
+def _return_path(action, codes, start, goal):
+    """Letters of a shortest walk of the class action from start to goal."""
+    path = {start: []}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for c in codes:
+            y = action.image(c, x)
+            if y not in path:
+                path[y] = path[x] + [c]
+                queue.append(y)
+    return path[goal]
+
+
+@st.composite
+def power_presentations(draw):
+    """Small partite presentations whose classes carry powers of one letter,
+    class-fixing or class-moving, beside closed words that may use involutive
+    letters.  The class action need not be transitive."""
+    n = draw(st.integers(1, 4), label="classes")
+    classes = tuple(str(i) for i in range(n))
+    u_gens = tuple(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    i_gens = tuple(f"t{i}" for i in range(
+        draw(st.integers(0, 2)) if n % 2 == 0 else 0))
+    images = {}
+    for name in u_gens:
+        images[name] = dict(zip(classes, draw(st.permutations(classes))))
+    for name in i_gens:
+        perm = draw(st.permutations(classes))
+        images[name] = {**dict(zip(perm[::2], perm[1::2])),
+                        **dict(zip(perm[1::2], perm[::2]))}
+    alphabet = Alphabet(u_gens, i_gens)
+    action = ClassAction(alphabet, classes, images)
+    codes = alphabet.letters()
+    free = codes[:2 * len(u_gens)]
+    relators = {}
+    for x in classes:
+        rels = relators[x] = []
+        for s in draw(st.lists(st.sampled_from(free), min_size=1, max_size=3)):
+            cycle, y = 1, action.image(s, x)
+            while y != x:
+                cycle, y = cycle + 1, action.image(s, y)
+            e = cycle * draw(st.integers(1 if cycle > 1 else 2, 3))
+            rels.append(Word(alphabet, [s] * e))
+        for walk in draw(st.lists(st.lists(st.sampled_from(codes), min_size=1,
+                                           max_size=4), min_size=1, max_size=2)):
+            y = x
+            for c in walk:
+                y = action.image(c, y)
+            word = Word(alphabet, walk + _return_path(action, codes, y, x))
+            if word:
+                rels.insert(draw(st.integers(0, len(rels))), word)
+    return PartitePresentation(classes, alphabet, action, relators)

@@ -3,21 +3,23 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import action_darts, table_cayley_graph
+from conftest import (action_darts, power_presentations, scan_everything_is_closed,
+                      scan_everything_run, table_cayley_graph)
 
 from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
                                line_petersen_presentation)
-from parcay.builder import (ball_sp, build_sp, check_cover, check_relator_closure,
-                            deck_group, invariant_report, presentation_complex,
-                            presentation_graph, vertex_group_order)
+from parcay.builder import (CosetTable, ball_sp, build_sp, check_cover,
+                            check_relator_closure, deck_group, invariant_report,
+                            presentation_complex, presentation_graph,
+                            vertex_group_order)
 from parcay.constructions import (FiniteGroupTable, dihedral_group,
                                   petersen_presentation)
 from parcay.errors import Overflow
 from parcay.graph import (ColouredGraph, automorphism_group, isomorphic,
                           write_graph)
 from parcay.presentation import PartitePresentation, from_two_partite, parse
-from parcay.words import Alphabet, ClassAction, parse_word
+from parcay.words import Alphabet, ClassAction, Word, parse_word
 
 
 def one_class(u_gens, relator_texts, i_gens=()):
@@ -169,18 +171,77 @@ FREE_Z2_Z = FREE_F2 + "rel 0 : a^2\n"
 
 @pytest.mark.parametrize("make,vertices,stats", [
     (lambda: build_sp(petersen()), 10,
-     {"rows": 15, "coincidences": 5, "scans": 15}),
+     {"rows": 15, "coincidences": 5, "scans": 7}),
     (lambda: build_sp(from_two_partite(petersen_presentation(200, 3))), 400,
-     {"rows": 800, "coincidences": 400, "scans": 600}),
+     {"rows": 800, "coincidences": 400, "scans": 202}),
+    # The shape that the enumerate benchmark builds: one scan of a^799 per
+    # a-cycle, not per row.
+    (lambda: build_sp(from_two_partite(petersen_presentation(799, 3))), 1598,
+     {"rows": 3196, "coincidences": 1598, "scans": 801}),
     (lambda: ball_sp(parse(FREE_F2), 4), 161,
      {"rows": 161, "coincidences": 0, "scans": 0}),
     (lambda: ball_sp(parse(FREE_Z2_Z), 6), 190,
-     {"rows": 894, "coincidences": 0, "scans": 190}),
-], ids=["P(5,2)", "P(200,3)", "F2 ball r4", "Z2*Z ball r6"])
+     {"rows": 894, "coincidences": 0, "scans": 127}),
+], ids=["P(5,2)", "P(200,3)", "P(799,3)", "F2 ball r4", "Z2*Z ball r6"])
 def test_builder_counters_are_pinned(make, vertices, stats):
     g = make()
     assert g.n == vertices
     assert g.meta["stats"] == stats
+
+
+def _table_state(t):
+    return t.table, t.parent, t.dist, t.cls, t.coincidences, t.version
+
+
+def _run(table, run):
+    try:
+        return run(table)
+    except Overflow:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_presentations(), st.integers(1, 40) | st.just(400),
+       st.none() | st.integers(0, 8), st.data())
+def test_run_and_is_closed_match_the_scan_everything_oracle(p, max_rows, max_dist,
+                                                            data):
+    # Skipping the scans of powers that a closed walk has certified leaves
+    # the table as scanning everything leaves it, row for row, also when the
+    # row budget runs out.
+    new = CosetTable(p, max_rows=max_rows, max_dist=max_dist)
+    old = CosetTable(p, max_rows=max_rows, max_dist=max_dist)
+    assert _run(new, CosetTable.run) == _run(old, scan_everything_run)
+    assert _table_state(new) == _table_state(old)
+    assert new.scans <= old.scans
+    assert new.is_closed() == scan_everything_is_closed(new)
+    if max_dist is not None:
+        # A budgeted table before and after its fixpoint.
+        new._settle()
+        old._settle()
+        assert _table_state(new) == _table_state(old)
+        assert new.is_closed() == scan_everything_is_closed(new)
+    # The table judged against powers that were not enumerated: they close
+    # on the cycles whose length divides them, and nowhere else.
+    free = p.alphabet.letters()[:2 * len(p.alphabet.u_gens)]
+    powers = st.builds(lambda s, e: Word(p.alphabet, [s] * e),
+                       st.sampled_from(free), st.integers(2, 8))
+    more = {x: list(rels) + data.draw(st.lists(powers, max_size=2))
+            for x, rels in p.relators.items()}
+    judged = CosetTable(PartitePresentation(p.classes, p.alphabet, p.action, more))
+    judged.table, judged.parent, judged.dist, judged.cls = (
+        new.table, new.parent, new.dist, new.cls)
+    assert judged.is_closed() == scan_everything_is_closed(judged)
+
+
+def test_a_power_left_open_by_the_distance_budget_certifies_nothing():
+    # a b a c joins rows of distant distances, so one scan of a^3 that fits
+    # the budget at its row meets a definition that the budget refuses.
+    p = parse("classes: 0\ngen a : U : (0)\ngen b : U : (0)\ngen c : U : (0)\n"
+              "rel 0 : a b a c, a^3\n")
+    new, old = CosetTable(p, max_dist=7), CosetTable(p, max_dist=7)
+    assert new.run() == scan_everything_run(old)
+    assert _table_state(new) == _table_state(old)
+    assert new.scans < old.scans
 
 
 # -- ball_sp ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
                       bfs_is_weak_multicycle, brute_force_max_matching_size,
-                      complete_graph, cycle_graph, least_neighbour_successors,
-                      multigraph_colourings, random_graph)
+                      class_degree, complete_graph, cycle_graph,
+                      least_neighbour_successors, multigraph_colourings,
+                      random_graph)
 
 from parcay.constructions import (cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
@@ -306,7 +307,7 @@ def test_kn_permutations(n):
     for colour, perm in f.perms.items():
         assert sorted(perm) == list(range(n))
         assert all(perm[i] != i for i in range(n))
-        degs = f.colouring.class_degree(colour)
+        degs = class_degree(f.colouring, colour)
         if degs[0] == 1:
             assert all(perm[perm[i]] == i for i in range(n))
 

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (bfs_is_partition_friendly, complete_graph, cycle_graph,
-                      least_neighbour_successors, multigraph_colourings)
+from conftest import (bfs_is_partition_friendly, class_degree, complete_graph,
+                      cycle_graph, least_neighbour_successors,
+                      multigraph_colourings)
 
 from parcay.acceptance import roundtrip_corpus
 from parcay.builder import build_sp, presentation_graph
@@ -259,9 +260,9 @@ def test_extracted_generators_follow_the_least_neighbour_orientation(gc):
     p = _colouring_presentation(g, c)
     classes = c.colour_classes()
     assert p.alphabet.u_gens == tuple(
-        sorted(x for x in classes if c.class_degree(x)[0] == 2))
+        sorted(x for x in classes if class_degree(c, x)[0] == 2))
     assert p.alphabet.i_gens == tuple(
-        sorted(x for x in classes if c.class_degree(x)[0] == 1))
+        sorted(x for x in classes if class_degree(c, x)[0] == 1))
     for colour, darts in classes.items():
         table = p.action.table(colour)
         if colour in p.alphabet.u_gens:
