@@ -23,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BallRejected, Overflow
-from .graph import (ColouredGraph, alphabet_graph, dart_bijections,
-                    dictated_walk, graph_maps)
+from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_graph,
+                    dart_bijections, graph_maps)
 
 DEFAULT_MAX_ROWS = 1_000_000
 
@@ -46,11 +46,11 @@ class PresentationComplex:
 
 def presentation_complex(p):
     g = presentation_graph(p)
-    cells = []
-    for x, r in p.all_relators():
-        walk = dictated_walk(g, g.vertex(x), r)
-        cells.append((x, r, walk.darts))
-    return PresentationComplex(g, cells)
+    relators = list(p.all_relators())
+    table = _witness(g) if relators else None
+    return PresentationComplex(g, [
+        (x, r, tuple(_dictated_darts(g, table, g.vertex(x), r)))
+        for x, r in relators])
 
 
 class CosetTable:
@@ -433,9 +433,12 @@ def check_cover(sp, p):
 
 
 def check_relator_closure(sp, p):
+    table = None                # the Cayley-like table, at the first relator
     for v in range(sp.n):
         for r in p.relators[sp.classes[v]]:
-            if not dictated_walk(sp, v, r).is_closed():
+            table = table or _witness(sp)
+            darts = _dictated_darts(sp, table, v, r)
+            if darts and sp.tau[darts[-1]] != v:
                 return False
     return True
 
@@ -498,11 +501,11 @@ def invariant_report(p, sp=None, tp_s1=None):
 # Symmetry of the presentation complex as a vertex-transitivity certificate.
 
 
-def _cell_canonical(graph, darts):
+def _cell_canonical(darts):
     """Boundary walk up to rotation and reversal."""
     views = []
     n = len(darts)
-    rev = tuple(graph.inv[d] for d in reversed(darts))
+    rev = tuple(d ^ 1 for d in reversed(darts))
     for seq in (tuple(darts), rev):
         for k in range(n):
             views.append(seq[k:] + seq[:k])
@@ -515,14 +518,14 @@ def presentation_symmetry_implies_vt(p):
     partite Cayley graph is vertex transitive; absence proves nothing."""
     complex_ = presentation_complex(p)
     g = complex_.graph
-    cell_counter = Counter(_cell_canonical(g, darts)
+    cell_counter = Counter(_cell_canonical(darts)
                            for _, _, darts in complex_.cells)
     witnesses = []
     # Every (vertex map, dart map) automorphism of the presentation graph,
     # ignoring colours, one witness per pair that preserves the cells.
     for vmap in graph_maps(g, g):
         for dmap in dart_bijections(g, g, vmap):
-            image = Counter(_cell_canonical(g, tuple(dmap[d] for d in darts))
+            image = Counter(_cell_canonical(tuple(dmap[d] for d in darts))
                             for _, _, darts in complex_.cells)
             if image == cell_counter:
                 witnesses.append(vmap)

@@ -90,40 +90,8 @@ def cmd_ball(args):
 def _read_coloured_graph(path):
     """Graph file whose edge lines may carry a decomposition colour as a
     final extra column ('-' stands for an absent base colour)."""
-    g_lines = []
-    decomp = []
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line.startswith("edge "):
-            g_lines.append(raw)
-            continue
-        parts = line.split()
-        if len(parts) == 5:
-            base = "" if parts[3] == "-" else f" {parts[3]}"
-            g_lines.append(f"edge {parts[1]} {parts[2]}{base}")
-            decomp.append(parts[4])
-        else:
-            g_lines.append(raw)
-            decomp.append(None)
-    g = read_graph("\n".join(g_lines))
-    if any(c is not None for c in decomp):
-        mapping = dict(zip(sorted(g.edges()), decomp))
-        if None in mapping.values():
-            raise ParcayError("some edge lines are missing the colour column")
-        return g, EdgeColouring(g, mapping)
-    return g, None
-
-
-def _write_coloured(g, colouring):
-    lines = []
-    for raw in write_graph(g).splitlines():
-        if raw.startswith("edge "):
-            break
-        lines.append(raw)
-    for d in sorted(g.edges()):
-        base = g.colour[d] if g.colour[d] is not None else "-"
-        lines.append(f"edge {g.src(d)} {g.tau[d]} {base} {colouring[d]}")
-    return "\n".join(lines) + "\n"
+    g, colours = read_graph(_read(path), coloured=True)
+    return g, None if colours is None else EdgeColouring(g, colours)
 
 
 def cmd_decompose(args):
@@ -138,7 +106,7 @@ def cmd_decompose(args):
         print(f"{args.check}: {verdict}")
         return 0 if verdict else 1
     colouring = weak_multicycle_colouring(g)
-    _emit(_write_coloured(g, colouring), args.out)
+    _emit(write_graph(g, colouring), args.out)
     return 0
 
 

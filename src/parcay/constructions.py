@@ -19,23 +19,19 @@ from .words import Alphabet, ClassAction, Word, _scan, parse_word
 def cycle_graph(n):
     """The n-cycle on vertices named 0..n-1 (n = 2 gives a doubled edge,
     n = 1 a loop)."""
-    g = ColouredGraph()
+    tau = []
     for i in range(n):
-        g.add_vertex(name=i)
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
-    return g
+        tau += ((i + 1) % n, i)
+    return ColouredGraph(n, tau, names=list(range(n)))
 
 
 def complete_graph(n):
     """K_n on vertices named 0..n-1."""
-    g = ColouredGraph()
-    for i in range(n):
-        g.add_vertex(name=i)
+    tau = []
     for i in range(n):
         for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
+            tau += (j, i)
+    return ColouredGraph(n, tau, names=list(range(n)))
 
 
 def generalized_petersen(n, k):
@@ -222,16 +218,14 @@ def line_graph(g):
     joined by a parallel pair)."""
     if any(g.is_loop(d) for d in g.edges()):
         raise LoopsUnsupported("line graphs of graphs with loops are not supported")
-    lg = ColouredGraph()
-    index = {}
-    for d in g.edges():
-        index[d] = lg.add_vertex(name=tuple(sorted(g.edge_ends(d))))
+    tau = []                    # edge d of g is vertex d >> 1
     for v in range(g.n):
-        incident = sorted({min(d, g.inv[d]) for d in g.out_darts(v)})
-        for i, d in enumerate(incident):
-            for e in incident[i + 1:]:
-                lg.add_edge(index[d], index[e])
-    return lg
+        incident = sorted({d >> 1 for d in g.out_darts(v)})
+        for i, a in enumerate(incident):
+            for b in incident[i + 1:]:
+                tau += (b, a)
+    return ColouredGraph(g.n_edges, tau, names=[
+        tuple(sorted(g.edge_ends(d))) for d in g.edges()])
 
 
 # ---------------------------------------------------------------------------

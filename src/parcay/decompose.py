@@ -17,7 +17,8 @@ from .graph import ColouredGraph
 
 
 def canonical(g, d):
-    return min(d, g.inv[d])
+    """The even dart of d's pair, which stands for its undirected edge."""
+    return d & ~1
 
 
 class Matching:
@@ -25,7 +26,7 @@ class Matching:
 
     def __init__(self, graph, darts=()):
         self.graph = graph
-        self.darts = frozenset(canonical(graph, d) for d in darts)
+        self.darts = frozenset(d & ~1 for d in darts)
         seen = set()
         for d in self.darts:
             u, v = graph.edge_ends(d)
@@ -53,19 +54,13 @@ class Matching:
     def __iter__(self):
         return iter(sorted(self.darts))
 
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.darts == other.darts
-
-    def __hash__(self):
-        return hash(self.darts)
-
 
 class EdgeColouring:
     """Total map from undirected edges (canonical darts) to colours."""
 
     def __init__(self, graph, mapping):
         self.graph = graph
-        self.mapping = {canonical(graph, d): c for d, c in mapping.items()}
+        self.mapping = {d & ~1: c for d, c in mapping.items()}
 
     def is_total(self):
         return set(self.mapping) == set(self.graph.edges())
@@ -77,7 +72,7 @@ class EdgeColouring:
         return {c: sorted(ds) for c, ds in classes.items()}
 
     def __getitem__(self, d):
-        return self.mapping[canonical(self.graph, d)]
+        return self.mapping[d & ~1]
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +85,10 @@ def euler_orientation(g):
         if g.degree(v) % 2:
             raise OddDegree(v)
     ptr = [0] * g.n
-    used = set()
+    used = bytearray(g.n_edges)     # per edge, indexed by dart >> 1
     orientation = []
     for start in range(g.n):
-        if all(canonical(g, d) in used for d in g.out_darts(start)):
+        if all(used[d >> 1] for d in g.out_darts(start)):
             continue
         stack_v = [start]
         stack_d = []
@@ -104,8 +99,8 @@ def euler_orientation(g):
             while ptr[v] < len(out):
                 d = out[ptr[v]]
                 ptr[v] += 1
-                if canonical(g, d) not in used:
-                    used.add(canonical(g, d))
+                if not used[d >> 1]:
+                    used[d >> 1] = 1
                     found = d
                     break
             if found is None:
@@ -215,7 +210,7 @@ def _maximum_mates(g):
 def _matching_of(g, match):
     """The Matching pairing each v with match[v], on the least edge joining
     them."""
-    return Matching(g, [min(canonical(g, d) for d in g.out_darts(v)
+    return Matching(g, [min(d & ~1 for d in g.out_darts(v)
                             if g.tau[d] == w)
                         for v, w in enumerate(match) if w > v])
 
@@ -270,8 +265,7 @@ def two_factor(g, edge_darts=None):
     sub = g.subgraph_edges(pool)
     orientation = euler_orientation(sub)
     origin = sub.meta["origin"]
-    edges = [(sub.src(d), sub.tau[d], origin[canonical(sub, d)])
-             for d in orientation]
+    edges = [(sub.src(d), sub.tau[d], origin[d & ~1]) for d in orientation]
     match_left = _bipartite_perfect_matching(g.n, g.n, edges)
     if any(m == -1 for m in match_left):
         raise NotEvenRegular("bipartite split has no perfect matching")
@@ -329,11 +323,11 @@ def component_walks(g, darts):
     leaves it by the least (head, dart).  Returns (paths, cycles), each in
     order of first vertex, or None when some vertex meets more than two
     darts (a loop meets its vertex twice)."""
-    tau, inv = g.tau, g.inv
+    tau = g.tau
     at = {}                 # vertex -> the darts leaving it
     for d in darts:
-        at.setdefault(tau[inv[d]], []).append(d)
-        at.setdefault(tau[d], []).append(inv[d])
+        at.setdefault(tau[d ^ 1], []).append(d)
+        at.setdefault(tau[d], []).append(d ^ 1)
     if any(len(out) > 2 for out in at.values()):
         return None
     ends = sorted(v for v, out in at.items() if len(out) == 1)
@@ -351,7 +345,7 @@ def component_walks(g, darts):
             out = at.pop(tau[d])
             if len(out) == 1:
                 break
-            d = out[1] if out[0] == inv[d] else out[0]
+            d = out[1] if out[0] == d ^ 1 else out[0]
             walk.append(d)
     return paths, cycles
 

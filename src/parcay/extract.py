@@ -32,11 +32,11 @@ def _colouring_presentation(g, colouring):
         raise NotPartitionFriendly(
             "the colouring is not a partition-friendly weak multicycle colouring")
     classes = tuple(str(v) for v in range(g.n))
-    tau, inv = g.tau, g.inv
+    tau = g.tau
     u_gens, i_gens, images = [], [], {}
     for colour, (edges, cycles) in walks_of.items():
         name = str(colour)
-        steps = [(str(tau[inv[d]]), str(tau[d]))
+        steps = [(str(tau[d ^ 1]), str(tau[d]))
                  for w in cycles or edges for d in w]
         if cycles:
             u_gens.append(name)

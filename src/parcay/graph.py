@@ -1,16 +1,19 @@
 """Graphs with directed darts, a fixed-point-free involution and a terminus
 map, plus optional dart colours and vertex class labels.
 
-A dart is an index; ``inv`` pairs each dart with its reverse and ``tau``
-gives its head.  An undirected edge is a dart orbit under ``inv``; loops are
-dart pairs with both termini equal and contribute 2 to the degree.
-Multi-edges are simply repeated dart pairs, so the model is a multigraph.
+Darts come in pairs: an undirected edge is the dart pair (2i, 2i + 1), so
+the reverse of dart d is ``d ^ 1`` and ``tau`` gives each dart's head.  The
+even dart of a pair is the edge's canonical dart, so ``edges()`` are the
+even darts, and the source of d is ``tau[d ^ 1]``.  Loops are dart pairs
+with both termini equal and contribute 2 to the degree.  Multi-edges are
+simply repeated dart pairs, so the model is a multigraph.
 
-``ColouredGraph`` keeps one index, vertex -> out-darts in dart order.  Darts
-are only ever added through ``add_edge``, which appends each new dart to the
-index of its source, so ``degree``, ``out_darts`` and ``neighbours`` cost
-O(deg) and a connectivity search costs O(darts it reaches).  Routines that
-walk out of a vertex read this index, and its dart order keeps their
+A graph is built in one pass from flat lists (a vertex count, ``tau`` and
+the dart colours), or by hand with ``add_vertex`` and ``add_edge``, which
+appends one dart pair.  ``ColouredGraph`` keeps one index, vertex ->
+out-darts in dart order, so ``degree``, ``out_darts`` and ``neighbours``
+cost O(deg) and a connectivity search costs O(darts it reaches).  Routines
+that walk out of a vertex read this index, and its dart order keeps their
 traversals, and so their outputs, deterministic.
 """
 
@@ -25,17 +28,26 @@ from .words import Alphabet, reduce as word_reduce
 
 
 class ColouredGraph:
+    """``ColouredGraph(n, tau, colour, names, classes, colour_inv)`` takes
+    the lists it is given, not copies: ``tau`` and ``colour`` (default: no
+    colours) per dart, ``names`` and ``classes`` (default: None) per vertex,
+    and ``colour_inv``, colour -> inverse colour, total on the colours
+    used.  ``ColouredGraph()`` is the empty graph."""
 
-    def __init__(self):
-        self.n = 0
-        self.names = []          # optional per-vertex name (any hashable)
-        self.classes = []        # optional per-vertex class label
-        self.tau = []            # dart -> head vertex
-        self.inv = []            # dart -> reverse dart
-        self.colour = []         # dart -> colour string or None
-        self.colour_inv = {}     # colour -> inverse colour (total on used colours)
-        self._out = []           # vertex -> out-darts in dart order
-        self._name_index = {}
+    def __init__(self, n=0, tau=None, colour=None, names=None, classes=None,
+                 colour_inv=None):
+        self.n = n
+        self.tau = [] if tau is None else tau
+        self.colour = [None] * len(self.tau) if colour is None else colour
+        self.names = [None] * n if names is None else names
+        self.classes = [None] * n if classes is None else classes
+        self.colour_inv = {} if colour_inv is None else colour_inv
+        out, tau = [[] for _ in range(n)], self.tau
+        for d in range(len(tau)):       # to each source, in dart order
+            out[tau[d ^ 1]].append(d)
+        self._out = out
+        self._name_index = {name: v for v, name in enumerate(self.names)
+                            if name is not None}
         self.meta = {}
 
     # -- construction -------------------------------------------------------
@@ -68,12 +80,10 @@ class ColouredGraph:
             colour_rev = self.colour_inv.get(colour) if colour is not None else None
         out_u, out_v = self._out[u], self._out[v]
         d = len(self.tau)
-        r = d + 1   # one int object shared by inv and the index
         self.tau += [v, u]
-        self.inv += [r, d]
         self.colour += [colour, colour_rev]
         out_u.append(d)
-        out_v.append(r)
+        out_v.append(d + 1)
         return d
 
     # -- basic queries -------------------------------------------------------
@@ -87,10 +97,10 @@ class ColouredGraph:
         return len(self.tau) // 2
 
     def src(self, d):
-        return self.tau[self.inv[d]]
+        return self.tau[d ^ 1]
 
     def is_loop(self, d):
-        return self.tau[d] == self.tau[self.inv[d]]
+        return self.tau[d] == self.tau[d ^ 1]
 
     def degree(self, v):
         return len(self._out[v])
@@ -101,11 +111,11 @@ class ColouredGraph:
         return self._out[v]
 
     def edges(self):
-        """One canonical dart per undirected edge."""
-        return [d for d in range(self.n_darts) if d < self.inv[d]]
+        """One canonical dart per undirected edge: the even darts."""
+        return list(range(0, len(self.tau), 2))
 
     def edge_ends(self, d):
-        return self.src(d), self.tau[d]
+        return self.tau[d ^ 1], self.tau[d]
 
     def neighbours(self, v):
         return sorted({self.tau[d] for d in self._out[v]})
@@ -137,22 +147,24 @@ class ColouredGraph:
         return dict(sizes)
 
     def subgraph_edges(self, darts):
-        """Subgraph on the same vertex set induced by the given canonical
-        darts.  Each new edge remembers its origin in ``meta['origin']``."""
-        sub = ColouredGraph()
-        for v in range(self.n):
-            sub.add_vertex(self.names[v], self.classes[v])
-        sub.colour_inv = dict(self.colour_inv)
-        origin = {}
+        """Subgraph on the same vertex set with one edge per given dart,
+        oriented as that dart.  Each new edge remembers its origin, a
+        canonical dart of this graph, in ``meta['origin']``."""
+        tau, colour = self.tau, self.colour
+        sub_tau, sub_colour, origin = [], [], {}
         for d in darts:
-            nd = sub.add_edge(self.src(d), self.tau[d], self.colour[d],
-                              self.colour[self.inv[d]])
-            origin[nd] = min(d, self.inv[d])
+            origin[len(sub_tau)] = d & ~1
+            sub_tau += (tau[d], tau[d ^ 1])
+            sub_colour += (colour[d], colour[d ^ 1])
+        sub = ColouredGraph(self.n, sub_tau, sub_colour, list(self.names),
+                            list(self.classes), dict(self.colour_inv))
         sub.meta["origin"] = origin
         return sub
 
     def copy(self):
-        g = self.subgraph_edges(self.edges())
+        g = ColouredGraph(self.n, list(self.tau), list(self.colour),
+                          list(self.names), list(self.classes),
+                          dict(self.colour_inv))
         g.meta = dict(self.meta)
         g.meta.pop("origin", None)
         return g
@@ -172,16 +184,40 @@ def cayley_like_witness(g):
         if g.colour_inv.get(c) not in colours:
             return None
     table = [dict() for _ in range(g.n)]
-    for d in range(g.n_darts):
-        if g.colour[g.inv[d]] != g.colour_inv[g.colour[d]]:
+    tau, colour, colour_inv = g.tau, g.colour, g.colour_inv
+    for d, c in enumerate(colour):
+        if colour[d ^ 1] != colour_inv[c]:
             return None
-        v = g.src(d)
-        if g.colour[d] in table[v]:
+        out = table[tau[d ^ 1]]
+        if c in out:
             return None
-        table[v][g.colour[d]] = d
+        out[c] = d
     if any(len(t) != len(colours) for t in table):
         return None
     return table
+
+
+def _witness(g):
+    """``cayley_like_witness(g)``, raising NotCayleyLike in place of None."""
+    table = cayley_like_witness(g)
+    if table is None:
+        raise NotCayleyLike("graph colouring is not Cayley-like")
+    return table
+
+
+def _dictated_darts(g, table, v, word):
+    """The darts of the walk from v along the word's letters, read from a
+    ``cayley_like_witness`` table of g."""
+    colour_of = word.alphabet.colour_of
+    darts = []
+    for code in word.letters:
+        colour = colour_of(code)
+        d = table[v].get(colour)
+        if d is None:
+            raise NotCayleyLike(f"no outgoing dart coloured {colour!r} at {v}")
+        darts.append(d)
+        v = g.tau[d]
+    return darts
 
 
 class Walk:
@@ -198,21 +234,12 @@ class Walk:
             v = graph.tau[d]
         self.end = v
 
-    def vertices(self):
-        out = [self.start]
-        for d in self.darts:
-            out.append(self.graph.tau[d])
-        return out
-
     def is_closed(self):
         return self.start == self.end
 
     def __eq__(self, other):
         return (isinstance(other, Walk) and self.graph is other.graph
                 and self.start == other.start and self.darts == other.darts)
-
-    def __len__(self):
-        return len(self.darts)
 
 
 def graph_alphabet(g):
@@ -242,31 +269,33 @@ def alphabet_graph(alphabet, targets, names, classes, order=None):
     coloured by its letter and the inverse letter; an involutive generator
     adds one edge per pair, at the pair's first visited point.  Free edges
     come before involutive ones, each point's in alphabet order."""
-    g = ColouredGraph()
-    for name, cls in zip(names, classes):
-        g.add_vertex(name, cls)
-    order = range(g.n) if order is None else order
-    free, involutive = [], []
+    n = len(names)
+    order = range(n) if order is None else order
+    colour_inv, free, involutive = {}, [], []
     for name in alphabet.names:
         code = alphabet.code(name)
         colour, inverse = alphabet.colour_of(code), alphabet.colour_of(-code)
-        g.declare_colour(colour, inverse)
+        colour_inv[colour], colour_inv[inverse] = inverse, colour
         kind = involutive if alphabet.is_involution(code) else free
-        kind.append((targets[name], colour, inverse))
+        kind.append((targets[name], (colour, inverse)))
+    tau, dart_colour = [], []
     for v in order:
-        for image, colour, inverse in free:
+        for image, colours in free:
             w = image[v]
             if w is not None:
-                g.add_edge(v, w, colour, inverse)
-    rank = [0] * g.n
+                tau += (w, v)
+                dart_colour += colours
+    rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
     for v in order:
-        for image, colour, _ in involutive:
+        for image, colours in involutive:
             w = image[v]
             if w is not None and rank[v] <= rank[w]:
-                g.add_edge(v, w, colour, colour)
-    return g
+                tau += (w, v)
+                dart_colour += colours
+    return ColouredGraph(n, tau, dart_colour, list(names), list(classes),
+                         colour_inv)
 
 
 def _letter_for_colour(alphabet, g, colour):
@@ -278,9 +307,7 @@ def _letter_for_colour(alphabet, g, colour):
 
 def walk_word(g, walk, alphabet=None):
     """The reduced word read off a walk's dart colours."""
-    witness = cayley_like_witness(g)
-    if witness is None:
-        raise NotCayleyLike("graph colouring is not Cayley-like")
+    _witness(g)
     alphabet = alphabet or graph_alphabet(g)
     return word_reduce([_letter_for_colour(alphabet, g, g.colour[d])
                         for d in walk.darts], alphabet)
@@ -288,20 +315,7 @@ def walk_word(g, walk, alphabet=None):
 
 def dictated_walk(g, v, word):
     """Walk from v following the word's letters (first letter first)."""
-    witness = cayley_like_witness(g)
-    if witness is None:
-        raise NotCayleyLike("graph colouring is not Cayley-like")
-    alphabet = word.alphabet
-    darts = []
-    here = v
-    for code in word.letters:
-        colour = alphabet.colour_of(code)
-        d = witness[here].get(colour)
-        if d is None:
-            raise NotCayleyLike(f"no outgoing dart coloured {colour!r} at {here}")
-        darts.append(d)
-        here = g.tau[d]
-    return Walk(g, v, darts)
+    return Walk(g, v, _dictated_darts(g, _witness(g), v, word))
 
 
 def spanning_tree(g, base):
@@ -331,9 +345,7 @@ def fundamental_cycle_words(g, base, alphabet=None):
     BFS tree.  Its walk runs from ``base`` down the tree to u, across the
     edge and back up; both ends climb by parent darts to their lowest
     common ancestor, then on to ``base``, so no root path is stored."""
-    witness = cayley_like_witness(g)
-    if witness is None:
-        raise NotCayleyLike("graph colouring is not Cayley-like")
+    _witness(g)
     alphabet = alphabet or graph_alphabet(g)
     parent, order = spanning_tree(g, base)
     letter = [_letter_for_colour(alphabet, g, c) for c in g.colour]
@@ -344,7 +356,7 @@ def fundamental_cycle_words(g, base, alphabet=None):
     out = []
     for d in g.edges():
         u, w = g.src(d), g.tau[d]
-        if parent[w] == d or parent[u] == g.inv[d]:
+        if parent[w] == d or parent[u] == d ^ 1:
             continue
         down, up = [letter[d]], []   # the word's two halves, down reversed
         while u != w:                # up to the lowest common ancestor
@@ -446,18 +458,18 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False):
 
 def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
     """Yield every dart bijection from g to h over the vertex bijection
-    ``vmap`` that commutes with inv and passes ``colour_ok`` on both darts of
-    each edge.  Parallel bundles are assigned by backtracking, with an
-    explicit stack of one level per edge; a loop may map to either
+    ``vmap`` that commutes with dart reversal and passes ``colour_ok`` on
+    both darts of each edge.  Parallel bundles are assigned by backtracking,
+    with an explicit stack of one level per edge; a loop may map to either
     orientation of its image."""
     order = g.edges()
     candidates = []
     for d in order:
-        a, b, rev = vmap[g.src(d)], vmap[g.tau[d]], g.inv[d]
+        a, b = vmap[g.src(d)], vmap[g.tau[d]]
         candidates.append([
             e for e in h.out_darts(a)
             if h.tau[e] == b and colour_ok(g.colour[d], h.colour[e])
-            and colour_ok(g.colour[rev], h.colour[h.inv[e]])])
+            and colour_ok(g.colour[d ^ 1], h.colour[e ^ 1])])
     if not order:
         yield {}
         return
@@ -466,19 +478,19 @@ def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
     while stack:
         if len(chosen) == len(stack):   # retract this level's last choice
             e = chosen.pop()
-            used.difference_update((e, h.inv[e]))
+            used.difference_update((e, e ^ 1))
         e = next((e for e in stack[-1] if e not in used), None)
         if e is None:
             stack.pop()
             continue
         chosen.append(e)
-        used.update((e, h.inv[e]))
+        used.update((e, e ^ 1))
         if len(chosen) < len(order):
             stack.append(iter(candidates[len(chosen)]))
         else:
             dmap = {}
             for d, e in zip(order, chosen):
-                dmap[d], dmap[g.inv[d]] = e, h.inv[e]
+                dmap[d], dmap[d ^ 1] = e, e ^ 1
             yield dmap
 
 
@@ -594,7 +606,10 @@ def is_cayley(g):
 # Text exchange format and DOT export.
 
 
-def write_graph(g):
+def write_graph(g, colouring=None):
+    """The text exchange format.  With a ``colouring`` (canonical dart ->
+    colour), every edge line ends in the edge's base colour, '-' for none,
+    and its colour in the colouring."""
     lines = [f"vertices {g.n}"]
     seen = set()
     for c in sorted(k for k in g.colour_inv if k is not None):
@@ -608,10 +623,14 @@ def write_graph(g):
     for v in range(g.n):
         if g.classes[v] is not None:
             lines.append(f"class {v} {g.classes[v]}")
-    for d in sorted(g.edges()):
-        colour = g.colour[d]
-        tail = f" {colour}" if colour is not None else ""
-        lines.append(f"edge {g.src(d)} {g.tau[d]}{tail}")
+    tau, colour = g.tau, g.colour
+    for d in range(0, len(tau), 2):
+        c = colour[d]
+        if colouring is not None:
+            tail = f" {'-' if c is None else c} {colouring[d]}"
+        else:
+            tail = "" if c is None else f" {c}"
+        lines.append(f"edge {tau[d ^ 1]} {tau[d]}{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -632,38 +651,57 @@ def _graph_number(token, lineno, bound=None):
     return value
 
 
-def read_graph(text):
-    """Parse the text exchange format.  Malformed input raises
-    ``GraphSyntaxError`` with the line number."""
-    g = ColouredGraph()
-    declared = False
+def read_graph(text, coloured=False):
+    """Parse the text exchange format.  An edge whose colour has no
+    ``colour`` line before it is self-inverse.  With ``coloured``, an edge
+    line may end in one more field, its colour in a colouring, after a base
+    colour that is '-' for none; the result is then ``(g, colouring)``, with
+    ``colouring`` canonical dart -> colour, or None when no edge line has
+    the field.  Malformed input raises ``GraphSyntaxError`` with the line
+    number."""
+    n, classes, tau, dart_colour, colour_inv, column = None, [], [], [], {}, []
+    fields_of = dict(_GRAPH_FIELDS, edge=(2, 4)) if coloured else _GRAPH_FIELDS
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kind, *fields = line.split()
-        if kind not in _GRAPH_FIELDS:
+        if kind not in fields_of:
             raise GraphSyntaxError(f"unknown graph line {line!r}", lineno)
-        fewest, most = _GRAPH_FIELDS[kind]
+        fewest, most = fields_of[kind]
         if not fewest <= len(fields) <= most:
             raise GraphSyntaxError(f"wrong number of fields in {line!r}", lineno)
         if kind == "vertices":
-            if declared:
+            if n is not None:
                 raise GraphSyntaxError("repeated 'vertices' line", lineno)
-            declared = True
-            for _ in range(_graph_number(fields[0], lineno)):
-                g.add_vertex()
+            n = _graph_number(fields[0], lineno)
+            classes = [None] * n
         elif kind == "colour":
-            g.declare_colour(*fields)
-        elif not declared:
+            colour_inv[fields[0]], colour_inv[fields[-1]] = fields[-1], fields[0]
+        elif n is None:
             raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
                                    lineno)
         elif kind == "class":
-            g.classes[_graph_number(fields[0], lineno, g.n)] = fields[1]
+            classes[_graph_number(fields[0], lineno, n)] = fields[1]
         else:
-            g.add_edge(_graph_number(fields[0], lineno, g.n),
-                       _graph_number(fields[1], lineno, g.n), *fields[2:])
-    return g
+            u = _graph_number(fields[0], lineno, n)
+            v = _graph_number(fields[1], lineno, n)
+            c = fields[2] if len(fields) > 2 else None
+            if len(fields) == 4:
+                c = None if c == "-" else c
+                column.append(fields[3])
+            elif coloured:
+                column.append(None)
+            tau += (v, u)
+            dart_colour += (c, None if c is None else colour_inv.setdefault(c, c))
+    g = ColouredGraph(n or 0, tau, dart_colour, None, classes, colour_inv)
+    if not coloured:
+        return g
+    if all(c is None for c in column):
+        return g, None
+    if None in column:
+        raise GraphSyntaxError("some edge lines are missing the colour column")
+    return g, dict(zip(range(0, len(tau), 2), column))
 
 
 _DOT_PALETTE = ["red", "blue", "forestgreen", "orange", "purple", "brown",
@@ -686,7 +724,7 @@ def to_dot(g):
         if g.classes[v] is not None:
             shape = f' xlabel="{g.classes[v]}"'
         lines.append(f'  {v} [label="{label}"{shape}];')
-    for d in sorted(g.edges()):
+    for d in g.edges():
         c = g.colour[d]
         attr = f' [color={pen[c]} label="{c}"]' if c is not None else ""
         lines.append(f"  {g.src(d)} -- {g.tau[d]}{attr};")

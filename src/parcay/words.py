@@ -141,10 +141,6 @@ class Word:
     def __mul__(self, other):
         return reduce(self.letters + other.letters, self.alphabet)
 
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        return reduce(base.letters * abs(n), self.alphabet)
-
     def inverse(self):
         inverse = self.alphabet._inverse
         return Word(self.alphabet, tuple([inverse[c] for c in reversed(self.letters)]),

@@ -51,7 +51,7 @@ def random_connected_graph(n, p, seed):
 
 def scan_out_darts(g, v):
     """Independent oracle: the darts leaving v, by a scan of every dart."""
-    return {d for d in range(g.n_darts) if g.tau[g.inv[d]] == v}
+    return {d for d in range(g.n_darts) if g.tau[d ^ 1] == v}
 
 
 def scan_connected(g, vertices):
@@ -65,7 +65,7 @@ def scan_connected(g, vertices):
         return v
 
     for d in range(g.n_darts):
-        u, w = g.tau[g.inv[d]], g.tau[d]
+        u, w = g.tau[d ^ 1], g.tau[d]
         if u in parent and w in parent:
             parent[find(u)] = find(w)
     return len({find(v) for v in parent}) <= 1
@@ -76,7 +76,7 @@ def brute_force_automorphisms(g, colour_preserving=False):
     of darts (source, head and, if asked, colour) onto itself, in
     lexicographic order."""
     def darts(p):
-        return Counter((p[g.tau[g.inv[d]]], p[g.tau[d]],
+        return Counter((p[g.tau[d ^ 1]], p[g.tau[d]],
                         g.colour[d] if colour_preserving else None)
                        for d in range(g.n_darts))
 
@@ -105,7 +105,7 @@ def root_path_cycle_words(g, base, alphabet=None):
         return path_letters[v]
 
     tree_darts = {d for d in parent if d is not None}
-    tree_darts |= {g.inv[d] for d in tree_darts}
+    tree_darts |= {d ^ 1 for d in tree_darts}
     out = []
     for d in g.edges():
         if d in tree_darts:
@@ -321,7 +321,7 @@ def bfs_is_multicycle(g, colouring):
 def least_neighbour_successors(g, darts):
     """Orientation of a class of cycles: the successor dart per vertex, each
     cycle traversed from its least vertex toward its least (head, dart)."""
-    free = set(darts) | {g.inv[d] for d in darts}
+    free = set(darts) | {d ^ 1 for d in darts}
     succ = {}
     for start in sorted({g.src(d) for d in free}):
         here = start
@@ -329,7 +329,7 @@ def least_neighbour_successors(g, darts):
             e = min((x for x in g.out_darts(here) if x in free),
                     key=lambda x: (g.tau[x], x))
             succ[here] = e
-            free -= {e, g.inv[e]}
+            free -= {e, e ^ 1}
             here = g.tau[e]
     return succ
 

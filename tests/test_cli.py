@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from parcay.cli import main
-from parcay.constructions import cycle_graph
+from parcay.constructions import (complete_graph, cycle_graph,
+                                  generalized_petersen)
+from parcay.decompose import weak_multicycle_colouring
 from parcay.graph import write_graph
 
 PETERSEN = """\
@@ -193,3 +202,49 @@ def test_output_is_byte_identical_across_runs(pp, tmp_path):
     main(["build", str(pp), "-o", str(a)])
     main(["build", str(pp), "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _coloured_text(g):
+    return write_graph(g, weak_multicycle_colouring(g))
+
+
+# Coloured graph texts to mutate: K4 with a matching colour and uncoloured
+# base edges, P(5,2) with base colours, and a hand-written text with a
+# loop, a declared colour pair and the '-' placeholder.
+COLOURED_MUTATION_SEEDS = (
+    _coloured_text(complete_graph(4)),
+    _coloured_text(generalized_petersen(5, 2)),
+    "# hand\nvertices 3\ncolour a a^-1\nclass 0 x\nedge 0 1 a c1\n"
+    "edge 1 2 - c1\nedge 2 0 a^-1 c1\nedge 1 1 b c2\n")
+COLOURED_MUTATION_PIECES = ("edge ", "colour ", "class ", "vertices ", "0",
+                            "2", "9", "-", " ", "\t", "\n", "#", "a", "m",
+                            "c1", "c2", "outer", "\u0663")
+
+
+@given(st.data())
+def test_mutated_coloured_graph_exits_0_1_or_2(data):
+    text = data.draw(st.sampled_from(COLOURED_MUTATION_SEEDS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = data.draw(st.sampled_from(COLOURED_MUTATION_PIECES))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    # Bound the product of every number in the text, which bounds the
+    # vertex count.
+    numbers = re.findall(r"\d+(?:_\d+)*", text)   # int() reads 1_0 as 10
+    assume(math.prod(int(d) or 1 for d in numbers) < 10 ** 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "in.graph"), os.path.join(tmp, "out")
+        with open(src, "w") as fh:
+            fh.write(text)
+        for argv in (["decompose", src, "--check", "pf"],
+                     ["decompose", src, "-o", out],
+                     ["extract", src, "-o", out]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

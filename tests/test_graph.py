@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
-                      root_path_cycle_words, scan_connected, scan_out_darts,
-                      two_sided_closure)
+                      multigraph_colourings, root_path_cycle_words,
+                      scan_connected, scan_out_darts, two_sided_closure)
 
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
@@ -35,8 +35,8 @@ def coloured_triangle():
 def test_dart_involution_invariants(petersen_sp):
     g = petersen_sp
     for d in range(g.n_darts):
-        assert g.inv[g.inv[d]] == d
-        assert g.inv[d] != d
+        assert g.src(d ^ 1) == g.tau[d]
+        assert d in g.out_darts(g.src(d))
     assert g.n_edges * 2 == g.n_darts
 
 
@@ -64,6 +64,45 @@ def multigraphs(draw):
     elif how == "copy":
         g = g.copy()
     return g, draw(st.sets(vertex))
+
+
+def _graph_fields(g):
+    return (g.n, g.tau, g.colour, g.colour_inv, g.classes,
+            [g.out_darts(v) for v in range(g.n)])
+
+
+@given(multigraph_colourings(), st.data())
+def test_bulk_build_equals_incremental_build(case, data):
+    # The colouring's colours become dart colours: x has the declared
+    # inverse X, and y and z become self-inverse at their first edge.
+    shape, colouring = case
+    n = shape.n
+    names = data.draw(st.lists(st.none() | st.integers(0, 3), min_size=n,
+                               max_size=n))
+    classes = data.draw(st.lists(st.none() | st.sampled_from("pq"),
+                                 min_size=n, max_size=n))
+    edges = [(shape.src(d), shape.tau[d], colouring.mapping.get(d))
+             for d in shape.edges()]
+    g = ColouredGraph()
+    for name, cls in zip(names, classes):
+        g.add_vertex(name, cls)
+    g.declare_colour("x", "X")
+    for u, v, c in edges:
+        g.add_edge(u, v, c)
+    colour_inv, tau, colours = {"x": "X", "X": "x"}, [], []
+    for u, v, c in edges:
+        tau += [v, u]
+        colours += [c, None if c is None else colour_inv.setdefault(c, c)]
+    bulk = ColouredGraph(n, tau, colours, list(names), list(classes),
+                         colour_inv)
+    assert _graph_fields(bulk) == _graph_fields(g)
+    assert bulk.names == g.names
+    for name in names:
+        if name is not None:
+            assert bulk.vertex(name) == g.vertex(name)
+    read = read_graph(write_graph(bulk))
+    assert _graph_fields(read) == _graph_fields(g)
+    assert read.names == [None] * n
 
 
 @given(multigraphs())
@@ -270,7 +309,7 @@ def test_iso_returns_commuting_maps(petersen_sp):
     g, h = petersen_sp, gp
     for d in range(g.n_darts):
         assert h.tau[dmap[d]] == vmap[g.tau[d]]
-        assert dmap[g.inv[d]] == h.inv[dmap[d]]
+        assert dmap[d ^ 1] == dmap[d] ^ 1
 
 
 def test_dart_bijections_enumerate_parallel_and_loop_choices():
@@ -287,7 +326,7 @@ def test_dart_bijections_enumerate_parallel_and_loop_choices():
     assert len(maps) == 3 * 2 * 2 * 2 * 2 == len({tuple(sorted(m.items())) for m in maps})
     for dmap in maps:
         assert sorted(dmap.values()) == list(range(g.n_darts))
-        assert all(dmap[g.inv[d]] == g.inv[dmap[d]] for d in dmap)
+        assert all(dmap[d ^ 1] == dmap[d] ^ 1 for d in dmap)
 
 
 def test_dart_bijections_need_no_recursion_per_edge():
@@ -305,9 +344,9 @@ def _relabelled(g, perm, flips):
     h.colour_inv = dict(g.colour_inv)
     for d, flip in zip(reversed(g.edges()), flips):
         if flip:
-            d = g.inv[d]
+            d ^= 1
         h.add_edge(perm[g.src(d)], perm[g.tau[d]], g.colour[d],
-                   g.colour[g.inv[d]])
+                   g.colour[d ^ 1])
     return h
 
 
@@ -352,7 +391,7 @@ def test_isomorphic_agrees_with_networkx(data):
         assert sorted(dmap) == sorted(dmap.values()) == list(range(g.n_darts))
         for d in range(g.n_darts):
             assert h.tau[dmap[d]] == vmap[g.tau[d]]
-            assert dmap[g.inv[d]] == h.inv[dmap[d]]
+            assert dmap[d ^ 1] == dmap[d] ^ 1
 
 
 def test_isomorphic_needs_no_recursion_per_vertex():
@@ -576,7 +615,7 @@ def test_dictated_walk_inverts_walk_word(petersen_sp):
             options = [d for d in witness[here].values() if d != last]
             d = rng.choice(options)
             darts.append(d)
-            last = g.inv[d]
+            last = d ^ 1
             here = g.tau[d]
         from parcay.graph import Walk
         walk = Walk(g, v, darts)
