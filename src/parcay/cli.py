@@ -16,13 +16,13 @@ from .builder import DEFAULT_MAX_ROWS, ball_sp, build_sp, presentation_graph
 from .constructions import (bi_cayley, cyclic_group, generalized_petersen,
                             line_graph, two_ended_window)
 from .decompose import (EdgeColouring, is_multicycle, is_partition_friendly,
-                        is_weak_multicycle, weak_multicycle_colouring)
+                        is_weak_multicycle, maximum_matching,
+                        weak_multicycle_colouring)
 from .errors import ParcayError, SemanticError
 from .extract import presentation_from_colouring
 from .graph import isomorphic, read_graph, to_dot, write_graph
-from .infmatch import (FAMILIES, maximal_matching_wrt_miss, maximum_matching,
-                       miss_sequence, symmetric_difference_report,
-                       window_exhaustion)
+from .infmatch import (FAMILIES, maximal_matching_wrt_miss, miss_sequence,
+                       symmetric_difference_report, window_exhaustion)
 from .presentation import parse, serialize
 
 

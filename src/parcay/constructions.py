@@ -376,21 +376,19 @@ def two_ended_window(n_min, n_max):
     and consecutive layers are joined by five cross edges."""
     if n_min >= n_max:
         raise BadParameters("need n_min < n_max")
-    g = ColouredGraph()
-    for n in range(n_min, n_max + 1):
+    layers = range(n_min, n_max + 1)
+    tau = []                            # vertex (n, k) is 10 (n - n_min) + k
+    for base in range(0, 10 * len(layers), 10):
         for k in range(10):
-            g.add_vertex(name=(n, k))
-    g.declare_colour("ring")
-    g.declare_colour("cross")
-    for n in range(n_min, n_max + 1):
-        for k in range(10):
-            g.add_edge(g.vertex((n, k)), g.vertex((n, (k + 1) % 10)), "ring")
-    for n in range(n_min, n_max):
-        for k in range(5):
-            g.add_edge(g.vertex((n, 2 * k + 1)),
-                       g.vertex((n + 1, (4 * k + 2) % 10)), "cross")
-    g.meta["layers"] = (n_min, n_max)
-    return g
+            tau += (base + (k + 1) % 10, base + k)
+    colour = ["ring"] * len(tau)
+    for base in range(0, 10 * len(layers) - 10, 10):
+        for k in range(1, 10, 2):       # (n, k) -> (n + 1, 2k) for odd k
+            tau += (base + 10 + 2 * k % 10, base + k)
+    colour += ["cross"] * (len(tau) - len(colour))
+    return ColouredGraph(10 * len(layers), tau, colour,
+                         [(n, k) for n in layers for k in range(10)],
+                         colour_inv={"ring": "ring", "cross": "cross"})
 
 
 def two_ended_adjacent(u, v):
@@ -404,85 +402,40 @@ def two_ended_adjacent(u, v):
     return False
 
 
-def _sigma(v):
-    n, k = v
-    return (n + 1, k % 10)
-
-
-def _tau(v):
-    n, k = v
-    r = n % 4
-    if r == 0:
-        return (-n, (k + 1) % 10)
-    if r == 1:
-        return (-n, (3 - k) % 10)
-    if r == 2:
-        return (-n, (k + 9) % 10)
-    return (-n, (7 - k) % 10)
-
-
-def _tau_inverse(v):
-    m, j = v
-    r = m % 4
-    if r == 0:
-        return (-m, (j - 1) % 10)
-    if r == 1:
-        return (-m, (7 - j) % 10)
-    if r == 2:
-        return (-m, (j + 1) % 10)
-    return (-m, (3 - j) % 10)
-
-
-def _sigma_tilde(v):
-    n, k = v
-    r = n % 4
-    return (n + 1, ({0: 2, 1: 4, 2: 8, 3: 6}[r] - k) % 10)
-
-
-def _tau_tilde(v):
-    n, k = v
-    r = n % 4
-    if r == 0:
-        return (-n, (3 - k) % 10)
-    if r == 1:
-        return (-n, (k - 1) % 10)
-    if r == 2:
-        return (-n, (7 - k) % 10)
-    return (-n, (k + 1) % 10)
-
-
-_AUTO = {
-    "sigma": _sigma,
-    "sigma^-1": lambda v: (v[0] - 1, v[1]),
-    "tau": _tau,
-    "tau^-1": _tau_inverse,
-    "sigma_tilde": _sigma_tilde,
-    "tau_tilde": _tau_tilde,
+# name -> (a, b, (s, o) for n = 0, 1, 2, 3 mod 4): the automorphism
+# (n, k) -> (a n + b, (s k + o) mod 10), with a and s each +1 or -1.
+_AFFINE = {
+    "sigma": (1, 1, ((1, 0),) * 4),
+    "tau": (-1, 0, ((1, 1), (-1, 3), (1, 9), (-1, 7))),
+    "sigma_tilde": (1, 1, ((-1, 2), (-1, 4), (-1, 8), (-1, 6))),
+    "tau_tilde": (-1, 0, ((-1, 3), (1, 9), (-1, 7), (1, 1))),
 }
 
 
 def two_ended_auto(name, v):
-    """Evaluate one of the named automorphisms at a vertex (n, k)."""
+    """Evaluate a named automorphism, or its inverse ``name^-1``, at a
+    vertex (n, k)."""
+    inverse = name.endswith("^-1")
     try:
-        f = _AUTO[name]
+        a, b, rows = _AFFINE[name[:-3] if inverse else name]
     except KeyError:
         raise BadParameters(f"unknown automorphism {name!r}") from None
-    return f(v)
+    n, k = v
+    if not inverse:
+        s, o = rows[n % 4]
+        return a * n + b, (s * k + o) % 10
+    n = a * (n - b)                     # the preimage, as a and s are +-1
+    s, o = rows[n % 4]
+    return n, s * (k - o) % 10
 
 
 def two_ended_word(letters, v):
     """Apply a composition word right to left: the last letter acts first.
 
-    Letters are (name, exponent sign) pairs over sigma/tau.
+    Letters are (name, exponent sign) pairs over the named automorphisms.
     """
     for name, sign in reversed(list(letters)):
-        key = name if sign > 0 else name + "^-1"
-        if key not in _AUTO:
-            if sign < 0 and name in ("sigma_tilde", "tau_tilde"):
-                raise BadParameters("inverses of the derived maps are not named; "
-                                    "compose sigma/tau letters instead")
-            raise BadParameters(f"unknown automorphism {name!r}")
-        v = _AUTO[key](v)
+        v = two_ended_auto(name if sign > 0 else name + "^-1", v)
     return v
 
 

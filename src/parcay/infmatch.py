@@ -8,14 +8,21 @@ vertex by vertex: the sets of vertices coverable by a single matching form a
 matroid, so forcing vertices in exhaustion order is exact.  One maximum
 matching is kept covering the forced set, and a vertex it misses costs one
 alternating-path search, not a blossom run of its own.
+
+A family is a builder ``(lo, hi) -> ColouredGraph`` of layers lo..hi with
+vertices named (layer, index).  Its window around the ball B_n has the
+balls B_0..B_n (|layer| <= k) as levels and the two end layers as its
+frontier, and the same greedy over B_n decides whether some matching of
+the window covers the ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import two_ended_window
 from .decompose import (_matching_of, _maximum_mates, blossom_search,
-                        canonical, component_walks, maximum_matching)
+                        canonical, component_walks)
 from .errors import NoTransitiveSupply
 from .graph import ColouredGraph
 
@@ -149,60 +156,39 @@ def symmetric_difference_report(m1, m2, exhaustion):
 
 
 # ---------------------------------------------------------------------------
-# Window families with a translation supply.
+# Windows of the infinite families: layers lo..hi of vertices named
+# (layer, index), with the ball B_n the layers |layer| <= n.
 
 
-@dataclass
-class WindowFamily:
-    """Builds windows around shifted centres; the shifts realise an
-    automorphism supply that can move a missed vertex out of any ball."""
-    name: str
-    build: callable            # (n, margin, shift) -> (graph, levels)
-    shifts: tuple = (0,)
+def _ladder_window(lo, hi):
+    """Rungs (i, 0)(i, 1) for lo <= i <= hi, and rails joining each side's
+    consecutive rungs."""
+    tau, colour = [], []
+    for i in range(hi - lo + 1):
+        tau += (2 * i + 1, 2 * i)
+        colour += ("rung", "rung")
+        if i < hi - lo:
+            tau += (2 * i + 2, 2 * i, 2 * i + 3, 2 * i + 1)
+            colour += ("rail",) * 4
+    return ColouredGraph(2 * (hi - lo + 1), tau, colour,
+                         [(i, side) for i in range(lo, hi + 1) for side in (0, 1)],
+                         colour_inv={"rung": "rung", "rail": "rail"})
 
 
-def _two_ended_build(n, margin, shift):
-    from .constructions import two_ended_window
-
-    lo, hi = shift - n - margin, shift + n + margin
-    g = two_ended_window(lo, hi)
-    levels = []
-    for k in range(n + 1):
-        levels.append(frozenset(v for v in range(g.n)
-                                if abs(g.names[v][0]) <= k))
-    frontier = frozenset(v for v in range(g.n) if g.names[v][0] in (lo, hi))
-    return g, levels, frontier
+FAMILIES = {"two-ended": two_ended_window, "ladder": _ladder_window}
 
 
-def _ladder_build(n, margin, shift):
-    g = ColouredGraph()
-    lo, hi = shift - n - margin, shift + n + margin
-    for i in range(lo, hi + 1):
-        g.add_vertex(name=(i, 0))
-        g.add_vertex(name=(i, 1))
-    for i in range(lo, hi + 1):
-        g.add_edge(g.vertex((i, 0)), g.vertex((i, 1)), "rung")
-        if i < hi:
-            for side in (0, 1):
-                g.add_edge(g.vertex((i, side)), g.vertex((i + 1, side)), "rail")
-    levels = [frozenset(v for v in range(g.n) if abs(g.names[v][0]) <= k)
-              for k in range(n + 1)]
-    frontier = frozenset(v for v in range(g.n) if g.names[v][0] in (lo, hi))
-    return g, levels, frontier
-
-
-FAMILIES = {
-    "two-ended": WindowFamily("two-ended", _two_ended_build,
-                              shifts=(0, 1, -1, 2, -2)),
-    "ladder": WindowFamily("ladder", _ladder_build, shifts=(0, 1, -1, 2, -2)),
-}
-
-
-def window_exhaustion(family, n, margin=2, shift=0):
-    fam = FAMILIES[family] if isinstance(family, str) else family
-    ex = Exhaustion(*fam.build(n, margin, shift))
+def window_exhaustion(family, n, margin=2):
+    """The window of layers -n - margin..n + margin of a family, with the
+    balls B_0..B_n as its levels and its two end layers as its frontier."""
+    lo, hi = -n - margin, n + margin
+    g = FAMILIES[family](lo, hi)
+    layer = [name[0] for name in g.names]
+    ex = Exhaustion(g, [frozenset(v for v in range(g.n) if abs(layer[v]) <= k)
+                        for k in range(n + 1)],
+                    frozenset(v for v in range(g.n) if layer[v] in (lo, hi)))
     if not ex.connected:
-        raise ValueError(f"family {fam.name!r} built a level that does not "
+        raise ValueError(f"family {family!r} built a level that does not "
                          f"induce a connected subgraph")
     return ex
 
@@ -210,19 +196,15 @@ def window_exhaustion(family, n, margin=2, shift=0):
 def windowed_perfect_matching(family, n, margin=2):
     """A matching of a window covering the whole ball B_n.
 
-    Computes a maximum matching on the window; if the ball is not covered,
-    the window is re-centred by a translation automorphism so the miss lands
-    outside the ball, and the matching is re-derived.
+    Greedy over the ball on one maximum matching is exact (the coverable
+    sets are a matroid), so the ball is covered exactly when some matching
+    of the window covers it.  When the window has a perfect matching, the
+    result is the maximum matching itself.
     """
-    fam = FAMILIES[family] if isinstance(family, str) else family
-    for shift in fam.shifts:
-        ex = window_exhaustion(fam, n, margin, shift)
-        m = maximum_matching(ex.graph)
-        if all(m.covers(v) for v in ex.levels[-1]):
-            return ex, m
-    if len(fam.shifts) <= 1:
-        raise NoTransitiveSupply(
-            f"family {fam.name!r} provides no translations to move the "
-            f"missed vertex out of the ball")
-    raise NoTransitiveSupply(
-        f"no window of family {fam.name!r} yielded a ball-covering matching")
+    ex = window_exhaustion(family, n, margin)
+    ball = ex.levels[-1]
+    m, forced = _cover_greedy(ex.graph, sorted(ball))
+    if len(forced) < len(ball):
+        raise NoTransitiveSupply(f"no matching of the {family!r} window "
+                                 f"covers the ball B_{n}")
+    return ex, m

@@ -171,14 +171,6 @@ class Word:
         return f"Word({self})"
 
 
-def invert(word):
-    return word.inverse()
-
-
-def epsilon(alphabet):
-    return Word(alphabet, (), _reduced=True)
-
-
 # ---------------------------------------------------------------------------
 # Word literals: juxtaposed names, ^k exponents, parenthesised subwords,
 # read through a token table in front of the positional scanner (see the

@@ -190,7 +190,10 @@ def test_builder_counters_are_pinned(make, vertices, stats):
 
 
 def _table_state(t):
-    return t.table, t.parent, t.dist, t.cls, t.coincidences, t.version
+    # Each row's root, not the raw parent list: path compression in a find
+    # that one side makes and the other skips rewrites parent, not roots.
+    roots = [t.find(r) for r in range(len(t.parent))]
+    return t.table, roots, t.dist, t.cls, t.coincidences, t.version
 
 
 def _run(table, run):

@@ -295,6 +295,20 @@ def test_derived_maps_match_their_words():
                 == two_ended_word(parse_auto_word("s t^-1 s t s"), v))
 
 
+def test_derived_inverses_match_the_inverse_words():
+    for n in range(-9, 10):
+        for k in range(10):
+            v = (n, k)
+            assert (two_ended_auto("sigma_tilde^-1", v)
+                    == two_ended_word(parse_auto_word("s^-1 t^-1 s^-1 t s^-1"), v))
+            assert (two_ended_auto("tau_tilde^-1", v)
+                    == two_ended_word(parse_auto_word("s^-1 t^-1 s^-1"), v))
+            assert (two_ended_word([("tau_tilde", -1)], v)
+                    == two_ended_auto("tau_tilde^-1", v))
+    with pytest.raises(BadParameters):
+        two_ended_auto("rho^-1", (0, 0))
+
+
 def test_automorphisms_preserve_edges():
     g = two_ended_window(-4, 4)
     for d in g.edges():

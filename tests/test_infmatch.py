@@ -7,11 +7,12 @@ from conftest import (all_matchings, cycle_graph, dfs_symmetric_difference_repor
                       doubled_graph_coverable, multigraph_colourings,
                       random_graph)
 
+from parcay import infmatch
 from parcay.constructions import cubic_no_perfect_matching
 from parcay.decompose import Matching, maximum_matching
 from parcay.errors import NoTransitiveSupply
 from parcay.graph import ColouredGraph
-from parcay.infmatch import (Exhaustion, WindowFamily, compare, is_coverable,
+from parcay.infmatch import (Exhaustion, compare, is_coverable,
                              is_critical, maximal_matching_wrt_miss,
                              miss_sequence, symmetric_difference_report,
                              window_exhaustion, windowed_perfect_matching)
@@ -298,14 +299,34 @@ def test_two_ended_windows_cover(n):
     assert all(m.covers(v) for v in ball)
 
 
-def test_family_without_translations_raises():
-    def build(n, margin, shift):
-        g = path_graph(3)
-        return g, [frozenset({0, 1, 2})], frozenset()
+@pytest.mark.parametrize("family", ["two-ended", "ladder"])
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("margin", range(3))
+def test_windows_are_unshifted_and_agree_with_the_oracle(family, n, margin):
+    ex, m = windowed_perfect_matching(family, n, margin)
+    g, ball = ex.graph, ex.levels[-1]
+    layers = [name[0] for name in g.names]
+    assert (min(layers), max(layers)) == (-n - margin, n + margin)
+    assert ball == {v for v in range(g.n) if abs(layers[v]) <= n}
+    assert ex.frontier == {v for v in range(g.n) if abs(layers[v]) == n + margin}
+    assert doubled_graph_coverable(g, ball)
+    assert all(m.covers(v) for v in ball)
 
-    family = WindowFamily("stuck", build, shifts=(0,))
+
+def _named_path(*names):
+    """A path through vertices named ``names``, in order."""
+    tau = []
+    for i in range(len(names) - 1):
+        tau += (i + 1, i)
+    return ColouredGraph(len(names), tau, names=list(names))
+
+
+def test_window_whose_ball_no_matching_covers_raises(monkeypatch):
+    g = _named_path((0, 0), (0, 1), (0, 2))
+    monkeypatch.setitem(infmatch.FAMILIES, "stuck", lambda lo, hi: g)
+    assert not doubled_graph_coverable(g, range(3))
     with pytest.raises(NoTransitiveSupply):
-        windowed_perfect_matching(family, 1)
+        windowed_perfect_matching("stuck", 1)
 
 
 def test_window_exhaustion_shapes():
@@ -315,9 +336,9 @@ def test_window_exhaustion_shapes():
     assert ex.connected
 
 
-def test_window_family_levels_must_be_connected():
-    def build(n, margin, shift):
-        return path_graph(3), [frozenset({0, 2})], frozenset()
-
+def test_window_family_levels_must_be_connected(monkeypatch):
+    # B_0 is the path's two ends, which only the middle vertex joins.
+    g = _named_path((0, 0), (1, 0), (0, 1))
+    monkeypatch.setitem(infmatch.FAMILIES, "split", lambda lo, hi: g)
     with pytest.raises(ValueError):
-        window_exhaustion(WindowFamily("split", build), 1)
+        window_exhaustion("split", 1)

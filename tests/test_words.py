@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import positional_parse_word
 from parcay.errors import UnknownClass, UnknownGenerator, WordSyntaxError
 from parcay.words import (MAX_WORD_LETTERS, Alphabet, ClassAction, Word,
-                          apply_action, epsilon, in_stabilizer, invert,
+                          apply_action, in_stabilizer,
                           parse_word, parse_words, reduce)
 
 AB = Alphabet(("a",), ("b",))          # a free, b involutive
@@ -22,7 +22,7 @@ def test_free_cancellation():
 
 
 def test_involution_squares_cancel():
-    assert reduce(codes(("b", 1), ("b", 1)), AB) == epsilon(AB)
+    assert reduce(codes(("b", 1), ("b", 1)), AB) == Word(AB)
 
 
 def test_two_step_cancellation():
@@ -43,15 +43,15 @@ def test_unknown_generator():
 
 
 def test_invert_examples():
-    assert str(invert(parse_word("a b", AB))) == "b a^-1"
-    assert invert(epsilon(AB)) == epsilon(AB)
-    assert str(invert(parse_word("a^2", AB))) == "a^-2"
+    assert str(parse_word("a b", AB).inverse()) == "b a^-1"
+    assert Word(AB).inverse() == Word(AB)
+    assert str(parse_word("a^2", AB).inverse()) == "a^-2"
 
 
 def test_apply_action_examples():
     assert apply_action(PETERSEN, parse_word("b", AB), "0") == "1"
     assert apply_action(PETERSEN, parse_word("a b a^2 b", AB), "0") == "0"
-    assert apply_action(PETERSEN, epsilon(AB), "1") == "1"
+    assert apply_action(PETERSEN, Word(AB), "1") == "1"
 
 
 def test_apply_action_line_petersen():
@@ -70,8 +70,8 @@ def test_apply_action_unknown_class():
 def test_in_stabilizer_examples():
     assert not in_stabilizer(PETERSEN, parse_word("b", AB), "0")
     assert in_stabilizer(PETERSEN, parse_word("a^5", AB), "1")
-    assert in_stabilizer(PETERSEN, epsilon(AB), "0")
-    assert in_stabilizer(PETERSEN, epsilon(AB), "1")
+    assert in_stabilizer(PETERSEN, Word(AB), "0")
+    assert in_stabilizer(PETERSEN, Word(AB), "1")
 
 
 def test_composition_is_walk_order():
@@ -91,7 +91,7 @@ def test_parse_word_literals():
     assert parse_word("(ab)^5", AB).letters == parse_word("a b a b a b a b a b",
                                                           AB).letters
     assert parse_word("aba", AB).letters == parse_word("a b a", AB).letters
-    assert parse_word("a^-2", AB) == invert(parse_word("a^2", AB))
+    assert parse_word("a^-2", AB) == parse_word("a^2", AB).inverse()
     assert parse_word("b^-1", AB) == parse_word("b", AB)
 
 
@@ -145,7 +145,7 @@ def test_parse_word_refuses_exponents_past_the_integer_digit_limit():
     for text in ("a^" + huge, "(a b)^-" + huge, "a ^ +" + huge):
         with pytest.raises(WordSyntaxError, match="word longer than"):
             parse_word(text, AB)
-    assert parse_word("()^" + huge, AB) == epsilon(AB)
+    assert parse_word("()^" + huge, AB) == Word(AB)
     assert parse_word("a^-" + "0" * 5000 + "2", AB) == parse_word("a^-2", AB)
 
 
@@ -213,8 +213,8 @@ def test_reduce_is_a_retraction(raw):
 @given(raw_letters)
 def test_word_times_inverse_is_trivial(raw):
     w = reduce(raw, AB)
-    assert w * invert(w) == epsilon(AB)
-    assert invert(w) * w == epsilon(AB)
+    assert w * w.inverse() == Word(AB)
+    assert w.inverse() * w == Word(AB)
 
 
 @given(raw_letters, raw_letters, raw_letters)
@@ -249,9 +249,9 @@ def test_printed_words_parse_back(raw):
 
 
 def test_empty_word_prints_as_the_empty_group():
-    assert str(epsilon(NAMED)) == "()"
-    assert parse_word("()", NAMED) == epsilon(NAMED)
-    assert parse_word(str(epsilon(NAMED)), NAMED) == epsilon(NAMED)
+    assert str(Word(NAMED)) == "()"
+    assert parse_word("()", NAMED) == Word(NAMED)
+    assert parse_word(str(Word(NAMED)), NAMED) == Word(NAMED)
 
 
 # a is a 3-cycle, so its inverse image table differs from its own.
