@@ -381,18 +381,32 @@ def fundamental_cycle_words(g, base, alphabet=None):
 # ---------------------------------------------------------------------------
 # Isomorphism and automorphisms: one search over vertex bijections.  Vertices
 # are placed in BFS order; a vertex is tried only at unused neighbours of its
-# BFS parent's image, and kept there only if its out-darts to placed vertices
-# match those of the image in number (and colour, if asked).  The search is
-# exhaustive, so an empty result is a certificate.
+# BFS parent's image, and kept there only if its darts to placed vertices
+# match those of the image, neighbour by neighbour, in number (and colour, if
+# asked).  Both sides' dart counts are tabled once per search, so a placement
+# costs one lookup per neighbour.  The search is exhaustive, so an empty
+# result is a certificate.
 
 
-def graph_maps(g, h, respect_colours=False, respect_classes=False):
+def _dart_counts(x, colour, v):
+    """(neighbour, colour) -> number of darts out of v."""
+    counts = {}
+    for d in x._out[v]:
+        key = (x.tau[d], colour[d])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
+               root_image=None):
     """Yield, as vertex-image tuples, every vertex bijection from g to h that
     preserves degrees, the number of darts between each pair of vertices
     (per dart colour if ``respect_colours``) and, if asked, class labels.
     A map extends to a graph isomorphism exactly when ``dart_bijections``
-    yields a dart map over it.  The search keeps an explicit stack of
-    candidate iterators, one per placed vertex."""
+    yields a dart map over it.  With ``root_image``, only the maps that send
+    the search's first vertex, the least vertex of largest degree, there.
+    The search keeps an explicit stack of candidate iterators, one per
+    placed vertex."""
     n = g.n
     if n != h.n or g.n_darts != h.n_darts:
         return
@@ -417,20 +431,31 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False):
                     seen[w] = True
                     parent[w] = v
                     order.append(w)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
     g_colour = g.colour if respect_colours else [None] * g.n_darts
     h_colour = h.colour if respect_colours else [None] * h.n_darts
+    # Per vertex of g, its dart counts to the vertices placed with or
+    # before it; per vertex of h, all its dart counts.
+    placed = []
+    for v in range(n):
+        counts = _dart_counts(g, g_colour, v)
+        placed.append([(u, c, k) for (u, c), k in counts.items()
+                       if position[u] <= position[v]])
+    h_counts = [_dart_counts(h, h_colour, w) for w in range(n)]
     image, used = [None] * n, [False] * n
 
     def fits(v, w):
-        """Darts out of v to placed vertices match those out of w, with v
-        already placed at w, so loops count too."""
-        mine = Counter((image[g.tau[d]], g_colour[d]) for d in g._out[v]
-                       if image[g.tau[d]] is not None)
-        theirs = Counter((h.tau[e], h_colour[e]) for e in h._out[w]
-                         if used[h.tau[e]])
-        return mine == theirs
+        """Darts out of v to placed vertices match those out of w to used
+        vertices, with v already placed at w, so loops count too."""
+        theirs = h_counts[w]
+        for u, c, k in placed[v]:
+            if theirs.get((image[u], c)) != k:
+                return False
+        return sum(used[x] for x, _ in theirs) == len(placed[v])
 
-    stack = [iter(range(n))]
+    stack = [iter(range(n) if root_image is None else (root_image,))]
     while stack:
         v = order[len(stack) - 1]
         if image[v] is not None:   # retract this level's last choice
@@ -527,9 +552,28 @@ def automorphism_group(g, colour_mode="plain"):
 
 
 def is_vertex_transitive(g):
-    auts = automorphism_group(g)
-    orbit = {a[0] for a in auts}
-    return len(orbit) == g.n
+    """Whether Aut(g) is transitive on the vertices; the empty graph is not.
+    The orbit of vertex 0 is grown by one automorphism 0 -> v for each v
+    outside the orbit of the automorphisms found so far, and closed under
+    them.  Each search is exhaustive, so False is a certificate, and Aut(g)
+    is never listed, so there is no size bound."""
+    n = g.n
+    if n == 0 or not g.is_regular():
+        return False
+    seen, orbit, maps = [True] + [False] * (n - 1), [0], []
+    for v in range(1, n):
+        if seen[v]:
+            continue
+        a = next(graph_maps(g, g, root_image=v), None)
+        if a is None:
+            return False
+        maps.append(a)
+        for x in orbit:            # the orbit grows as it is read
+            for a in maps:
+                if not seen[a[x]]:
+                    seen[a[x]] = True
+                    orbit.append(a[x])
+    return True
 
 
 def _perm_mul(p, q):
@@ -562,42 +606,47 @@ def mulclose(perms, cap=None):
 
 def is_cayley(g):
     """A subgroup of Aut(g) acting regularly on the vertices, as a generator
-    list, or None after a complete search of semiregular subgroups."""
-    auts = automorphism_group(g)
+    list, or None, for graphs of at most ``AUTOMORPHISM_BOUND`` vertices.
+    A semiregular subgroup grows from the trivial group: each step adds a
+    fixed-point-free automorphism sending 0 to the least vertex its orbit
+    of 0 misses.  (All orbits of a semiregular group have its order, so the
+    order divides n.)  A regular subgroup has exactly one element per image
+    of 0, so the branch that always adds its element reaches it, and None
+    is a certificate."""
     n = g.n
+    if n > AUTOMORPHISM_BOUND:
+        raise SearchBoundExceeded(
+            f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
+    if not is_vertex_transitive(g):
+        return None
     ident = tuple(range(n))
 
     def fixed_point_free(p):
         return all(p[i] != i for i in range(n))
 
-    elements = [p for p in auts if p == ident or fixed_point_free(p)]
-
     def semiregular(group):
         return all(p == ident or fixed_point_free(p) for p in group)
 
+    candidates = {}    # v -> the fixed-point-free automorphisms 0 -> v
     seen = set()
     stack = [(frozenset([ident]), ())]
     while stack:
         group, gens = stack.pop()
-        if group in seen:
-            continue
-        seen.add(group)
-        if len(group) == n:
-            orbit = {p[0] for p in group}
-            if len(orbit) == n:
-                return list(gens)
-            continue
-        for p in elements:
-            if p in group:
-                continue
+        if len(group) == n:        # semiregular of order n: regular
+            return list(gens)
+        covered = {p[0] for p in group}
+        v = next(v for v in range(n) if v not in covered)
+        if v not in candidates:
+            candidates[v] = [p for p in graph_maps(g, g, root_image=v)
+                             if fixed_point_free(p)]
+        for p in candidates[v]:
             closed = mulclose(gens + (p,), cap=n)
             if closed is None:
                 continue
             closed = frozenset(closed)
             if closed in seen or not semiregular(closed):
                 continue
-            if n % len(closed) != 0:
-                continue
+            seen.add(closed)
             stack.append((closed, gens + (p,)))
     return None
 

@@ -84,6 +84,49 @@ def brute_force_automorphisms(g, colour_preserving=False):
     return [p for p in itertools.permutations(range(g.n)) if darts(p) == identity]
 
 
+def listing_is_vertex_transitive(auts, n):
+    """Independent oracle for ``is_vertex_transitive``, given the complete
+    automorphism list of a graph of n vertices: the images of vertex 0 are
+    every vertex.  The empty graph is not vertex transitive."""
+    return n > 0 and len({a[0] for a in auts}) == n
+
+
+def semiregular_subgroup_cayley(auts, n):
+    """Independent oracle for ``is_cayley``, given the complete automorphism
+    list of a graph of n vertices: a depth-first search over the subgroups
+    generated by identity and fixed-point-free automorphisms, closed by
+    ``two_sided_closure``, keeping those that are semiregular and of order
+    dividing n.  A generator tuple of a regular subgroup, or None."""
+    ident = tuple(range(n))
+
+    def fixed_point_free(p):
+        return all(p[i] != i for i in range(n))
+
+    elements = [p for p in auts if p == ident or fixed_point_free(p)]
+    seen = set()
+    stack = [(frozenset([ident]), ())]
+    while stack:
+        group, gens = stack.pop()
+        if group in seen:
+            continue
+        seen.add(group)
+        if len(group) == n:
+            if len({p[0] for p in group}) == n:
+                return gens
+            continue
+        for p in elements:
+            if p in group:
+                continue
+            closed = two_sided_closure(gens + (p,), cap=n)
+            if closed is None or n % len(closed):
+                continue
+            closed = frozenset(closed)
+            if closed not in seen and all(q == ident or fixed_point_free(q)
+                                          for q in closed):
+                stack.append((closed, gens + (p,)))
+    return None
+
+
 def root_path_cycle_words(g, base, alphabet=None):
     """Independent oracle for ``fundamental_cycle_words``: the word of each
     non-tree edge u -> w is the root path to u, the edge, and the inverse of

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
-                      multigraph_colourings, root_path_cycle_words,
-                      scan_connected, scan_out_darts, two_sided_closure)
+                      listing_is_vertex_transitive, multigraph_colourings,
+                      root_path_cycle_words, scan_connected, scan_out_darts,
+                      semiregular_subgroup_cayley, two_sided_closure)
 
+import parcay.graph as graph_module
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
 from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
@@ -431,6 +433,17 @@ def test_colour_preserving_group_of_petersen(petersen_sp):
     assert len(auts) == 5
 
 
+def _assert_symmetry_matches_the_listing_oracles(g, auts):
+    assert is_vertex_transitive(g) == listing_is_vertex_transitive(auts, g.n)
+    gens = is_cayley(g)
+    assert (gens is None) == (semiregular_subgroup_cayley(auts, g.n) is None)
+    if gens is not None:
+        assert set(gens) <= set(auts)
+        group = two_sided_closure(set(gens) | {tuple(range(g.n))})
+        assert len(group) == g.n and len({p[0] for p in group}) == g.n
+
+
+@settings(deadline=None)
 @given(st.data())
 def test_automorphism_group_matches_brute_force(data):
     n = data.draw(st.integers(1, 6))
@@ -439,24 +452,96 @@ def test_automorphism_group_matches_brute_force(data):
     colours = data.draw(st.lists(st.sampled_from(("a", "A", "b")),
                                  min_size=len(edges), max_size=len(edges)))
     g = _from_edges(n, edges, colours)
-    assert automorphism_group(g) == brute_force_automorphisms(g)
+    auts = brute_force_automorphisms(g)
+    assert automorphism_group(g) == auts
     assert (automorphism_group(g, "colour_preserving")
             == brute_force_automorphisms(g, colour_preserving=True))
+    _assert_symmetry_matches_the_listing_oracles(g, auts)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (1, [(0, 0)]),
+    (2, [(0, 1), (1, 0), (0, 1)]),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]),
+    (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 0)]),
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+         (0, 3), (1, 4), (2, 5)]),
+    (6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)]),
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]),
+    (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+    (8, [(u, v) for u in range(4) for v in range(4, 8)]),
+    (8, [(i, (i + 1) % 4) for i in range(4)]
+        + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]),
+])
+def test_symmetry_of_small_multigraphs_matches_the_listing_oracles(n, edges):
+    # Mostly vertex-transitive multigraphs, which random draws seldom give.
+    # K_{4,4} has a subgroup of order 8, generated by fixed-point-free
+    # automorphisms, that is not semiregular.
+    g = _from_edges(n, edges)
+    _assert_symmetry_matches_the_listing_oracles(g, automorphism_group(g))
 
 
 def test_search_bound():
     g = cycle_graph(70)
     with pytest.raises(SearchBoundExceeded):
         automorphism_group(g)
+    with pytest.raises(SearchBoundExceeded):
+        is_cayley(g)
+    assert is_vertex_transitive(g)
+
+
+def _petersen_parameters():
+    return [(n, k) for n in range(3, 15) for k in range(1, (n + 1) // 2)]
 
 
 def test_vertex_transitivity():
+    assert is_vertex_transitive(ColouredGraph()) is False
     assert is_vertex_transitive(generalized_petersen(5, 2))
     assert not is_vertex_transitive(generalized_petersen(4, 2))
     assert is_vertex_transitive(cycle_graph(7))
+    # Frucht, Graver and Watkins: P(n, k) is vertex transitive exactly when
+    # k^2 = +-1 (mod n) or (n, k) = (10, 2).
+    for n, k in _petersen_parameters() + [(200, 49), (200, 7)]:
+        assert is_vertex_transitive(generalized_petersen(n, k)) == (
+            k * k % n in (1, n - 1) or (n, k) == (10, 2)), (n, k)
+
+
+def _orbit(v, maps):
+    orbit = [v]
+    for x in orbit:
+        orbit += [a[x] for a in maps if a[x] not in orbit]
+    return set(orbit)
+
+
+@pytest.mark.parametrize("g", [generalized_petersen(24, 5),
+                               generalized_petersen(10, 2),
+                               generalized_petersen(8, 3), cycle_graph(12),
+                               complete_graph(5)])
+def test_vertex_transitivity_searches_only_outside_the_orbit(g, monkeypatch):
+    # Each search asks for an automorphism sending 0 to a vertex outside
+    # the orbit of 0 under the automorphisms found before it.
+    searches, graph_maps = [], graph_module.graph_maps
+
+    def recording(*args, root_image=None, **kwargs):
+        searches.append((root_image, []))
+        for a in graph_maps(*args, root_image=root_image, **kwargs):
+            searches[-1][1].append(a)
+            yield a
+
+    monkeypatch.setattr(graph_module, "graph_maps", recording)
+    assert is_vertex_transitive(g)
+    found = []
+    for v, maps in searches:
+        assert v not in _orbit(0, found)
+        assert len(maps) == 1 and maps[0][0] == v
+        found += maps
+    assert _orbit(0, found) == set(range(g.n))
 
 
 def test_is_cayley():
+    assert is_cayley(ColouredGraph()) is None
     assert is_cayley(generalized_petersen(5, 2)) is None
     gens = is_cayley(cycle_graph(6))
     assert gens is not None
@@ -477,10 +562,11 @@ def test_mulclose_matches_the_two_sided_closure(data):
 
 
 def test_is_cayley_of_petersen_graphs():
-    # P(n, k) is a Cayley graph exactly when k^2 = 1 (mod n).
-    for n, k in ((8, 1), (5, 2), (12, 5), (8, 3)):
+    # Nedela and Skoviera: P(n, k) is a Cayley graph exactly when
+    # k^2 = 1 (mod n).
+    for n, k in _petersen_parameters():
         gens = is_cayley(generalized_petersen(n, k))
-        assert (gens is not None) == (k * k % n == 1)
+        assert (gens is not None) == (k * k % n == 1), (n, k)
         if gens is not None:
             group = mulclose(gens)
             assert len(group) == 2 * n and len({p[0] for p in group}) == 2 * n
