@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BallRejected, Overflow
+from .errors import BadParameters, BallRejected, Overflow
 from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_graph,
                     dart_bijections, graph_maps)
 
@@ -286,25 +286,21 @@ class CosetTable:
         return self.find(base)
 
     def _settle(self):
-        """Re-scan everything to a fixpoint.  Without a distance budget
-        every live row has had every relator scanned to completion by
-        ``run``, and merges keep a closed relator closed, so only a
-        budgeted table needs this.  The loop keys on actual table
-        modifications, since a budgeted scan may legitimately make no
+        """Re-scan, without filling, every relator whose walk fits the
+        distance budget at its row, to a fixpoint.  The loop keys on actual
+        table modifications, since a budgeted scan may legitimately make no
         progress."""
         parent, dist, max_dist = self.parent, self.dist, self.max_dist
-        fill = max_dist is None
         while True:
             before = self.version
             for v in self.live_rows():
                 for rel in self.relators[self.cls[v]]:
-                    if max_dist is not None:
-                        root = v if parent[v] == v else self.find(v)
-                        if dist[root] + len(rel) > max_dist:
-                            continue
+                    root = v if parent[v] == v else self.find(v)
+                    if dist[root] + len(rel) > max_dist:
+                        continue
                     if self.scan_closes(v, rel):
                         continue
-                    self.scan(v, rel, fill=fill)
+                    self.scan(v, rel, fill=False)
             if self.version == before:
                 return
 
@@ -361,9 +357,7 @@ def build_sp(p, max_rows=DEFAULT_MAX_ROWS):
     table.run()
     if not table.is_closed():
         raise Overflow(max_rows)
-    g = table.to_graph()
-    g.meta["closed"] = True
-    return g
+    return table.to_graph()
 
 
 def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
@@ -376,6 +370,9 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     inside the requested radius fails to close.  The frontier is every
     vertex at the radius or with fewer darts than the presentation's degree.
     """
+    if radius < 0 or (scan_margin is not None and scan_margin < 0):
+        raise BadParameters(f"the radius and scan margin must be at least 0, "
+                            f"got {radius} and {scan_margin}")
     if scan_margin is None:
         scan_margin = max((len(r) for _, r in p.all_relators()), default=0)
     table = CosetTable(p, max_rows=max_rows, max_dist=radius + scan_margin)
@@ -400,12 +397,6 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     g.meta["soundness"] = ("vertices are distinct only relative to the "
                            "identifications performed within the scan margin")
     return g
-
-
-def vertex_group_order(p, cls, max_rows=DEFAULT_MAX_ROWS):
-    """|V_x|: the order of the vertex group over class ``cls``."""
-    g = build_sp(p, max_rows=max_rows)
-    return g.class_sizes()[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +473,9 @@ def check_two_partite_discipline(sp, tp_s1):
     return True
 
 
-def invariant_report(p, sp=None, tp_s1=None):
+def invariant_report(p, tp_s1=None):
     """Cover-side and quotient-side characterisation checks for one build."""
-    if sp is None:
-        sp = build_sp(p)
+    sp = build_sp(p)
     report = {
         "regular": sp.is_regular() and (sp.n == 0 or sp.degree(0) == p.degree()),
         "cover": check_cover(sp, p),

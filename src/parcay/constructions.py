@@ -122,6 +122,8 @@ class FiniteGroupTable:
 
 
 def cyclic_group(n):
+    if n < 1:
+        raise BadParameters(f"a cyclic group needs order n >= 1, got {n}")
     names = [f"g{i}" for i in range(n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroupTable(names, table)
@@ -157,7 +159,12 @@ def _check_symmetric(group, elems, label):
 
 def bi_cayley(group, R, L, S):
     """Bi(G, R, L, S): two copies of G, R-edges inside copy 0, L-edges inside
-    copy 1, S-spokes across.  R and L must be inverse-closed."""
+    copy 1, S-spokes across, each given by element indices 0..|G|-1.  R
+    and L must be inverse-closed."""
+    for label, elems in (("R", R), ("L", L), ("S", S)):
+        if any(not 0 <= x < len(group) for x in elems):
+            raise BadParameters(f"{label} must hold element indices "
+                                f"0..{len(group) - 1}, got {list(elems)}")
     R = _check_symmetric(group, R, "R")
     L = _check_symmetric(group, L, "L")
     S = sorted(set(S))
@@ -247,17 +254,15 @@ def _knsym(names):
 
 
 class LineGraphPresentation:
-    """Result bundle: the presentation, the base Cayley graph, its line
-    graph, and a chi translation function on signed base letters."""
+    """Result bundle: the presentation and a chi translation function on
+    signed base letters."""
 
-    def __init__(self, presentation, base_graph, line, chi):
+    def __init__(self, presentation, chi):
         self.presentation = presentation
-        self.base_graph = base_graph
-        self.line = line
         self.chi = chi
 
 
-def line_graph_presentation(gen_names, relator_texts, max_rows=20_000):
+def line_graph_presentation(gen_names, relator_texts):
     """Presentation of the line graph of ``Cay<gens | relators>`` with one
     vertex class per generator.
 
@@ -265,12 +270,11 @@ def line_graph_presentation(gen_names, relator_texts, max_rows=20_000):
     base edges) and, per complete-graph factorization colour ``m`` and signs
     i, j, the symbols ``m<idx>_<ij>`` with the identification
     (m_{i,j})^-1 = (m^-1)_{-j,-i}; for matching colours this makes m_pm and
-    m_mp involutive while m_pp and m_mm form an inverse pair.
+    m_mp involutive while m_pp and m_mm form an inverse pair.  Nothing is
+    enumerated, so the group may be infinite.
     """
     gen_names = tuple(gen_names)
     base_alphabet = Alphabet(gen_names, ())
-    base = cayley_graph(gen_names, relator_texts, max_rows=max_rows)
-    line = line_graph(base)
 
     perms = _knsym(gen_names)
     sign_tag = {1: "p", -1: "m"}
@@ -364,7 +368,7 @@ def line_graph_presentation(gen_names, relator_texts, max_rows=20_000):
                 relators[x[0]].append(word)
 
     presentation = PartitePresentation(gen_names, alphabet, action, relators)
-    return LineGraphPresentation(presentation, base, line, chi)
+    return LineGraphPresentation(presentation, chi)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,6 @@ from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
 from .graph import ColouredGraph
 
 
-def canonical(g, d):
-    """The even dart of d's pair, which stands for its undirected edge."""
-    return d & ~1
-
-
 class Matching:
     """A set of pairwise vertex-disjoint undirected edges."""
 
@@ -41,9 +36,8 @@ class Matching:
     def covers(self, v):
         return v in self._covered
 
-    def missed(self, vertices=None):
-        vertices = range(self.graph.n) if vertices is None else vertices
-        return [v for v in vertices if v not in self._covered]
+    def missed(self):
+        return [v for v in range(self.graph.n) if v not in self._covered]
 
     def is_perfect(self):
         return len(self._covered) == self.graph.n

@@ -59,22 +59,23 @@ def refine_colouring(g, colouring):
     return presentation_graph(_colouring_presentation(g, colouring))
 
 
-def presentation_from_colouring(g, colouring, base=0):
+def presentation_from_colouring(g, colouring):
     """Partite presentation with one class per vertex of ``g``; its relators
-    are the fundamental cycle words of its own presentation graph."""
+    are the fundamental cycle words of its own presentation graph at vertex
+    0."""
     if not g.is_connected():
         raise Disconnected("input graph must be connected")
     free = _colouring_presentation(g, colouring)
-    words = fundamental_cycle_words(presentation_graph(free), base, free.alphabet)
+    words = fundamental_cycle_words(presentation_graph(free), 0, free.alphabet)
     return PartitePresentation(free.classes, free.alphabet, free.action,
-                               {str(base): words})
+                               {"0": words})
 
 
-def pipeline_presentation(g, base=0):
+def pipeline_presentation(g):
     """Decompose, then extract: a presentation for any finite connected
     regular graph with a partition-friendly decomposition."""
     colouring = weak_multicycle_colouring(g)
-    return presentation_from_colouring(g, colouring, base)
+    return presentation_from_colouring(g, colouring)
 
 
 # ---------------------------------------------------------------------------

@@ -542,13 +542,13 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
 AUTOMORPHISM_BOUND = 64
 
 
-def automorphism_group(g, colour_mode="plain"):
+def automorphism_group(g):
     """Complete list of automorphisms as vertex-image tuples, for graphs of
     at most ``AUTOMORPHISM_BOUND`` vertices."""
     if g.n > AUTOMORPHISM_BOUND:
         raise SearchBoundExceeded(
             f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
-    return sorted(graph_maps(g, g, colour_mode == "colour_preserving"))
+    return sorted(graph_maps(g, g))
 
 
 def is_vertex_transitive(g):

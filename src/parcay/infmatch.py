@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .constructions import two_ended_window
 from .decompose import (_matching_of, _maximum_mates, blossom_search,
-                        canonical, component_walks)
-from .errors import NoTransitiveSupply
+                        component_walks)
+from .errors import BadParameters, NoTransitiveSupply
 from .graph import ColouredGraph
 
 
@@ -58,21 +58,12 @@ class Exhaustion:
 
 def miss_sequence(matching, exhaustion):
     """Number of vertices of each level the matching misses; non-decreasing
-    because the levels are nested."""
+    because the levels are nested.  The miss-sequence order is the tuple
+    order: the smaller sequence is the better matching."""
     seq = tuple(sum(1 for v in B if not matching.covers(v))
                 for B in exhaustion.levels)
     assert all(a <= b for a, b in zip(seq, seq[1:]))
     return seq
-
-
-def compare(m1, m2, exhaustion):
-    """'less', 'greater' or 'equal-sequence'; fewer misses is greater."""
-    a = miss_sequence(m1, exhaustion)
-    b = miss_sequence(m2, exhaustion)
-    for x, y in zip(a, b):
-        if x != y:
-            return "greater" if x < y else "less"
-    return "equal-sequence"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +128,7 @@ def symmetric_difference_report(m1, m2, exhaustion):
         kind = "path" if i < len(paths) else "cycle"
         vertices = sorted(heads if kind == "cycle" else [first] + heads)
         boundary = not exhaustion.frontier.isdisjoint(vertices)
-        in_m1 = [canonical(g, d) in m1.darts for d in walk]
+        in_m1 = [(d & ~1) in m1.darts for d in walk]
         turns = in_m1[1:] + in_m1[:1] if kind == "cycle" else in_m1[1:]
         entry = {
             "kind": kind,
@@ -181,6 +172,9 @@ FAMILIES = {"two-ended": two_ended_window, "ladder": _ladder_window}
 def window_exhaustion(family, n, margin=2):
     """The window of layers -n - margin..n + margin of a family, with the
     balls B_0..B_n as its levels and its two end layers as its frontier."""
+    if n < 0 or margin < 0:
+        raise BadParameters(f"a window needs n >= 0 and margin >= 0, got "
+                            f"n = {n}, margin = {margin}")
     lo, hi = -n - margin, n + margin
     g = FAMILIES[family](lo, hi)
     layer = [name[0] for name in g.names]

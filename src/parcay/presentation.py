@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
-from .words import (Alphabet, ClassAction, Word, apply_action, in_stabilizer,
-                    parse_word, parse_words)
+from .words import (Alphabet, ClassAction, Word, apply_action, parse_word,
+                    parse_words)
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,11 @@ def validate(p):
             out.append(Violation("EmptyRelator", (x, r),
                                  f"empty relator attached to class {x!r}"))
             continue
-        if not in_stabilizer(p.action, r, x):
+        end = apply_action(p.action, r, x)
+        if end != x:
             out.append(Violation("RelatorNotClosed", (x, r),
                                  f"relator {r} does not stabilise class {x!r} "
-                                 f"(ends at {apply_action(p.action, r, x)!r})"))
+                                 f"(ends at {end!r})"))
     return out
 
 
@@ -249,7 +250,6 @@ def parse(text):
         source_map["rel"][(cname, w.letters)] = line_no
 
     p = PartitePresentation(classes, alphabet, action, relators)
-    p.source_map = source_map
     violations = validate(p)
     if violations:
         line = None

@@ -390,6 +390,3 @@ def apply_action(action, word, x):
         raise UnknownClass(f"unknown class {x!r}") from None
     return x
 
-
-def in_stabilizer(action, word, x):
-    return apply_action(action, word, x) == x

@@ -11,13 +11,11 @@ from parcay.acceptance import (counterexample_expected_graph,
                                line_petersen_presentation)
 from parcay.builder import (CosetTable, ball_sp, build_sp, check_cover,
                             check_relator_closure, deck_group, invariant_report,
-                            presentation_complex, presentation_graph,
-                            vertex_group_order)
+                            presentation_complex, presentation_graph)
 from parcay.constructions import (FiniteGroupTable, dihedral_group,
                                   petersen_presentation)
-from parcay.errors import Overflow
-from parcay.graph import (ColouredGraph, automorphism_group, isomorphic,
-                          write_graph)
+from parcay.errors import BadParameters, Overflow
+from parcay.graph import ColouredGraph, graph_maps, isomorphic, write_graph
 from parcay.presentation import PartitePresentation, from_two_partite, parse
 from parcay.words import Alphabet, ClassAction, Word, parse_word
 
@@ -256,6 +254,13 @@ def test_ball_of_free_presentation():
                                   if g.meta["distance"][v] == 2}
 
 
+def test_ball_radius_and_scan_margin_must_be_at_least_0():
+    with pytest.raises(BadParameters):
+        ball_sp(one_class(["a"], []), radius=-1)
+    with pytest.raises(BadParameters):
+        ball_sp(one_class(["a"], []), radius=2, scan_margin=-1)
+
+
 def test_ball_of_integer_line():
     g = ball_sp(one_class(["a"], []), radius=3)
     assert g.n == 7
@@ -290,12 +295,12 @@ def test_ball_of_infinite_caterpillar():
 # -- vertex groups and invariants ----------------------------------------------------
 
 def test_vertex_group_orders():
-    p = petersen()
-    assert vertex_group_order(p, "0") == 5
-    assert vertex_group_order(p, "1") == 5
-    assert vertex_group_order(one_class(["a"], ["a^7"]), "0") == 7
+    # |V_x|, the order of the vertex group over class x, is the size of x's
+    # fibre in Sp(P).
+    assert build_sp(petersen()).class_sizes() == {"0": 5, "1": 5}
+    assert build_sp(one_class(["a"], ["a^7"])).class_sizes() == {"0": 7}
     lp = line_petersen_presentation()
-    assert [vertex_group_order(lp, x) for x in lp.classes] == [5, 5, 5]
+    assert build_sp(lp).class_sizes() == {x: 5 for x in lp.classes}
 
 
 def test_cover_and_closure_checks(petersen_sp):
@@ -328,7 +333,7 @@ def test_deck_group_is_the_class_preserving_colour_group(p):
     sp = build_sp(p)
     autos = deck_group(sp)
     assert autos
-    assert autos == [a for a in automorphism_group(sp, "colour_preserving")
+    assert autos == [a for a in sorted(graph_maps(sp, sp, respect_colours=True))
                      if all(sp.classes[a[v]] == sp.classes[v]
                             for v in range(sp.n))]
 

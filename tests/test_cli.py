@@ -248,3 +248,59 @@ def test_mutated_coloured_graph_exits_0_1_or_2(data):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("flag,a,b", [
+    # One path, coloured r r and r s: isomorphic as graphs, not as
+    # coloured graphs.
+    ("--colours", "vertices 3\nedge 0 1 r\nedge 1 2 r\n",
+     "vertices 3\nedge 0 1 r\nedge 1 2 s\n"),
+    ("--classes", "vertices 2\nclass 0 x\nclass 1 y\nedge 0 1\n",
+     "vertices 2\nclass 0 x\nclass 1 x\nedge 0 1\n"),
+])
+def test_iso_flag_flips_the_verdict(flag, a, b, tmp_path, capsys):
+    fa, fb = tmp_path / "a.graph", tmp_path / "b.graph"
+    fa.write_text(a)
+    fb.write_text(b)
+    assert main(["iso", str(fa), str(fb)]) == 0
+    assert main(["iso", str(fa), str(fb), flag]) == 1
+    assert capsys.readouterr().out == "isomorphic\nnot isomorphic\n"
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys):
+    # A directory and a file that is not UTF-8, in either position of iso.
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes("vertices 1\nclass 0 \u00e9\n".encode("latin-1"))
+    good = tmp_path / "good.graph"
+    good.write_text("vertices 1\n")
+    for argv in (["build", str(tmp_path)], ["build", str(latin1)],
+                 ["iso", str(good), str(tmp_path)],
+                 ["iso", str(latin1), str(good)]):
+        assert main(argv) == 2, argv
+        _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "petersen"],
+    ["make", "petersen", "7"],
+    ["make", "two-ended", "3"],
+    ["make", "linegraph"],
+    ["make", "bicayley"],
+    ["make", "haar", "0"],
+    ["make", "haar", "5", "--s", "9"],
+    ["make", "haar", "5", "--s", "-1"],
+    ["make", "bicayley", "5", "--r", "1", "4", "--s", "5"],
+    ["matchings", "--n", "-1"],
+    ["matchings", "--margin", "-1"],
+    ["ball", "PP", "--radius", "-1"],
+    ["ball", "PP", "--radius", "2", "--scan-margin", "-1"],
+])
+def test_malformed_arguments_exit_2_with_one_line(argv, pp, capsys):
+    assert main([str(pp) if a == "PP" else a for a in argv]) == 2
+    _assert_one_error_line(capsys)

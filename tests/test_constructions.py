@@ -120,6 +120,20 @@ def test_bi_cayley_rejects_asymmetric_sets():
         bi_cayley(cyclic_group(5), [1], [2, 3], [0])
 
 
+@pytest.mark.parametrize("R,L,S", [([], [], [5]), ([], [], [-1]),
+                                   ([1, -1], [], [0]), ([], [7], [0])])
+def test_bi_cayley_takes_only_element_indices(R, L, S):
+    # An index past the group, or a negative one, is not an element.
+    with pytest.raises(BadParameters):
+        bi_cayley(cyclic_group(5), R, L, S)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclic_group_needs_positive_order(n):
+    with pytest.raises(BadParameters):
+        cyclic_group(n)
+
+
 # -- Cayley graphs and line graphs ----------------------------------------------------
 
 def test_cayley_graph_standard_semantics():
@@ -175,8 +189,8 @@ def test_line_graph_of_parallel_edges():
 # -- line-graph presentations ----------------------------------------------------------
 
 def test_line_graph_presentation_d10():
-    res = line_graph_presentation(["a", "b"], ["a^5", "b^2", "a b a^-1 b^-1"])
-    p = res.presentation
+    gens, rels = ["a", "b"], ["a^5", "b^2", "a b a^-1 b^-1"]
+    p = line_graph_presentation(gens, rels).presentation
     assert p.classes == ("a", "b")
     assert validate(p) == []
     w = lambda t: parse_word(t, p.alphabet)
@@ -188,7 +202,7 @@ def test_line_graph_presentation_d10():
         assert w(star) in p.relators["a"]
     sp = build_sp(p)
     assert sp.n == 20
-    assert isomorphic(sp, res.line) is not None
+    assert isomorphic(sp, line_graph(cayley_graph(gens, rels))) is not None
 
 
 def test_line_graph_presentation_single_generator():
@@ -202,13 +216,22 @@ def test_line_graph_presentation_single_generator():
 def test_line_graph_presentation_three_generators():
     # Z/2 x Z/2 x Z/2-flavoured presentation with three free generators of
     # order 4: classes = generators
-    res = line_graph_presentation(
-        ["a", "b"], ["a^4", "b^4", "a b a^-1 b^-1", "a^2 b^2"])
-    p = res.presentation
+    gens, rels = ["a", "b"], ["a^4", "b^4", "a b a^-1 b^-1", "a^2 b^2"]
+    p = line_graph_presentation(gens, rels).presentation
     assert len(p.classes) == 2
     sp = build_sp(p)
-    assert sp.n == res.line.n
-    assert isomorphic(sp, res.line) is not None
+    line = line_graph(cayley_graph(gens, rels))
+    assert sp.n == line.n
+    assert isomorphic(sp, line) is not None
+
+
+def test_line_graph_presentation_of_an_infinite_group():
+    # Nothing is enumerated, so Z x Z gives its presentation: the line
+    # graph of the 4-regular grid is 6-regular.
+    p = line_graph_presentation(["a", "b"], ["a b a^-1 b^-1"]).presentation
+    assert p.classes == ("a", "b")
+    assert validate(p) == []
+    assert p.degree() == 6
 
 
 def test_chi_respects_inversion():

@@ -17,7 +17,7 @@ from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                            ParcayError, SearchBoundExceeded)
 from parcay.graph import (ColouredGraph, automorphism_group,
                           cayley_like_witness, dart_bijections, dictated_walk,
-                          fundamental_cycle_words, is_cayley,
+                          fundamental_cycle_words, graph_maps, is_cayley,
                           is_vertex_transitive, isomorphic, mulclose,
                           read_graph, to_dot, walk_word, write_graph)
 from parcay.presentation import from_two_partite
@@ -429,7 +429,7 @@ def test_single_vertex_automorphisms():
 
 
 def test_colour_preserving_group_of_petersen(petersen_sp):
-    auts = automorphism_group(petersen_sp, "colour_preserving")
+    auts = list(graph_maps(petersen_sp, petersen_sp, respect_colours=True))
     assert len(auts) == 5
 
 
@@ -454,7 +454,7 @@ def test_automorphism_group_matches_brute_force(data):
     g = _from_edges(n, edges, colours)
     auts = brute_force_automorphisms(g)
     assert automorphism_group(g) == auts
-    assert (automorphism_group(g, "colour_preserving")
+    assert (sorted(graph_maps(g, g, respect_colours=True))
             == brute_force_automorphisms(g, colour_preserving=True))
     _assert_symmetry_matches_the_listing_oracles(g, auts)
 

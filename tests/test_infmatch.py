@@ -10,9 +10,9 @@ from conftest import (all_matchings, cycle_graph, dfs_symmetric_difference_repor
 from parcay import infmatch
 from parcay.constructions import cubic_no_perfect_matching
 from parcay.decompose import Matching, maximum_matching
-from parcay.errors import NoTransitiveSupply
+from parcay.errors import BadParameters, NoTransitiveSupply
 from parcay.graph import ColouredGraph
-from parcay.infmatch import (Exhaustion, compare, is_coverable,
+from parcay.infmatch import (Exhaustion, is_coverable,
                              is_critical, maximal_matching_wrt_miss,
                              miss_sequence, symmetric_difference_report,
                              window_exhaustion, windowed_perfect_matching)
@@ -85,34 +85,23 @@ def test_disconnected_nested_levels_are_accepted():
     assert Exhaustion(g, [{2}, {1, 2, 3}, set(range(5))]).connected
 
 
-def test_compare_perfect_beats_empty():
+def test_miss_sequence_perfect_beats_empty():
     g = cycle_graph(6)
     ex = Exhaustion(g, [set(range(6))])
     perfect = maximum_matching(g)
-    assert compare(perfect, Matching(g, []), ex) == "greater"
-    assert compare(perfect, perfect, ex) == "equal-sequence"
+    assert miss_sequence(perfect, ex) == (0,)
+    assert miss_sequence(perfect, ex) < miss_sequence(Matching(g, []), ex)
 
 
-def test_compare_orders_by_first_difference():
+def test_miss_sequence_orders_by_first_difference():
     g = path_graph(5)
     ex = Exhaustion(g, [{2}, {1, 2, 3}, set(range(5))])
     ds = g.edges()
     m_mid = Matching(g, [ds[1]])     # covers 1, 2
     m_ends = Matching(g, [ds[0], ds[3]])  # covers 0,1,3,4: misses level 0
-    assert compare(m_mid, m_ends, ex) == "greater"
-    assert compare(m_ends, m_mid, ex) == "less"
-
-
-def test_compare_is_a_total_preorder_on_small_fixtures():
-    g = random_graph(6, 0.5, 3)
-    ex = Exhaustion(g, [{0, 1}, {0, 1, 2, 3}, set(range(6))])
-    ms = [Matching(g, list(darts)) for darts in all_matchings(g)]
-    for a, b in itertools.combinations(ms, 2):
-        r1, r2 = compare(a, b, ex), compare(b, a, ex)
-        assert {r1, r2} in ({"less", "greater"}, {"equal-sequence"})
-    for a, b, c in itertools.islice(itertools.combinations(ms, 3), 400):
-        if compare(a, b, ex) != "less" and compare(b, c, ex) != "less":
-            assert compare(a, c, ex) != "less"
+    assert miss_sequence(m_mid, ex) == (0, 1, 3)
+    assert miss_sequence(m_ends, ex) == (1, 1, 1)
+    assert miss_sequence(m_mid, ex) < miss_sequence(m_ends, ex)
 
 
 # -- staged lexicographic optimisation ----------------------------------------------
@@ -334,6 +323,14 @@ def test_window_exhaustion_shapes():
     assert len(ex.levels) == 3
     assert ex.frontier
     assert ex.connected
+
+
+@pytest.mark.parametrize("n,margin", [(-1, 2), (2, -1)])
+def test_window_exhaustion_rejects_negative_sizes(n, margin):
+    with pytest.raises(BadParameters):
+        window_exhaustion("two-ended", n, margin=margin)
+    with pytest.raises(BadParameters):
+        windowed_perfect_matching("ladder", n, margin=margin)
 
 
 def test_window_family_levels_must_be_connected(monkeypatch):
