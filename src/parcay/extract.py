@@ -5,10 +5,14 @@ input; plus the bi-Cayley to two-partite conversion.
 The vertex classes are the vertices themselves.  Each 2-regular colour is
 oriented deterministically and becomes a free generator acting by the cycle
 successor permutation; each matching colour becomes an involutive generator.
-The relators are a free generating set of the fundamental group, read off a
-spanning tree at one base vertex: conjugation closure at every vertex then
-kills the whole fundamental group, so the presentation complex is simply
-connected and the rebuild reproduces the input.
+There is one relator per edge outside a BFS tree at vertex 0, and it kills
+that edge: mostly a short cycle through the edge, tree edges and edges
+killed before it, kept at the class of the cycle's earliest vertex; where
+no short cycle is found, the edge's fundamental cycle word at class ``0``.
+By induction every edge outside the tree is trivial, so the presentation
+complex is simply connected and the rebuild reproduces the input.  Since
+different vertices obey different relators, the relator text grows with
+the cycles' lengths, not with the tree's depth.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from .builder import presentation_graph
 from .decompose import _class_walks, weak_multicycle_colouring
 from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
-from .graph import alphabet_graph, fundamental_cycle_words
+from .graph import (_short_cycle_relators, alphabet_graph,
+                    fundamental_cycle_words)
 from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
 
@@ -60,15 +65,19 @@ def refine_colouring(g, colouring):
 
 
 def presentation_from_colouring(g, colouring):
-    """Partite presentation with one class per vertex of ``g``; its relators
-    are the fundamental cycle words of its own presentation graph at vertex
-    0."""
+    """Partite presentation with one class per vertex of ``g``: one relator
+    per non-tree edge of the BFS tree at vertex 0 of its own presentation
+    graph, a short cycle at the class of its earliest vertex, or the base
+    word at class ``0`` where no shorter cycle was found."""
     if not g.is_connected():
         raise Disconnected("input graph must be connected")
     free = _colouring_presentation(g, colouring)
-    words = fundamental_cycle_words(presentation_graph(free), 0, free.alphabet)
+    sp = presentation_graph(free)
+    relators = {}
+    for _, v, word in _short_cycle_relators(sp, 0, free.alphabet):
+        relators.setdefault(sp.classes[v], []).append(word)
     return PartitePresentation(free.classes, free.alphabet, free.action,
-                               {"0": words})
+                               relators)
 
 
 def pipeline_presentation(g):

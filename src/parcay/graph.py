@@ -24,7 +24,7 @@ from collections import Counter, deque
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                      SearchBoundExceeded)
-from .words import Alphabet, reduce as word_reduce
+from .words import Alphabet, Word, reduce as word_reduce
 
 
 class ColouredGraph:
@@ -339,25 +339,37 @@ def spanning_tree(g, base):
     return parent, order
 
 
-def fundamental_cycle_words(g, base, alphabet=None):
-    """Free generators of the image of the fundamental group at ``base``
-    under the walk-to-word map: one word per non-tree edge u -> w of the
-    BFS tree.  Its walk runs from ``base`` down the tree to u, across the
-    edge and back up; both ends climb by parent darts to their lowest
-    common ancestor, then on to ``base``, so no root path is stored."""
-    _witness(g)
-    alphabet = alphabet or graph_alphabet(g)
-    parent, order = spanning_tree(g, base)
-    letter = [_letter_for_colour(alphabet, g, c) for c in g.colour]
-    inverse = alphabet.inverse_letter
-    depth = [0] * g.n
-    for v in order[1:]:
-        depth[v] = depth[g.src(parent[v])] + 1
-    out = []
-    for d in g.edges():
+class _RootedTree:
+    """The BFS tree of a Cayley-like graph at ``base``, with the letter of
+    every dart: what ``fundamental_cycle_words`` and
+    ``_short_cycle_relators`` share."""
+
+    def __init__(self, g, base, alphabet):
+        _witness(g)
+        self.g, self.base = g, base
+        self.alphabet = alphabet or graph_alphabet(g)
+        self.parent, self.order = spanning_tree(g, base)
+        code = {c: _letter_for_colour(self.alphabet, g, c)
+                for c in g.colour_inv}
+        self.letter = [code[c] for c in g.colour]
+        depth = self.depth = [0] * g.n
+        for v in self.order[1:]:
+            depth[v] = depth[g.src(self.parent[v])] + 1
+
+    def non_tree_edges(self):
+        """The canonical darts of the edges outside the tree, in dart order."""
+        parent, tau = self.parent, self.g.tau
+        return [d for d in self.g.edges()
+                if parent[tau[d]] != d and parent[tau[d ^ 1]] != d ^ 1]
+
+    def base_word(self, d):
+        """The word of the non-tree edge u -> w at ``base``: its walk runs
+        from ``base`` down the tree to u, across the edge and back up; both
+        ends climb by parent darts to their lowest common ancestor, then on
+        to ``base``, so no root path is stored."""
+        g, parent, depth, letter = self.g, self.parent, self.depth, self.letter
+        inverse = self.alphabet.inverse_letter
         u, w = g.src(d), g.tau[d]
-        if parent[w] == d or parent[u] == d ^ 1:
-            continue
         down, up = [letter[d]], []   # the word's two halves, down reversed
         while u != w:                # up to the lowest common ancestor
             if depth[u] >= depth[w]:
@@ -368,13 +380,117 @@ def fundamental_cycle_words(g, base, alphabet=None):
                 e = parent[w]
                 up.append(inverse(letter[e]))
                 w = g.src(e)
-        while u != base:             # and on to base
+        while u != self.base:        # and on to base
             e = parent[u]
             down.append(letter[e])
             up.append(inverse(letter[e]))
             u = g.src(e)
         down.reverse()
-        out.append(word_reduce(down + up, alphabet))
+        return word_reduce(down + up, self.alphabet)
+
+
+def fundamental_cycle_words(g, base, alphabet=None):
+    """Free generators of the image of the fundamental group at ``base``
+    under the walk-to-word map: one word per non-tree edge of the BFS tree,
+    in dart order, read from ``base`` down the tree, across the edge and
+    back up."""
+    tree = _RootedTree(g, base, alphabet)
+    return [tree.base_word(d) for d in tree.non_tree_edges()]
+
+
+# Levels that each end of a non-tree edge searches for a short cycle.
+LOCAL_CYCLE_LEVELS = 4
+
+
+def _usable_path(g, usable, a, b, limit):
+    """The darts of a shortest path from a to b over edges marked in
+    ``usable`` (indexed by ``d >> 1``), of at most ``limit`` edges and at
+    most ``LOCAL_CYCLE_LEVELS`` levels from either end, or None.  The end
+    with the smaller frontier grows by one BFS level at a time; the first
+    vertex reached from both ends closes a shortest path."""
+    if a == b:
+        return []
+    tau, out = g.tau, g._out
+    seen = ({a: None}, {b: None})   # vertex -> dart it was reached by
+    frontier = [[a], [b]]
+    levels = [0, 0]
+    while levels[0] + levels[1] < limit:
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        if levels[side] == LOCAL_CYCLE_LEVELS:
+            side = 1 - side
+            if levels[side] == LOCAL_CYCLE_LEVELS:
+                return None
+        mine, other = seen[side], seen[1 - side]
+        grown = []
+        for x in frontier[side]:
+            for d in out[x]:
+                y = tau[d]
+                if usable[d >> 1] and y not in mine:
+                    mine[y] = d
+                    if y in other:
+                        halves = []
+                        for reached in seen:    # from y back to each end
+                            half, v = [], y
+                            while reached[v] is not None:
+                                half.append(reached[v])
+                                v = tau[reached[v] ^ 1]
+                            halves.append(half)
+                        return halves[0][::-1] + [e ^ 1 for e in halves[1]]
+                    grown.append(y)
+        if not grown:
+            return None
+        frontier[side] = grown
+        levels[side] += 1
+    return None
+
+
+def _short_cycle_relators(g, base, alphabet=None):
+    """One relator per non-tree edge of the BFS tree at ``base``, as
+    ``(dart, vertex, word)``: the edge's canonical dart, and a word that
+    closes at the vertex.
+
+    Edges are taken in BFS order of their later end, then of their earlier
+    end.  Edge u -> w is closed by a shortest path from w back to u over
+    tree edges and edges closed before it, and the cycle is read from its
+    earliest vertex in BFS order.  The cycle must be at least two letters
+    shorter than the edge's base word (depth(u) + depth(w) + 1 letters),
+    or the base word at ``base`` is the relator.  That loses little: a
+    base word whose ends meet at ``base`` is itself a cycle, and one whose
+    ends meet lower is two letters or more longer than the cycle through
+    the tree.  On a tree one level deep no search runs.
+
+    Each relator crosses exactly one edge that is neither in the tree nor
+    closed, so by induction every non-tree edge is trivial in the
+    complex."""
+    tree = _RootedTree(g, base, alphabet)
+    tau, depth, letter = g.tau, tree.depth, tree.letter
+    rank = [0] * g.n
+    for i, v in enumerate(tree.order):
+        rank[v] = i
+    usable = bytearray([1]) * g.n_edges
+    open_edges = []
+    for d in tree.non_tree_edges():
+        usable[d >> 1] = 0
+        ru, rw = rank[tau[d ^ 1]], rank[tau[d]]
+        open_edges.append((max(ru, rw), min(ru, rw), d))
+    open_edges.sort()
+    out = []
+    for _, _, d in open_edges:
+        u, w = tau[d ^ 1], tau[d]
+        path = _usable_path(g, usable, w, u, depth[u] + depth[w] - 2)
+        if path is None:
+            out.append((d, base, tree.base_word(d)))
+        else:
+            # A simple cycle of a Cayley-like graph spells a cyclically
+            # reduced word: cancelling letters would need a backtrack.
+            cycle = [d] + path
+            starts = [rank[tau[e ^ 1]] for e in cycle]
+            i = starts.index(min(starts))
+            cycle = cycle[i:] + cycle[:i]
+            word = tuple(letter[e] for e in cycle)
+            out.append((d, tau[cycle[0] ^ 1],
+                        Word(tree.alphabet, word, _reduced=True)))
+        usable[d >> 1] = 1
     return out
 
 

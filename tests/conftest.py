@@ -4,13 +4,15 @@ import re
 from collections import Counter, deque
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from parcay.acceptance import all_matchings  # noqa: F401
-from parcay.constructions import complete_graph, cycle_graph  # noqa: F401
+from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
+                                  generalized_petersen)
 from parcay.decompose import EdgeColouring, maximum_matching
 from parcay.errors import NotCayleyLike, WordSyntaxError
-from parcay.graph import (ColouredGraph, _letter_for_colour, cayley_like_witness,
+from parcay.graph import (ColouredGraph, _letter_for_colour, _perm_mul,
+                          cayley_like_witness, mulclose,
                           graph_alphabet, spanning_tree)
 from parcay.presentation import PartitePresentation
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
@@ -471,6 +473,70 @@ def multigraph_colourings(draw):
         else:
             mapping[d] = colour
     return g, EdgeColouring(g, mapping)
+
+
+# P(n, k) with k^2 = -1 (mod n) and k < n/2: vertex transitive, and Cayley
+# graphs (Nedela and Skoviera).
+SQUARE_ROOTS_OF_MINUS_ONE = [(n, k) for n in range(5, 60)
+                             for k in range(2, (n + 1) // 2)
+                             if (k * k + 1) % n == 0]
+# The largest group whose Cayley graph ``regular_graphs`` draws.
+CAYLEY_ORDER = 120
+
+
+@st.composite
+def regular_graphs(draw):
+    """``(family, graph)``: a connected regular multigraph from one of three
+    families, with its vertices relabelled and its edges reordered and
+    redirected at random.
+    - "cayley": the group that 1-3 random permutations of at most 7 points
+      generate, of order at most ``CAYLEY_ORDER``, with an edge x - x s per
+      element x and generator s (one per pair {x, x s} for an involution s,
+      a loop for the identity);
+    - "petersen": P(n, k) with k^2 = -1 (mod n);
+    - "factors": the 2-factors x - p(x) of up to two random permutations p
+      (fixed points are loops, 2-cycles parallel pairs) and up to two random
+      perfect matchings."""
+    family = draw(st.sampled_from(("cayley", "petersen", "factors")))
+    if family == "cayley":
+        points = draw(st.integers(2, 7))
+        gens = [tuple(p) for p in draw(st.lists(
+            st.permutations(range(points)), min_size=1, max_size=3))]
+        group = mulclose(gens, cap=CAYLEY_ORDER)
+        assume(group is not None)
+        elements = sorted(group)
+        index = {x: i for i, x in enumerate(elements)}
+        n, edges = len(elements), []
+        for s in gens:
+            involution = _perm_mul(s, s) == elements[0]
+            for x in elements:
+                i, j = index[x], index[_perm_mul(x, s)]
+                if not involution or i <= j:
+                    edges.append((i, j))
+    elif family == "petersen":
+        n, k = draw(st.sampled_from(SQUARE_ROOTS_OF_MINUS_ONE))
+        g = generalized_petersen(n, k)
+        n, edges = g.n, [g.edge_ends(d) for d in g.edges()]
+    else:
+        n = draw(st.integers(2, 12))
+        matchings = draw(st.integers(0, 2)) if n % 2 == 0 else 0
+        edges = []
+        for _ in range(draw(st.integers(max(0, 2 - matchings), 2))):
+            p = draw(st.permutations(range(n)))
+            edges += [(v, p[v]) for v in range(n)]
+        for _ in range(matchings):
+            p = draw(st.permutations(range(n)))
+            edges += [(p[i], p[i + 1]) for i in range(0, n, 2)]
+    label = draw(st.permutations(range(n)))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for u, w in draw(st.permutations(edges)):
+        if draw(st.booleans()):
+            u, w = w, u
+        g.add_edge(label[u], label[w])
+    assume(g.is_connected())
+    return family, g
 
 
 @pytest.fixture

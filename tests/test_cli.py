@@ -7,7 +7,9 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import regular_graphs
 
 from parcay.cli import main
 from parcay.constructions import (complete_graph, cycle_graph,
@@ -248,6 +250,22 @@ def test_mutated_coloured_graph_exits_0_1_or_2(data):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=4, deadline=None)
+@given(regular_graphs())
+def test_generated_graphs_round_trip_through_the_cli(case):
+    _, g = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name)
+                 for name in ("in.graph", "in.col", "in.pp", "built.graph")]
+        with open(paths[0], "w") as fh:
+            fh.write(write_graph(g))
+        for argv in (["decompose", paths[0], "-o", paths[1]],
+                     ["extract", paths[1], "--roundtrip", "-o", paths[2]],
+                     ["build", paths[2], "-o", paths[3]]):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
 
 
 @pytest.mark.parametrize("flag,a,b", [

@@ -1,23 +1,28 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bfs_is_partition_friendly, class_degree, complete_graph,
                       cycle_graph, least_neighbour_successors,
-                      multigraph_colourings)
+                      multigraph_colourings, regular_graphs)
 
 from parcay.acceptance import roundtrip_corpus
 from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   cyclic_group, dihedral_group,
-                                  generalized_petersen)
+                                  generalized_petersen, line_graph)
 from parcay.decompose import EdgeColouring, weak_multicycle_colouring
 from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
                            NotPartitionFriendly, SizeMismatch)
 from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring,
                             refine_colouring)
-from parcay.graph import isomorphic, write_graph
+from parcay.graph import (ColouredGraph, _short_cycle_relators,
+                          dictated_walk, fundamental_cycle_words, isomorphic,
+                          spanning_tree, write_graph)
 from parcay.presentation import from_two_partite, validate
+from parcay.words import reduce as word_reduce
 
 
 def roundtrip(g, colouring=None):
@@ -222,8 +227,6 @@ def test_bicayley_heawood_roundtrip():
 
 
 def test_circulant_pipeline_roundtrips():
-    from parcay.graph import ColouredGraph
-
     def circulant(n, steps):
         g = ColouredGraph()
         for _ in range(n):
@@ -247,6 +250,111 @@ def test_extract_long_cycle_needs_no_recursion():
     p, ok = roundtrip(cycle_graph(3000))
     assert ok
     assert [len(r) for r in p.relators["0"]] == [3000]
+
+
+def _class_edges(sp):
+    """The rebuilt graph's edges as (class pair, base colour) counts."""
+    return Counter((frozenset((sp.classes[sp.src(d)], sp.classes[sp.tau[d]])),
+                    sp.colour[d].removesuffix("^-1")) for d in sp.edges())
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_graphs())
+def test_generated_graphs_round_trip(case):
+    _, g = case
+    # A connected vertex-transitive graph of even order has a perfect
+    # matching, and the 2-factor unions have one or even degree, so the
+    # colouring never raises here.
+    colouring = weak_multicycle_colouring(g)
+    assert bfs_is_partition_friendly(g, colouring)
+    p = presentation_from_colouring(g, colouring)
+    assert sum(len(p.relators[x]) for x in p.classes) == g.n_edges - g.n + 1
+    # These builds take at most 2n rows.  A presentation whose complex is
+    # not simply connected has a larger or infinite cover, and fails fast.
+    sp = build_sp(p, max_rows=10 * g.n + 100)
+    # Class str(v) is input vertex v, so the rebuild carries the input's
+    # coloured edges by its class labels alone.
+    assert sp.n == g.n
+    assert _class_edges(sp) == Counter(
+        (frozenset((str(u), str(w))), colouring[d])
+        for d in g.edges() for u, w in [g.edge_ends(d)])
+    assert isomorphic(sp, refine_colouring(g, colouring),
+                      respect_colours=True) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_colourings())
+def test_each_relator_closes_its_edge_with_earlier_edges(gc):
+    g, c = gc
+    if not (g.n_edges and g.is_connected()
+            and bfs_is_partition_friendly(g, c)):
+        return
+    alphabet = _colouring_presentation(g, c).alphabet
+    sp = refine_colouring(g, c)
+    parent, order = spanning_tree(sp, 0)
+    tree = {d & ~1 for d in parent if d is not None}
+    non_tree = [d for d in sp.edges() if d not in tree]
+    base_word = dict(zip(non_tree, fundamental_cycle_words(sp, 0, alphabet)))
+    rank = {v: i for i, v in enumerate(order)}
+    relators = _short_cycle_relators(sp, 0, alphabet)
+    assert sorted(d for d, _, _ in relators) == non_tree
+    closed = set(tree)
+    for d, v, word in relators:
+        assert len(word) <= len(base_word[d])
+        # Cyclically reduced: on at most 10 vertices a search of 4 levels
+        # per end reaches every cycle through the tree, so the base words
+        # left are those whose ends meet at vertex 0.
+        assert word == word_reduce(word.letters, alphabet)
+        assert len(word) < 2 or word.letters[0] != alphabet.inverse_letter(
+            word.letters[-1])
+        walk = dictated_walk(sp, v, word)
+        assert walk.is_closed()
+        crossed = Counter(e & ~1 for e in walk.darts)
+        # The edge itself once; otherwise only the tree and earlier edges.
+        assert crossed[d] == 1
+        assert set(crossed) <= closed | {d}
+        if (v, word) != (0, base_word[d]):
+            assert rank[v] == min(rank[sp.src(e)] for e in walk.darts)
+        closed.add(d)
+
+
+def _haar_graph(n, shifts):
+    """The Haar graph of Z_n: i joined to n + (i + s) mod n for s in shifts."""
+    g = ColouredGraph()
+    for _ in range(2 * n):
+        g.add_vertex()
+    for i in range(n):
+        for s in shifts:
+            g.add_edge(i, n + (i + s) % n)
+    return g
+
+
+# The graphs of the benchmark's pipeline: total relator letters, relators
+# that are base words at class "0", and the rebuild's counters.
+@pytest.mark.parametrize("make,letters,fallbacks,stats", [
+    (lambda: generalized_petersen(600, 3), 4200, 7,
+     {"rows": 1785, "coincidences": 585, "scans": 601}),
+    (lambda: line_graph(generalized_petersen(400, 3)), 5533, 10,
+     {"rows": 2781, "coincidences": 1581, "scans": 1327}),
+    (lambda: _haar_graph(600, (0, 1, 3)), 4000, 6,
+     {"rows": 1399, "coincidences": 199, "scans": 601}),
+    (lambda: complete_graph(48), 3243, 1081,
+     {"rows": 48, "coincidences": 0, "scans": 1081}),
+    (lambda: cycle_graph(1000), 1000, 1,
+     {"rows": 1000, "coincidences": 0, "scans": 1}),
+], ids=["P(600,3)", "L(P(400,3))", "Haar(Z600,{0,1,3})", "K48", "C1000"])
+def test_extraction_counters_are_pinned(make, letters, fallbacks, stats):
+    g = make()
+    colouring = weak_multicycle_colouring(g)
+    p = presentation_from_colouring(g, colouring)
+    base_words = set(fundamental_cycle_words(refine_colouring(g, colouring), 0,
+                                             p.alphabet))
+    sp = build_sp(p)
+    assert sum(len(r) for _, r in p.all_relators()) == letters
+    assert sum(r in base_words for r in p.relators["0"]) == fallbacks
+    assert sp.n == g.n
+    assert sp.meta["stats"] == stats
+    assert stats["rows"] <= 3 * g.n
 
 
 @settings(max_examples=400, deadline=None)
