@@ -8,7 +8,8 @@ successor permutation; each matching colour becomes an involutive generator.
 There is one relator per edge outside a BFS tree at vertex 0, and it kills
 that edge: mostly a short cycle through the edge, tree edges and edges
 killed before it, kept at the class of the cycle's earliest vertex; where
-no short cycle is found, the edge's fundamental cycle word at class ``0``.
+no short cycle is found, the edge's cycle through the tree, kept at the
+class of the lowest common ancestor of its ends.
 By induction every edge outside the tree is trivial, so the presentation
 complex is simply connected and the rebuild reproduces the input.  Since
 different vertices obey different relators, the relator text grows with
@@ -67,14 +68,14 @@ def refine_colouring(g, colouring):
 def presentation_from_colouring(g, colouring):
     """Partite presentation with one class per vertex of ``g``: one relator
     per non-tree edge of the BFS tree at vertex 0 of its own presentation
-    graph, a short cycle at the class of its earliest vertex, or the base
-    word at class ``0`` where no shorter cycle was found."""
+    graph, a short cycle at the class of its earliest vertex, or the edge's
+    cycle through the tree where no shorter cycle was found."""
     if not g.is_connected():
         raise Disconnected("input graph must be connected")
     free = _colouring_presentation(g, colouring)
     sp = presentation_graph(free)
     relators = {}
-    for _, v, word in _short_cycle_relators(sp, 0, free.alphabet):
+    for _, v, word in _short_cycle_relators(sp, free.alphabet):
         relators.setdefault(sp.classes[v], []).append(word)
     return PartitePresentation(free.classes, free.alphabet, free.action,
                                relators)

@@ -350,7 +350,7 @@ class _RootedTree:
         self.alphabet = alphabet or graph_alphabet(g)
         self.parent, self.order = spanning_tree(g, base)
         code = {c: _letter_for_colour(self.alphabet, g, c)
-                for c in g.colour_inv}
+                for c in set(g.colour)}
         self.letter = [code[c] for c in g.colour]
         depth = self.depth = [0] * g.n
         for v in self.order[1:]:
@@ -362,16 +362,17 @@ class _RootedTree:
         return [d for d in self.g.edges()
                 if parent[tau[d]] != d and parent[tau[d ^ 1]] != d ^ 1]
 
-    def base_word(self, d):
-        """The word of the non-tree edge u -> w at ``base``: its walk runs
-        from ``base`` down the tree to u, across the edge and back up; both
-        ends climb by parent darts to their lowest common ancestor, then on
-        to ``base``, so no root path is stored."""
+    def tree_cycle(self, d):
+        """``(vertex, word)``: the cycle of the non-tree edge u -> w through
+        the tree, read from the lowest common ancestor of u and w.  Both
+        ends climb by parent darts, so no root path is stored.  A simple
+        cycle of a Cayley-like graph spells a cyclically reduced word:
+        cancelling letters would need a backtrack."""
         g, parent, depth, letter = self.g, self.parent, self.depth, self.letter
         inverse = self.alphabet.inverse_letter
         u, w = g.src(d), g.tau[d]
         down, up = [letter[d]], []   # the word's two halves, down reversed
-        while u != w:                # up to the lowest common ancestor
+        while u != w:
             if depth[u] >= depth[w]:
                 e = parent[u]
                 down.append(letter[e])
@@ -380,13 +381,23 @@ class _RootedTree:
                 e = parent[w]
                 up.append(inverse(letter[e]))
                 w = g.src(e)
-        while u != self.base:        # and on to base
-            e = parent[u]
-            down.append(letter[e])
-            up.append(inverse(letter[e]))
-            u = g.src(e)
         down.reverse()
-        return word_reduce(down + up, self.alphabet)
+        return u, Word(self.alphabet, tuple(down + up), _reduced=True)
+
+    def base_word(self, d):
+        """The word of the non-tree edge at ``base``: its tree cycle,
+        conjugated by the tree path from ``base`` to the cycle's vertex."""
+        v, cycle = self.tree_cycle(d)
+        path = []
+        while v != self.base:
+            e = self.parent[v]
+            path.append(self.letter[e])
+            v = self.g.src(e)
+        path.reverse()
+        inverse = self.alphabet.inverse_letter
+        return word_reduce(path + list(cycle.letters)
+                           + [inverse(x) for x in reversed(path)],
+                           self.alphabet)
 
 
 def fundamental_cycle_words(g, base, alphabet=None):
@@ -444,25 +455,25 @@ def _usable_path(g, usable, a, b, limit):
     return None
 
 
-def _short_cycle_relators(g, base, alphabet=None):
-    """One relator per non-tree edge of the BFS tree at ``base``, as
-    ``(dart, vertex, word)``: the edge's canonical dart, and a word that
-    closes at the vertex.
+def _short_cycle_relators(g, alphabet):
+    """One relator per non-tree edge of the BFS tree at vertex 0, as
+    ``(dart, vertex, word)``: the edge's canonical dart, and a cyclically
+    reduced word that closes at the vertex.
 
     Edges are taken in BFS order of their later end, then of their earlier
     end.  Edge u -> w is closed by a shortest path from w back to u over
     tree edges and edges closed before it, and the cycle is read from its
-    earliest vertex in BFS order.  The cycle must be at least two letters
-    shorter than the edge's base word (depth(u) + depth(w) + 1 letters),
-    or the base word at ``base`` is the relator.  That loses little: a
-    base word whose ends meet at ``base`` is itself a cycle, and one whose
-    ends meet lower is two letters or more longer than the cycle through
-    the tree.  On a tree one level deep no search runs.
+    earliest vertex in BFS order.  The search looks for a cycle at least
+    two letters shorter than the edge's base word (depth(u) + depth(w) + 1
+    letters); where it finds none, the relator is the edge's cycle through
+    the tree, at the lowest common ancestor of its ends.  That cycle is the
+    base word when the ends meet at vertex 0, so on a tree one level deep
+    no search runs.
 
     Each relator crosses exactly one edge that is neither in the tree nor
     closed, so by induction every non-tree edge is trivial in the
     complex."""
-    tree = _RootedTree(g, base, alphabet)
+    tree = _RootedTree(g, 0, alphabet)
     tau, depth, letter = g.tau, tree.depth, tree.letter
     rank = [0] * g.n
     for i, v in enumerate(tree.order):
@@ -479,17 +490,15 @@ def _short_cycle_relators(g, base, alphabet=None):
         u, w = tau[d ^ 1], tau[d]
         path = _usable_path(g, usable, w, u, depth[u] + depth[w] - 2)
         if path is None:
-            out.append((d, base, tree.base_word(d)))
-        else:
-            # A simple cycle of a Cayley-like graph spells a cyclically
-            # reduced word: cancelling letters would need a backtrack.
+            out.append((d, *tree.tree_cycle(d)))
+        else:                   # cyclically reduced, as in tree_cycle
             cycle = [d] + path
             starts = [rank[tau[e ^ 1]] for e in cycle]
             i = starts.index(min(starts))
             cycle = cycle[i:] + cycle[:i]
             word = tuple(letter[e] for e in cycle)
             out.append((d, tau[cycle[0] ^ 1],
-                        Word(tree.alphabet, word, _reduced=True)))
+                        Word(alphabet, word, _reduced=True)))
         usable[d >> 1] = 1
     return out
 

@@ -18,9 +18,10 @@ from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
 from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring,
                             refine_colouring)
-from parcay.graph import (ColouredGraph, _short_cycle_relators,
-                          dictated_walk, fundamental_cycle_words, isomorphic,
-                          spanning_tree, write_graph)
+from parcay.graph import (LOCAL_CYCLE_LEVELS, ColouredGraph, _RootedTree,
+                          _short_cycle_relators, dictated_walk,
+                          fundamental_cycle_words, isomorphic, spanning_tree,
+                          write_graph)
 from parcay.presentation import from_two_partite, validate
 from parcay.words import reduce as word_reduce
 
@@ -296,26 +297,26 @@ def test_each_relator_closes_its_edge_with_earlier_edges(gc):
     non_tree = [d for d in sp.edges() if d not in tree]
     base_word = dict(zip(non_tree, fundamental_cycle_words(sp, 0, alphabet)))
     rank = {v: i for i, v in enumerate(order)}
-    relators = _short_cycle_relators(sp, 0, alphabet)
+    relators = _short_cycle_relators(sp, alphabet)
     assert sorted(d for d, _, _ in relators) == non_tree
     closed = set(tree)
     for d, v, word in relators:
         assert len(word) <= len(base_word[d])
-        # Cyclically reduced: on at most 10 vertices a search of 4 levels
-        # per end reaches every cycle through the tree, so the base words
-        # left are those whose ends meet at vertex 0.
-        assert word == word_reduce(word.letters, alphabet)
-        assert len(word) < 2 or word.letters[0] != alphabet.inverse_letter(
-            word.letters[-1])
+        _assert_cyclically_reduced(word, alphabet)
         walk = dictated_walk(sp, v, word)
         assert walk.is_closed()
         crossed = Counter(e & ~1 for e in walk.darts)
         # The edge itself once; otherwise only the tree and earlier edges.
         assert crossed[d] == 1
         assert set(crossed) <= closed | {d}
-        if (v, word) != (0, base_word[d]):
-            assert rank[v] == min(rank[sp.src(e)] for e in walk.darts)
+        assert rank[v] == min(rank[sp.src(e)] for e in walk.darts)
         closed.add(d)
+
+
+def _assert_cyclically_reduced(word, alphabet):
+    assert word == word_reduce(word.letters, alphabet)
+    assert len(word) < 2 or word.letters[0] != alphabet.inverse_letter(
+        word.letters[-1])
 
 
 def _haar_graph(n, shifts):
@@ -329,31 +330,40 @@ def _haar_graph(n, shifts):
     return g
 
 
-# The graphs of the benchmark's pipeline: total relator letters, relators
-# that are base words at class "0", and the rebuild's counters.
-@pytest.mark.parametrize("make,letters,fallbacks,stats", [
-    (lambda: generalized_petersen(600, 3), 4200, 7,
-     {"rows": 1785, "coincidences": 585, "scans": 601}),
-    (lambda: line_graph(generalized_petersen(400, 3)), 5533, 10,
+# The graphs of the benchmark's pipeline: total relator letters, the
+# lengths of the relators too long for the search to have found, and the
+# rebuild's counters.
+@pytest.mark.parametrize("make,letters,long,stats", [
+    (lambda: generalized_petersen(600, 3), 4194, [200, 200, 204],
+     {"rows": 1783, "coincidences": 583, "scans": 601}),
+    (lambda: line_graph(generalized_petersen(400, 3)), 5533, [136, 137, 137],
      {"rows": 2781, "coincidences": 1581, "scans": 1327}),
-    (lambda: _haar_graph(600, (0, 1, 3)), 4000, 6,
+    (lambda: _haar_graph(600, (0, 1, 3)), 4000, [400],
      {"rows": 1399, "coincidences": 199, "scans": 601}),
-    (lambda: complete_graph(48), 3243, 1081,
+    (lambda: complete_graph(48), 3243, [],
      {"rows": 48, "coincidences": 0, "scans": 1081}),
-    (lambda: cycle_graph(1000), 1000, 1,
+    (lambda: cycle_graph(1000), 1000, [1000],
      {"rows": 1000, "coincidences": 0, "scans": 1}),
 ], ids=["P(600,3)", "L(P(400,3))", "Haar(Z600,{0,1,3})", "K48", "C1000"])
-def test_extraction_counters_are_pinned(make, letters, fallbacks, stats):
+def test_extraction_counters_are_pinned(make, letters, long, stats):
     g = make()
     colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
-    base_words = set(fundamental_cycle_words(refine_colouring(g, colouring), 0,
-                                             p.alphabet))
-    sp = build_sp(p)
+    sp = refine_colouring(g, colouring)
+    tree = _RootedTree(sp, 0, p.alphabet)
     assert sum(len(r) for _, r in p.all_relators()) == letters
-    assert sum(r in base_words for r in p.relators["0"]) == fallbacks
-    assert sp.n == g.n
-    assert sp.meta["stats"] == stats
+    fallbacks = [(d, v, w) for d, v, w in _short_cycle_relators(sp, p.alphabet)
+                 if len(w) > 2 * LOCAL_CYCLE_LEVELS + 1]
+    assert sorted(len(w) for _, _, w in fallbacks) == long
+    # Each is its edge's cycle through the tree, at the ends' lowest common
+    # ancestor, not the longer base word at vertex 0.
+    for d, v, w in fallbacks:
+        assert (v, w) == tree.tree_cycle(d)
+    for _, r in p.all_relators():
+        _assert_cyclically_reduced(r, p.alphabet)
+    rebuilt = build_sp(p)
+    assert rebuilt.n == g.n
+    assert rebuilt.meta["stats"] == stats
     assert stats["rows"] <= 3 * g.n
 
 

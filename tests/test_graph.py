@@ -213,6 +213,13 @@ def test_fundamental_cycles_of_petersen(petersen_sp):
         assert dictated_walk(g, 0, w).is_closed()
 
 
+def test_fundamental_cycles_ignore_a_declared_but_unused_colour():
+    g = read_graph("vertices 3\ncolour a a^-1\ncolour b b^-1\n"
+                   "edge 0 1 a\nedge 1 2 a\nedge 2 0 a\n")
+    words = fundamental_cycle_words(g, 0)
+    assert [str(w) for w in words] in (["a^3"], ["a^-3"])
+
+
 def test_fundamental_cycles_need_connectivity():
     g = ColouredGraph()
     for _ in range(2):
