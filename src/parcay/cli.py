@@ -10,6 +10,7 @@ fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,7 +196,12 @@ def cmd_suite(args):
     return 0 if all(r["pass"] for r in results) else 1
 
 
+@functools.cache
 def make_parser():
+    """The argparse tree, built on the first call and kept for the rest
+    of the process: parsing reads it and never changes it, so in-process
+    callers do not rebuild it per command, and importing the module does
+    not build it at all.  Subcommand ``name`` runs ``cmd_name``."""
     parser = argparse.ArgumentParser(
         prog="parcay",
         description="partite presentations of graphs: build, decompose, "
@@ -204,14 +210,12 @@ def make_parser():
 
     s = sub.add_parser("validate", help="validate a presentation file")
     s.add_argument("file")
-    s.set_defaults(fn=cmd_validate)
 
     s = sub.add_parser("build", help="build the partite Cayley graph")
     s.add_argument("file")
     s.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     s.add_argument("--format", choices=("graph", "dot"), default="graph")
     s.add_argument("-o", "--out")
-    s.set_defaults(fn=cmd_build)
 
     s = sub.add_parser("ball", help="bounded window of a possibly infinite graph")
     s.add_argument("file")
@@ -220,21 +224,18 @@ def make_parser():
     s.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     s.add_argument("--format", choices=("graph", "dot"), default="graph")
     s.add_argument("-o", "--out")
-    s.set_defaults(fn=cmd_ball)
 
     s = sub.add_parser("decompose", help="partition-friendly weak multicycle "
                                          "colouring of a regular graph")
     s.add_argument("file")
     s.add_argument("--check", choices=("multicycle", "weak", "pf"))
     s.add_argument("-o", "--out")
-    s.set_defaults(fn=cmd_decompose)
 
     s = sub.add_parser("extract", help="presentation from a coloured graph")
     s.add_argument("file")
     s.add_argument("--roundtrip", action="store_true",
                    help="rebuild and verify the extraction")
     s.add_argument("-o", "--out")
-    s.set_defaults(fn=cmd_extract)
 
     s = sub.add_parser("make", help="emit a named graph family member")
     s.add_argument("family", choices=("petersen", "two-ended", "linegraph",
@@ -247,38 +248,35 @@ def make_parser():
     s.add_argument("--s", type=int, nargs="*", default=[])
     s.add_argument("--format", choices=("graph", "dot"), default="graph")
     s.add_argument("-o", "--out")
-    s.set_defaults(fn=cmd_make)
 
     s = sub.add_parser("iso", help="isomorphism test for two graph files")
     s.add_argument("a")
     s.add_argument("b")
     s.add_argument("--colours", action="store_true")
     s.add_argument("--classes", action="store_true")
-    s.set_defaults(fn=cmd_iso)
 
     s = sub.add_parser("verify", help="run a named certificate suite")
     s.add_argument("what", choices=("two-ended",))
-    s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("matchings", help="window matchings and miss sequences")
     s.add_argument("--family", choices=sorted(FAMILIES), default="two-ended")
     s.add_argument("--n", type=int, default=3)
     s.add_argument("--margin", type=int, default=2)
     s.add_argument("--report", action="store_true")
-    s.set_defaults(fn=cmd_matchings)
 
     s = sub.add_parser("suite", help="run the full acceptance battery")
     s.add_argument("--report", choices=("text", "json"), default="text")
-    s.set_defaults(fn=cmd_suite)
 
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    # The command is looked up when it runs, not when the parser is built,
+    # so a wrapper patched over ``cmd_<name>`` (a tracer's) is what runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (ParcayError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,15 +112,14 @@ def euler_orientation(g):
 # Maximum matching (blossom algorithm).
 
 
-def blossom_search(adj, match, root, release=None):
-    """Edmonds' search, with blossom contraction, from the exposed vertex
-    ``root`` over the neighbour lists ``adj``, on the caller's mate list
-    ``match`` (-1 marks an exposed vertex).  On reaching an exposed vertex
-    it flips the augmenting path and returns True.  With ``release`` it
-    also stops at the first outer vertex x != root with ``release(x)`` and
-    flips the even alternating path from root to x, leaving x exposed: an
-    augmentation to a virtual exposed vertex joined to every released
-    vertex.  A failed search returns False and leaves ``match`` as it was."""
+def _blossom_searcher(adj, match):
+    """Edmonds' search, with blossom contraction, over the neighbour lists
+    ``adj`` and the caller's mate list ``match`` (-1 marks an exposed
+    vertex), as a function ``search(root, release=None)``.  All searches
+    share one scratch of n entries, and each search resets only the
+    entries of its own tree; a blossom is contracted over its own
+    vertices.  So a search costs time in proportion to the tree it grows,
+    not to n."""
     n = len(adj)
     used = [False] * n
     parent = [-1] * n
@@ -142,8 +141,8 @@ def blossom_search(adj, match, root, release=None):
 
     def mark_path(v, b, child, blossom):
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -158,47 +157,78 @@ def blossom_search(adj, match, root, release=None):
             u = ppv
         return True
 
-    used[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        if release is not None and v != root and release(v):
-            u = match[v]
-            match[v] = -1
-            return flip(u)
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                cur = lca(v, to)
-                blossom = [False] * n
-                mark_path(v, cur, to, blossom)
-                mark_path(to, cur, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    return flip(to)
-                used[match[to]] = True
-                queue.append(match[to])
-    return False
+    def search(root, release=None):
+        """Search from the exposed vertex ``root``.  On reaching an exposed
+        vertex it flips the augmenting path and returns True.  With
+        ``release`` it also stops at the first outer vertex x != root with
+        ``release(x)`` and flips the even alternating path from root to x,
+        leaving x exposed: an augmentation to a virtual exposed vertex
+        joined to every released vertex.  A failed search returns False
+        and leaves ``match`` as it was."""
+        tree = [root]           # every vertex whose scratch entries change
+        members = {}            # base of a blossom -> the vertices in it
+        used[root] = True
+        queue = deque([root])
+        try:
+            while queue:
+                v = queue.popleft()
+                if release is not None and v != root and release(v):
+                    u = match[v]
+                    match[v] = -1
+                    return flip(u)
+                for to in adj[v]:
+                    if base[v] == base[to] or match[v] == to:
+                        continue
+                    if to == root or (match[to] != -1
+                                      and parent[match[to]] != -1):
+                        cur = lca(v, to)
+                        blossom = set()
+                        mark_path(v, cur, to, blossom)
+                        mark_path(to, cur, v, blossom)
+                        # the vertices of the blossom's bases, queued in
+                        # ascending order
+                        group = []
+                        for b in blossom:
+                            group += members.pop(b, (b,))
+                        group.sort()
+                        for i in group:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                        members.setdefault(cur, [cur]).extend(
+                            i for i in group if i != cur)
+                    elif parent[to] == -1:
+                        parent[to] = v
+                        tree.append(to)
+                        if match[to] == -1:
+                            return flip(to)
+                        tree.append(match[to])
+                        used[match[to]] = True
+                        queue.append(match[to])
+            return False
+        finally:
+            for v in tree:
+                used[v] = False
+                parent[v] = -1
+                base[v] = v
+
+    return search
 
 
 def _maximum_mates(g):
-    """Neighbour lists of g without its loops, and the mate list of a
-    maximum matching: one search from each vertex still exposed."""
+    """``(search, match)``: the mate list of a maximum matching of g
+    without its loops, grown by one search from each vertex still exposed,
+    and the search that grew it, for further searches on the same mate
+    list."""
     adj = [[g.tau[d] for d in g.out_darts(v) if g.tau[d] != v]
            for v in range(g.n)]
     match = [-1] * g.n
+    search = _blossom_searcher(adj, match)
     for v in range(g.n):
         if match[v] == -1 and adj[v]:
-            blossom_search(adj, match, v)
-    return adj, match
+            search(v)
+    return search, match
 
 
 def _matching_of(g, match):

@@ -176,9 +176,11 @@ class ColouredGraph:
 
 def cayley_like_witness(g):
     """Per-vertex colour -> outgoing dart table, or None if the colouring
-    fails any of the three Cayley-likeness conditions."""
-    colours = {c for c in g.colour if c is not None}
-    if None in g.colour or not colours:
+    fails any of the three Cayley-likeness conditions.  A graph with no
+    edges passes, with no colours: one vertex is the Cayley graph of the
+    trivial group and the empty set."""
+    colours = set(g.colour)
+    if None in colours:
         return None
     for c in colours:
         if g.colour_inv.get(c) not in colours:

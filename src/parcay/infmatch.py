@@ -7,7 +7,12 @@ On a finite window a lexicographically optimal matching is computed greedily
 vertex by vertex: the sets of vertices coverable by a single matching form a
 matroid, so forcing vertices in exhaustion order is exact.  One maximum
 matching is kept covering the forced set, and a vertex it misses costs one
-alternating-path search, not a blossom run of its own.
+alternating-path search, not a blossom run of its own.  All the searches
+on one matching share one scratch, so a search costs time in proportion
+to the alternating tree it grows, not to the size of the window.  An
+exhaustion records each vertex's shell, the first level holding it, so
+its connectivity, its miss sequences and its staged order each cost one
+pass over the vertices, not one per level.
 
 A family is a builder ``(lo, hi) -> ColouredGraph`` of layers lo..hi with
 vertices named (layer, index).  Its window around the ball B_n has the
@@ -19,10 +24,10 @@ the window covers the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .constructions import two_ended_window
-from .decompose import (_matching_of, _maximum_mates, blossom_search,
-                        component_walks)
+from .decompose import _matching_of, _maximum_mates, component_walks
 from .errors import BadParameters, NoTransitiveSupply
 from .graph import ColouredGraph
 
@@ -32,38 +37,72 @@ class Exhaustion:
     """Nested finite vertex sets of a window, innermost first.  ``frontier``
     marks window-boundary vertices whose incidences are truncated.  The
     window theory wants every level to induce a connected subgraph;
-    ``connected`` says whether it does."""
+    ``connected`` says whether it does.  Shell i is the set of vertices
+    whose first level is level i."""
     graph: ColouredGraph
     levels: list
     frontier: frozenset = frozenset()
 
     def __post_init__(self):
         self.levels = [frozenset(B) for B in self.levels]
-        for inner, outer in zip(self.levels, self.levels[1:]):
+        self._shells = []           # the shells, innermost first
+        self._shell_of = {}         # vertex -> its shell's index
+        inner = frozenset()
+        for i, outer in enumerate(self.levels):
             if not inner <= outer:
                 raise ValueError("exhaustion levels must be nested")
+            shell = outer - inner
+            self._shells.append(shell)
+            self._shell_of.update(dict.fromkeys(shell, i))
+            inner = outer
 
     @property
     def connected(self):
-        """Every level induces a connected subgraph."""
-        return all(self.graph.is_connected(B) for B in self.levels)
+        """Every level induces a connected subgraph: one union-find pass
+        adds the shells from the innermost outwards, joining each vertex
+        to its neighbours added before it or with it."""
+        tau, out_darts = self.graph.tau, self.graph.out_darts
+        shell_of = self._shell_of
+        root = {}
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        components = 0
+        for i, shell in enumerate(self._shells):
+            root.update((v, v) for v in shell)
+            components += len(shell)
+            for v in shell:
+                for d in out_darts(v):
+                    w = tau[d]
+                    j = shell_of.get(w)
+                    if j is not None and j <= i:
+                        a, b = find(v), find(w)
+                        if a != b:
+                            root[a] = b
+                            components -= 1
+            if components > 1:
+                return False
+        return True
 
     def shell(self, v):
         """Index of the first level containing v, or None."""
-        for i, B in enumerate(self.levels):
-            if v in B:
-                return i
-        return None
+        return self._shell_of.get(v)
 
 
 def miss_sequence(matching, exhaustion):
     """Number of vertices of each level the matching misses; non-decreasing
-    because the levels are nested.  The miss-sequence order is the tuple
-    order: the smaller sequence is the better matching."""
-    seq = tuple(sum(1 for v in B if not matching.covers(v))
-                for B in exhaustion.levels)
-    assert all(a <= b for a, b in zip(seq, seq[1:]))
-    return seq
+    because the levels are nested: the prefix sums of the misses per
+    shell.  The miss-sequence order is the tuple order: the smaller
+    sequence is the better matching."""
+    misses = [0] * len(exhaustion.levels)
+    for v, i in exhaustion._shell_of.items():
+        if not matching.covers(v):
+            misses[i] += 1
+    return tuple(accumulate(misses))
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +117,10 @@ def _cover_greedy(g, order):
     matching is kept covering the forced set; a vertex it misses is forced
     when one search from it augments or moves the miss to an unforced
     vertex.  Returns that matching and the forced set."""
-    adj, match = _maximum_mates(g)
+    search, match = _maximum_mates(g)
     forced = set()
     for v in order:
-        if match[v] != -1 or blossom_search(adj, match, v,
-                                            lambda x: x not in forced):
+        if match[v] != -1 or search(v, lambda x: x not in forced):
             forced.add(v)
     return _matching_of(g, match), forced
 
@@ -97,7 +135,7 @@ def maximal_matching_wrt_miss(exhaustion):
     """A maximum matching maximal for the miss-sequence order: greedy over
     vertices in exhaustion order, forcing each vertex whose addition keeps
     the forced set coverable."""
-    order = dict.fromkeys(v for B in exhaustion.levels for v in sorted(B))
+    order = [v for shell in exhaustion._shells for v in sorted(shell)]
     return _cover_greedy(exhaustion.graph, order)[0]
 
 
@@ -105,10 +143,9 @@ def is_critical(g, v):
     """True when every maximum matching covers v (Gallai-Edmonds: a maximum
     matching covers v and no even alternating path joins v to a vertex it
     misses)."""
-    adj, match = _maximum_mates(g)
+    search, match = _maximum_mates(g)
     return match[v] != -1 and not any(
-        blossom_search(adj, match, r, v.__eq__)
-        for r in range(g.n) if match[r] == -1)
+        search(r, v.__eq__) for r in range(g.n) if match[r] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +214,13 @@ def window_exhaustion(family, n, margin=2):
                             f"n = {n}, margin = {margin}")
     lo, hi = -n - margin, n + margin
     g = FAMILIES[family](lo, hi)
-    layer = [name[0] for name in g.names]
-    ex = Exhaustion(g, [frozenset(v for v in range(g.n) if abs(layer[v]) <= k)
-                        for k in range(n + 1)],
-                    frozenset(v for v in range(g.n) if layer[v] in (lo, hi)))
+    at_size = {}                    # |layer| -> the vertices there
+    for v, name in enumerate(g.names):
+        at_size.setdefault(abs(name[0]), []).append(v)
+    levels = [frozenset(at_size.get(0, ()))]
+    for k in range(1, n + 1):
+        levels.append(levels[-1].union(at_size.get(k, ())))
+    ex = Exhaustion(g, levels, frozenset(at_size.get(hi, ())))
     if not ex.connected:
         raise ValueError(f"family {family!r} built a level that does not "
                          f"induce a connected subgraph")

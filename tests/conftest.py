@@ -275,6 +275,127 @@ def doubled_graph_coverable(g, vertices):
     return maximum_matching(gg).is_perfect()
 
 
+# Independent oracles for the matching layer: Edmonds' search with a fresh
+# scratch of n entries per call and blossoms contracted by a scan of every
+# vertex, and the exhaustion checks by a pass over each level.
+
+def per_call_blossom_search(adj, match, root, release=None):
+    """Edmonds' search from the exposed vertex ``root`` on the mate list
+    ``match``, flipping an augmenting path (or, with ``release``, an even
+    alternating path to the first released outer vertex); a failed search
+    returns False and leaves ``match`` as it was."""
+    n = len(adj)
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+
+    def lca(a, b):
+        on_path = set()
+        while True:
+            a = base[a]
+            on_path.add(a)
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if b in on_path:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, b, child, blossom):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def flip(u):
+        while u != -1:
+            pv = parent[u]
+            ppv = match[pv]
+            match[u] = pv
+            match[pv] = u
+            u = ppv
+        return True
+
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        if release is not None and v != root and release(v):
+            u = match[v]
+            match[v] = -1
+            return flip(u)
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, cur, to, blossom)
+                mark_path(to, cur, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return flip(to)
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
+
+
+def per_call_maximum_mates(g):
+    """Neighbour lists of g without its loops, and the mate list after one
+    ``per_call_blossom_search`` from each vertex still exposed."""
+    adj = [[g.tau[d] for d in g.out_darts(v) if g.tau[d] != v]
+           for v in range(g.n)]
+    match = [-1] * g.n
+    for v in range(g.n):
+        if match[v] == -1 and adj[v]:
+            per_call_blossom_search(adj, match, v)
+    return adj, match
+
+
+def per_call_cover_greedy(g, order):
+    """The mate list and forced set of ``infmatch._cover_greedy``, with a
+    ``per_call_blossom_search`` per missed vertex."""
+    adj, match = per_call_maximum_mates(g)
+    forced = set()
+    for v in order:
+        if match[v] != -1 or per_call_blossom_search(
+                adj, match, v, lambda x: x not in forced):
+            forced.add(v)
+    return match, forced
+
+
+def per_level_connected(exhaustion):
+    """Every level induces a connected subgraph, by ``scan_connected``."""
+    return all(scan_connected(exhaustion.graph, B) for B in exhaustion.levels)
+
+
+def per_level_miss_sequence(matching, exhaustion):
+    """The vertices of each level the matching misses, counted level by
+    level."""
+    return tuple(sum(1 for v in B if not matching.covers(v))
+                 for B in exhaustion.levels)
+
+
+def per_level_shell(exhaustion, v):
+    """Index of the first level containing v, or None, by a scan of the
+    levels."""
+    for i, B in enumerate(exhaustion.levels):
+        if v in B:
+            return i
+    return None
+
+
 # Independent oracles for the colour-class walks: the multicycle predicates
 # by a BFS over each class with its own degree count, the cycle orientation
 # by a least-neighbour walk, and the symmetric-difference report by a DFS
@@ -419,7 +540,7 @@ def dfs_symmetric_difference_report(m1, m2, exhaustion):
             "even": len(comp_e) % 2 == 0,
         }
         if kind == "path" and not boundary:
-            shells = [exhaustion.shell(v) for v in ends]
+            shells = [per_level_shell(exhaustion, v) for v in ends]
             entry["endpoint_shells"] = shells
             entry["same_shell"] = len(set(shells)) == 1
         reports.append(entry)
@@ -473,6 +594,29 @@ def multigraph_colourings(draw):
         else:
             mapping[d] = colour
     return g, EdgeColouring(g, mapping)
+
+
+@st.composite
+def odd_cycle_multigraphs(draw):
+    """A multigraph of at most 30 vertices: up to five odd cycles on
+    random vertices, so that searches contract blossoms, and up to 2n
+    random edges, loops and parallel edges among them, added in random
+    order.  Past 8 vertices a set of vertices no longer iterates in
+    ascending order, which is where a blossom's queue order shows."""
+    n = draw(st.integers(1, 30))
+    edges = []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.sampled_from([k for k in (3, 5, 7) if k <= n] or [1]))
+        cycle = draw(st.permutations(range(n)))[:length]
+        edges += [(v, cycle[(i + 1) % length]) for i, v in enumerate(cycle)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for u, v in draw(st.permutations(edges)):
+        g.add_edge(u, v)
+    return g
 
 
 # P(n, k) with k^2 = -1 (mod n) and k < n/2: vertex transitive, and Cayley

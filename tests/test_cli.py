@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -11,11 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import regular_graphs
 
+import parcay
 from parcay.cli import main
 from parcay.constructions import (complete_graph, cycle_graph,
                                   generalized_petersen)
 from parcay.decompose import weak_multicycle_colouring
-from parcay.graph import write_graph
+from parcay.graph import read_graph, write_graph
+from parcay.presentation import parse
 
 PETERSEN = """\
 classes: 0 1
@@ -131,6 +135,59 @@ def test_matchings_report(capsys):
     assert main(["matchings", "--family", "ladder", "--n", "2", "--report"]) == 0
     out = capsys.readouterr().out
     assert "miss sequence" in out
+
+
+def _fresh_process(*args):
+    """Run ``python *args`` in a new interpreter that imports this parcay."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parcay.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys):
+    # The argparse tree is built once per process and reused: an argument
+    # error, then subcommands with and without a flag.  The ladder's
+    # staged and maximum matchings agree, so its report lists nothing;
+    # ``--format dot`` shows a flag that changes the output.
+    runs = [["matchings", "--n", "x"],
+            ["matchings", "--family", "ladder", "--n", "2", "--report"],
+            ["matchings", "--family", "ladder", "--n", "2"],
+            ["make", "petersen", "5", "2", "--format", "dot"],
+            ["make", "petersen", "5", "2"]]
+    fresh = [_fresh_process("-m", "parcay.cli", *argv) for argv in runs]
+    with pytest.raises(SystemExit) as exit_:
+        main(runs[0])
+    assert exit_.value.code == fresh[0].returncode == 2
+    assert capsys.readouterr().err == fresh[0].stderr
+    for argv, want in zip(runs[1:], fresh[1:]):
+        assert main(argv) == want.returncode == 0
+        assert capsys.readouterr().out == want.stdout
+    assert fresh[3].stdout != fresh[4].stdout
+    # importing the module builds no parser
+    lazy = _fresh_process("-c", "import parcay.cli as c; "
+                                "print(c.make_parser.cache_info().currsize)")
+    assert lazy.stdout == "0\n"
+
+
+def test_a_command_patched_after_the_parser_is_built_runs(monkeypatch):
+    main(["matchings", "--n", "1"])
+    monkeypatch.setattr(parcay.cli, "cmd_matchings", lambda args: 7)
+    assert main(["matchings", "--n", "1"]) == 7
+
+
+def test_extract_of_one_vertex_builds_one_vertex(tmp_path):
+    # the one-class presentation with no generators and no relators
+    g, pp, built = (tmp_path / name for name in ("one.graph", "one.pp",
+                                                 "one.built"))
+    g.write_text("vertices 1\n")
+    assert main(["extract", str(g), "--roundtrip", "-o", str(pp)]) == 0
+    p = parse(pp.read_text())
+    assert p.classes == ("0",) and p.alphabet.names == ()
+    assert not any(p.relators.values())
+    assert main(["build", str(pp), "-o", str(built)]) == 0
+    h = read_graph(built.read_text())
+    assert (h.n, h.n_edges) == (1, 0)
 
 
 @pytest.mark.parametrize("edge", ["edge 1 7", "edge 0 x", "edge 1 -1"])

@@ -3,20 +3,26 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+try:
+    import networkx
+except ImportError:
+    networkx = None
+
 from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
                       bfs_is_weak_multicycle, brute_force_max_matching_size,
                       class_degree, complete_graph, cycle_graph,
                       least_neighbour_successors, multigraph_colourings,
+                      odd_cycle_multigraphs, per_call_maximum_mates,
                       random_graph)
 
 from parcay.constructions import (cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
-from parcay.decompose import (EdgeColouring, Matching, component_walks,
-                              euler_orientation, is_multicycle,
-                              is_partition_friendly, is_weak_multicycle,
-                              k_n_factorization, maximum_matching,
-                              two_factor, two_factorization,
-                              weak_multicycle_colouring)
+from parcay.decompose import (EdgeColouring, Matching, _maximum_mates,
+                              component_walks, euler_orientation,
+                              is_multicycle, is_partition_friendly,
+                              is_weak_multicycle, k_n_factorization,
+                              maximum_matching, two_factor,
+                              two_factorization, weak_multicycle_colouring)
 from parcay.errors import NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree
 from parcay.graph import ColouredGraph
 
@@ -95,6 +101,22 @@ def test_blossom_against_brute_force():
         if g.n > 12:
             continue
         assert len(maximum_matching(g)) == brute_force_max_matching_size(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_cycle_multigraphs())
+def test_maximum_mates_equal_the_per_call_search(g):
+    # The same mate list, not only the same size: the shared scratch and the
+    # blossom contraction over the blossom's own vertices change no step.
+    _, match = _maximum_mates(g)
+    assert match == per_call_maximum_mates(g)[1]
+    size = sum(w > v for v, w in enumerate(match))
+    assert len(maximum_matching(g)) == size
+    if networkx is not None:
+        h = networkx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(e for e in map(g.edge_ends, g.edges()) if e[0] != e[1])
+        assert len(networkx.max_weight_matching(h, maxcardinality=True)) == size
 
 
 def test_matching_rejects_conflicts():

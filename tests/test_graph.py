@@ -177,6 +177,13 @@ def test_cayley_like_witness_rejects_duplicate_colours():
     assert cayley_like_witness(g) is None
 
 
+def test_one_vertex_without_edges_is_cayley_like():
+    # the Cayley graph of the trivial group and the empty set
+    g = ColouredGraph(1, [])
+    assert cayley_like_witness(g) == [{}]
+    assert fundamental_cycle_words(g, 0) == []
+
+
 # -- fundamental cycles ---------------------------------------------------------
 
 def test_fundamental_cycles_of_tree():

@@ -3,16 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (all_matchings, cycle_graph, dfs_symmetric_difference_report,
+from conftest import (all_matchings, bfs_levels, cycle_graph,
+                      dfs_symmetric_difference_report,
                       doubled_graph_coverable, multigraph_colourings,
-                      random_graph)
+                      odd_cycle_multigraphs, per_call_cover_greedy,
+                      per_level_connected, per_level_miss_sequence,
+                      per_level_shell, random_graph)
 
 from parcay import infmatch
 from parcay.constructions import cubic_no_perfect_matching
 from parcay.decompose import Matching, maximum_matching
 from parcay.errors import BadParameters, NoTransitiveSupply
 from parcay.graph import ColouredGraph
-from parcay.infmatch import (Exhaustion, is_coverable,
+from parcay.infmatch import (Exhaustion, _cover_greedy, is_coverable,
                              is_critical, maximal_matching_wrt_miss,
                              miss_sequence, symmetric_difference_report,
                              window_exhaustion, windowed_perfect_matching)
@@ -50,6 +53,15 @@ def multigraphs(draw):
 
 def covered(g, darts):
     return {v for d in darts for v in g.edge_ends(d)}
+
+
+def mates(m):
+    """The mate list of a matching (-1 marks a missed vertex)."""
+    match = [-1] * m.graph.n
+    for d in m.darts:
+        u, v = m.graph.edge_ends(d)
+        match[u], match[v] = v, u
+    return match
 
 
 def test_rung_matching_has_zero_misses():
@@ -104,6 +116,35 @@ def test_miss_sequence_orders_by_first_difference():
     assert miss_sequence(m_mid, ex) < miss_sequence(m_ends, ex)
 
 
+@settings(max_examples=200, deadline=None)
+@given(odd_cycle_multigraphs(), st.data())
+def test_exhaustion_agrees_with_the_per_level_scans(g, data):
+    # BFS prefixes induce connected subgraphs; prefixes of a random order
+    # need not.
+    cuts = sorted(data.draw(st.lists(st.integers(0, g.n), max_size=4)))
+    bfs = data.draw(st.booleans())
+    if bfs:
+        levels = bfs_levels(g, cuts, data.draw(st.integers(0, g.n - 1)))
+    else:
+        order = data.draw(st.permutations(range(g.n)))
+        levels = [order[:k] for k in cuts]
+    ex = Exhaustion(g, levels)
+    assert ex.connected == per_level_connected(ex)
+    if bfs:
+        assert ex.connected
+    assert [ex.shell(v) for v in range(g.n + 1)] == \
+        [per_level_shell(ex, v) for v in range(g.n + 1)]
+    matching = Matching(g, [])
+    for d in data.draw(st.permutations([d for d in g.edges()
+                                        if not g.is_loop(d)])):
+        if not (matching.covers(g.src(d)) or matching.covers(g.tau[d])):
+            matching = Matching(g, matching.darts | {d})
+    assert miss_sequence(matching, ex) == per_level_miss_sequence(matching, ex)
+    staged_order = dict.fromkeys(v for B in ex.levels for v in sorted(B))
+    assert mates(maximal_matching_wrt_miss(ex)) == \
+        per_call_cover_greedy(g, staged_order)[0]
+
+
 # -- staged lexicographic optimisation ----------------------------------------------
 
 def test_p3_middle_vertex_is_covered():
@@ -145,6 +186,19 @@ def test_cut_vertex_graph_misses_two():
     m = maximal_matching_wrt_miss(ex)
     assert len(m.missed()) == 2
     assert m.covers(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_cycle_multigraphs(), st.data())
+def test_cover_greedy_equals_the_per_call_search(g, data):
+    # Forcing searches with release that fail leave their tree's scratch
+    # behind for the next search; the mate lists show any entry left set.
+    order = data.draw(st.permutations(range(g.n)))
+    order = order[:data.draw(st.integers(0, g.n))]
+    m, forced = _cover_greedy(g, order)
+    want, want_forced = per_call_cover_greedy(g, order)
+    assert forced == want_forced
+    assert mates(m) == want
 
 
 def test_is_coverable():
@@ -296,8 +350,11 @@ def test_windows_are_unshifted_and_agree_with_the_oracle(family, n, margin):
     g, ball = ex.graph, ex.levels[-1]
     layers = [name[0] for name in g.names]
     assert (min(layers), max(layers)) == (-n - margin, n + margin)
-    assert ball == {v for v in range(g.n) if abs(layers[v]) <= n}
+    assert ex.levels == [{v for v in range(g.n) if abs(layers[v]) <= k}
+                         for k in range(n + 1)]
     assert ex.frontier == {v for v in range(g.n) if abs(layers[v]) == n + margin}
+    assert ex.connected and per_level_connected(ex)
+    assert all(ex.shell(v) == per_level_shell(ex, v) for v in range(g.n))
     assert doubled_graph_coverable(g, ball)
     assert all(m.covers(v) for v in ball)
 
