@@ -101,12 +101,25 @@ class FiniteGroupTable:
                     self.inverse[x] = y
         if any(v is None for v in self.inverse):
             raise ValueError("an element has no inverse")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if (self.table[self.table[x][y]][z]
-                            != self.table[x][self.table[y][z]]):
-                        raise ValueError("multiplication is not associative")
+        # Light's test: the a with (x a) y = x (a y) for all x and y are
+        # closed under products, so a generating set suffices.  Each
+        # generator is the least element not yet generated; in a group it at
+        # least doubles what is generated, so there are at most log2 n.
+        table, generated, gens = self.table, {identity}, []
+        while len(generated) < n:
+            a = min(x for x in range(n) if x not in generated)
+            gens.append(a)
+            size, generated, stack = len(generated), {identity}, [identity]
+            while stack:
+                h = stack.pop()
+                for s in gens:
+                    if table[h][s] not in generated:
+                        generated.add(table[h][s])
+                        stack.append(table[h][s])
+            if len(generated) < 2 * size or any(
+                    table[row[a]] != tuple(row[z] for z in table[a])
+                    for row in table):
+                raise ValueError("multiplication is not associative")
 
     def __len__(self):
         return len(self.names)

@@ -8,7 +8,7 @@ matchable; parallel edges are distinct objects throughout.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .constructions import complete_graph
@@ -73,13 +73,18 @@ class EdgeColouring:
 # Euler orientations (Hierholzer, per connected component).
 
 
-def euler_orientation(g):
-    """One dart per undirected edge with in-degree = out-degree everywhere."""
+def euler_orientation(g, darts=None):
+    """One dart per undirected edge of the given canonical darts (default:
+    every edge), with in-degree = out-degree everywhere.  The other edges
+    are marked used before the walk starts, so it is the walk of the
+    subgraph of the given edges."""
+    used = bytearray(b"\0" if darts is None else b"\1") * g.n_edges
+    for d in darts or ():           # per edge, indexed by dart >> 1
+        used[d >> 1] = 0
     for v in range(g.n):
-        if g.degree(v) % 2:
+        if sum(not used[d >> 1] for d in g.out_darts(v)) % 2:
             raise OddDegree(v)
     ptr = [0] * g.n
-    used = bytearray(g.n_edges)     # per edge, indexed by dart >> 1
     orientation = []
     for start in range(g.n):
         if all(used[d >> 1] for d in g.out_darts(start)):
@@ -104,7 +109,7 @@ def euler_orientation(g):
             else:
                 stack_v.append(g.tau[found])
                 stack_d.append(found)
-    assert len(orientation) == g.n_edges
+    assert all(used)
     return orientation
 
 
@@ -245,66 +250,66 @@ def maximum_matching(g):
 
 
 # ---------------------------------------------------------------------------
-# 2-factors via the out/in bipartite split of an Euler orientation.
+# 2-factors via the out/in bipartite split of one Euler orientation.
 
 
-def _bipartite_perfect_matching(n_left, n_right, edges):
-    """Kuhn's augmenting paths; edges are (left, right, tag) triples."""
-    adj = [[] for _ in range(n_left)]
-    for i, (l, r, tag) in enumerate(edges):
-        adj[l].append(i)
-    match_right = [-1] * n_right
-    match_left = [-1] * n_left
+def _pop_perfect_matching(adj):
+    """Kuhn's augmenting paths on a regular bipartite multigraph whose left
+    vertex l has the edges ``adj[l]``, (right vertex, tag) pairs: removes a
+    perfect matching from ``adj`` and returns its tags, sorted.  ``seen[r]``
+    is the left vertex whose top-level search last visited r."""
+    n = len(adj)
+    match_right, match_left, seen = [-1] * n, [-1] * n, [-1] * n
 
-    def try_augment(l, seen):
-        for i in adj[l]:
-            r = edges[i][1]
-            if seen[r]:
+    def try_augment(l, stamp):
+        for i, (r, _) in enumerate(adj[l]):
+            if seen[r] == stamp:
                 continue
-            seen[r] = True
-            if match_right[r] == -1 or try_augment(match_right[r], seen):
+            seen[r] = stamp
+            if match_right[r] == -1 or try_augment(match_right[r], stamp):
                 match_right[r] = l
                 match_left[l] = i
                 return True
         return False
 
-    for l in range(n_left):
-        if adj[l] and match_left[l] == -1:
-            try_augment(l, [False] * n_right)
-    return match_left
+    for l in range(n):
+        try_augment(l, l)
+    return sorted(adj[l].pop(i)[1] for l, i in enumerate(match_left))
+
+
+def two_factorization(g, edge_darts=None):
+    """The k 2-factors, each a sorted list, of a 2k-regular pool of
+    canonical darts (default: every edge).  An Euler orientation's out/in
+    split of the pool is k-regular and bipartite (Petersen's 2-factor
+    theorem): k - 1 perfect matchings of it are 2-factors, and the rest is
+    the last one."""
+    pool = g.edges() if edge_darts is None else list(edge_darts)
+    if not pool:
+        return []
+    tau = g.tau
+    deg = [0] * g.n
+    for d in pool:
+        deg[tau[d]] += 1
+        deg[tau[d ^ 1]] += 1
+    if len(set(deg)) != 1 or deg[0] % 2:
+        raise NotEvenRegular(f"degrees {sorted(set(deg))} are not even and equal")
+    k = deg[0] // 2
+    if k == 1:
+        return [sorted(pool)]
+    adj = [[] for _ in range(g.n)]
+    for d in euler_orientation(g, pool):
+        adj[tau[d ^ 1]].append((tau[d], d & ~1))
+    factors = [_pop_perfect_matching(adj) for _ in range(k - 1)]
+    return factors + [sorted(d for out in adj for _, d in out)]
 
 
 def two_factor(g, edge_darts=None):
-    """A spanning 2-regular subgraph of an even-regular graph, as a list of
-    canonical darts."""
-    pool = g.edges() if edge_darts is None else list(edge_darts)
-    deg = Counter()
-    for d in pool:
-        u, v = g.edge_ends(d)
-        deg[u] += 1
-        deg[v] += 1
-    degrees = {deg[v] for v in range(g.n)}
-    if len(degrees) != 1 or next(iter(degrees)) % 2 or next(iter(degrees)) == 0:
-        raise NotEvenRegular(f"degrees {sorted(degrees)} are not even and equal")
-    sub = g.subgraph_edges(pool)
-    orientation = euler_orientation(sub)
-    origin = sub.meta["origin"]
-    edges = [(sub.src(d), sub.tau[d], origin[d & ~1]) for d in orientation]
-    match_left = _bipartite_perfect_matching(g.n, g.n, edges)
-    if any(m == -1 for m in match_left):
-        raise NotEvenRegular("bipartite split has no perfect matching")
-    return sorted(edges[i][2] for i in match_left)
-
-
-def two_factorization(g):
-    """Partition of the edges of a 2k-regular graph into k 2-factors."""
-    remaining = g.edges()
-    factors = []
-    while remaining:
-        f = two_factor(g, remaining)
-        factors.append(f)
-        remaining = sorted(set(remaining) - set(f))
-    return factors
+    """The first of ``two_factorization``'s 2-factors: a spanning 2-regular
+    subgraph, as a sorted list of canonical darts."""
+    factors = two_factorization(g, edge_darts)
+    if not factors:
+        raise NotEvenRegular("degrees [0] are not even and equal")
+    return factors[0]
 
 
 def weak_multicycle_colouring(g):
@@ -315,24 +320,17 @@ def weak_multicycle_colouring(g):
     degrees = {g.degree(v) for v in range(g.n)}
     if len(degrees) != 1:
         raise NotRegular(f"vertex degrees {sorted(degrees)} are not constant")
-    d = next(iter(degrees))
-    mapping = {}
-    remaining = g.edges()
-    if d % 2:
+    mapping, pool = {}, g.edges()
+    if next(iter(degrees)) % 2:
         m = maximum_matching(g)
         if not m.is_perfect():
             raise NoPerfectMatching(
                 "odd-regular graph has no perfect matching")
-        for dart in m.darts:
-            mapping[dart] = "m"
-        remaining = sorted(set(remaining) - set(m.darts))
-    idx = 0
-    while remaining:
-        idx += 1
-        f = two_factor(g, remaining)
+        mapping = dict.fromkeys(m.darts, "m")
+        pool = [d for d in pool if d not in m.darts]
+    for idx, f in enumerate(two_factorization(g, pool), 1):
         for dart in f:
             mapping[dart] = f"c{idx}"
-        remaining = sorted(set(remaining) - set(f))
     return EdgeColouring(g, mapping)
 
 

@@ -148,25 +148,20 @@ class ColouredGraph:
 
     def subgraph_edges(self, darts):
         """Subgraph on the same vertex set with one edge per given dart,
-        oriented as that dart.  Each new edge remembers its origin, a
-        canonical dart of this graph, in ``meta['origin']``."""
+        oriented as that dart."""
         tau, colour = self.tau, self.colour
-        sub_tau, sub_colour, origin = [], [], {}
+        sub_tau, sub_colour = [], []
         for d in darts:
-            origin[len(sub_tau)] = d & ~1
             sub_tau += (tau[d], tau[d ^ 1])
             sub_colour += (colour[d], colour[d ^ 1])
-        sub = ColouredGraph(self.n, sub_tau, sub_colour, list(self.names),
-                            list(self.classes), dict(self.colour_inv))
-        sub.meta["origin"] = origin
-        return sub
+        return ColouredGraph(self.n, sub_tau, sub_colour, list(self.names),
+                             list(self.classes), dict(self.colour_inv))
 
     def copy(self):
         g = ColouredGraph(self.n, list(self.tau), list(self.colour),
                           list(self.names), list(self.classes),
                           dict(self.colour_inv))
         g.meta = dict(self.meta)
-        g.meta.pop("origin", None)
         return g
 
 

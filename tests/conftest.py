@@ -9,7 +9,7 @@ from hypothesis import assume, strategies as st
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
                                   generalized_petersen)
-from parcay.decompose import EdgeColouring, maximum_matching
+from parcay.decompose import EdgeColouring, euler_orientation, maximum_matching
 from parcay.errors import NotCayleyLike, WordSyntaxError
 from parcay.graph import (ColouredGraph, _letter_for_colour, _perm_mul,
                           cayley_like_witness, mulclose,
@@ -396,6 +396,37 @@ def per_level_shell(exhaustion, v):
     return None
 
 
+# Independent oracle for the 2-factorization: the proof of Petersen's
+# theorem run once per factor, as it stood before one orientation served
+# every factor.  Each factor orients the subgraph of the edges left, and
+# Kuhn's search allocates a fresh ``seen`` list per left vertex.
+
+def per_factor_two_factorization(g, pool):
+    """Partition of the sorted canonical darts ``pool`` into 2-factors."""
+    remaining, factors = pool, []
+    while remaining:
+        sub = g.subgraph_edges(remaining)
+        adj = [[] for _ in range(g.n)]
+        for d in euler_orientation(sub):
+            adj[sub.src(d)].append((sub.tau[d], remaining[d >> 1]))
+        match_right, match_left = [-1] * g.n, [None] * g.n
+
+        def try_augment(l, seen):
+            for r, dart in adj[l]:
+                if not seen[r]:
+                    seen[r] = True
+                    if match_right[r] == -1 or try_augment(match_right[r], seen):
+                        match_right[r], match_left[l] = l, dart
+                        return True
+            return False
+
+        for l in range(g.n):
+            try_augment(l, [False] * g.n)
+        factors.append(sorted(match_left))
+        remaining = sorted(set(remaining) - set(match_left))
+    return factors
+
+
 # Independent oracles for the colour-class walks: the multicycle predicates
 # by a BFS over each class with its own degree count, the cycle orientation
 # by a least-neighbour walk, and the symmetric-difference report by a DFS
@@ -681,6 +712,92 @@ def regular_graphs(draw):
         g.add_edge(label[u], label[w])
     assume(g.is_connected())
     return family, g
+
+
+def triple_scan_table_error(table):
+    """Independent oracle for the group laws ``FiniteGroupTable`` checks on
+    a square table of element indices: the message of the ``ValueError``
+    for the first law broken, with associativity checked over all n^3
+    triples, or None for a group."""
+    n = len(table)
+    identity = next((e for e in range(n) if all(
+        table[e][x] == x == table[x][e] for x in range(n))), None)
+    if identity is None:
+        return "no identity element"
+    if not all(any(table[x][y] == identity == table[y][x] for y in range(n))
+               for x in range(n)):
+        return "an element has no inverse"
+    if any(table[table[x][y]][z] != table[x][table[y][z]]
+           for x, y, z in itertools.product(range(n), repeat=3)):
+        return "multiplication is not associative"
+    return None
+
+
+def _latin_square_with_identity(n, rng, symmetric):
+    """A Latin square on 0..n-1 whose first row and column are 0..n-1, so
+    that 0 is an identity: the cells filled row by row (only those on or
+    above the diagonal, and mirrored, if ``symmetric``) by backtracking
+    over the symbols in random order."""
+    square = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n)
+             for c in range(r if symmetric else 1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        r, c = cells[i]
+        options = [x for x in range(n) if x not in square[r]
+                   and all(row[c] != x for row in square)]
+        rng.shuffle(options)
+        for x in options + [None]:
+            square[r][c] = x
+            if symmetric:
+                square[c][r] = x
+            if x is not None and fill(i + 1):
+                return True
+        return False
+
+    fill(0)
+    return square
+
+
+@st.composite
+def group_law_tables(draw):
+    """``(family, table)``: a square table of element indices, relabelled at
+    random.
+    - "group": the group that 1-2 random permutations of at most 5 points
+      generate, of order at most 60;
+    - "changed": such a group table with one entry changed;
+    - "loop": a Latin square with an identity that is not a group table:
+      of order 5-7 (5 is the least order of a loop that is not a group),
+      or symmetric of order 6 (the least order of a commutative one).  A
+      symmetric one has two-sided inverses, so only associativity fails."""
+    family = draw(st.sampled_from(("group", "changed", "loop")))
+    if family == "loop":
+        symmetric = draw(st.booleans())
+        n = 6 if symmetric else draw(st.integers(5, 7))
+        table = _latin_square_with_identity(n, draw(st.randoms()), symmetric)
+        assume(triple_scan_table_error(table) is not None)
+    else:
+        points = draw(st.integers(2, 5))
+        gens = draw(st.lists(st.permutations(range(points)),
+                             min_size=1, max_size=2))
+        group = mulclose([tuple(p) for p in gens], cap=60)
+        assume(group is not None)
+        elements = sorted(group)
+        index = {x: i for i, x in enumerate(elements)}
+        n = len(elements)
+        table = [[index[_perm_mul(x, y)] for y in elements] for x in elements]
+        if family == "changed":
+            assume(n > 1)
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            table[x][y] = (table[x][y] + draw(st.integers(1, n - 1))) % n
+    label = draw(st.permutations(range(n)))
+    relabelled = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabelled[label[x]][label[y]] = label[table[x][y]]
+    return family, relabelled
 
 
 @pytest.fixture

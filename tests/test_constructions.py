@@ -1,8 +1,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import cycle_graph
+from conftest import cycle_graph, group_law_tables, triple_scan_table_error
 
 from parcay.builder import build_sp
 from parcay.constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
@@ -84,6 +85,20 @@ def test_group_table_validation():
     assert len(d) == 10
     s = d.index("r0s")
     assert d.mul(s, s) == d.identity
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_law_tables())
+def test_group_table_checks_agree_with_the_triple_scan(case):
+    # Light's test over a greedy generating set gives the verdict, and the
+    # message, of the check over every triple.
+    _, table = case
+    try:
+        FiniteGroupTable([f"x{i}" for i in range(len(table))], table)
+        error = None
+    except ValueError as e:
+        error = str(e)
+    assert error == triple_scan_table_error(table)
 
 
 def test_bi_cayley_petersen_example():

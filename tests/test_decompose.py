@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 try:
     import networkx
@@ -13,7 +13,8 @@ from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
                       class_degree, complete_graph, cycle_graph,
                       least_neighbour_successors, multigraph_colourings,
                       odd_cycle_multigraphs, per_call_maximum_mates,
-                      random_graph)
+                      per_factor_two_factorization, random_graph,
+                      regular_graphs)
 
 from parcay.constructions import (cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
@@ -164,6 +165,65 @@ def test_two_factorization_partitions():
         assert sorted(d for f in factors for d in f) == g.edges()
         for f in factors:
             check_two_factor(g, f)
+
+
+def _even_pool(g):
+    """The edges of a regular graph g, less a perfect matching if its degree
+    is odd: a 2k-regular pool."""
+    if g.degree(0) % 2 == 0:
+        return g.edges()
+    m = maximum_matching(g)
+    assert m.is_perfect()
+    return [d for d in g.edges() if d not in m.darts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_graphs())
+def test_two_factorization_partitions_the_pool_into_two_factors(case):
+    _, g = case
+    pool = _even_pool(g)
+    factors = two_factorization(g, pool)
+    assert len(factors) == g.degree(0) // 2
+    assert sorted(d for f in factors for d in f) == pool
+    for f in factors:
+        # spanning and 2-regular; a loop meets its vertex twice
+        assert Counter(v for d in f for v in g.edge_ends(d)) == dict.fromkeys(
+            range(g.n), 2)
+    if not factors:
+        with pytest.raises(NotEvenRegular):
+            two_factor(g, pool)
+        return
+    assert two_factor(g, pool) == factors[0]
+    if pool == g.edges():
+        assert two_factor(g) == two_factorization(g)[0]
+    # The first factor, and with k <= 2 every factor, is the one that an
+    # orientation of what is left before each factor gives.
+    oracle = per_factor_two_factorization(g, pool)
+    assert factors[0] == oracle[0]
+    assert len(factors) > 2 or factors == oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_graphs(), st.data())
+def test_euler_orientation_of_a_pool_is_the_walk_of_its_subgraph(case, data):
+    _, g = case
+    factors = two_factorization(g, _even_pool(g))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                              max_size=len(factors)))
+    pool = sorted(d for f, k in zip(factors, keep) if k for d in f)
+    orientation = euler_orientation(g, pool)
+    assert sorted(d & ~1 for d in orientation) == pool
+    out, inc = in_out_degrees(g, orientation)
+    assert out == inc
+    sub = g.subgraph_edges(pool)
+    assert orientation == [pool[e >> 1] | (e & 1)
+                           for e in euler_orientation(sub)]
+
+
+def test_euler_orientation_of_a_pool_rejects_odd_degree():
+    g = complete_graph(5)
+    with pytest.raises(OddDegree):
+        euler_orientation(g, g.edges()[1:])
 
 
 # -- weak multicycle colourings -----------------------------------------------------

@@ -12,7 +12,8 @@ from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   cyclic_group, dihedral_group,
                                   generalized_petersen, line_graph)
-from parcay.decompose import EdgeColouring, weak_multicycle_colouring
+from parcay.decompose import (EdgeColouring, is_partition_friendly,
+                              weak_multicycle_colouring)
 from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
                            NotPartitionFriendly, SizeMismatch)
 from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
@@ -116,6 +117,34 @@ def test_extraction_requires_partition_friendly():
     bad = EdgeColouring(g, {ds[0]: "x", ds[1]: "x", ds[2]: "y", ds[3]: "y"})
     with pytest.raises(NotPartitionFriendly):
         presentation_from_colouring(g, bad)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_complete_graphs_of_degree_six_and_up_round_trip(n):
+    # Degree 6 and up: three or more 2-factors, the later ones taken from
+    # the first factor's orientation.
+    g = complete_graph(n)
+    colouring = weak_multicycle_colouring(g)
+    assert len(colouring.colour_classes()) == n // 2
+    assert is_partition_friendly(g, colouring)
+    assert roundtrip(g, colouring)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_graphs(), st.data())
+def test_moving_one_edge_between_two_factors_fails_extraction(case, data):
+    _, g = case
+    colouring = weak_multicycle_colouring(g)
+    classes = colouring.colour_classes()
+    assume(len([c for c in classes if c != "m"]) >= 2)
+    source, target = data.draw(st.permutations(
+        sorted(c for c in classes if c != "m")))[:2]
+    mapping = dict(colouring.mapping)
+    mapping[data.draw(st.sampled_from(classes[source]))] = target
+    mutated = EdgeColouring(g, mapping)
+    assert not is_partition_friendly(g, mutated)
+    with pytest.raises(NotPartitionFriendly):
+        presentation_from_colouring(g, mutated)
 
 
 # -- bi-Cayley conversion --------------------------------------------------------
