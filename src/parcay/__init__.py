@@ -9,10 +9,9 @@ from .words import (Alphabet, ClassAction, Word, apply_action, parse_word,
 from .presentation import (PartitePresentation, TwoPartitePresentation,
                            from_two_partite, parse, serialize, two_partite,
                            validate)
-from .graph import (ColouredGraph, Walk, automorphism_group,
-                    cayley_like_witness, dictated_walk,
-                    fundamental_cycle_words, is_cayley, is_vertex_transitive,
-                    isomorphic, read_graph, to_dot, walk_word, write_graph)
+from .graph import (ColouredGraph, automorphism_group, cayley_like_witness,
+                    is_cayley, is_vertex_transitive, isomorphic, read_graph,
+                    to_dot, write_graph)
 from .builder import (ball_sp, build_sp, deck_group, invariant_report,
                       presentation_complex, presentation_graph,
                       presentation_symmetry_implies_vt)
@@ -38,10 +37,9 @@ __all__ = [
     "parse_words", "reduce",
     "PartitePresentation", "TwoPartitePresentation", "from_two_partite",
     "parse", "serialize", "two_partite", "validate",
-    "ColouredGraph", "Walk", "automorphism_group", "cayley_like_witness",
-    "dictated_walk", "fundamental_cycle_words", "is_cayley",
-    "is_vertex_transitive", "isomorphic", "read_graph", "to_dot",
-    "walk_word", "write_graph",
+    "ColouredGraph", "automorphism_group", "cayley_like_witness",
+    "is_cayley", "is_vertex_transitive", "isomorphic", "read_graph",
+    "to_dot", "write_graph",
     "ball_sp", "build_sp", "deck_group", "invariant_report",
     "presentation_complex", "presentation_graph",
     "presentation_symmetry_implies_vt",

@@ -94,18 +94,17 @@ class FiniteGroupTable:
         if identity is None:
             raise ValueError("no identity element")
         self.identity = identity
-        self.inverse = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.table[x][y] == identity and self.table[y][x] == identity:
-                    self.inverse[x] = y
-        if any(v is None for v in self.inverse):
+        table = self.table
+        self.inverse = [next((y for y, xy in enumerate(table[x])
+                              if xy == identity and table[y][x] == identity),
+                             None) for x in range(n)]
+        if None in self.inverse:
             raise ValueError("an element has no inverse")
         # Light's test: the a with (x a) y = x (a y) for all x and y are
         # closed under products, so a generating set suffices.  Each
         # generator is the least element not yet generated; in a group it at
         # least doubles what is generated, so there are at most log2 n.
-        table, generated, gens = self.table, {identity}, []
+        generated, gens = {identity}, []
         while len(generated) < n:
             a = min(x for x in range(n) if x not in generated)
             gens.append(a)

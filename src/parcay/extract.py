@@ -14,6 +14,10 @@ By induction every edge outside the tree is trivial, so the presentation
 complex is simply connected and the rebuild reproduces the input.  Since
 different vertices obey different relators, the relator text grows with
 the cycles' lengths, not with the tree's depth.
+
+The bi-Cayley conversion has two classes, one per side of the graph, and
+takes the same relators from the bi-Cayley graph: each word goes, once, to
+the class of the side where it closes.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from .builder import presentation_graph
 from .decompose import _class_walks, weak_multicycle_colouring
 from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
-from .graph import (_short_cycle_relators, alphabet_graph,
-                    fundamental_cycle_words)
+from .graph import _short_cycle_relators, alphabet_graph
 from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
 
@@ -157,7 +160,12 @@ def bicayley_to_presentation(group, R, L, S):
                            ["0"] * n + ["1"] * n)
     if not graph.is_connected():
         raise Disconnected("the bi-Cayley graph is not connected")
-    relators = fundamental_cycle_words(graph, group.identity, alphabet)
-    tp = TwoPartitePresentation(s1, (), alphabet.i_gens, tuple(relators), ())
+    # Left multiplication preserves colours and is transitive on each side,
+    # so a cycle's word closes at every vertex on the side where it closes.
+    found = _short_cycle_relators(graph, alphabet)
+    r0, r1 = (tuple(dict.fromkeys(w for _, v, w in found
+                                  if graph.classes[v] == side))
+              for side in "01")
+    tp = TwoPartitePresentation(s1, (), alphabet.i_gens, r0, r1)
     tp.pairing = {group.names[l]: group.names[r] for l, r in pairing.items()}
     return tp

@@ -24,7 +24,7 @@ from collections import Counter, deque
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                      SearchBoundExceeded)
-from .words import Alphabet, Word, reduce as word_reduce
+from .words import Word
 
 
 class ColouredGraph:
@@ -166,7 +166,7 @@ class ColouredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Cayley-like colourings, walks and word maps.
+# Cayley-like colourings: walks along words, and relators from cycles.
 
 
 def cayley_like_witness(g):
@@ -217,46 +217,6 @@ def _dictated_darts(g, table, v, word):
     return darts
 
 
-class Walk:
-    """Alternating vertex/dart sequence; stored as a start vertex plus darts."""
-
-    def __init__(self, graph, start, darts=()):
-        self.graph = graph
-        self.start = start
-        self.darts = tuple(darts)
-        v = start
-        for d in darts:
-            if graph.src(d) != v:
-                raise ValueError("darts do not chain into a walk")
-            v = graph.tau[d]
-        self.end = v
-
-    def is_closed(self):
-        return self.start == self.end
-
-    def __eq__(self, other):
-        return (isinstance(other, Walk) and self.graph is other.graph
-                and self.start == other.start and self.darts == other.darts)
-
-
-def graph_alphabet(g):
-    """Alphabet implied by the dart colours: self-inverse colours become
-    involutive generators, inverse pairs contribute one free generator."""
-    u_gens, i_gens, seen = [], [], set()
-    for d in range(g.n_darts):
-        c = g.colour[d]
-        if c is None or c in seen:
-            continue
-        ci = g.colour_inv[c]
-        seen.add(c)
-        seen.add(ci)
-        if ci == c:
-            i_gens.append(c)
-        else:
-            u_gens.append(min(c, ci, key=lambda s: (len(s), s)))
-    return Alphabet(u_gens, i_gens)
-
-
 def alphabet_graph(alphabet, targets, names, classes, order=None):
     """The generator-coloured graph of an action on the points 0..n-1:
     point v becomes a vertex named ``names[v]`` in class ``classes[v]``, and
@@ -295,26 +255,6 @@ def alphabet_graph(alphabet, targets, names, classes, order=None):
                          colour_inv)
 
 
-def _letter_for_colour(alphabet, g, colour):
-    name = colour
-    if name in alphabet.names:
-        return alphabet.code(name)
-    return alphabet.code(g.colour_inv[colour], -1)
-
-
-def walk_word(g, walk, alphabet=None):
-    """The reduced word read off a walk's dart colours."""
-    _witness(g)
-    alphabet = alphabet or graph_alphabet(g)
-    return word_reduce([_letter_for_colour(alphabet, g, g.colour[d])
-                        for d in walk.darts], alphabet)
-
-
-def dictated_walk(g, v, word):
-    """Walk from v following the word's letters (first letter first)."""
-    return Walk(g, v, _dictated_darts(g, _witness(g), v, word))
-
-
 def spanning_tree(g, base):
     """BFS tree: returns (parent dart per vertex, BFS order).  Deterministic
     given dart numbering."""
@@ -337,16 +277,17 @@ def spanning_tree(g, base):
 
 
 class _RootedTree:
-    """The BFS tree of a Cayley-like graph at ``base``, with the letter of
-    every dart: what ``fundamental_cycle_words`` and
-    ``_short_cycle_relators`` share."""
+    """The BFS tree of a Cayley-like graph at vertex 0, with the letter of
+    every dart: a colour that names a generator of ``alphabet`` is its
+    letter, any other colour the inverse of its inverse colour's letter.
+    ``_short_cycle_relators`` closes the edges outside this tree."""
 
-    def __init__(self, g, base, alphabet):
+    def __init__(self, g, alphabet):
         _witness(g)
-        self.g, self.base = g, base
-        self.alphabet = alphabet or graph_alphabet(g)
-        self.parent, self.order = spanning_tree(g, base)
-        code = {c: _letter_for_colour(self.alphabet, g, c)
+        self.g, self.alphabet = g, alphabet
+        self.parent, self.order = spanning_tree(g, 0)
+        code = {c: alphabet.code(c) if c in alphabet.names
+                else alphabet.code(g.colour_inv[c], -1)
                 for c in set(g.colour)}
         self.letter = [code[c] for c in g.colour]
         depth = self.depth = [0] * g.n
@@ -380,30 +321,6 @@ class _RootedTree:
                 w = g.src(e)
         down.reverse()
         return u, Word(self.alphabet, tuple(down + up), _reduced=True)
-
-    def base_word(self, d):
-        """The word of the non-tree edge at ``base``: its tree cycle,
-        conjugated by the tree path from ``base`` to the cycle's vertex."""
-        v, cycle = self.tree_cycle(d)
-        path = []
-        while v != self.base:
-            e = self.parent[v]
-            path.append(self.letter[e])
-            v = self.g.src(e)
-        path.reverse()
-        inverse = self.alphabet.inverse_letter
-        return word_reduce(path + list(cycle.letters)
-                           + [inverse(x) for x in reversed(path)],
-                           self.alphabet)
-
-
-def fundamental_cycle_words(g, base, alphabet=None):
-    """Free generators of the image of the fundamental group at ``base``
-    under the walk-to-word map: one word per non-tree edge of the BFS tree,
-    in dart order, read from ``base`` down the tree, across the edge and
-    back up."""
-    tree = _RootedTree(g, base, alphabet)
-    return [tree.base_word(d) for d in tree.non_tree_edges()]
 
 
 # Levels that each end of a non-tree edge searches for a short cycle.
@@ -461,16 +378,16 @@ def _short_cycle_relators(g, alphabet):
     end.  Edge u -> w is closed by a shortest path from w back to u over
     tree edges and edges closed before it, and the cycle is read from its
     earliest vertex in BFS order.  The search looks for a cycle at least
-    two letters shorter than the edge's base word (depth(u) + depth(w) + 1
-    letters); where it finds none, the relator is the edge's cycle through
-    the tree, at the lowest common ancestor of its ends.  That cycle is the
-    base word when the ends meet at vertex 0, so on a tree one level deep
-    no search runs.
+    two letters shorter than depth(u) + depth(w) + 1, the walk from vertex
+    0 down to u, across the edge and back up from w; where it finds none,
+    the relator is the edge's cycle through the tree, at the lowest common
+    ancestor of its ends.  That cycle is the walk from vertex 0 when the
+    ends meet there, so on a tree one level deep no search runs.
 
     Each relator crosses exactly one edge that is neither in the tree nor
     closed, so by induction every non-tree edge is trivial in the
     complex."""
-    tree = _RootedTree(g, 0, alphabet)
+    tree = _RootedTree(g, alphabet)
     tau, depth, letter = g.tau, tree.depth, tree.letter
     rank = [0] * g.n
     for i, v in enumerate(tree.order):

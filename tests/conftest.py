@@ -10,10 +10,8 @@ from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
                                   generalized_petersen)
 from parcay.decompose import EdgeColouring, euler_orientation, maximum_matching
-from parcay.errors import NotCayleyLike, WordSyntaxError
-from parcay.graph import (ColouredGraph, _letter_for_colour, _perm_mul,
-                          cayley_like_witness, mulclose,
-                          graph_alphabet, spanning_tree)
+from parcay.errors import WordSyntaxError
+from parcay.graph import ColouredGraph, _perm_mul, mulclose
 from parcay.presentation import PartitePresentation
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
 from parcay.words import reduce as word_reduce
@@ -127,39 +125,6 @@ def semiregular_subgroup_cayley(auts, n):
                                           for q in closed):
                 stack.append((closed, gens + (p,)))
     return None
-
-
-def root_path_cycle_words(g, base, alphabet=None):
-    """Independent oracle for ``fundamental_cycle_words``: the word of each
-    non-tree edge u -> w is the root path to u, the edge, and the inverse of
-    the root path to w, reduced; root paths are built recursively and kept
-    for every vertex."""
-    witness = cayley_like_witness(g)
-    if witness is None:
-        raise NotCayleyLike("graph colouring is not Cayley-like")
-    alphabet = alphabet or graph_alphabet(g)
-    parent, _ = spanning_tree(g, base)
-
-    path_letters = {base: []}
-
-    def letters_to(v):
-        if v not in path_letters:
-            d = parent[v]
-            path_letters[v] = letters_to(g.src(d)) + [
-                _letter_for_colour(alphabet, g, g.colour[d])]
-        return path_letters[v]
-
-    tree_darts = {d for d in parent if d is not None}
-    tree_darts |= {d ^ 1 for d in tree_darts}
-    out = []
-    for d in g.edges():
-        if d in tree_darts:
-            continue
-        u, w = g.src(d), g.tau[d]
-        letters = (letters_to(u) + [_letter_for_colour(alphabet, g, g.colour[d])]
-                   + [alphabet.inverse_letter(c) for c in reversed(letters_to(w))])
-        out.append(word_reduce(letters, alphabet))
-    return out
 
 
 def two_sided_closure(perms, cap=None):

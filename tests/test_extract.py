@@ -20,9 +20,8 @@ from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring,
                             refine_colouring)
 from parcay.graph import (LOCAL_CYCLE_LEVELS, ColouredGraph, _RootedTree,
-                          _short_cycle_relators, dictated_walk,
-                          fundamental_cycle_words, isomorphic, spanning_tree,
-                          write_graph)
+                          _short_cycle_relators, cayley_like_witness,
+                          isomorphic, spanning_tree, write_graph)
 from parcay.presentation import from_two_partite, validate
 from parcay.words import reduce as word_reduce
 
@@ -256,6 +255,23 @@ def test_bicayley_heawood_roundtrip():
     assert isomorphic(sp, target) is not None
 
 
+def test_bicayley_haar_z600_presentation_is_pinned():
+    # Relators from the short cycles at each side's vertices: a few short
+    # words and one 400-letter cycle through the tree, none repeated.
+    group = cyclic_group(600)
+    tp = bicayley_to_presentation(group, [], [], [0, 1, 3])
+    relators = tp.r0 + tp.r1
+    assert (len(tp.r0), len(tp.r1)) == (8, 3)
+    assert sum(len(r) for r in relators) == 460
+    assert sorted(len(r) for r in relators) == [6] * 10 + [400]
+    assert len(set(tp.r0)) == len(tp.r0) and len(set(tp.r1)) == len(tp.r1)
+    for r in relators:
+        _assert_cyclically_reduced(r, r.alphabet)
+    sp = build_sp(from_two_partite(tp))
+    assert sp.n == 1200
+    assert isomorphic(sp, bi_cayley(group, [], [], [0, 1, 3])) is not None
+
+
 def test_circulant_pipeline_roundtrips():
     def circulant(n, steps):
         g = ColouredGraph()
@@ -324,21 +340,29 @@ def test_each_relator_closes_its_edge_with_earlier_edges(gc):
     parent, order = spanning_tree(sp, 0)
     tree = {d & ~1 for d in parent if d is not None}
     non_tree = [d for d in sp.edges() if d not in tree]
-    base_word = dict(zip(non_tree, fundamental_cycle_words(sp, 0, alphabet)))
     rank = {v: i for i, v in enumerate(order)}
+    depth = {order[0]: 0}
+    for v in order[1:]:
+        depth[v] = depth[sp.src(parent[v])] + 1
+    out = cayley_like_witness(sp)
     relators = _short_cycle_relators(sp, alphabet)
     assert sorted(d for d, _, _ in relators) == non_tree
     closed = set(tree)
     for d, v, word in relators:
-        assert len(word) <= len(base_word[d])
+        # No longer than the walk from vertex 0 down the tree, across the
+        # edge and back up.
+        assert len(word) <= depth[sp.src(d)] + depth[sp.tau[d]] + 1
         _assert_cyclically_reduced(word, alphabet)
-        walk = dictated_walk(sp, v, word)
-        assert walk.is_closed()
-        crossed = Counter(e & ~1 for e in walk.darts)
+        darts, here = [], v
+        for code in word.letters:
+            darts.append(out[here][alphabet.colour_of(code)])
+            here = sp.tau[darts[-1]]
+        assert here == v
+        crossed = Counter(e & ~1 for e in darts)
         # The edge itself once; otherwise only the tree and earlier edges.
         assert crossed[d] == 1
         assert set(crossed) <= closed | {d}
-        assert rank[v] == min(rank[sp.src(e)] for e in walk.darts)
+        assert rank[v] == min(rank[sp.src(e)] for e in darts)
         closed.add(d)
 
 
@@ -346,17 +370,6 @@ def _assert_cyclically_reduced(word, alphabet):
     assert word == word_reduce(word.letters, alphabet)
     assert len(word) < 2 or word.letters[0] != alphabet.inverse_letter(
         word.letters[-1])
-
-
-def _haar_graph(n, shifts):
-    """The Haar graph of Z_n: i joined to n + (i + s) mod n for s in shifts."""
-    g = ColouredGraph()
-    for _ in range(2 * n):
-        g.add_vertex()
-    for i in range(n):
-        for s in shifts:
-            g.add_edge(i, n + (i + s) % n)
-    return g
 
 
 # The graphs of the benchmark's pipeline: total relator letters, the
@@ -367,7 +380,7 @@ def _haar_graph(n, shifts):
      {"rows": 1783, "coincidences": 583, "scans": 601}),
     (lambda: line_graph(generalized_petersen(400, 3)), 5533, [136, 137, 137],
      {"rows": 2781, "coincidences": 1581, "scans": 1327}),
-    (lambda: _haar_graph(600, (0, 1, 3)), 4000, [400],
+    (lambda: bi_cayley(cyclic_group(600), [], [], [0, 1, 3]), 4000, [400],
      {"rows": 1399, "coincidences": 199, "scans": 601}),
     (lambda: complete_graph(48), 3243, [],
      {"rows": 48, "coincidences": 0, "scans": 1081}),
@@ -379,7 +392,7 @@ def test_extraction_counters_are_pinned(make, letters, long, stats):
     colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
     sp = refine_colouring(g, colouring)
-    tree = _RootedTree(sp, 0, p.alphabet)
+    tree = _RootedTree(sp, p.alphabet)
     assert sum(len(r) for _, r in p.all_relators()) == letters
     fallbacks = [(d, v, w) for d, v, w in _short_cycle_relators(sp, p.alphabet)
                  if len(w) > 2 * LOCAL_CYCLE_LEVELS + 1]

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
                       listing_is_vertex_transitive, multigraph_colourings,
-                      root_path_cycle_words, scan_connected, scan_out_darts,
+                      scan_connected, scan_out_darts,
                       semiregular_subgroup_cayley, two_sided_closure)
 
 import parcay.graph as graph_module
@@ -15,11 +15,11 @@ from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import generalized_petersen, petersen_presentation
 from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                            ParcayError, SearchBoundExceeded)
-from parcay.graph import (ColouredGraph, automorphism_group,
-                          cayley_like_witness, dart_bijections, dictated_walk,
-                          fundamental_cycle_words, graph_maps, is_cayley,
-                          is_vertex_transitive, isomorphic, mulclose,
-                          read_graph, to_dot, walk_word, write_graph)
+from parcay.graph import (ColouredGraph, _dictated_darts,
+                          _short_cycle_relators, automorphism_group,
+                          cayley_like_witness, dart_bijections, graph_maps,
+                          is_cayley, is_vertex_transitive, isomorphic,
+                          mulclose, read_graph, to_dot, write_graph)
 from parcay.presentation import from_two_partite
 from parcay.words import Alphabet, parse_word
 
@@ -125,18 +125,25 @@ def test_out_dart_index_matches_a_dart_scan(case):
 
 # -- walks and words -----------------------------------------------------------
 
+def walk_end(g, v, word):
+    """Where the walk from v along the word's letters ends."""
+    for d in _dictated_darts(g, cayley_like_witness(g), v, word):
+        v = g.tau[d]
+    return v
+
+
 def test_dictated_walk_of_empty_word(petersen_sp):
     alph = Alphabet(("a",), ("b",))
-    w = dictated_walk(petersen_sp, 3, parse_word("", alph))
-    assert w.darts == () and w.start == w.end == 3
+    word = parse_word("", alph)
+    assert _dictated_darts(petersen_sp, cayley_like_witness(petersen_sp),
+                           3, word) == []
 
 
 def test_triangle_walk_closes():
     g = coloured_triangle()
     alph = Alphabet(("a",), ())
-    walk = dictated_walk(g, 0, parse_word("a^3", alph))
-    assert walk.is_closed()
-    assert not dictated_walk(g, 0, parse_word("a^2", alph)).is_closed()
+    assert walk_end(g, 0, parse_word("a^3", alph)) == 0
+    assert walk_end(g, 0, parse_word("a^2", alph)) != 0
 
 
 def test_intro_relation_closes_only_on_its_class(petersen_sp):
@@ -145,26 +152,8 @@ def test_intro_relation_closes_only_on_its_class(petersen_sp):
     alph = Alphabet(("a",), ("b",))
     word = parse_word("b a b a a", alph)
     for v in range(petersen_sp.n):
-        closed = dictated_walk(petersen_sp, v, word).is_closed()
+        closed = walk_end(petersen_sp, v, word) == v
         assert closed == (petersen_sp.classes[v] == "1")
-
-
-def test_walk_word_roundtrip(petersen_sp):
-    import random
-    alph = Alphabet(("a",), ("b",))
-    rng = random.Random(1)
-    letters = alph.letters()
-    for _ in range(50):
-        from parcay.words import reduce
-        w = reduce([rng.choice(letters) for _ in range(8)], alph)
-        walk = dictated_walk(petersen_sp, 0, w)
-        assert walk_word(petersen_sp, walk, alph) == w
-
-
-def test_walk_word_requires_cayley_like():
-    g = cycle_graph(4)  # uncoloured
-    with pytest.raises(NotCayleyLike):
-        dictated_walk(g, 0, parse_word("a", Alphabet(("a",), ())))
 
 
 def test_cayley_like_witness_rejects_duplicate_colours():
@@ -181,10 +170,10 @@ def test_one_vertex_without_edges_is_cayley_like():
     # the Cayley graph of the trivial group and the empty set
     g = ColouredGraph(1, [])
     assert cayley_like_witness(g) == [{}]
-    assert fundamental_cycle_words(g, 0) == []
+    assert _short_cycle_relators(g, Alphabet((), ())) == []
 
 
-# -- fundamental cycles ---------------------------------------------------------
+# -- relators from cycles -------------------------------------------------------
 
 def test_fundamental_cycles_of_tree():
     g = ColouredGraph()
@@ -202,29 +191,30 @@ def test_fundamental_cycles_of_tree():
     g2.declare_colour("a", "a^-1")
     g2.add_edge(0, 1, "a")
     with pytest.raises(NotCayleyLike):
-        fundamental_cycle_words(g2, 0)
+        _short_cycle_relators(g2, Alphabet(("a",), ()))
 
 
 def test_fundamental_cycles_of_cycle():
     g = coloured_triangle()
-    words = fundamental_cycle_words(g, 0)
-    assert len(words) == 1
-    assert str(words[0]) in ("a^3", "a^-3")
+    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
+    assert len(relators) == 1
+    assert str(relators[0][2]) in ("a^3", "a^-3")
 
 
 def test_fundamental_cycles_of_petersen(petersen_sp):
     g = petersen_sp
-    words = fundamental_cycle_words(g, 0)
-    assert len(words) == g.n_edges - g.n + 1 == 6
-    for w in words:
-        assert dictated_walk(g, 0, w).is_closed()
+    relators = _short_cycle_relators(g, Alphabet(("a",), ("b",)))
+    assert len(relators) == g.n_edges - g.n + 1 == 6
+    for _, v, w in relators:
+        assert walk_end(g, v, w) == v
 
 
 def test_fundamental_cycles_ignore_a_declared_but_unused_colour():
+    # The alphabet need not name a colour that no edge carries.
     g = read_graph("vertices 3\ncolour a a^-1\ncolour b b^-1\n"
                    "edge 0 1 a\nedge 1 2 a\nedge 2 0 a\n")
-    words = fundamental_cycle_words(g, 0)
-    assert [str(w) for w in words] in (["a^3"], ["a^-3"])
+    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
+    assert [str(w) for _, _, w in relators] in (["a^3"], ["a^-3"])
 
 
 def test_fundamental_cycles_need_connectivity():
@@ -235,41 +225,55 @@ def test_fundamental_cycles_need_connectivity():
     g.add_edge(0, 0, "a")
     g.add_edge(1, 1, "a")
     with pytest.raises(Disconnected):
-        fundamental_cycle_words(g, 0)
+        _short_cycle_relators(g, Alphabet(("a",), ()))
 
 
 @st.composite
 def cayley_like_graphs(draw):
     """A connected Cayley-like colouring on at most 12 vertices: each random
     permutation (fixed points give loops) is a free colour, and an optional
-    perfect matching is an involutive one.  Returns the graph and a base."""
+    perfect matching is an involutive one.  Returns the graph and the
+    alphabet of its colours."""
     n = draw(st.integers(1, 12))
     g = ColouredGraph()
     for _ in range(n):
         g.add_vertex()
+    free, involutive = [], []
     for i in range(draw(st.integers(0, 3))):
         perm = draw(st.permutations(range(n)))
+        free.append(f"a{i}")
         g.declare_colour(f"a{i}", f"a{i}^-1")
         for v in range(n):
             g.add_edge(v, perm[v], f"a{i}")
     if n % 2 == 0 and draw(st.booleans()):
         order = draw(st.permutations(range(n)))
+        involutive.append("s")
         g.declare_colour("s")
         for i in range(0, n, 2):
             g.add_edge(order[i], order[i + 1], "s")
     assume(g.n_darts and g.is_connected())
-    return g, draw(st.integers(0, n - 1))
+    return g, Alphabet(tuple(free), tuple(involutive))
 
 
 @given(cayley_like_graphs())
-def test_fundamental_cycle_words_match_the_root_path_words(case):
-    g, base = case
-    words = fundamental_cycle_words(g, base)
-    assert [w.letters for w in words] == [w.letters
-                                          for w in root_path_cycle_words(g, base)]
-    assert len(words) == g.n_edges - g.n + 1
-    for w in words:
-        assert dictated_walk(g, base, w).is_closed()
+def test_short_cycle_relators_close_at_their_vertices(case):
+    g, alphabet = case
+    parent, order = graph_module.spanning_tree(g, 0)
+    depth = {0: 0}
+    for v in order[1:]:
+        depth[v] = depth[g.src(parent[v])] + 1
+    tree = {d & ~1 for d in parent if d is not None}
+    relators = _short_cycle_relators(g, alphabet)
+    assert sorted(d for d, _, _ in relators) == [d for d in g.edges()
+                                                  if d not in tree]
+    assert len(relators) == g.n_edges - g.n + 1
+    for d, v, w in relators:
+        assert walk_end(g, v, w) == v
+        assert 0 < len(w) <= depth[g.src(d)] + depth[g.tau[d]] + 1
+        letters = w.letters
+        if len(letters) > 1:        # cyclically reduced
+            assert all(y != alphabet.inverse_letter(x)
+                       for x, y in zip(letters, letters[1:] + letters[:1]))
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -699,25 +703,3 @@ def test_dot_export(petersen_sp):
     dot = to_dot(petersen_sp)
     assert dot.startswith("graph {")
     assert "color=" in dot
-
-
-def test_dictated_walk_inverts_walk_word(petersen_sp):
-    # spur-free random walks survive the word roundtrip
-    import random
-    from parcay.graph import cayley_like_witness
-    g = petersen_sp
-    witness = cayley_like_witness(g)
-    rng = random.Random(7)
-    for _ in range(40):
-        v = rng.randrange(g.n)
-        darts, here, last = [], v, None
-        for _ in range(9):
-            options = [d for d in witness[here].values() if d != last]
-            d = rng.choice(options)
-            darts.append(d)
-            last = d ^ 1
-            here = g.tau[d]
-        from parcay.graph import Walk
-        walk = Walk(g, v, darts)
-        word = walk_word(g, walk)
-        assert dictated_walk(g, v, word) == walk
