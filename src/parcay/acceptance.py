@@ -352,7 +352,7 @@ def c12_appendix_finitization():
                         return False, f"{name}: path endpoints in different shells"
     for n in range(1, 6):
         ex, matching = windowed_perfect_matching("two-ended", n)
-        if any(not matching.covers(v) for v in ex.levels[-1]):
+        if not all(matching.covers(v) for s in ex.shells for v in s):
             return False, f"two-ended ball {n} left uncovered"
     return True, "staged optima match brute force; window balls covered"
 

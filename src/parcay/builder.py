@@ -246,13 +246,11 @@ class CosetTable:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, base_class=None):
-        """Enumerate from a row of ``base_class``.  A power s^e of one
+    def run(self):
+        """Enumerate from a row of the first class.  A power s^e of one
         letter is not scanned at a row that an earlier closed walk of s^e
         passed through: that scan would change nothing."""
-        p = self.p
-        base_class = base_class or p.classes[0]
-        base = self.new_row(base_class, 0)
+        base = self.new_row(self.p.classes[0], 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
         cls, plans, max_dist = self.cls, self.plans, self.max_dist
         marks = {}  # row -> the bits of its relators known to close there

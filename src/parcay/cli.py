@@ -101,8 +101,7 @@ def cmd_decompose(args):
     g, colouring = _read_coloured_graph(args.file)
     if args.check:
         if colouring is None:
-            print("no colouring column to check", file=sys.stderr)
-            return 2
+            raise BadParameters("no colouring column to check")
         pred = {"multicycle": is_multicycle, "weak": is_weak_multicycle,
                 "pf": is_partition_friendly}[args.check]
         verdict = pred(g, colouring)
@@ -172,7 +171,7 @@ def cmd_matchings(args):
     ex = window_exhaustion(args.family, args.n, margin=args.margin)
     staged = maximal_matching_wrt_miss(ex)
     plain = maximum_matching(ex.graph)
-    print(f"window: {ex.graph.n} vertices, {len(ex.levels)} levels")
+    print(f"window: {ex.graph.n} vertices, {len(ex.shells)} levels")
     print(f"staged optimum: {len(staged)} edges, miss sequence "
           f"{miss_sequence(staged, ex)}")
     print(f"maximum matching: {len(plain)} edges, miss sequence "

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .builder import presentation_graph
 from .decompose import _class_walks, weak_multicycle_colouring
-from .errors import (Disconnected, InvolutionInR, NotPartitionFriendly,
-                     SizeMismatch)
+from .errors import (BadParameters, Disconnected, InvolutionInR,
+                     NotPartitionFriendly, SizeMismatch)
 from .graph import _short_cycle_relators, alphabet_graph
 from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
@@ -73,6 +73,8 @@ def presentation_from_colouring(g, colouring):
     per non-tree edge of the BFS tree at vertex 0 of its own presentation
     graph, a short cycle at the class of its earliest vertex, or the edge's
     cycle through the tree where no shorter cycle was found."""
+    if not g.n:
+        raise BadParameters("a graph with no vertices has no presentation")
     if not g.is_connected():
         raise Disconnected("input graph must be connected")
     free = _colouring_presentation(g, colouring)

@@ -72,16 +72,15 @@ class ColouredGraph:
         self.colour_inv[colour] = inverse
         self.colour_inv[inverse] = colour
 
-    def add_edge(self, u, v, colour=None, colour_rev=None):
-        """Add one undirected edge as a dart pair.  Returns the forward dart."""
+    def add_edge(self, u, v, colour=None):
+        """Add one undirected edge as a dart pair, the reverse dart coloured
+        with the colour's inverse.  Returns the forward dart."""
         if colour is not None and colour not in self.colour_inv:
-            self.declare_colour(colour, colour_rev)
-        if colour_rev is None:
-            colour_rev = self.colour_inv.get(colour) if colour is not None else None
+            self.declare_colour(colour)
         out_u, out_v = self._out[u], self._out[v]
         d = len(self.tau)
         self.tau += [v, u]
-        self.colour += [colour, colour_rev]
+        self.colour += [colour, self.colour_inv.get(colour)]
         out_u.append(d)
         out_v.append(d + 1)
         return d
@@ -123,22 +122,14 @@ class ColouredGraph:
     def is_regular(self):
         return len({len(out) for out in self._out}) <= 1
 
-    def is_connected(self, vertices=None):
-        """Whether the subgraph induced on ``vertices`` (default: all of
-        them) is connected; an empty set counts as connected."""
-        inside = set(range(self.n) if vertices is None else vertices)
-        if not inside:
-            return True
-        start = next(iter(inside))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for d in self._out[stack.pop()]:
-                w = self.tau[d]
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(inside)
+    def is_connected(self):
+        """Whether the graph is connected (the empty graph is)."""
+        if self.n:
+            try:
+                spanning_tree(self, 0)
+            except Disconnected:
+                return False
+        return True
 
     def class_sizes(self):
         sizes = Counter()

@@ -10,9 +10,10 @@ matching is kept covering the forced set, and a vertex it misses costs one
 alternating-path search, not a blossom run of its own.  All the searches
 on one matching share one scratch, so a search costs time in proportion
 to the alternating tree it grows, not to the size of the window.  An
-exhaustion records each vertex's shell, the first level holding it, so
-its connectivity, its miss sequences and its staged order each cost one
-pass over the vertices, not one per level.
+exhaustion stores each vertex once, in its shell, the first level holding
+it: a window's memory is linear in its size, and its connectivity, its
+miss sequences and its staged order each cost one pass over the vertices.
+Its levels are unions of shells, n·levels entries, built only when read.
 
 A family is a builder ``(lo, hi) -> ColouredGraph`` of layers lo..hi with
 vertices named (layer, index).  Its window around the ball B_n has the
@@ -23,7 +24,6 @@ the window covers the ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .constructions import two_ended_window
@@ -32,29 +32,40 @@ from .errors import BadParameters, NoTransitiveSupply
 from .graph import ColouredGraph
 
 
-@dataclass
 class Exhaustion:
-    """Nested finite vertex sets of a window, innermost first.  ``frontier``
-    marks window-boundary vertices whose incidences are truncated.  The
-    window theory wants every level to induce a connected subgraph;
-    ``connected`` says whether it does.  Shell i is the set of vertices
-    whose first level is level i."""
-    graph: ColouredGraph
-    levels: list
-    frontier: frozenset = frozenset()
+    """Nested finite vertex sets of a window, the levels, innermost first,
+    stored as their shells: shell i holds the vertices whose first level is
+    level i, so each vertex is kept once.  ``frontier`` marks window-boundary
+    vertices whose incidences are truncated.  The window theory wants every
+    level to induce a connected subgraph; ``connected`` says whether it does."""
 
-    def __post_init__(self):
-        self.levels = [frozenset(B) for B in self.levels]
-        self._shells = []           # the shells, innermost first
-        self._shell_of = {}         # vertex -> its shell's index
-        inner = frozenset()
-        for i, outer in enumerate(self.levels):
+    def __init__(self, graph, levels, frontier=frozenset()):
+        shells, inner = [], frozenset()
+        for outer in map(frozenset, levels):
             if not inner <= outer:
                 raise ValueError("exhaustion levels must be nested")
-            shell = outer - inner
-            self._shells.append(shell)
-            self._shell_of.update(dict.fromkeys(shell, i))
+            shells.append(outer - inner)
             inner = outer
+        self._set_shells(graph, shells, frontier)
+
+    @classmethod
+    def from_shells(cls, graph, shells, frontier):
+        """The exhaustion whose level i is the union of shells 0..i."""
+        ex = cls.__new__(cls)
+        ex._set_shells(graph, shells, frontier)
+        return ex
+
+    def _set_shells(self, graph, shells, frontier):
+        self.graph, self.frontier = graph, frozenset(frontier)
+        self.shells = [frozenset(shell) for shell in shells]
+        self._shell_of = {v: i for i, shell in enumerate(self.shells)
+                          for v in shell}
+
+    @property
+    def levels(self):
+        """The levels, each the union of the shells up to it: reading them
+        builds n·levels entries, which nothing in the package does."""
+        return list(accumulate(self.shells, frozenset.union))
 
     @property
     def connected(self):
@@ -72,7 +83,7 @@ class Exhaustion:
             return v
 
         components = 0
-        for i, shell in enumerate(self._shells):
+        for i, shell in enumerate(self.shells):
             root.update((v, v) for v in shell)
             components += len(shell)
             for v in shell:
@@ -98,11 +109,8 @@ def miss_sequence(matching, exhaustion):
     because the levels are nested: the prefix sums of the misses per
     shell.  The miss-sequence order is the tuple order: the smaller
     sequence is the better matching."""
-    misses = [0] * len(exhaustion.levels)
-    for v, i in exhaustion._shell_of.items():
-        if not matching.covers(v):
-            misses[i] += 1
-    return tuple(accumulate(misses))
+    return tuple(accumulate(sum(not matching.covers(v) for v in shell)
+                            for shell in exhaustion.shells))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ def maximal_matching_wrt_miss(exhaustion):
     """A maximum matching maximal for the miss-sequence order: greedy over
     vertices in exhaustion order, forcing each vertex whose addition keeps
     the forced set coverable."""
-    order = [v for shell in exhaustion._shells for v in sorted(shell)]
+    order = [v for shell in exhaustion.shells for v in sorted(shell)]
     return _cover_greedy(exhaustion.graph, order)[0]
 
 
@@ -209,6 +217,9 @@ FAMILIES = {"two-ended": two_ended_window, "ladder": _ladder_window}
 def window_exhaustion(family, n, margin=2):
     """The window of layers -n - margin..n + margin of a family, with the
     balls B_0..B_n as its levels and its two end layers as its frontier."""
+    if family not in FAMILIES:
+        raise BadParameters(f"unknown family {family!r}; the families are "
+                            + ", ".join(sorted(FAMILIES)))
     if n < 0 or margin < 0:
         raise BadParameters(f"a window needs n >= 0 and margin >= 0, got "
                             f"n = {n}, margin = {margin}")
@@ -217,10 +228,8 @@ def window_exhaustion(family, n, margin=2):
     at_size = {}                    # |layer| -> the vertices there
     for v, name in enumerate(g.names):
         at_size.setdefault(abs(name[0]), []).append(v)
-    levels = [frozenset(at_size.get(0, ()))]
-    for k in range(1, n + 1):
-        levels.append(levels[-1].union(at_size.get(k, ())))
-    ex = Exhaustion(g, levels, frozenset(at_size.get(hi, ())))
+    ex = Exhaustion.from_shells(g, [at_size.get(k, ()) for k in range(n + 1)],
+                                at_size.get(hi, ()))
     if not ex.connected:
         raise ValueError(f"family {family!r} built a level that does not "
                          f"induce a connected subgraph")
@@ -236,7 +245,7 @@ def windowed_perfect_matching(family, n, margin=2):
     result is the maximum matching itself.
     """
     ex = window_exhaustion(family, n, margin)
-    ball = ex.levels[-1]
+    ball = ex._shell_of             # the vertices that have a shell
     m, forced = _cover_greedy(ex.graph, sorted(ball))
     if len(forced) < len(ball):
         raise NoTransitiveSupply(f"no matching of the {family!r} window "

@@ -846,10 +846,8 @@ def positional_parse_word(text, alphabet):
 # of one letter came to certify that power at every row it passes.  They
 # scan every relator at every row of its class.
 
-def scan_everything_run(table, base_class=None):
-    p = table.p
-    base_class = base_class or p.classes[0]
-    base = table.new_row(base_class, 0)
+def scan_everything_run(table):
+    base = table.new_row(table.p.classes[0], 0)
     parent, slots, width, dist = table.parent, table.table, table.width, table.dist
     max_dist = table.max_dist
     idx = 0

@@ -362,6 +362,20 @@ def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # A graph with no vertices has no class to present.
+    ["extract", "vertices 0\n"],
+    # Only a coloured graph file has a colouring to check.
+    ["decompose", "vertices 2\nedge 0 1\n", "--check", "pf"],
+])
+def test_input_without_what_the_command_needs_exits_2_with_one_line(
+        argv, tmp_path, capsys):
+    f = tmp_path / "in.graph"
+    f.write_text(argv[1])
+    assert main([argv[0], str(f)] + argv[2:]) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
     ["make", "petersen"],
     ["make", "petersen", "7"],
     ["make", "two-ended", "3"],

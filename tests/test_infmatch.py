@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,21 +129,28 @@ def test_exhaustion_agrees_with_the_per_level_scans(g, data):
     else:
         order = data.draw(st.permutations(range(g.n)))
         levels = [order[:k] for k in cuts]
-    ex = Exhaustion(g, levels)
-    assert ex.connected == per_level_connected(ex)
-    if bfs:
-        assert ex.connected
-    assert [ex.shell(v) for v in range(g.n + 1)] == \
-        [per_level_shell(ex, v) for v in range(g.n + 1)]
+    # The same exhaustion built from its levels and from its shells.
+    shells = [set(B).difference(*levels[:i]) for i, B in enumerate(levels)]
+    exhaustions = [Exhaustion(g, levels),
+                   Exhaustion.from_shells(g, shells, frozenset())]
     matching = Matching(g, [])
     for d in data.draw(st.permutations([d for d in g.edges()
                                         if not g.is_loop(d)])):
         if not (matching.covers(g.src(d)) or matching.covers(g.tau[d])):
             matching = Matching(g, matching.darts | {d})
-    assert miss_sequence(matching, ex) == per_level_miss_sequence(matching, ex)
-    staged_order = dict.fromkeys(v for B in ex.levels for v in sorted(B))
-    assert mates(maximal_matching_wrt_miss(ex)) == \
-        per_call_cover_greedy(g, staged_order)[0]
+    staged_order = dict.fromkeys(v for B in levels for v in sorted(B))
+    staged = per_call_cover_greedy(g, staged_order)[0]
+    for ex in exhaustions:
+        assert ex.levels == [set(B) for B in levels]
+        assert ex.shells == shells
+        assert ex.connected == per_level_connected(ex)
+        if bfs:
+            assert ex.connected
+        assert [ex.shell(v) for v in range(g.n + 1)] == \
+            [per_level_shell(ex, v) for v in range(g.n + 1)]
+        assert miss_sequence(matching, ex) == \
+            per_level_miss_sequence(matching, ex)
+        assert mates(maximal_matching_wrt_miss(ex)) == staged
 
 
 # -- staged lexicographic optimisation ----------------------------------------------
@@ -388,6 +396,25 @@ def test_window_exhaustion_rejects_negative_sizes(n, margin):
         window_exhaustion("two-ended", n, margin=margin)
     with pytest.raises(BadParameters):
         windowed_perfect_matching("ladder", n, margin=margin)
+
+
+def test_unknown_family_is_a_bad_parameter():
+    for build in (window_exhaustion, windowed_perfect_matching):
+        with pytest.raises(BadParameters, match="ladder, two-ended"):
+            build("foo", 2)
+
+
+def test_a_window_takes_memory_linear_in_its_size():
+    # The ladder window at n = 1000 has 4010 vertices and 1001 levels.  Each
+    # vertex is stored once, in its shell; storing every level B_k as its
+    # own set peaked at 85 MiB.
+    tracemalloc.start()
+    try:
+        window_exhaustion("ladder", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_window_family_levels_must_be_connected(monkeypatch):
