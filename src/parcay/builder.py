@@ -10,6 +10,12 @@ the conjugation closure of the relator subgroups.  A closed walk of a power
 s^e of one letter closes s^e at every row of its s-cycle, so such a relator
 is scanned once per cycle (Holt, Eick & O'Brien, §5.1–5.2).
 
+A row's ``dist`` is its breadth-first distance from the base row in the
+current table: a deduction or a coincidence that gives a row a shorter
+route lowers it, and the drop is passed on along table edges.  A distance
+budget, which ``ball_sp`` sets, therefore bounds true distance, and a row
+that the budget held back is processed again when its distance falls.
+
 The coset table is one flat list, ``table[row * width + slot]``, with one
 slot per letter code.  Relators are encoded once, per class, as tuples of
 slot indices, and the slot of each letter's inverse is precomputed, so the
@@ -19,14 +25,16 @@ scans index lists and never translate letters (Holt, Eick & O'Brien,
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadParameters, BallRejected, Overflow
-from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_graph,
-                    dart_bijections, graph_maps)
+from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
+                    alphabet_graph, dart_bijections, graph_maps)
 
 DEFAULT_MAX_ROWS = 1_000_000
+DEFINE = 1          # a row's definitions, beside its relators' bits
 
 
 def presentation_graph(p):
@@ -58,7 +66,9 @@ class CosetTable:
     slot per letter code (involutive letters get a single slot), stored flat:
     slot ``s`` of row ``r`` is ``table[r * width + s]``.  Relators are kept
     per class as tuples of slot indices, and ``inverse[s]`` is the slot of
-    the inverse letter, so the walks never look at letter codes."""
+    the inverse letter, so the walks never look at letter codes.
+    ``dist[r]`` is the distance of the live row r from the base row along
+    the edges of the table."""
 
     def __init__(self, p, max_rows=DEFAULT_MAX_ROWS, max_dist=None):
         self.p = p
@@ -74,6 +84,7 @@ class CosetTable:
         # Per class with relators, its plan: one (bit, relator, power) per
         # relator, where power is (s, e) for a power s^e of one slot s with
         # e > 1, else None.  Per class with powers, (s, e) -> their bits.
+        # Bit 0, DEFINE, stands for a row's definitions.
         self.plans, self.powers = {}, {}
         for x, rels in self.relators.items():
             if not rels:
@@ -84,8 +95,8 @@ class CosetTable:
                 if len(rel) > 1 and rel.count(rel[0]) == len(rel):
                     power = rel[0], len(rel)
                     bits = self.powers.setdefault(x, {})
-                    bits[power] = bits.get(power, 0) | 1 << k
-                plan.append((1 << k, rel, power))
+                    bits[power] = bits.get(power, 0) | 2 << k
+                plan.append((2 << k, rel, power))
         self.max_rows = max_rows
         self.max_dist = max_dist
         self.parent = []
@@ -93,6 +104,8 @@ class CosetTable:
         self.dist = []
         self.table = []
         self._blank = [None] * self.width
+        self.held = {}         # row -> bits of the work the budget held back
+        self.again = []        # held rows whose distance fell since
         self.version = 0       # bumps on every slot write or merge
         self.coincidences = 0
         self.scans = 0
@@ -131,24 +144,30 @@ class CosetTable:
 
     def set_slot(self, v, s, w):
         """Join live rows v --s--> w.  Slot s of v and the inverse slot of
-        w must be empty (for an involution at a loop, they are one slot)."""
+        w must be empty (for an involution at a loop, they are one slot).
+        Where the edge gives either row a shorter route, the drop spreads."""
         self.table[v * self.width + s] = w
         self.table[w * self.width + self.inverse[s]] = v
         self.version += 1
+        dist = self.dist
+        if dist[w] > dist[v] + 1:
+            self._spread([v])
+        elif dist[v] > dist[w] + 1:
+            self._spread([w])
 
     def define(self, v, s):
-        """A new row behind the empty slot s of the live row v, or None
-        past the distance budget."""
-        d = self.dist[v] + 1
-        if self.max_dist is not None and d > self.max_dist:
-            return None
-        w = self.new_row(self.images[s][self.cls[v]], d)
-        self.set_slot(v, s, w)
+        """A new row behind the empty slot s of the live row v.  Its only
+        edge is to v, so no distance falls."""
+        w = self.new_row(self.images[s][self.cls[v]], self.dist[v] + 1)
+        self.table[v * self.width + s] = w
+        self.table[w * self.width + self.inverse[s]] = v
+        self.version += 1
         return w
 
     def coincide(self, a, b):
-        table, width, find = self.table, self.width, self.find
+        table, width, find, dist = self.table, self.width, self.find, self.dist
         queue = [(a, b)]
+        moved = []      # roots whose neighbours may now be nearer the base
         while queue:
             a, b = queue.pop()
             a, b = find(a), find(b)
@@ -159,7 +178,12 @@ class CosetTable:
                 raise ValueError("attempted to merge rows of different classes; "
                                  "the presentation is inconsistent")
             self.parent[b] = a
-            self.dist[a] = min(self.dist[a], self.dist[b])
+            if dist[a] != dist[b]:
+                if dist[b] < dist[a]:
+                    dist[a] = dist[b]
+                    if a in self.held:
+                        self.again.append(a)
+                moved.append(a)
             self.coincidences += 1
             self.version += 1
             ra, rb = a * width, b * width
@@ -172,13 +196,37 @@ class CosetTable:
                     table[ra + i] = x
                 elif find(x) != find(y):
                     queue.append((x, y))
+        if moved:
+            self._spread(moved)
+
+    def _spread(self, stack):
+        """Pass distance drops on from the rows on ``stack`` along table
+        edges, until no edge joins live rows whose distances differ by more
+        than one.  A row whose distance falls while the budget holds back
+        some of its work is queued again."""
+        table, width, parent, dist = self.table, self.width, self.parent, self.dist
+        held, again = self.held, self.again
+        while stack:
+            u = stack.pop()
+            if parent[u] != u:
+                u = self.find(u)
+            d = dist[u] + 1
+            for x in table[u * width:(u + 1) * width]:
+                if x is None:
+                    continue
+                if parent[x] != x:
+                    x = self.find(x)
+                if dist[x] > d:
+                    dist[x] = d
+                    if x in held:
+                        again.append(x)
+                    stack.append(x)
 
     # -- scanning -------------------------------------------------------------
 
-    def scan(self, v, rel, fill=True):
-        """Trace a relator (a tuple of slots) at a row; returns False when
-        left incomplete (only possible when filling is blocked by the
-        distance budget)."""
+    def scan(self, v, rel):
+        """Trace a relator (a tuple of slots) at a row, completing it by
+        definitions and closing it by a deduction or a coincidence."""
         self.scans += 1
         table, parent, width, inverse = self.table, self.parent, self.width, self.inverse
         f = b = self.find(v)
@@ -193,7 +241,7 @@ class CosetTable:
             if i == j:
                 if f != b:
                     self.coincide(f, b)
-                return True
+                return
             while j > i:
                 prev = table[b * width + inverse[rel[j - 1]]]
                 if prev is None:
@@ -203,16 +251,11 @@ class CosetTable:
             if i == j:
                 if f != b:
                     self.coincide(f, b)
-                return True
+                return
             if i == j - 1:
                 self.set_slot(f, rel[i], b)
-                return True
-            if not fill:
-                return False
-            w = self.define(f, rel[i])
-            if w is None:
-                return False
-            f, i = w, i + 1
+                return
+            f, i = self.define(f, rel[i]), i + 1
 
     def scan_closes(self, v, rel):
         """Non-modifying check that the relator's walk closes at v."""
@@ -247,60 +290,53 @@ class CosetTable:
     # -- main loop -------------------------------------------------------------
 
     def run(self):
-        """Enumerate from a row of the first class.  A power s^e of one
-        letter is not scanned at a row that an earlier closed walk of s^e
-        passed through: that scan would change nothing."""
+        """Enumerate from a row of the first class, rows in order.  Under a
+        distance budget a relator of length L is scanned at a row v only when
+        ``dist[v] + L - 1 <= max_dist``: the walk defines rows out to that
+        distance and its last letter closes by deduction.  Only rows nearer
+        than ``max_dist`` define their empty slots.  A row that the budget
+        held back is processed again, for the work held back, whenever its
+        distance falls.  A power s^e of one letter is not scanned at a row
+        that an earlier closed walk of s^e passed through: that scan would
+        change nothing."""
         base = self.new_row(self.p.classes[0], 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
-        cls, plans, max_dist = self.cls, self.plans, self.max_dist
+        cls, plans, held, again = self.cls, self.plans, self.held, self.again
+        limit = math.inf if self.max_dist is None else self.max_dist
         marks = {}  # row -> the bits of its relators known to close there
         idx = 0
-        while idx < len(parent):
-            v = idx
-            idx += 1
-            done = marks.pop(v, 0)
+        while True:
+            if again:
+                v = again.pop()
+                todo = held.pop(v, 0)
+            elif idx < len(parent):
+                v = idx
+                idx += 1
+                todo = ~marks.pop(v, 0)
+            else:
+                return self.find(base)
             if parent[v] != v:
                 continue
             for bit, rel, power in plans.get(cls[v], ()):
-                if done & bit:
+                if not todo & bit:
                     continue
-                if max_dist is not None and dist[v] + len(rel) > max_dist:
+                if dist[v] + len(rel) - 1 > limit:
+                    held[v] = held.get(v, 0) | bit
                     continue
-                closed = self.scan(v, rel)
+                self.scan(v, rel)
                 if parent[v] != v:
                     break
-                if power and closed:
+                if power:
                     self._mark_power(v, power, idx, marks)
-            if parent[v] != v:
+            if parent[v] != v or not todo & DEFINE:
                 continue
-            # Every definition from a row at the edge of the budget would
-            # be refused.
-            if max_dist is not None and dist[v] >= max_dist:
+            if dist[v] >= limit:
+                held[v] = held.get(v, 0) | DEFINE
                 continue
             row = v * width
             for s in range(width):
                 if table[row + s] is None:
                     self.define(v, s)
-        return self.find(base)
-
-    def _settle(self):
-        """Re-scan, without filling, every relator whose walk fits the
-        distance budget at its row, to a fixpoint.  The loop keys on actual
-        table modifications, since a budgeted scan may legitimately make no
-        progress."""
-        parent, dist, max_dist = self.parent, self.dist, self.max_dist
-        while True:
-            before = self.version
-            for v in self.live_rows():
-                for rel in self.relators[self.cls[v]]:
-                    root = v if parent[v] == v else self.find(v)
-                    if dist[root] + len(rel) > max_dist:
-                        continue
-                    if self.scan_closes(v, rel):
-                        continue
-                    self.scan(v, rel, fill=False)
-            if self.version == before:
-                return
 
     def is_closed(self):
         """Every slot of every live row is filled and every relator closes
@@ -326,24 +362,40 @@ class CosetTable:
 
     def to_graph(self, keep=None):
         """Quotient graph on the live rows (optionally restricted), numbered
-        by distance, with edges added in row order."""
+        by distance, then by row.  Darts come in row order: first each row's
+        edges of free letters, in alphabet order, then each edge of an
+        involutive letter, at the lower of its two rows."""
         rows = self.live_rows()
         if keep is not None:
             rows = [r for r in rows if keep(r)]
-        by_dist = sorted(rows, key=self.dist.__getitem__)
-        number = {r: i for i, r in enumerate(by_dist)}
         table, width, find, parent = self.table, self.width, self.find, self.parent
-        targets = {}
-        for name in self.alphabet.names:
-            s = self.codes.index(self.alphabet.code(name))
-            image = targets[name] = [None] * len(rows)
-            for r in rows:
-                w = table[r * width + s]
+        by_dist = sorted(rows, key=self.dist.__getitem__)
+        number = [None] * len(parent)
+        for i, r in enumerate(by_dist):
+            number[r] = i
+        colour_inv, free, involutive = alphabet_colours(self.alphabet)
+        slot = {c: s for s, c in enumerate(self.codes)}
+        free = [(slot[code], colours) for code, colours in free]
+        involutive = [(slot[code], colours) for code, colours in involutive]
+        tau, colour, tau_i, colour_i = [], [], [], []
+        for r in rows:
+            v, row = number[r], r * width
+            for s, colours in free:
+                w = table[row + s]
                 if w is not None:
-                    image[number[r]] = number.get(w if parent[w] == w else find(w))
-        g = alphabet_graph(self.alphabet, targets, by_dist,
-                           [self.cls[r] for r in by_dist],
-                           [number[r] for r in rows])
+                    w = number[w if parent[w] == w else find(w)]
+                    if w is not None:
+                        tau += (w, v)
+                        colour += colours
+            for s, colours in involutive:
+                w = table[row + s]
+                if w is not None:
+                    w = w if parent[w] == w else find(w)
+                    if r <= w and number[w] is not None:
+                        tau_i += (number[w], v)
+                        colour_i += colours
+        g = ColouredGraph(len(rows), tau + tau_i, colour + colour_i, by_dist,
+                          [self.cls[r] for r in by_dist], colour_inv)
         g.meta["stats"] = self.stats
         return g
 
@@ -361,21 +413,25 @@ def build_sp(p, max_rows=DEFAULT_MAX_ROWS):
 def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
     """A radius-``radius`` window of Sp(P) around the base vertex.
 
-    Rows are explored out to ``radius + scan_margin`` and relators are
-    scanned wherever their walk fits inside that budget.  Vertices are
-    guaranteed distinct only relative to the identifications actually
-    performed; the window is rejected if any relator that fits entirely
-    inside the requested radius fails to close.  The frontier is every
-    vertex at the radius or with fewer darts than the presentation's degree.
+    The enumeration runs under the distance budget ``radius + scan_margin``
+    (default: the longest relator's length minus one), and the table's
+    distances are true distances, so the window holds every row within
+    ``radius`` of the base, numbered by distance.  A relator of length L is
+    closed at every row within ``radius + scan_margin - L + 1``; with the
+    default margin that is every relator at every row of the window.
+    Vertices are guaranteed distinct only relative to the identifications
+    actually performed; the window is rejected if any relator that fits
+    entirely inside the requested radius fails to close.  The frontier is
+    every vertex at the radius or with fewer darts than the presentation's
+    degree.
     """
     if radius < 0 or (scan_margin is not None and scan_margin < 0):
         raise BadParameters(f"the radius and scan margin must be at least 0, "
                             f"got {radius} and {scan_margin}")
     if scan_margin is None:
-        scan_margin = max((len(r) for _, r in p.all_relators()), default=0)
+        scan_margin = max((len(r) - 1 for _, r in p.all_relators()), default=0)
     table = CosetTable(p, max_rows=max_rows, max_dist=radius + scan_margin)
     table.run()
-    table._settle()
     for v in table.live_rows():
         if table.dist[v] > radius:
             continue

@@ -219,7 +219,10 @@ def make_parser():
     s = sub.add_parser("ball", help="bounded window of a possibly infinite graph")
     s.add_argument("file")
     s.add_argument("--radius", type=int, required=True)
-    s.add_argument("--scan-margin", type=int, default=None)
+    s.add_argument("--scan-margin", type=int, default=None,
+                   help="levels enumerated past the radius so that relators "
+                        "close inside it (default: the longest relator's "
+                        "length minus one)")
     s.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     s.add_argument("--format", choices=("graph", "dot"), default="graph")
     s.add_argument("-o", "--out")

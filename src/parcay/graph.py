@@ -208,38 +208,44 @@ def _dictated_darts(g, table, v, word):
     return darts
 
 
-def alphabet_graph(alphabet, targets, names, classes, order=None):
-    """The generator-coloured graph of an action on the points 0..n-1:
-    point v becomes a vertex named ``names[v]`` in class ``classes[v]``, and
-    ``targets[name][v]`` is the point that generator ``name`` takes v to, or
-    None where the edge is missing.  Points are visited in ``order``
-    (default: by number).  A free generator adds one dart pair per point,
-    coloured by its letter and the inverse letter; an involutive generator
-    adds one edge per pair, at the pair's first visited point.  Free edges
-    come before involutive ones, each point's in alphabet order."""
-    n = len(names)
-    order = range(n) if order is None else order
+def alphabet_colours(alphabet):
+    """The colours of an alphabet: ``colour_inv``, total on them, and the
+    codes of the free and of the involutive generators, each with its
+    (colour, inverse colour) pair, in alphabet order."""
     colour_inv, free, involutive = {}, [], []
     for name in alphabet.names:
         code = alphabet.code(name)
         colour, inverse = alphabet.colour_of(code), alphabet.colour_of(-code)
         colour_inv[colour], colour_inv[inverse] = inverse, colour
         kind = involutive if alphabet.is_involution(code) else free
-        kind.append((targets[name], (colour, inverse)))
+        kind.append((code, (colour, inverse)))
+    return colour_inv, free, involutive
+
+
+def alphabet_graph(alphabet, targets, names, classes):
+    """The generator-coloured graph of an action on the points 0..n-1:
+    point v becomes a vertex named ``names[v]`` in class ``classes[v]``, and
+    ``targets[name][v]`` is the point that generator ``name`` takes v to, or
+    None where the edge is missing.  A free generator adds one dart pair per
+    point, coloured by its letter and the inverse letter; an involutive
+    generator adds one edge per pair, at the pair's lower point.  Free edges
+    come before involutive ones, each point's in alphabet order."""
+    n = len(names)
+    colour_inv, free, involutive = alphabet_colours(alphabet)
+    free = [(targets[alphabet.name_of(c)], colours) for c, colours in free]
+    involutive = [(targets[alphabet.name_of(c)], colours)
+                  for c, colours in involutive]
     tau, dart_colour = [], []
-    for v in order:
+    for v in range(n):
         for image, colours in free:
             w = image[v]
             if w is not None:
                 tau += (w, v)
                 dart_colour += colours
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    for v in order:
+    for v in range(n):
         for image, colours in involutive:
             w = image[v]
-            if w is not None and rank[v] <= rank[w]:
+            if w is not None and v <= w:
                 tau += (w, v)
                 dart_colour += colours
     return ColouredGraph(n, tau, dart_colour, list(names), list(classes),

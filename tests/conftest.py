@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter, deque
@@ -11,7 +12,7 @@ from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
                                   generalized_petersen)
 from parcay.decompose import EdgeColouring, euler_orientation, maximum_matching
 from parcay.errors import WordSyntaxError
-from parcay.graph import ColouredGraph, _perm_mul, mulclose
+from parcay.graph import ColouredGraph, _perm_mul, alphabet_graph, mulclose
 from parcay.presentation import PartitePresentation
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
 from parcay.words import reduce as word_reduce
@@ -844,33 +845,129 @@ def positional_parse_word(text, alphabet):
 # Oracle for the coset enumeration: the relator loops of ``CosetTable.run``
 # and ``CosetTable.is_closed`` as they stood before a closed walk of a power
 # of one letter came to certify that power at every row it passes.  They
-# scan every relator at every row of its class.
+# scan every relator at every row of its class.  Under a distance budget
+# the run keeps the same fit test, and processes again, by the table's
+# ``held`` and ``again``, a row that the budget held back when its distance
+# falls; it then scans every relator that fits there, closed or not.
 
 def scan_everything_run(table):
     base = table.new_row(table.p.classes[0], 0)
     parent, slots, width, dist = table.parent, table.table, table.width, table.dist
-    max_dist = table.max_dist
+    held, again = table.held, table.again
+    limit = math.inf if table.max_dist is None else table.max_dist
     idx = 0
-    while idx < len(parent):
-        v = idx
-        idx += 1
+    while True:
+        if again:
+            v = again.pop()
+            if not held.pop(v, 0):
+                continue
+        elif idx < len(parent):
+            v = idx
+            idx += 1
+        else:
+            return table.find(base)
         if parent[v] != v:
             continue
         for rel in table.relators[table.cls[v]]:
-            if max_dist is not None and dist[v] + len(rel) > max_dist:
+            if dist[v] + len(rel) - 1 > limit:
+                held[v] = 1
                 continue
             table.scan(v, rel)
             if parent[v] != v:
                 break
         if parent[v] != v:
             continue
-        if max_dist is not None and dist[v] >= max_dist:
+        if dist[v] >= limit:
+            held[v] = 1
             continue
         row = v * width
         for s in range(width):
             if slots[row + s] is None:
                 table.define(v, s)
-    return table.find(base)
+
+
+def settle(table):
+    """Oracle for a finished budgeted run: the loop that once followed it.
+    Every relator whose walk fits the budget at its row, by the fit test
+    of ``run``, is scanned wherever it does not close, to a fixpoint."""
+    while True:
+        before = table.version
+        for v in table.live_rows():
+            for rel in table.relators[table.cls[v]]:
+                v = table.find(v)
+                if table.dist[v] + len(rel) - 1 > table.max_dist:
+                    continue
+                if not table.scan_closes(v, rel):
+                    table.scan(v, rel)
+        if table.version == before:
+            return
+
+
+def table_distances(table, base=0):
+    """Independent oracle for ``CosetTable.dist``: a BFS over the live rows
+    of the table, through every filled slot."""
+    width = table.width
+    start = table.find(base)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in table.table[v * width:(v + 1) * width]:
+            if w is not None:
+                w = table.find(w)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+    return dist
+
+
+def alphabet_graph_quotient(table, keep=None):
+    """Oracle for ``CosetTable.to_graph``: the route it took before it wrote
+    the darts itself.  Per generator, the row that each kept live row goes
+    to; the graph of that action by ``alphabet_graph``, with the rows as
+    points in row order; then its vertices renumbered by distance, then
+    by row."""
+    rows = [r for r in table.live_rows() if keep is None or keep(r)]
+    point = {r: i for i, r in enumerate(rows)}
+    width, alphabet = table.width, table.alphabet
+    targets = {}
+    for name in alphabet.names:
+        s = table.codes.index(alphabet.code(name))
+        image = targets[name] = []
+        for r in rows:
+            w = table.table[r * width + s]
+            image.append(None if w is None else point.get(table.find(w)))
+    g = alphabet_graph(alphabet, targets, rows, [table.cls[r] for r in rows])
+    order = sorted(range(len(rows)), key=lambda i: table.dist[rows[i]])
+    number = [0] * len(rows)
+    for k, i in enumerate(order):
+        number[i] = k
+    return ColouredGraph(len(rows), [number[x] for x in g.tau], g.colour,
+                         [rows[i] for i in order],
+                         [g.classes[i] for i in order], g.colour_inv)
+
+
+def free_product_balls(factors, radius):
+    """Independent oracle for ``ball_sp``: the ball sizes 0..radius of the
+    Cayley graph of a free product of cyclic groups, ``factors`` listing
+    each factor's order (0 for Z), each generated by one letter and its
+    inverse.  The spherical growth series f of the product satisfies
+    1/f = sum(1/f_i) - (k - 1) over its k factors."""
+    terms = radius + 1
+
+    def inverse(a):
+        inv = [1] + [0] * (terms - 1)
+        for i in range(1, terms):
+            inv[i] = -sum(a[j] * inv[i - j] for j in range(1, i + 1))
+        return inv
+
+    total = [0] * terms
+    for m in factors:
+        sphere = [1] + [2 if m == 0 or 2 * r < m else 1 if 2 * r == m else 0
+                        for r in range(1, terms)]
+        total = [x + y for x, y in zip(total, inverse(sphere))]
+    total[0] -= len(factors) - 1
+    return list(itertools.accumulate(inverse(total)))
 
 
 def scan_everything_is_closed(table):

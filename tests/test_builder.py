@@ -3,8 +3,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (action_darts, power_presentations, scan_everything_is_closed,
-                      scan_everything_run, table_cayley_graph)
+from conftest import (action_darts, alphabet_graph_quotient, free_product_balls,
+                      power_presentations, scan_everything_is_closed,
+                      scan_everything_run, settle, table_cayley_graph,
+                      table_distances)
 
 from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
@@ -179,7 +181,7 @@ FREE_Z2_Z = FREE_F2 + "rel 0 : a^2\n"
     (lambda: ball_sp(parse(FREE_F2), 4), 161,
      {"rows": 161, "coincidences": 0, "scans": 0}),
     (lambda: ball_sp(parse(FREE_Z2_Z), 6), 190,
-     {"rows": 894, "coincidences": 0, "scans": 127}),
+     {"rows": 382, "coincidences": 0, "scans": 127}),
 ], ids=["P(5,2)", "P(200,3)", "P(799,3)", "F2 ball r4", "Z2*Z ball r6"])
 def test_builder_counters_are_pinned(make, vertices, stats):
     g = make()
@@ -211,16 +213,19 @@ def test_run_and_is_closed_match_the_scan_everything_oracle(p, max_rows, max_dis
     # row budget runs out.
     new = CosetTable(p, max_rows=max_rows, max_dist=max_dist)
     old = CosetTable(p, max_rows=max_rows, max_dist=max_dist)
-    assert _run(new, CosetTable.run) == _run(old, scan_everything_run)
+    finished = _run(new, CosetTable.run)
+    assert finished == _run(old, scan_everything_run)
     assert _table_state(new) == _table_state(old)
     assert new.scans <= old.scans
     assert new.is_closed() == scan_everything_is_closed(new)
-    if max_dist is not None:
-        # A budgeted table before and after its fixpoint.
-        new._settle()
-        old._settle()
-        assert _table_state(new) == _table_state(old)
-        assert new.is_closed() == scan_everything_is_closed(new)
+    # Each live row's dist is its BFS distance in the table, at any stop.
+    assert table_distances(new) == {r: new.dist[r] for r in new.live_rows()}
+    if max_dist is not None and finished is not None:
+        # A finished budgeted run leaves no relator open that fits.
+        assert max(new.dist) <= max_dist
+        before = new.version
+        settle(new)
+        assert new.version == before
     # The table judged against powers that were not enumerated: they close
     # on the cycles whose length divides them, and nowhere else.
     free = p.alphabet.letters()[:2 * len(p.alphabet.u_gens)]
@@ -234,15 +239,39 @@ def test_run_and_is_closed_match_the_scan_everything_oracle(p, max_rows, max_dis
     assert judged.is_closed() == scan_everything_is_closed(judged)
 
 
-def test_a_power_left_open_by_the_distance_budget_certifies_nothing():
-    # a b a c joins rows of distant distances, so one scan of a^3 that fits
-    # the budget at its row meets a definition that the budget refuses.
+def test_the_distance_budget_leaves_no_fitting_relator_open():
+    # a b a c joins rows whose definition depths differ by more than one
+    # edge.  With dist the distance in the table, every relator that fits
+    # the budget at a row is scanned there, and its walk meets no refused
+    # definition.
     p = parse("classes: 0\ngen a : U : (0)\ngen b : U : (0)\ngen c : U : (0)\n"
               "rel 0 : a b a c, a^3\n")
     new, old = CosetTable(p, max_dist=7), CosetTable(p, max_dist=7)
     assert new.run() == scan_everything_run(old)
     assert _table_state(new) == _table_state(old)
     assert new.scans < old.scans
+    for v in new.live_rows():
+        for rel in new.relators["0"]:
+            if new.dist[v] + len(rel) - 1 <= 7:
+                assert new.scan_closes(v, rel)
+    before = new.version
+    settle(new)
+    assert new.version == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_presentations(), st.none() | st.integers(0, 6), st.integers(0, 6))
+def test_to_graph_matches_the_alphabet_graph_route(p, max_dist, radius):
+    table = CosetTable(p, max_rows=400, max_dist=max_dist)
+    try:
+        table.run()
+    except Overflow:
+        pass
+    for keep in (None, lambda r: table.dist[r] <= radius):
+        g, oracle = table.to_graph(keep), alphabet_graph_quotient(table, keep)
+        assert (g.tau, g.colour, g.names, g.classes, g.colour_inv) == (
+            oracle.tau, oracle.colour, oracle.names, oracle.classes,
+            oracle.colour_inv)
 
 
 # -- ball_sp ----------------------------------------------------------------------
@@ -252,6 +281,43 @@ def test_ball_of_free_presentation():
     assert g.n == 1 + 4 + 12
     assert g.meta["frontier"] == {v for v in range(g.n)
                                   if g.meta["distance"][v] == 2}
+
+
+Z3_Z = ("classes: 0 1\ngen a : U : (0)(1)\ngen b : U : (0 1)\n"
+        "rel 0 : a^3\nrel 1 : a^3\n")
+Z2_Z2_Z = "classes: 0 1\ngen s : I : (0 1)\ngen t : I : (0 1)\ngen a : U : (0)(1)\n"
+
+
+@pytest.mark.parametrize("text,factors", [
+    (Z3_Z, (3, 0)), (FREE_F2, (0, 0)), (FREE_Z2_Z, (2, 0)), (Z2_Z2_Z, (2, 2, 0)),
+    (FREE_F2 + "rel 0 : a^4\n", (4, 0)),
+], ids=["Z3*Z", "F2", "Z2*Z", "Z2*Z2*Z", "Z4*Z"])
+def test_ball_sizes_are_the_growth_series(text, factors):
+    p = parse(text)
+    assert [ball_sp(p, r).n for r in range(9)] == free_product_balls(factors, 8)
+
+
+def _bfs_distances(g):
+    dist, frontier = {0: 0}, [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.neighbours(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_presentations(), st.integers(0, 4))
+def test_ball_distances_are_bfs_distances(p, radius):
+    try:
+        g = ball_sp(p, radius, max_rows=3000)
+    except Overflow:
+        return
+    assert g.meta["distance"] == _bfs_distances(g)
 
 
 def test_ball_radius_and_scan_margin_must_be_at_least_0():

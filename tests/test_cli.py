@@ -89,7 +89,7 @@ FREE_F2 = "classes: 0\ngen a : U : (0)\ngen b : U : (0)\n"
 @pytest.mark.parametrize("text,radius,frontier", [
     (FREE_F2, 3, " ".join(map(str, range(17, 53)))),
     (FREE_F2 + "rel 0 : a^2\n", 4, " ".join(map(str, range(22, 46)))),
-    (PETERSEN, 1, "0 1"),
+    (PETERSEN, 1, "1 2 3"),
 ], ids=["F2 r3", "Z2*Z r4", "P(5,2) r1"])
 def test_ball_frontier_line_is_pinned(tmp_path, capsys, text, radius, frontier):
     f = tmp_path / "ball.pp"
