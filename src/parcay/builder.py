@@ -13,8 +13,11 @@ is scanned once per cycle (Holt, Eick & O'Brien, §5.1–5.2).
 A row's ``dist`` is its breadth-first distance from the base row in the
 current table: a deduction or a coincidence that gives a row a shorter
 route lowers it, and the drop is passed on along table edges.  A distance
-budget, which ``ball_sp`` sets, therefore bounds true distance, and a row
-that the budget held back is processed again when its distance falls.
+budget, which ``ball_sp`` sets to its radius, therefore bounds true
+distance.  Under a budget R a relator of length L is closed at every row
+within R plus the longest relator's length minus L, so every relator closes
+at every row within R, and a row that the budget held back is processed
+again when its distance falls.
 
 The coset table is one flat list, ``table[row * width + slot]``, with one
 slot per letter code.  Relators are encoded once, per class, as tuples of
@@ -29,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadParameters, BallRejected, Overflow
+from .errors import BadParameters, Overflow
 from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
                     alphabet_graph, dart_bijections, graph_maps)
 
@@ -291,18 +294,22 @@ class CosetTable:
 
     def run(self):
         """Enumerate from a row of the first class, rows in order.  Under a
-        distance budget a relator of length L is scanned at a row v only when
-        ``dist[v] + L - 1 <= max_dist``: the walk defines rows out to that
-        distance and its last letter closes by deduction.  Only rows nearer
-        than ``max_dist`` define their empty slots.  A row that the budget
-        held back is processed again, for the work held back, whenever its
-        distance falls.  A power s^e of one letter is not scanned at a row
-        that an earlier closed walk of s^e passed through: that scan would
-        change nothing."""
+        distance budget R, with relator lengths from ``shortest`` to
+        ``longest``, a relator of length L is scanned at a row v only when
+        ``dist[v] + L <= R + longest``: its walk reaches no further than the
+        longest relator's walk from a row at distance R.  Only rows with
+        ``dist[v] < R + longest - shortest`` define their empty slots; the
+        rows they create are the farthest at which a relator is scanned.
+        A row that the budget held back is processed again, for the work
+        held back, whenever its distance falls.  A power s^e of one letter
+        is not scanned at a row that an earlier closed walk of s^e passed
+        through: that scan would change nothing."""
         base = self.new_row(self.p.classes[0], 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
         cls, plans, held, again = self.cls, self.plans, self.held, self.again
-        limit = math.inf if self.max_dist is None else self.max_dist
+        lengths = [len(r) for rels in self.relators.values() for r in rels] or [1]
+        reach = math.inf if self.max_dist is None else self.max_dist + max(lengths)
+        define_below = reach - min(lengths)
         marks = {}  # row -> the bits of its relators known to close there
         idx = 0
         while True:
@@ -320,7 +327,7 @@ class CosetTable:
             for bit, rel, power in plans.get(cls[v], ()):
                 if not todo & bit:
                     continue
-                if dist[v] + len(rel) - 1 > limit:
+                if dist[v] + len(rel) > reach:
                     held[v] = held.get(v, 0) | bit
                     continue
                 self.scan(v, rel)
@@ -330,7 +337,7 @@ class CosetTable:
                     self._mark_power(v, power, idx, marks)
             if parent[v] != v or not todo & DEFINE:
                 continue
-            if dist[v] >= limit:
+            if dist[v] >= define_below:
                 held[v] = held.get(v, 0) | DEFINE
                 continue
             row = v * width
@@ -410,38 +417,30 @@ def build_sp(p, max_rows=DEFAULT_MAX_ROWS):
     return table.to_graph()
 
 
-def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
+def ball_table(p, radius, max_rows=DEFAULT_MAX_ROWS):
+    """The coset table, run under the distance budget ``radius``, from
+    which ``ball_sp`` reads its window."""
+    if radius < 0:
+        raise BadParameters(f"the radius must be at least 0, got {radius}")
+    table = CosetTable(p, max_rows=max_rows, max_dist=radius)
+    table.run()
+    return table
+
+
+def ball_sp(p, radius, max_rows=DEFAULT_MAX_ROWS):
     """A radius-``radius`` window of Sp(P) around the base vertex.
 
-    The enumeration runs under the distance budget ``radius + scan_margin``
-    (default: the longest relator's length minus one), and the table's
-    distances are true distances, so the window holds every row within
-    ``radius`` of the base, numbered by distance.  A relator of length L is
-    closed at every row within ``radius + scan_margin - L + 1``; with the
-    default margin that is every relator at every row of the window.
-    Vertices are guaranteed distinct only relative to the identifications
-    actually performed; the window is rejected if any relator that fits
-    entirely inside the requested radius fails to close.  The frontier is
+    The enumeration runs under the distance budget ``radius``, and the
+    table's distances are true distances, so the window holds every row
+    within ``radius`` of the base, numbered by distance.  Every relator is
+    closed at every row of the window, and a shorter relator also beyond
+    it, as far as its walk reaches no further than the longest relator's
+    walk from the window's edge.  Vertices are guaranteed distinct only
+    relative to the identifications actually performed.  The frontier is
     every vertex at the radius or with fewer darts than the presentation's
     degree.
     """
-    if radius < 0 or (scan_margin is not None and scan_margin < 0):
-        raise BadParameters(f"the radius and scan margin must be at least 0, "
-                            f"got {radius} and {scan_margin}")
-    if scan_margin is None:
-        scan_margin = max((len(r) - 1 for _, r in p.all_relators()), default=0)
-    table = CosetTable(p, max_rows=max_rows, max_dist=radius + scan_margin)
-    table.run()
-    for v in table.live_rows():
-        if table.dist[v] > radius:
-            continue
-        cls = table.cls[v]
-        for r, rel in zip(p.relators[cls], table.relators[cls]):
-            if table.dist[v] + len(rel) <= radius:
-                if not table.scan_closes(v, rel):
-                    raise BallRejected(
-                        f"relator {r} does not close at a row of distance "
-                        f"{table.dist[v]}; enlarge the scan margin")
+    table = ball_table(p, radius, max_rows)
     g = table.to_graph(keep=lambda r: table.dist[r] <= radius)
     distance = {i: table.dist[g.names[i]] for i in range(g.n)}
     degree = p.degree()
@@ -449,7 +448,8 @@ def ball_sp(p, radius, scan_margin=None, max_rows=DEFAULT_MAX_ROWS):
                           if distance[i] == radius or g.degree(i) < degree}
     g.meta["distance"] = distance
     g.meta["soundness"] = ("vertices are distinct only relative to the "
-                           "identifications performed within the scan margin")
+                           "identifications performed within the radius plus "
+                           "the longest relator")
     return g
 
 

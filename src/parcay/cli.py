@@ -78,8 +78,7 @@ def cmd_build(args):
 
 def cmd_ball(args):
     p = parse(_read(args.file))
-    g = ball_sp(p, args.radius, scan_margin=args.scan_margin,
-                max_rows=args.max_rows)
+    g = ball_sp(p, args.radius, max_rows=args.max_rows)
     frontier = sorted(g.meta["frontier"])
     lines = [
         f"# radius: {args.radius}",
@@ -219,10 +218,6 @@ def make_parser():
     s = sub.add_parser("ball", help="bounded window of a possibly infinite graph")
     s.add_argument("file")
     s.add_argument("--radius", type=int, required=True)
-    s.add_argument("--scan-margin", type=int, default=None,
-                   help="levels enumerated past the radius so that relators "
-                        "close inside it (default: the longest relator's "
-                        "length minus one)")
     s.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     s.add_argument("--format", choices=("graph", "dot"), default="graph")
     s.add_argument("-o", "--out")

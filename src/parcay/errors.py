@@ -67,10 +67,6 @@ class Overflow(ParcayError):
         self.max_rows = max_rows
 
 
-class BallRejected(ParcayError):
-    """A relator that fits inside the requested radius failed to close."""
-
-
 class OddDegree(ParcayError):
     def __init__(self, vertex):
         super().__init__(f"vertex {vertex} has odd degree")

@@ -850,11 +850,22 @@ def positional_parse_word(text, alphabet):
 # ``held`` and ``again``, a row that the budget held back when its distance
 # falls; it then scans every relator that fits there, closed or not.
 
+def budget_reach(table):
+    """The fit test of ``run`` under a distance budget R: a relator of
+    length L fits at a row v when ``dist[v] + L`` is at most the first
+    value returned, R plus the longest relator's length; rows nearer than
+    the second, that less the shortest relator's length, define."""
+    if table.max_dist is None:
+        return math.inf, math.inf
+    lengths = [len(r) for rels in table.relators.values() for r in rels] or [1]
+    return table.max_dist + max(lengths), table.max_dist + max(lengths) - min(lengths)
+
+
 def scan_everything_run(table):
     base = table.new_row(table.p.classes[0], 0)
     parent, slots, width, dist = table.parent, table.table, table.width, table.dist
     held, again = table.held, table.again
-    limit = math.inf if table.max_dist is None else table.max_dist
+    reach, define_below = budget_reach(table)
     idx = 0
     while True:
         if again:
@@ -869,7 +880,7 @@ def scan_everything_run(table):
         if parent[v] != v:
             continue
         for rel in table.relators[table.cls[v]]:
-            if dist[v] + len(rel) - 1 > limit:
+            if dist[v] + len(rel) > reach:
                 held[v] = 1
                 continue
             table.scan(v, rel)
@@ -877,7 +888,7 @@ def scan_everything_run(table):
                 break
         if parent[v] != v:
             continue
-        if dist[v] >= limit:
+        if dist[v] >= define_below:
             held[v] = 1
             continue
         row = v * width
@@ -890,17 +901,26 @@ def settle(table):
     """Oracle for a finished budgeted run: the loop that once followed it.
     Every relator whose walk fits the budget at its row, by the fit test
     of ``run``, is scanned wherever it does not close, to a fixpoint."""
+    reach, _ = budget_reach(table)
     while True:
         before = table.version
         for v in table.live_rows():
             for rel in table.relators[table.cls[v]]:
                 v = table.find(v)
-                if table.dist[v] + len(rel) - 1 > table.max_dist:
+                if table.dist[v] + len(rel) > reach:
                     continue
                 if not table.scan_closes(v, rel):
                     table.scan(v, rel)
         if table.version == before:
             return
+
+
+def relators_close_within(table, radius):
+    """Oracle for a ball's run: the check that ``ball_sp`` once made after
+    it.  Every relator closes at every live row within ``radius``."""
+    return all(table.scan_closes(v, rel)
+               for v in table.live_rows() if table.dist[v] <= radius
+               for rel in table.relators[table.cls[v]])
 
 
 def table_distances(table, base=0):

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (action_darts, alphabet_graph_quotient, free_product_balls,
-                      power_presentations, scan_everything_is_closed,
-                      scan_everything_run, settle, table_cayley_graph,
-                      table_distances)
+                      power_presentations, relators_close_within,
+                      scan_everything_is_closed, scan_everything_run, settle,
+                      table_cayley_graph, table_distances)
 
 from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
                                line_petersen_presentation)
-from parcay.builder import (CosetTable, ball_sp, build_sp, check_cover,
-                            check_relator_closure, deck_group, invariant_report,
-                            presentation_complex, presentation_graph)
+from parcay.builder import (CosetTable, ball_sp, ball_table, build_sp,
+                            check_cover, check_relator_closure, deck_group,
+                            invariant_report, presentation_complex,
+                            presentation_graph)
 from parcay.constructions import (FiniteGroupTable, dihedral_group,
                                   petersen_presentation)
 from parcay.errors import BadParameters, Overflow
@@ -181,8 +182,11 @@ FREE_Z2_Z = FREE_F2 + "rel 0 : a^2\n"
     (lambda: ball_sp(parse(FREE_F2), 4), 161,
      {"rows": 161, "coincidences": 0, "scans": 0}),
     (lambda: ball_sp(parse(FREE_Z2_Z), 6), 190,
-     {"rows": 382, "coincidences": 0, "scans": 127}),
-], ids=["P(5,2)", "P(200,3)", "P(799,3)", "F2 ball r4", "Z2*Z ball r6"])
+     {"rows": 254, "coincidences": 0, "scans": 127}),
+    (lambda: ball_sp(parse(FREE_F2 + "rel 0 : a^5\n"), 8), 10269,
+     {"rows": 26505, "coincidences": 0, "scans": 5301}),
+], ids=["P(5,2)", "P(200,3)", "P(799,3)", "F2 ball r4", "Z2*Z ball r6",
+        "Z5*Z ball r8"])
 def test_builder_counters_are_pinned(make, vertices, stats):
     g = make()
     assert g.n == vertices
@@ -221,8 +225,11 @@ def test_run_and_is_closed_match_the_scan_everything_oracle(p, max_rows, max_dis
     # Each live row's dist is its BFS distance in the table, at any stop.
     assert table_distances(new) == {r: new.dist[r] for r in new.live_rows()}
     if max_dist is not None and finished is not None:
-        # A finished budgeted run leaves no relator open that fits.
-        assert max(new.dist) <= max_dist
+        # A finished budgeted run leaves no relator open within the budget;
+        # a scan at the budget defines rows at most its relator's length
+        # minus one beyond it.
+        longest = max((len(r) for _, r in p.all_relators()), default=1)
+        assert max(new.dist) <= max_dist + longest - 1
         before = new.version
         settle(new)
         assert new.version == before
@@ -241,19 +248,15 @@ def test_run_and_is_closed_match_the_scan_everything_oracle(p, max_rows, max_dis
 
 def test_the_distance_budget_leaves_no_fitting_relator_open():
     # a b a c joins rows whose definition depths differ by more than one
-    # edge.  With dist the distance in the table, every relator that fits
-    # the budget at a row is scanned there, and its walk meets no refused
-    # definition.
+    # edge.  With dist the distance in the table, every relator is scanned
+    # at every row within the budget, and closes there.
     p = parse("classes: 0\ngen a : U : (0)\ngen b : U : (0)\ngen c : U : (0)\n"
               "rel 0 : a b a c, a^3\n")
     new, old = CosetTable(p, max_dist=7), CosetTable(p, max_dist=7)
     assert new.run() == scan_everything_run(old)
     assert _table_state(new) == _table_state(old)
     assert new.scans < old.scans
-    for v in new.live_rows():
-        for rel in new.relators["0"]:
-            if new.dist[v] + len(rel) - 1 <= 7:
-                assert new.scan_closes(v, rel)
+    assert relators_close_within(new, 7)
     before = new.version
     settle(new)
     assert new.version == before
@@ -318,13 +321,53 @@ def test_ball_distances_are_bfs_distances(p, radius):
     except Overflow:
         return
     assert g.meta["distance"] == _bfs_distances(g)
+    # The run that ball_sp reads closes every relator at every window row.
+    assert relators_close_within(ball_table(p, radius, max_rows=3000), radius)
 
 
-def test_ball_radius_and_scan_margin_must_be_at_least_0():
+@settings(max_examples=100, deadline=None)
+@given(power_presentations())
+def test_a_ball_maps_onto_the_ball_of_its_finite_graph(p):
+    # Following colours from vertex 0 maps each window onto the ball of the
+    # closed build, and no vertex maps farther out than it lies.  The window
+    # never identifies what the graph keeps apart; it may identify less.
+    try:
+        sp = build_sp(p, max_rows=3000)
+        balls = [ball_sp(p, r, max_rows=3000) for r in range(6)]
+    except Overflow:
+        return
+    whole = _bfs_distances(sp)
+    for r, g in enumerate(balls):
+        image, stack = {0: 0}, [0]
+        while stack:
+            v = stack.pop()
+            step = {sp.colour[d]: sp.tau[d] for d in sp.out_darts(image[v])}
+            for d in g.out_darts(v):
+                w, x = g.tau[d], step[g.colour[d]]
+                if w not in image:
+                    image[w] = x
+                    stack.append(w)
+                assert image[w] == x
+        assert set(image.values()) == {x for x, d in whole.items() if d <= r}
+        assert all(whole[image[v]] <= d for v, d in g.meta["distance"].items())
+
+
+def test_ball_radius_must_be_at_least_0():
     with pytest.raises(BadParameters):
         ball_sp(one_class(["a"], []), radius=-1)
-    with pytest.raises(BadParameters):
-        ball_sp(one_class(["a"], []), radius=2, scan_margin=-1)
+
+
+def test_short_relators_close_beyond_the_radius():
+    # a0^2 and a0 a1 are shorter than a0^6, so they are also closed beyond
+    # the radius, as far as their walks reach no further than a0^6's walk
+    # from the window's edge.  Closed only within the radius, they left the
+    # windows of radius 1, 2 and 3 with 6, 18 and 47 vertices.
+    p = parse("classes: 0 1 2 3\n"
+              "gen a0 : U : (0 2)(1)(3)\ngen a1 : U : (0)(1 2)(3)\n"
+              "gen a2 : U : (0 3 2)(1)\n"
+              "rel 0 : a0^2, a0^4\nrel 1 : a0^3, a1^-1 a2 a0 a1, a0^2\n"
+              "rel 2 : a0^4, a0^2, a0^6\nrel 3 : a0 a1, a0^2\n")
+    assert [ball_sp(p, r).n for r in range(4)] == [1, 5, 16, 45]
 
 
 def test_ball_of_integer_line():
@@ -339,15 +382,6 @@ def test_ball_stabilises_on_finite_graph(petersen_sp):
     assert g.n == 10
     assert g.meta["frontier"] == set()
     assert isomorphic(g, petersen_sp, respect_colours=True) is not None
-
-
-def test_small_margin_identifies_less():
-    # with no scan margin, relators are only scanned where they fit inside
-    # the radius itself; the window is coarser but still validates
-    coarse = ball_sp(petersen(), radius=6, scan_margin=0)
-    exact = ball_sp(petersen(), radius=6)
-    assert exact.n == 10
-    assert coarse.n >= exact.n
 
 
 def test_ball_of_infinite_caterpillar():

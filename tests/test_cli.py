@@ -388,7 +388,6 @@ def test_input_without_what_the_command_needs_exits_2_with_one_line(
     ["matchings", "--n", "-1"],
     ["matchings", "--margin", "-1"],
     ["ball", "PP", "--radius", "-1"],
-    ["ball", "PP", "--radius", "2", "--scan-margin", "-1"],
 ])
 def test_malformed_arguments_exit_2_with_one_line(argv, pp, capsys):
     assert main([str(pp) if a == "PP" else a for a in argv]) == 2
