@@ -107,7 +107,7 @@ def cmd_decompose(args):
         print(f"{args.check}: {verdict}")
         return 0 if verdict else 1
     colouring = weak_multicycle_colouring(g)
-    _emit(write_graph(g, colouring), args.out)
+    _emit(write_graph(g, colouring.mapping), args.out)
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, deque
+from itertools import count
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                      SearchBoundExceeded)
@@ -43,11 +44,13 @@ class ColouredGraph:
         self.classes = [None] * n if classes is None else classes
         self.colour_inv = {} if colour_inv is None else colour_inv
         out, tau = [[] for _ in range(n)], self.tau
-        for d in range(len(tau)):       # to each source, in dart order
-            out[tau[d ^ 1]].append(d)
+        # Each dart to its source, in dart order: 2i leaves tau[2i + 1].
+        for d, v, u in zip(count(0, 2), tau[0::2], tau[1::2]):
+            out[u].append(d)
+            out[v].append(d + 1)
         self._out = out
-        self._name_index = {name: v for v, name in enumerate(self.names)
-                            if name is not None}
+        self._name_index = {} if names is None else {
+            name: v for v, name in enumerate(names) if name is not None}
         self.meta = {}
 
     # -- construction -------------------------------------------------------
@@ -688,7 +691,15 @@ def is_cayley(g):
 
 
 # ---------------------------------------------------------------------------
-# Text exchange format and DOT export.
+# Text exchange format and DOT export.  ``write_graph`` builds its lines from
+# a zip of the dart columns.  ``read_graph`` splits the text once, with a '#'
+# token between lines (no field holds '#': it starts a comment), so each run
+# of lines of one kind and one field count is an evenly strided stretch of
+# one token list.  It converts and bound-checks each column of vertex
+# numbers with one ``int`` pass and builds ``tau`` and the dart colours by
+# slices.  When it meets anything it does not accept, ``_raise_graph_error``
+# walks the lines in order and raises the first error with its line number;
+# that walk builds nothing, so the bulk pass is the only reader.
 
 
 def write_graph(g, colouring=None):
@@ -705,18 +716,18 @@ def write_graph(g, colouring=None):
         seen.add(ci)
         if ci != c:
             lines.append(f"colour {c} {ci}")
-    for v in range(g.n):
-        if g.classes[v] is not None:
-            lines.append(f"class {v} {g.classes[v]}")
-    tau, colour = g.tau, g.colour
-    for d in range(0, len(tau), 2):
-        c = colour[d]
-        if colouring is not None:
-            tail = f" {'-' if c is None else c} {colouring[d]}"
-        else:
-            tail = "" if c is None else f" {c}"
-        lines.append(f"edge {tau[d ^ 1]} {tau[d]}{tail}")
-    return "\n".join(lines) + "\n"
+    lines += [f"class {v} {x}" for v, x in enumerate(g.classes) if x is not None]
+    tau, base = g.tau, g.colour[0::2]
+    ends = zip(tau[1::2], tau[0::2], base)
+    if colouring is not None:
+        column = map(colouring.__getitem__, range(0, len(tau), 2))
+        lines += [f"edge {u} {v} {'-' if c is None else c} {k}"
+                  for (u, v, c), k in zip(ends, column)]
+    else:
+        lines += [f"edge {u} {v}" if c is None else f"edge {u} {v} {c}"
+                  for u, v, c in ends]
+    lines.append("")
+    return "\n".join(lines)
 
 
 # Fields after the keyword: (fewest, most).
@@ -736,6 +747,15 @@ def _graph_number(token, lineno, bound=None):
     return value
 
 
+def _vertex_column(fields, n):
+    """``int`` of every field, or None unless all are vertices of 0..n-1."""
+    try:
+        column = list(map(int, fields))
+    except ValueError:
+        return None
+    return column if 0 <= min(column) and max(column) < n else None
+
+
 def read_graph(text, coloured=False):
     """Parse the text exchange format.  An edge whose colour has no
     ``colour`` line before it is self-inverse.  With ``coloured``, an edge
@@ -744,7 +764,131 @@ def read_graph(text, coloured=False):
     ``colouring`` canonical dart -> colour, or None when no edge line has
     the field.  Malformed input raises ``GraphSyntaxError`` with the line
     number."""
+    lines = text.splitlines() or [""]
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    tokens = " # ".join(lines).split()
+    tokens.append("#")
+    read = _read_runs(tokens, _line_runs(tokens, len(lines)), coloured)
+    if read is None:
+        _raise_graph_error(text, coloured)
+    return read
+
+
+def _line_runs(tokens, lines):
+    """``(kind, width, first, k)`` for each maximal run of ``k`` lines, in
+    order, whose tokens start at ``tokens[first]`` and which all hold
+    ``width`` tokens, the first of them ``kind``.  ``tokens`` ends each of
+    its ``lines`` lines with '#' and holds no other '#'.
+
+    The k lines from token p form a run when the slots where their '#'
+    would be hold k '#', the slots of their first tokens hold k ``kind``
+    and the stretch holds no other '#': a few counts of slices.  Every '#'
+    from p on ends one of the remaining lines, so a run to the last line
+    needs no count of its whole stretch.  That run is tried first; a failed
+    try halves the lines that may try it again, so the tries take linear
+    time in all.  Shorter runs are found by doubling k, then halving the
+    gap."""
+    p, may_reach_end = 0, lines
+    while lines:
+        width = tokens.index("#", p) - p
+        kind, step = tokens[p], width + 1
+
+        def uniform(k):
+            end = p + k * step
+            return (tokens[p + width:end:step].count("#") == k
+                    and tokens[p:end:step].count(kind) == k
+                    and (k == lines or tokens[p:end].count("#") == k))
+
+        k, fails = 1, lines + 1
+        if lines <= may_reach_end and len(tokens) - p == lines * step:
+            if uniform(lines):
+                k = lines
+            else:
+                fails, may_reach_end = lines, lines // 2
+        while fails - k > 1:
+            mid = min(2 * k, lines if fails > lines else (k + fails) // 2)
+            if uniform(mid):
+                k = mid
+            else:
+                fails = mid
+        yield kind, width, p, k
+        p, lines = p + k * step, lines - k
+
+
+def _read_runs(tokens, runs, coloured):
+    """The graph (and colouring) of the line runs of ``read_graph``; None if
+    any line is malformed."""
     n, classes, tau, dart_colour, colour_inv, column = None, [], [], [], {}, []
+    for kind, width, first, k in runs:
+        step = width + 1
+        stop = first + k * step
+
+        def field(i):
+            return tokens[first + i:stop:step]
+
+        if kind == "#":         # blank lines
+            continue
+        if kind == "colour" and width in (2, 3):
+            for c, ci in zip(field(1), field(width - 1)):
+                colour_inv[c], colour_inv[ci] = ci, c
+        elif kind == "vertices" and width == 2 and k == 1 and n is None:
+            try:
+                n = int(tokens[first + 1])
+            except ValueError:
+                return None
+            if n < 0:
+                return None
+            classes = [None] * n
+        elif n is None:
+            return None
+        elif kind == "class" and width == 3:
+            vertices = _vertex_column(field(1), n)
+            if vertices is None:
+                return None
+            for v, x in zip(vertices, field(2)):
+                classes[v] = x
+        elif kind == "edge" and 3 <= width <= (5 if coloured else 4):
+            heads, tails = _vertex_column(field(2), n), _vertex_column(field(1), n)
+            if heads is None or tails is None:
+                return None
+            darts = [None] * (2 * k)
+            darts[0::2], darts[1::2] = heads, tails
+            tau += darts
+            base = field(3) if width > 3 else None
+            if width == 5:
+                column += field(4)
+                if base.count("-") == k:
+                    base = None
+                elif "-" in base:
+                    base = [None if c == "-" else c for c in base]
+            elif coloured:
+                column += [None] * k
+            if base is None:
+                dart_colour += [None] * (2 * k)
+                continue
+            for c in dict.fromkeys(base):
+                if c is not None:
+                    colour_inv.setdefault(c, c)
+            darts[0::2], darts[1::2] = base, map(colour_inv.get, base)
+            dart_colour += darts
+        else:
+            return None
+    g = ColouredGraph(n or 0, tau, dart_colour, None, classes, colour_inv)
+    if not coloured:
+        return g
+    if column.count(None) == len(column):
+        return g, None
+    if None in column:
+        return None
+    return g, dict(zip(range(0, len(tau), 2), column))
+
+
+def _raise_graph_error(text, coloured):
+    """Raise the error of the first malformed line of ``text``, in line
+    order, or else name the first edge line without the colour column:
+    the bulk pass rejects nothing else."""
+    n, missing = None, None
     fields_of = dict(_GRAPH_FIELDS, edge=(2, 4)) if coloured else _GRAPH_FIELDS
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -760,33 +904,16 @@ def read_graph(text, coloured=False):
             if n is not None:
                 raise GraphSyntaxError("repeated 'vertices' line", lineno)
             n = _graph_number(fields[0], lineno)
-            classes = [None] * n
-        elif kind == "colour":
-            colour_inv[fields[0]], colour_inv[fields[-1]] = fields[-1], fields[0]
-        elif n is None:
-            raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
-                                   lineno)
-        elif kind == "class":
-            classes[_graph_number(fields[0], lineno, n)] = fields[1]
-        else:
-            u = _graph_number(fields[0], lineno, n)
-            v = _graph_number(fields[1], lineno, n)
-            c = fields[2] if len(fields) > 2 else None
-            if len(fields) == 4:
-                c = None if c == "-" else c
-                column.append(fields[3])
-            elif coloured:
-                column.append(None)
-            tau += (v, u)
-            dart_colour += (c, None if c is None else colour_inv.setdefault(c, c))
-    g = ColouredGraph(n or 0, tau, dart_colour, None, classes, colour_inv)
-    if not coloured:
-        return g
-    if all(c is None for c in column):
-        return g, None
-    if None in column:
-        raise GraphSyntaxError("some edge lines are missing the colour column")
-    return g, dict(zip(range(0, len(tau), 2), column))
+        elif kind != "colour":
+            if n is None:
+                raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
+                                       lineno)
+            _graph_number(fields[0], lineno, n)
+            if kind == "edge":
+                _graph_number(fields[1], lineno, n)
+                if len(fields) < 4 and missing is None:
+                    missing = lineno
+    raise GraphSyntaxError("some edge lines are missing the colour column", missing)
 
 
 _DOT_PALETTE = ["red", "blue", "forestgreen", "orange", "purple", "brown",

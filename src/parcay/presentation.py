@@ -9,6 +9,7 @@ generator) and one relator list per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
 from .words import (Alphabet, ClassAction, Word, apply_action, parse_word,
@@ -84,16 +85,23 @@ def validate(p):
             out.append(Violation("FixedPointInvolution", name,
                                  f"involutive generator {name!r} must act as a "
                                  f"fixed-point-free involution of the classes"))
-    for x, r in p.all_relators():
-        if len(r) == 0:
-            out.append(Violation("EmptyRelator", (x, r),
-                                 f"empty relator attached to class {x!r}"))
-            continue
-        end = apply_action(p.action, r, x)
-        if end != x:
-            out.append(Violation("RelatorNotClosed", (x, r),
-                                 f"relator {r} does not stabilise class {x!r} "
-                                 f"(ends at {end!r})"))
+    image = p.action._image
+    for x in p.classes:
+        for r in p.relators[x]:
+            if not r.letters:
+                out.append(Violation("EmptyRelator", (x, r),
+                                     f"empty relator attached to class {x!r}"))
+                continue
+            end = x
+            try:        # the walk of apply_action, without a call per relator
+                for code in r.letters:
+                    end = image[code][end]
+            except KeyError:
+                end = apply_action(p.action, r, x)      # raises UnknownClass
+            if end != x:
+                out.append(Violation("RelatorNotClosed", (x, r),
+                                     f"relator {r} does not stabilise class {x!r} "
+                                     f"(ends at {end!r})"))
     return out
 
 
@@ -141,62 +149,155 @@ def two_partite(s1, u2, i2, r0, r1):
 #   gen b : I : (0 1)
 #   rel 0 : a^5, a b a^2 b
 #   rel 1 : a^5
-
-
-def _parse_cycles(text, classes, class_set, line_no):
-    """Cycle notation over class names; omitted classes are fixed points.
-    ``class_set`` is ``set(classes)``."""
-    table = {x: x for x in classes}
-    moved = set()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise DslSyntaxError("expected '(' in cycle notation", line_no, i + 1)
-        j = text.find(")", i)
-        if j < 0:
-            raise DslSyntaxError("unclosed cycle", line_no, i + 1)
-        entries = text[i + 1:j].replace(",", " ").split()
-        for x in entries:
-            if x not in class_set:
-                raise SemanticError(f"unknown class {x!r} in cycle notation", line_no)
-            if x in moved:
-                raise SemanticError(f"class {x!r} appears twice in cycle notation",
-                                    line_no)
-            moved.add(x)
-        for k, x in enumerate(entries):
-            table[x] = entries[(k + 1) % len(entries)]
-        i = j + 1
-    return table
+#
+# ``parse`` strips every line once and sorts the lines by their prefix: the
+# classes line first, then generator and relator lines in any order.  It
+# reads a generator's cycle notation by splitting it at each ')', and every
+# relator of the text through one token table.  When a line is malformed,
+# ``_raise_line_error`` walks the lines in order and raises the first error
+# with its line (and column); that walk builds nothing, so the bulk pass is
+# the only reader.  A malformed word, or a presentation that ``validate``
+# rejects, is reported by the bulk pass itself, at the line of the literal
+# or generator concerned.
 
 
 def parse(text):
     """Parse presentation text; raises DslSyntaxError / SemanticError."""
-    classes = None
-    gens = []            # (name, kind, image table, line)
-    rels = []            # (class, [words as text], line)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    read = _read_lines(list(map(str.strip, lines)))
+    if read is None:
+        _raise_line_error(text)
+    classes, gens, rels = read
+    u_gens = tuple(name for name, kind, _, _ in gens if kind == "U")
+    i_gens = tuple(name for name, kind, _, _ in gens if kind == "I")
+    alphabet = Alphabet(u_gens, i_gens)
+    try:
+        action = ClassAction(alphabet, classes,
+                             {name: table for name, _, table, _ in gens})
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+    try:
+        words = list(parse_words(chain.from_iterable(texts for _, texts, _ in rels),
+                                 alphabet))
+    except WordSyntaxError:
+        _raise_word_error(rels, alphabet)
+    relators, parsed = {}, iter(words)
+    for cname, texts, _ in rels:
+        relators.setdefault(cname, []).extend(islice(parsed, len(texts)))
+
+    p = PartitePresentation(classes, alphabet, action, relators)
+    violations = validate(p)
+    if violations:
+        gen_line = {name: line_no for name, _, _, line_no in gens}
+        rel_line, parsed = {}, iter(words)
+        for cname, texts, line_no in rels:
+            for w in islice(parsed, len(texts)):
+                rel_line[(cname, w.letters)] = line_no
+        line = None
+        for v in violations:
+            if v.code == "FixedPointInvolution":
+                line = gen_line.get(v.witness)
+            elif v.code in ("RelatorNotClosed", "EmptyRelator"):
+                x, r = v.witness
+                line = rel_line.get((x, r.letters))
+            if line is not None:
+                break
+        raise SemanticError("; ".join(str(v) for v in violations), line)
+    return p
+
+
+def _read_lines(lines):
+    """``(classes, gens, rels)`` of the stripped, comment-free ``lines``:
+    ``gens`` lists ``(name, kind, image table, line)`` and ``rels``
+    ``(class, word texts, line)``, both in line order.  None if any line
+    is malformed."""
+    numbered = [(line_no, line) for line_no, line in enumerate(lines, 1) if line]
+    if not numbered or not numbered[0][1].startswith("classes:"):
+        return None
+    classes = tuple(numbered[0][1][len("classes:"):].split())
+    class_set = set(classes)
+    if not classes or len(class_set) != len(classes):
+        return None
+    gen_lines = [(line_no, line[4:]) for line_no, line in numbered
+                 if line.startswith("gen ")]
+    rel_lines = [(line_no, line[4:].partition(":")) for line_no, line in numbered
+                 if line.startswith("rel ")]
+    if 1 + len(gen_lines) + len(rel_lines) != len(numbered):
+        return None
+    gens = []
+    for line_no, body in gen_lines:
+        parts = [part.strip() for part in body.split(":", 2)]
+        if len(parts) != 3:
+            return None
+        name, kind, cycles = parts
+        if (not name or not all(c.isalnum() or c == "_" for c in name)
+                or kind not in ("U", "I") or any(g[0] == name for g in gens)):
+            return None
+        table = _cycle_table(cycles, classes, class_set)
+        if table is None:
+            return None
+        gens.append((name, kind, table, line_no))
+    rels = [(cname.strip(), list(filter(None, map(str.strip, words.split(",")))),
+             line_no) for line_no, (cname, colon, words) in rel_lines if colon]
+    if len(rels) != len(rel_lines) or not class_set.issuperset(
+            cname for cname, _, _ in rels):
+        return None
+    return classes, gens, rels
+
+
+def _cycle_table(text, classes, class_set):
+    """The image of each class under cycle notation over ``class_set``,
+    classes it omits fixed, or None if the notation is malformed or names
+    a class twice."""
+    *cycles, rest = text.split(")")
+    if rest.strip():
+        return None
+    bodies = list(map(str.lstrip, cycles))
+    if not all(map(str.startswith, bodies, repeat("("))):
+        return None
+    cycles = [body[1:].replace(",", " ").split() for body in bodies]
+    moved = list(chain.from_iterable(cycles))
+    image = dict(zip(moved, chain.from_iterable(c[1:] + c[:1] for c in cycles)))
+    if len(image) != len(moved) or not image.keys() <= class_set:
+        return None
+    return dict(zip(classes, map(image.get, classes, classes)))
+
+
+def _raise_word_error(rels, alphabet):
+    """Raise the error of the first malformed relator word, with its line."""
+    for _, texts, line_no in rels:
+        for t in texts:
+            try:
+                parse_word(t, alphabet)
+            except WordSyntaxError as exc:
+                raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
+
+
+def _raise_line_error(text):
+    """Raise the error of the first malformed line of ``text``, in line
+    order, or else report the missing classes line."""
+    class_set, names = None, set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         if stripped.startswith("classes:"):
-            if classes is not None:
+            if class_set is not None:
                 raise DslSyntaxError("duplicate classes line", line_no)
-            classes = tuple(stripped[len("classes:"):].split())
+            classes = stripped[len("classes:"):].split()
             class_set = set(classes)
             if not classes:
                 raise DslSyntaxError("empty class list", line_no)
             if len(class_set) != len(classes):
                 raise SemanticError("duplicate class name", line_no)
         elif stripped.startswith("gen "):
-            if classes is None:
+            if class_set is None:
                 raise DslSyntaxError("classes must be declared before generators",
                                      line_no)
-            parts = [p.strip() for p in stripped[4:].split(":", 2)]
+            parts = [part.strip() for part in stripped[4:].split(":", 2)]
             if len(parts) != 3:
                 raise DslSyntaxError("expected 'gen NAME : U|I : CYCLES'", line_no)
             name, kind, cycles = parts
@@ -205,90 +306,82 @@ def parse(text):
             if kind not in ("U", "I"):
                 raise DslSyntaxError(f"generator kind must be U or I, got {kind!r}",
                                      line_no)
-            if any(g[0] == name for g in gens):
+            if name in names:
                 raise SemanticError(f"duplicate generator {name!r}", line_no)
-            table = _parse_cycles(cycles, classes, class_set, line_no)
-            gens.append((name, kind, table, line_no))
+            names.add(name)
+            _check_cycles(cycles, class_set, line_no)
         elif stripped.startswith("rel "):
-            if classes is None:
+            if class_set is None:
                 raise DslSyntaxError("classes must be declared before relators",
                                      line_no)
-            body = stripped[4:]
-            if ":" not in body:
+            cname, colon, _ = stripped[4:].partition(":")
+            if not colon:
                 raise DslSyntaxError("expected 'rel CLASS : word, word'", line_no)
-            cname, words = body.split(":", 1)
-            cname = cname.strip()
-            if cname not in class_set:
-                raise SemanticError(f"unknown class {cname!r}", line_no)
-            texts = [w.strip() for w in words.split(",") if w.strip()]
-            rels.append((cname, texts, line_no))
+            if cname.strip() not in class_set:
+                raise SemanticError(f"unknown class {cname.strip()!r}", line_no)
         else:
             raise DslSyntaxError(f"unrecognised line {stripped!r}", line_no)
+    raise DslSyntaxError("missing classes line", 1)
 
-    if classes is None:
-        raise DslSyntaxError("missing classes line", 1)
-    u_gens = tuple(name for name, kind, _, _ in gens if kind == "U")
-    i_gens = tuple(name for name, kind, _, _ in gens if kind == "I")
-    alphabet = Alphabet(u_gens, i_gens)
-    images = {name: table for name, _, table, _ in gens}
-    try:
-        action = ClassAction(alphabet, classes, images)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
 
-    relators = {x: [] for x in classes}
-    source_map = {"gen": {name: line for name, _, _, line in gens}, "rel": {}}
-    # One token table serves every relator of the text.
-    literals = [(cname, t, line_no) for cname, texts, line_no in rels for t in texts]
-    parsed = parse_words([t for _, t, _ in literals], alphabet)
-    for cname, t, line_no in literals:
-        try:
-            w = next(parsed)
-        except WordSyntaxError as exc:
-            raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
-        relators[cname].append(w)
-        source_map["rel"][(cname, w.letters)] = line_no
-
-    p = PartitePresentation(classes, alphabet, action, relators)
-    violations = validate(p)
-    if violations:
-        line = None
-        for v in violations:
-            if v.code == "FixedPointInvolution":
-                line = source_map["gen"].get(v.witness)
-            elif v.code in ("RelatorNotClosed", "EmptyRelator"):
-                x, r = v.witness
-                line = source_map["rel"].get((x, r.letters))
-            if line is not None:
-                break
-        raise SemanticError("; ".join(str(v) for v in violations), line)
-    return p
+def _check_cycles(text, class_set, line_no):
+    """Raise the first error of cycle notation, read one character at a
+    time so that a syntax error carries its column."""
+    moved = set()
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] != "(":
+            raise DslSyntaxError("expected '(' in cycle notation", line_no, i + 1)
+        j = text.find(")", i)
+        if j < 0:
+            raise DslSyntaxError("unclosed cycle", line_no, i + 1)
+        for x in text[i + 1:j].replace(",", " ").split():
+            if x not in class_set:
+                raise SemanticError(f"unknown class {x!r} in cycle notation", line_no)
+            if x in moved:
+                raise SemanticError(f"class {x!r} appears twice in cycle notation",
+                                    line_no)
+            moved.add(x)
+        i = j + 1
 
 
 def serialize(p):
     """Canonical text: classes and generators in declaration order, relators
     in input order.  Stable byte-for-byte for a fixed presentation."""
-    lines = ["classes: " + " ".join(p.classes)]
+    names, i_gens = p.alphabet.names, set(p.alphabet.i_gens)
+    kinds = ["I" if name in i_gens else "U" for name in names]
+    tables = map(p.action.table, names)
+    printed = {}        # an extraction attaches one word to many classes
 
-    def cycles(table):
-        seen, parts = set(), []
-        for x in p.classes:
-            if x in seen:
-                continue
-            cyc = [x]
-            seen.add(x)
-            y = table[x]
-            while y != x:
-                cyc.append(y)
-                seen.add(y)
-                y = table[y]
-            parts.append("(" + " ".join(cyc) + ")")
-        return "".join(parts)
+    def text(word):
+        s = printed.get(word.letters)
+        if s is None:
+            s = printed[word.letters] = str(word)
+        return s
 
-    for name in p.alphabet.names:
-        kind = "I" if name in p.alphabet.i_gens else "U"
-        lines.append(f"gen {name} : {kind} : {cycles(p.action.table(name))}")
-    for x in p.classes:
-        if p.relators[x]:
-            lines.append(f"rel {x} : " + ", ".join(str(r) for r in p.relators[x]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([
+        "classes: " + " ".join(p.classes),
+        *(f"gen {name} : {kind} : {_cycle_notation(p.classes, table)}"
+          for name, kind, table in zip(names, kinds, tables)),
+        *(f"rel {x} : " + ", ".join(map(text, rels))
+          for x, rels in zip(p.classes, map(p.relators.get, p.classes)) if rels),
+    ]) + "\n"
+
+
+def _cycle_notation(classes, table):
+    """Every cycle of ``table``, fixed points included, from its first
+    class in ``classes``."""
+    seen, parts = set(), []
+    for x in classes:
+        if x in seen:
+            continue
+        cycle, y = [x], table[x]
+        while y != x:
+            cycle.append(y)
+            y = table[y]
+        seen.update(cycle)
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts)

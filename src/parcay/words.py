@@ -8,19 +8,23 @@ keeps relator scanning cheap.
 
 Word literals (``a^5``, ``c1^-1 m``, ``(ab)^5``) are read one
 whitespace-separated token at a time through a token table, a dict from
-token text to the token's raw letter codes, so a literal costs one dict
-lookup per token.  On a miss the positional scanner reads the token alone,
-so the table is only a memo in front of the one grammar.  A literal with
-any token that is not one whole factor run (a parenthesis, a leading or
-trailing ``^``, an unknown name, or more than ``_TOKEN_LETTERS`` letters
-such as ``a^800``) is read by the scanner as a whole; only the scanner
-raises ``WordSyntaxError`` and places it.  ``parse_words`` shares one
-table across many literals, as ``presentation.parse`` does for all the
-relators of one text; no table outlives the call.
+token text to the token's letters in normal form, so a literal costs one
+dict lookup per token and letters cancel only where two tokens meet.  On
+a miss the positional scanner reads the token alone, so the table is only
+a memo in front of the one grammar.  A literal with any token that is not
+one whole factor run (a parenthesis, a leading or trailing ``^``, an
+unknown name, or more than ``_TOKEN_LETTERS`` letters such as ``a^800``),
+or so long that its tokens could spell out more than ``MAX_WORD_LETTERS``
+letters, is read by the scanner as a whole; only the scanner raises
+``WordSyntaxError`` and places it.  ``parse_words`` shares one table
+across many literals, and reads a literal met before only once, as
+``presentation.parse`` does for all the relators of one text; no table
+outlives the call.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import UnknownClass, UnknownGenerator, WordSyntaxError
@@ -99,8 +103,14 @@ def _look_up(table, code):
 def reduce(raw, alphabet):
     """Normal form of a raw letter sequence: free cancellation plus s*s = 1
     for involutive s.  Idempotent."""
+    return Word(alphabet, tuple(_cancel([], raw, alphabet)), _reduced=True)
+
+
+def _cancel(stack, raw, alphabet):
+    """Push each letter of ``raw``, in normal form, onto ``stack``, a list
+    of letters in normal form, popping the top instead where the two
+    cancel; returns ``stack``."""
     normal, inverse = alphabet._normal, alphabet._inverse
-    stack = []
     for code in raw:
         try:
             code = normal[code]
@@ -110,7 +120,7 @@ def reduce(raw, alphabet):
             stack.pop()
         else:
             stack.append(code)
-    return Word(alphabet, tuple(stack), _reduced=True)
+    return stack
 
 
 class Word:
@@ -269,9 +279,9 @@ def _scan(text, alphabet):
 
 
 def _token_letters(token, alphabet):
-    """Raw letter codes of a token that is one whole factor run of known
-    names, with at most ``_TOKEN_LETTERS`` letters, as the scanner reads
-    it; else None."""
+    """The letters, in normal form, of a token that is one whole factor run
+    of known names spelling out at most ``_TOKEN_LETTERS`` letters as the
+    scanner reads it; else None."""
     m = _FACTOR.fullmatch(token)
     if m is None or m.group(3) is None:
         return None
@@ -279,35 +289,46 @@ def _token_letters(token, alphabet):
                        or abs(_exponent(m.group(5))) > _TOKEN_LETTERS):
         return None
     try:
-        letters = _scan(token, alphabet)
+        raw = _scan(token, alphabet)
     except WordSyntaxError:
         return None
-    return tuple(letters) if len(letters) <= _TOKEN_LETTERS else None
+    return tuple(_cancel([], raw, alphabet)) if len(raw) <= _TOKEN_LETTERS else None
 
 
 def _read_word(text, alphabet, table):
     """The word of one literal, its tokens looked up in ``table`` (filled
-    on a miss); the whole literal goes to the scanner if a token is not a
-    factor run or the letters would pass ``MAX_WORD_LETTERS``."""
-    raw = []
+    on a miss).  Tokens join in normal form, so letters cancel only where
+    two tokens meet.  The whole literal goes to the scanner if a token is
+    not a factor run, or if the literal is so long that its tokens could
+    spell out more than ``MAX_WORD_LETTERS`` letters."""
+    if len(text) > MAX_WORD_LETTERS // _TOKEN_LETTERS:
+        return reduce(_scan(text, alphabet), alphabet)
+    inverse = alphabet._inverse
+    letters = []
     for token in text.split():
         try:
-            letters = table[token]
+            tail = table[token]
         except KeyError:
-            letters = table[token] = _token_letters(token, alphabet)
-        if letters is None or len(raw) + len(letters) > MAX_WORD_LETTERS:
-            raw = _scan(text, alphabet)
-            break
-        raw += letters
-    return reduce(raw, alphabet)
+            tail = table[token] = _token_letters(token, alphabet)
+        if tail is None:
+            return reduce(_scan(text, alphabet), alphabet)
+        if letters and tail and letters[-1] == inverse[tail[0]]:
+            _cancel(letters, tail, alphabet)
+        else:
+            letters += tail
+    return Word(alphabet, tuple(letters), _reduced=True)
 
 
 def parse_words(texts, alphabet):
     """Yield the word of each literal in ``texts`` (see ``parse_word``),
-    in order, with one token table shared by all of them."""
-    table = {}
+    in order, with one token table shared by all of them.  A literal met
+    before yields the same word again, unread."""
+    table, words = {}, {}
     for text in texts:
-        yield _read_word(text, alphabet, table)
+        word = words.get(text)
+        if word is None:
+            word = words[text] = _read_word(text, alphabet, table)
+        yield word
 
 
 def parse_word(text, alphabet):
@@ -342,12 +363,13 @@ class ClassAction:
         self._image = {}
         for name in alphabet.names:
             table = dict(images[name])
-            if set(table) != self._class_set or set(table.values()) != self._class_set:
+            inverse = dict(zip(table.values(), table))
+            if table.keys() != self._class_set or inverse.keys() != self._class_set:
                 raise ValueError(f"image table for {name!r} is not a permutation "
                                  f"of the class set")
             code = alphabet.code(name)
             self._image[code] = table
-            self._image[-code] = {v: k for k, v in table.items()}
+            self._image[-code] = inverse
 
     def image(self, code, x):
         try:
@@ -359,21 +381,26 @@ class ClassAction:
         return dict(self._image[self.alphabet.code(name)])
 
     def is_fixed_point_free_involution(self, name):
-        t = self._image[self.alphabet.code(name)]
-        return all(t[x] != x and t[t[x]] == x for x in self.classes)
+        code = self.alphabet.code(name)
+        t = self._image[code]
+        return t == self._image[-code] and not any(map(operator.eq, t, t.values()))
 
     def is_transitive(self):
+        """Whether the orbit of the first class is every class.  A
+        permutation of a finite set reaches by its powers every class
+        its inverse reaches, so only the generators' own images are
+        followed."""
         if not self.classes:
             return False
+        tables = [self._image[code] for code in range(1, len(self.alphabet) + 1)]
         seen = {self.classes[0]}
-        stack = [self.classes[0]]
-        while stack:
-            x = stack.pop()
-            for table in self._image.values():
+        orbit = [self.classes[0]]
+        for x in orbit:
+            for table in tables:
                 y = table[x]
                 if y not in seen:
                     seen.add(y)
-                    stack.append(y)
+                    orbit.append(y)
         return len(seen) == len(self.classes)
 
 

@@ -11,9 +11,10 @@ from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
                                   generalized_petersen)
 from parcay.decompose import EdgeColouring, euler_orientation, maximum_matching
-from parcay.errors import WordSyntaxError
+from parcay.errors import (DslSyntaxError, GraphSyntaxError, SemanticError,
+                          WordSyntaxError)
 from parcay.graph import ColouredGraph, _perm_mul, alphabet_graph, mulclose
-from parcay.presentation import PartitePresentation
+from parcay.presentation import PartitePresentation, Violation
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
 from parcay.words import reduce as word_reduce
 
@@ -1054,3 +1055,229 @@ def power_presentations(draw):
             if word:
                 rels.insert(draw(st.integers(0, len(rels))), word)
     return PartitePresentation(classes, alphabet, action, relators)
+
+
+# Oracles for the text formats: the line-by-line readers that the bulk
+# ``read_graph`` and ``parse`` replaced.  Each reads one line at a time,
+# checks it and builds as it goes, so its first error is the first bad line.
+
+_ORACLE_GRAPH_FIELDS = {"vertices": (1, 1), "colour": (1, 2), "class": (2, 2),
+                        "edge": (2, 3)}
+
+
+def _oracle_graph_number(token, lineno, bound=None):
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphSyntaxError(f"{token!r} is not an integer", lineno) from None
+    if value < 0 or (bound is not None and value >= bound):
+        what = "a count" if bound is None else f"a vertex of 0..{bound - 1}"
+        raise GraphSyntaxError(f"{value} is not {what}", lineno)
+    return value
+
+
+def read_graph_by_lines(text, coloured=False):
+    """``read_graph`` one line at a time.  Its missing-colour-column error
+    carries no line."""
+    n, classes, tau, dart_colour, colour_inv, column = None, [], [], [], {}, []
+    fields_of = (dict(_ORACLE_GRAPH_FIELDS, edge=(2, 4)) if coloured
+                 else _ORACLE_GRAPH_FIELDS)
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *fields = line.split()
+        if kind not in fields_of:
+            raise GraphSyntaxError(f"unknown graph line {line!r}", lineno)
+        fewest, most = fields_of[kind]
+        if not fewest <= len(fields) <= most:
+            raise GraphSyntaxError(f"wrong number of fields in {line!r}", lineno)
+        if kind == "vertices":
+            if n is not None:
+                raise GraphSyntaxError("repeated 'vertices' line", lineno)
+            n = _oracle_graph_number(fields[0], lineno)
+            classes = [None] * n
+        elif kind == "colour":
+            colour_inv[fields[0]], colour_inv[fields[-1]] = fields[-1], fields[0]
+        elif n is None:
+            raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
+                                   lineno)
+        elif kind == "class":
+            classes[_oracle_graph_number(fields[0], lineno, n)] = fields[1]
+        else:
+            u = _oracle_graph_number(fields[0], lineno, n)
+            v = _oracle_graph_number(fields[1], lineno, n)
+            c = fields[2] if len(fields) > 2 else None
+            if len(fields) == 4:
+                c = None if c == "-" else c
+                column.append(fields[3])
+            elif coloured:
+                column.append(None)
+            tau += (v, u)
+            dart_colour += (c, None if c is None else colour_inv.setdefault(c, c))
+    g = ColouredGraph(n or 0, tau, dart_colour, None, classes, colour_inv)
+    if not coloured:
+        return g
+    if all(c is None for c in column):
+        return g, None
+    if None in column:
+        raise GraphSyntaxError("some edge lines are missing the colour column")
+    return g, dict(zip(range(0, len(tau), 2), column))
+
+
+def _oracle_parse_cycles(text, classes, class_set, line_no):
+    table = {x: x for x in classes}
+    moved = set()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "(":
+            raise DslSyntaxError("expected '(' in cycle notation", line_no, i + 1)
+        j = text.find(")", i)
+        if j < 0:
+            raise DslSyntaxError("unclosed cycle", line_no, i + 1)
+        entries = text[i + 1:j].replace(",", " ").split()
+        for x in entries:
+            if x not in class_set:
+                raise SemanticError(f"unknown class {x!r} in cycle notation", line_no)
+            if x in moved:
+                raise SemanticError(f"class {x!r} appears twice in cycle notation",
+                                    line_no)
+            moved.add(x)
+        for k, x in enumerate(entries):
+            table[x] = entries[(k + 1) % len(entries)]
+        i = j + 1
+    return table
+
+
+def _oracle_validate(p):
+    """``validate`` with its walks done by hand: the orbit of the first
+    class under every image table, inverses included, and each relator
+    letter by letter through ``ClassAction.image``."""
+    out = []
+    seen, stack = {p.classes[0]}, [p.classes[0]]
+    codes = [s * c for c in range(1, len(p.alphabet) + 1) for s in (1, -1)]
+    while stack:
+        x = stack.pop()
+        for c in codes:
+            y = p.action.image(c, x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(p.classes):
+        out.append(Violation("NotTransitive", None,
+                             "the generators do not act transitively on the classes"))
+    for name in p.alphabet.i_gens:
+        t = p.action.table(name)
+        if not all(t[x] != x and t[t[x]] == x for x in p.classes):
+            out.append(Violation("FixedPointInvolution", name,
+                                 f"involutive generator {name!r} must act as a "
+                                 f"fixed-point-free involution of the classes"))
+    for x, r in p.all_relators():
+        if len(r) == 0:
+            out.append(Violation("EmptyRelator", (x, r),
+                                 f"empty relator attached to class {x!r}"))
+            continue
+        end = x
+        for c in r.letters:
+            end = p.action.image(c, end)
+        if end != x:
+            out.append(Violation("RelatorNotClosed", (x, r),
+                                 f"relator {r} does not stabilise class {x!r} "
+                                 f"(ends at {end!r})"))
+    return out
+
+
+def parse_by_lines(text):
+    """``presentation.parse`` one line at a time, with the cycle notation
+    read one character at a time, each word by the positional scanner and
+    the result checked by ``_oracle_validate``."""
+    classes = None
+    gens = []            # (name, kind, image table, line)
+    rels = []            # (class, [words as text], line)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if stripped.startswith("classes:"):
+            if classes is not None:
+                raise DslSyntaxError("duplicate classes line", line_no)
+            classes = tuple(stripped[len("classes:"):].split())
+            class_set = set(classes)
+            if not classes:
+                raise DslSyntaxError("empty class list", line_no)
+            if len(class_set) != len(classes):
+                raise SemanticError("duplicate class name", line_no)
+        elif stripped.startswith("gen "):
+            if classes is None:
+                raise DslSyntaxError("classes must be declared before generators",
+                                     line_no)
+            parts = [p.strip() for p in stripped[4:].split(":", 2)]
+            if len(parts) != 3:
+                raise DslSyntaxError("expected 'gen NAME : U|I : CYCLES'", line_no)
+            name, kind, cycles = parts
+            if not name or not all(c.isalnum() or c == "_" for c in name):
+                raise DslSyntaxError(f"bad generator name {name!r}", line_no)
+            if kind not in ("U", "I"):
+                raise DslSyntaxError(f"generator kind must be U or I, got {kind!r}",
+                                     line_no)
+            if any(g[0] == name for g in gens):
+                raise SemanticError(f"duplicate generator {name!r}", line_no)
+            table = _oracle_parse_cycles(cycles, classes, class_set, line_no)
+            gens.append((name, kind, table, line_no))
+        elif stripped.startswith("rel "):
+            if classes is None:
+                raise DslSyntaxError("classes must be declared before relators",
+                                     line_no)
+            body = stripped[4:]
+            if ":" not in body:
+                raise DslSyntaxError("expected 'rel CLASS : word, word'", line_no)
+            cname, words = body.split(":", 1)
+            cname = cname.strip()
+            if cname not in class_set:
+                raise SemanticError(f"unknown class {cname!r}", line_no)
+            texts = [w.strip() for w in words.split(",") if w.strip()]
+            rels.append((cname, texts, line_no))
+        else:
+            raise DslSyntaxError(f"unrecognised line {stripped!r}", line_no)
+
+    if classes is None:
+        raise DslSyntaxError("missing classes line", 1)
+    u_gens = tuple(name for name, kind, _, _ in gens if kind == "U")
+    i_gens = tuple(name for name, kind, _, _ in gens if kind == "I")
+    alphabet = Alphabet(u_gens, i_gens)
+    images = {name: table for name, _, table, _ in gens}
+    try:
+        action = ClassAction(alphabet, classes, images)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+    relators = {x: [] for x in classes}
+    source_map = {"gen": {name: line for name, _, _, line in gens}, "rel": {}}
+    literals = [(cname, t, line_no) for cname, texts, line_no in rels for t in texts]
+    for cname, t, line_no in literals:
+        try:
+            w = positional_parse_word(t, alphabet)
+        except WordSyntaxError as exc:
+            raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
+        relators[cname].append(w)
+        source_map["rel"][(cname, w.letters)] = line_no
+
+    p = PartitePresentation(classes, alphabet, action, relators)
+    violations = _oracle_validate(p)
+    if violations:
+        line = None
+        for v in violations:
+            if v.code == "FixedPointInvolution":
+                line = source_map["gen"].get(v.witness)
+            elif v.code in ("RelatorNotClosed", "EmptyRelator"):
+                x, r = v.witness
+                line = source_map["rel"].get((x, r.letters))
+            if line is not None:
+                break
+        raise SemanticError("; ".join(str(v) for v in violations), line)
+    return p

@@ -203,6 +203,16 @@ def test_malformed_graph_file_exits_2(edge, pp, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_missing_colour_column_exits_2_naming_its_line(tmp_path, capsys):
+    col = tmp_path / "mixed.col"
+    col.write_text("vertices 3\nedge 0 1 - c0\nedge 1 2 - c1\nedge 2 0 a\n")
+    assert main(["extract", str(col), "-o", str(tmp_path / "out.pp")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: some edge lines are missing the colour "
+                            "column (line 4)\n")
+
+
 def test_extract_of_a_long_cycle_exits_0(tmp_path):
     g = tmp_path / "c3000.graph"
     g.write_text(write_graph(cycle_graph(3000)))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
                       listing_is_vertex_transitive, multigraph_colourings,
-                      scan_connected, scan_out_darts,
+                      read_graph_by_lines, scan_connected, scan_out_darts,
                       semiregular_subgroup_cayley, two_sided_closure)
 
 import parcay.graph as graph_module
@@ -647,22 +647,28 @@ def test_graph_format_multi_edges_and_loops():
     assert h.degree(0) == 4
 
 
-@pytest.mark.parametrize("text,line", [
-    ("vertices 3\nedge 1 7\n", 2),
-    ("vertices 3\nedge 0 x\n", 2),
-    ("vertices 3\n\nedge 1 -1\n", 3),
-    ("vertices 3\nclass 3 a\n", 2),
-    ("vertices -2\n", 1),
-    ("edge 0 1\nvertices 2\n", 1),
-    ("class 0 a\nvertices 2\n", 1),
-    ("vertices 2\nvertices 2\n", 2),
-    ("vertices 2\nedge 0\n", 2),
-    ("vertices 2\nedge 0 1 a b\n", 2),
-    ("vertices 2\nvertex 0\n", 2),
-])
-def test_malformed_graph_text_names_its_line(text, line):
+MALFORMED_GRAPH_TEXTS = [     # (text, line of the error, coloured)
+    ("vertices 3\nedge 1 7\n", 2, False),
+    ("vertices 3\nedge 0 x\n", 2, False),
+    ("vertices 3\n\nedge 1 -1\n", 3, False),
+    ("vertices 3\nclass 3 a\n", 2, False),
+    ("vertices -2\n", 1, False),
+    ("edge 0 1\nvertices 2\n", 1, False),
+    ("class 0 a\nvertices 2\n", 1, False),
+    ("vertices 2\nvertices 2\n", 2, False),
+    ("vertices 2\nedge 0\n", 2, False),
+    ("vertices 2\nedge 0 1 a b\n", 2, False),
+    ("vertices 2\nvertex 0\n", 2, False),
+    # The first edge line without the colour column, after one with it.
+    ("vertices 3\nedge 0 1 - c0\nedge 1 2 a\nedge 2 0\n", 3, True),
+]
+
+
+@pytest.mark.parametrize("text,line,coloured", MALFORMED_GRAPH_TEXTS,
+                         ids=[f"{text}-{line}" for text, line, _ in MALFORMED_GRAPH_TEXTS])
+def test_malformed_graph_text_names_its_line(text, line, coloured):
     with pytest.raises(GraphSyntaxError) as info:
-        read_graph(text)
+        read_graph(text, coloured=coloured)
     assert info.value.line == line
 
 
@@ -698,6 +704,60 @@ def test_mutated_graph_text_reads_or_raises_parcay_error(data):
         read_graph(text)
     except ParcayError:
         pass
+
+
+# A decomposed graph: base colours, '-' for none, then the colour column.
+COLOURED_GRAPH_SEED = ("# decomposed\nvertices 4\ncolour a a^-1\n"
+                       "edge 0 1 a c0\nedge 1 2 - c1\nedge 2 3 s c0\n"
+                       "edge 3 0 - c1\n")
+
+
+def first_edge_line_without_column(text):
+    """The number of the first edge line with fewer than four fields."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split("#", 1)[0].split()
+        if fields[:1] == ["edge"] and len(fields) < 5:
+            return lineno
+    return None
+
+
+@given(st.data(), st.booleans())
+def test_mutated_graph_text_reads_as_the_line_reader_reads_it(data, coloured):
+    text = data.draw(st.sampled_from(GRAPH_MUTATION_SEEDS + (COLOURED_GRAPH_SEED,)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = data.draw(st.sampled_from(GRAPH_MUTATION_PIECES))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    numbers = re.findall(r"\d+(?:_\d+)*", text)
+    assume(math.prod(int(d) or 1 for d in numbers) < 10 ** 4)
+    try:
+        want = read_graph_by_lines(text, coloured)
+    except GraphSyntaxError as exc:
+        with pytest.raises(GraphSyntaxError) as info:
+            read_graph(text, coloured)
+        if exc.line is None:
+            # The one change: the missing-column error names its line.
+            assert str(exc) == "some edge lines are missing the colour column"
+            line = first_edge_line_without_column(text)
+            assert (str(info.value), info.value.line) == (
+                f"{exc} (line {line})", line)
+        else:
+            assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    got = read_graph(text, coloured)
+    if coloured:
+        (want, want_column), (got, got_column) = want, got
+        assert got_column == want_column
+    assert (got.n, got.tau, got.colour, got.classes, list(got.colour_inv.items())) == (
+        want.n, want.tau, want.colour, want.classes, list(want.colour_inv.items()))
+    assert [got.out_darts(v) for v in range(got.n)] == [
+        want.out_darts(v) for v in range(want.n)]
 
 
 def test_dot_export(petersen_sp):

@@ -5,7 +5,12 @@ import re
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import parse_by_lines
+
+from parcay.constructions import (bi_cayley, complete_graph, cycle_graph,
+                                  cyclic_group, generalized_petersen, line_graph)
 from parcay.errors import DslSyntaxError, EmptyS2, ParcayError, SemanticError
+from parcay.extract import pipeline_presentation
 from parcay.presentation import (PartitePresentation, from_two_partite, parse,
                                  serialize, two_partite, validate)
 from parcay.words import Alphabet, ClassAction, apply_action, parse_word, reduce
@@ -222,6 +227,50 @@ def test_mutated_presentation_text_parses_or_raises_parcay_error(data):
         parse(text)
     except ParcayError:
         pass
+
+
+def parse_outcome(parse, text):
+    """The serialized presentation, or the error's type, message, line and
+    column."""
+    try:
+        return serialize(parse(text))
+    except ParcayError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@given(st.data())
+def test_mutated_presentation_text_parses_as_the_line_parser_does(data):
+    text = data.draw(st.sampled_from(MUTATION_SEEDS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = data.draw(st.sampled_from(MUTATION_PIECES))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    assume(math.prod(int(d) or 1 for d in re.findall("[0-9]+", text)) < 10 ** 4)
+    assert parse_outcome(parse, text) == parse_outcome(parse_by_lines, text)
+
+
+# The graphs of the benchmark's pipeline, unrelabelled.
+PIPELINE_GRAPHS = {
+    "P(600,3)": lambda: generalized_petersen(600, 3),
+    "L(P(400,3))": lambda: line_graph(generalized_petersen(400, 3)),
+    "Haar(Z600,{0,1,3})": lambda: bi_cayley(cyclic_group(600), [], [], [0, 1, 3]),
+    "K48": lambda: complete_graph(48),
+    "C1000": lambda: cycle_graph(1000),
+    "C3000": lambda: cycle_graph(3000),
+}
+
+
+@pytest.mark.parametrize("name", list(PIPELINE_GRAPHS))
+def test_extracted_pipeline_presentations_parse_back_to_their_text(name):
+    text = serialize(pipeline_presentation(PIPELINE_GRAPHS[name]()))
+    assert serialize(parse(text)) == text
+    assert parse_outcome(parse_by_lines, text) == text
 
 
 def test_deeply_nested_relator_is_a_syntax_error_not_a_crash():
