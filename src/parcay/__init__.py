@@ -15,13 +15,12 @@ from .graph import (ColouredGraph, automorphism_group, cayley_like_witness,
 from .builder import (ball_sp, build_sp, deck_group, invariant_report,
                       presentation_complex, presentation_graph,
                       presentation_symmetry_implies_vt)
-from .decompose import (EdgeColouring, Matching, euler_orientation,
-                        is_multicycle, is_partition_friendly,
-                        is_weak_multicycle, k_n_factorization,
-                        maximum_matching, two_factor, two_factorization,
-                        weak_multicycle_colouring)
+from .decompose import (Matching, euler_orientation, is_multicycle,
+                        is_partition_friendly, is_weak_multicycle,
+                        k_n_factorization, maximum_matching,
+                        two_factorization, weak_multicycle_colouring)
 from .extract import (bicayley_to_presentation, pipeline_presentation,
-                      presentation_from_colouring, refine_colouring)
+                      presentation_from_colouring)
 from .constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
                             cubic_no_perfect_matching, cyclic_group,
                             dihedral_group, generalized_petersen, line_graph,
@@ -43,12 +42,11 @@ __all__ = [
     "ball_sp", "build_sp", "deck_group", "invariant_report",
     "presentation_complex", "presentation_graph",
     "presentation_symmetry_implies_vt",
-    "EdgeColouring", "Matching", "euler_orientation", "is_multicycle",
+    "Matching", "euler_orientation", "is_multicycle",
     "is_partition_friendly", "is_weak_multicycle", "k_n_factorization",
-    "maximum_matching", "two_factor", "two_factorization",
-    "weak_multicycle_colouring",
+    "maximum_matching", "two_factorization", "weak_multicycle_colouring",
     "bicayley_to_presentation", "pipeline_presentation",
-    "presentation_from_colouring", "refine_colouring",
+    "presentation_from_colouring",
     "FiniteGroupTable", "bi_cayley", "cayley_graph",
     "cubic_no_perfect_matching", "cyclic_group", "dihedral_group",
     "generalized_petersen", "line_graph", "line_graph_presentation",

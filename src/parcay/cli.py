@@ -18,7 +18,7 @@ from . import acceptance
 from .builder import DEFAULT_MAX_ROWS, ball_sp, build_sp, presentation_graph
 from .constructions import (bi_cayley, cyclic_group, generalized_petersen,
                             line_graph, two_ended_window)
-from .decompose import (EdgeColouring, is_multicycle, is_partition_friendly,
+from .decompose import (is_multicycle, is_partition_friendly,
                         is_weak_multicycle, maximum_matching,
                         weak_multicycle_colouring)
 from .errors import BadParameters, ParcayError, SemanticError
@@ -89,15 +89,8 @@ def cmd_ball(args):
     return 0
 
 
-def _read_coloured_graph(path):
-    """Graph file whose edge lines may carry a decomposition colour as a
-    final extra column ('-' stands for an absent base colour)."""
-    g, colours = read_graph(_read(path), coloured=True)
-    return g, None if colours is None else EdgeColouring(g, colours)
-
-
 def cmd_decompose(args):
-    g, colouring = _read_coloured_graph(args.file)
+    g, colouring = read_graph(_read(args.file), coloured=True)
     if args.check:
         if colouring is None:
             raise BadParameters("no colouring column to check")
@@ -107,12 +100,12 @@ def cmd_decompose(args):
         print(f"{args.check}: {verdict}")
         return 0 if verdict else 1
     colouring = weak_multicycle_colouring(g)
-    _emit(write_graph(g, colouring.mapping), args.out)
+    _emit(write_graph(g, colouring), args.out)
     return 0
 
 
 def cmd_extract(args):
-    g, colouring = _read_coloured_graph(args.file)
+    g, colouring = read_graph(_read(args.file), coloured=True)
     if colouring is None:
         colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
@@ -160,12 +153,6 @@ def cmd_iso(args):
     return 0 if found else 1
 
 
-def cmd_verify(args):
-    ok, detail = acceptance.c10_two_ended()
-    print(f"two-ended certificate: {'PASS' if ok else 'FAIL'} ({detail})")
-    return 0 if ok else 1
-
-
 def cmd_matchings(args):
     ex = window_exhaustion(args.family, args.n, margin=args.margin)
     staged = maximal_matching_wrt_miss(ex)
@@ -202,8 +189,8 @@ def make_parser():
     not build it at all.  Subcommand ``name`` runs ``cmd_name``."""
     parser = argparse.ArgumentParser(
         prog="parcay",
-        description="partite presentations of graphs: build, decompose, "
-                    "extract and verify")
+        description="partite presentations of graphs: build, decompose "
+                    "and extract")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="validate a presentation file")
@@ -251,9 +238,6 @@ def make_parser():
     s.add_argument("b")
     s.add_argument("--colours", action="store_true")
     s.add_argument("--classes", action="store_true")
-
-    s = sub.add_parser("verify", help="run a named certificate suite")
-    s.add_argument("what", choices=("two-ended",))
 
     s = sub.add_parser("matchings", help="window matchings and miss sequences")
     s.add_argument("--family", choices=sorted(FAMILIES), default="two-ended")

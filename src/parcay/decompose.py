@@ -2,6 +2,10 @@
 the blossom algorithm, partition-friendly weak multicycle colourings, the
 multicycle predicates, and factorizations of complete graphs.
 
+An edge colouring is a plain dict, canonical dart -> colour, the same dict
+that ``read_graph(text, coloured=True)`` returns and ``write_graph(g,
+colouring)`` writes.
+
 Multigraph conventions: a loop contributes 2 to the degree and is never
 matchable; parallel edges are distinct objects throughout.
 """
@@ -47,26 +51,6 @@ class Matching:
 
     def __iter__(self):
         return iter(sorted(self.darts))
-
-
-class EdgeColouring:
-    """Total map from undirected edges (canonical darts) to colours."""
-
-    def __init__(self, graph, mapping):
-        self.graph = graph
-        self.mapping = {d & ~1: c for d, c in mapping.items()}
-
-    def is_total(self):
-        return set(self.mapping) == set(self.graph.edges())
-
-    def colour_classes(self):
-        classes = {}
-        for d, c in self.mapping.items():
-            classes.setdefault(c, []).append(d)
-        return {c: sorted(ds) for c, ds in classes.items()}
-
-    def __getitem__(self, d):
-        return self.mapping[d & ~1]
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +287,11 @@ def two_factorization(g, edge_darts=None):
     return factors + [sorted(d for out in adj for _, d in out)]
 
 
-def two_factor(g, edge_darts=None):
-    """The first of ``two_factorization``'s 2-factors: a spanning 2-regular
-    subgraph, as a sorted list of canonical darts."""
-    factors = two_factorization(g, edge_darts)
-    if not factors:
-        raise NotEvenRegular("degrees [0] are not even and equal")
-    return factors[0]
-
-
 def weak_multicycle_colouring(g):
     """Partition-friendly weak multicycle colouring of a finite regular
     graph: one matching colour when the degree is odd, then 2-factors."""
     if g.n == 0:
-        return EdgeColouring(g, {})
+        return {}
     degrees = {g.degree(v) for v in range(g.n)}
     if len(degrees) != 1:
         raise NotRegular(f"vertex degrees {sorted(degrees)} are not constant")
@@ -331,7 +306,7 @@ def weak_multicycle_colouring(g):
     for idx, f in enumerate(two_factorization(g, pool), 1):
         for dart in f:
             mapping[dart] = f"c{idx}"
-    return EdgeColouring(g, mapping)
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +352,14 @@ def _class_walks(g, colouring, kind):
     colour class is a vertex-disjoint union of cycles and edges ("weak"),
     moreover spanning and regular ("pf"), moreover, if 2-regular, of
     cycles of one length ("multicycle"); else None."""
-    if not colouring.is_total():
+    if set(colouring) != set(g.edges()):
         return None
+    classes = {}
+    for d, c in colouring.items():
+        classes.setdefault(c, []).append(d)
     out = {}
-    for colour, darts in colouring.colour_classes().items():
-        walks = component_walks(g, darts)
+    for colour, darts in classes.items():
+        walks = component_walks(g, sorted(darts))
         if walks is None:
             return None
         paths, cycles = walks
@@ -420,7 +398,7 @@ def is_multicycle(g, colouring):
 @dataclass
 class KFactorization:
     graph: ColouredGraph
-    colouring: EdgeColouring
+    colouring: dict  # canonical dart -> colour
     perms: dict  # colour -> vertex permutation tuple
 
 
@@ -463,5 +441,4 @@ def k_n_factorization(n):
                 mapping[dart_of[(min(a, b), max(a, b))]] = colour
                 perm[a], perm[b] = b, a
             perms[colour] = tuple(perm)
-    colouring = EdgeColouring(g, mapping)
-    return KFactorization(g, colouring, perms)
+    return KFactorization(g, mapping, perms)

@@ -58,16 +58,6 @@ def _colouring_presentation(g, colouring):
     return PartitePresentation(classes, alphabet, action, {})
 
 
-def refine_colouring(g, colouring):
-    """The undirected decomposition colours refined onto the darts: the
-    presentation graph of the relator-free one-class-per-vertex presentation,
-    so 2-regular colours get a deterministic cycle orientation and an
-    inverse colour, matching colours stay self-inverse.  Vertex v is named
-    and classed ``str(v)``; this is also the presentation graph of
-    ``presentation_from_colouring(g, colouring)``."""
-    return presentation_graph(_colouring_presentation(g, colouring))
-
-
 def presentation_from_colouring(g, colouring):
     """Partite presentation with one class per vertex of ``g``: one relator
     per non-tree edge of the BFS tree at vertex 0 of its own presentation

@@ -9,12 +9,13 @@ from hypothesis import assume, strategies as st
 
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
-                                  generalized_petersen)
-from parcay.decompose import EdgeColouring, euler_orientation, maximum_matching
+                                  generalized_petersen, petersen_presentation)
+from parcay.decompose import euler_orientation, maximum_matching
 from parcay.errors import (DslSyntaxError, GraphSyntaxError, SemanticError,
                           WordSyntaxError)
 from parcay.graph import ColouredGraph, _perm_mul, alphabet_graph, mulclose
-from parcay.presentation import PartitePresentation, Violation
+from parcay.presentation import (PartitePresentation, Violation,
+                                 from_two_partite)
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
 from parcay.words import reduce as word_reduce
 
@@ -399,13 +400,22 @@ def per_factor_two_factorization(g, pool):
 # by a least-neighbour walk, and the symmetric-difference report by a DFS
 # over the difference with its own degree count.
 
-def class_degree(colouring, colour):
+def colour_classes(colouring):
+    """The classes of a colouring (canonical dart -> colour): colour -> its
+    darts, sorted."""
+    classes = {}
+    for d, c in colouring.items():
+        classes.setdefault(c, []).append(d)
+    return {c: sorted(ds) for c, ds in classes.items()}
+
+
+def class_degree(g, colouring, colour):
     """Per-vertex degrees of one colour class."""
-    deg = [0] * colouring.graph.n
-    for d, c in colouring.mapping.items():
+    deg = [0] * g.n
+    for d, c in colouring.items():
         if c != colour:
             continue
-        u, v = colouring.graph.edge_ends(d)
+        u, v = g.edge_ends(d)
         deg[u] += 1
         deg[v] += 1
     return deg
@@ -440,9 +450,9 @@ def bfs_class_components(g, darts):
 
 
 def bfs_is_weak_multicycle(g, colouring):
-    if not colouring.is_total():
+    if set(colouring) != set(g.edges()):
         return False
-    for colour, darts in colouring.colour_classes().items():
+    for colour, darts in colour_classes(colouring).items():
         deg = Counter()
         for d in darts:
             u, v = g.edge_ends(d)
@@ -462,8 +472,8 @@ def bfs_is_weak_multicycle(g, colouring):
 def bfs_is_partition_friendly(g, colouring):
     if not bfs_is_weak_multicycle(g, colouring):
         return False
-    for colour in colouring.colour_classes():
-        deg = class_degree(colouring, colour)
+    for colour in colour_classes(colouring):
+        deg = class_degree(g, colouring, colour)
         if len(set(deg)) != 1 or deg[0] == 0:
             return False
     return True
@@ -472,8 +482,8 @@ def bfs_is_partition_friendly(g, colouring):
 def bfs_is_multicycle(g, colouring):
     if not bfs_is_partition_friendly(g, colouring):
         return False
-    for colour, darts in colouring.colour_classes().items():
-        deg = class_degree(colouring, colour)
+    for colour, darts in colour_classes(colouring).items():
+        deg = class_degree(g, colouring, colour)
         if deg[0] == 1:
             continue
         lengths = {len(comp_e) for _, comp_e in bfs_class_components(g, darts)}
@@ -591,7 +601,7 @@ def multigraph_colourings(draw):
             del mapping[d]
         else:
             mapping[d] = colour
-    return g, EdgeColouring(g, mapping)
+    return g, mapping
 
 
 @st.composite
@@ -767,13 +777,16 @@ def group_law_tables(draw):
     return family, relabelled
 
 
+def petersen():
+    """The two-class presentation of the Petersen graph P(5,2)."""
+    return from_two_partite(petersen_presentation(5, 2))
+
+
 @pytest.fixture
 def petersen_sp():
     from parcay.builder import build_sp
-    from parcay.constructions import petersen_presentation
-    from parcay.presentation import from_two_partite
 
-    return build_sp(from_two_partite(petersen_presentation(5, 2)))
+    return build_sp(petersen())
 
 
 # Independent oracle: the positional word scanner alone, with no token

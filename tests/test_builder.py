@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (action_darts, alphabet_graph_quotient, free_product_balls,
-                      power_presentations, relators_close_within,
+                      petersen, power_presentations, relators_close_within,
                       scan_everything_is_closed, scan_everything_run, settle,
                       table_cayley_graph, table_distances)
 
@@ -28,10 +28,6 @@ def one_class(u_gens, relator_texts, i_gens=()):
     act = ClassAction(alph, ("0",), {g: {"0": "0"} for g in alph.names})
     rels = [parse_word(t, alph) for t in relator_texts]
     return PartitePresentation(("0",), alph, act, {"0": rels})
-
-
-def petersen():
-    return from_two_partite(petersen_presentation(5, 2))
 
 
 # -- presentation graph ---------------------------------------------------------

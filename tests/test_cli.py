@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import regular_graphs
 
 import parcay
-from parcay.cli import main
+from parcay.cli import main, make_parser
 from parcay.constructions import (complete_graph, cycle_graph,
                                   generalized_petersen)
 from parcay.decompose import weak_multicycle_colouring
@@ -126,15 +127,29 @@ def test_make_bicayley(capsys):
     assert "vertices 10" in capsys.readouterr().out
 
 
-def test_verify_two_ended(capsys):
-    assert main(["verify", "two-ended"]) == 0
-    assert "PASS" in capsys.readouterr().out
-
-
 def test_matchings_report(capsys):
     assert main(["matchings", "--family", "ladder", "--n", "2", "--report"]) == 0
     out = capsys.readouterr().out
     assert "miss sequence" in out
+
+
+def test_readme_commands_parse():
+    # Every ``parcay`` line of README's sh blocks is accepted by the
+    # argument parser, so a deleted subcommand or flag cannot stay in the
+    # docs.  Only argparse runs, no command.
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    lines = [shlex.split(line, comments=True)
+             for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["parcay"]]
+    assert len(commands) > 10
+    for argv in commands:
+        try:
+            make_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: parcay {shlex.join(argv)}")
 
 
 def _fresh_process(*args):

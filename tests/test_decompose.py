@@ -10,7 +10,7 @@ except ImportError:
 
 from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
                       bfs_is_weak_multicycle, brute_force_max_matching_size,
-                      class_degree, complete_graph, cycle_graph,
+                      class_degree, colour_classes, complete_graph, cycle_graph,
                       least_neighbour_successors, multigraph_colourings,
                       odd_cycle_multigraphs, per_call_maximum_mates,
                       per_factor_two_factorization, random_graph,
@@ -18,11 +18,10 @@ from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
 
 from parcay.constructions import (cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
-from parcay.decompose import (EdgeColouring, Matching, _maximum_mates,
-                              component_walks, euler_orientation,
-                              is_multicycle, is_partition_friendly,
-                              is_weak_multicycle, k_n_factorization,
-                              maximum_matching, two_factor,
+from parcay.decompose import (Matching, _maximum_mates, component_walks,
+                              euler_orientation, is_multicycle,
+                              is_partition_friendly, is_weak_multicycle,
+                              k_n_factorization, maximum_matching,
                               two_factorization, weak_multicycle_colouring)
 from parcay.errors import NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree
 from parcay.graph import ColouredGraph
@@ -130,7 +129,7 @@ def test_matching_rejects_conflicts():
 
 def test_two_factor_of_cycle_is_itself():
     g = cycle_graph(6)
-    assert two_factor(g) == g.edges()
+    assert two_factorization(g)[0] == g.edges()
 
 
 def check_two_factor(g, darts):
@@ -145,17 +144,17 @@ def check_two_factor(g, darts):
 
 def test_two_factor_k5():
     g = complete_graph(5)
-    check_two_factor(g, two_factor(g))
+    check_two_factor(g, two_factorization(g)[0])
 
 
 def test_two_factor_line_petersen():
     g = line_graph(generalized_petersen(5, 2))
-    check_two_factor(g, two_factor(g))
+    check_two_factor(g, two_factorization(g)[0])
 
 
 def test_two_factor_rejects_odd_regular():
     with pytest.raises(NotEvenRegular):
-        two_factor(generalized_petersen(5, 2))
+        two_factorization(generalized_petersen(5, 2))
 
 
 def test_two_factorization_partitions():
@@ -190,12 +189,7 @@ def test_two_factorization_partitions_the_pool_into_two_factors(case):
         assert Counter(v for d in f for v in g.edge_ends(d)) == dict.fromkeys(
             range(g.n), 2)
     if not factors:
-        with pytest.raises(NotEvenRegular):
-            two_factor(g, pool)
         return
-    assert two_factor(g, pool) == factors[0]
-    if pool == g.edges():
-        assert two_factor(g) == two_factorization(g)[0]
     # The first factor, and with k <= 2 every factor, is the one that an
     # orientation of what is left before each factor gives.
     oracle = per_factor_two_factorization(g, pool)
@@ -231,14 +225,14 @@ def test_euler_orientation_of_a_pool_rejects_odd_degree():
 def test_wmc_cycle():
     g = cycle_graph(6)
     c = weak_multicycle_colouring(g)
-    assert len(c.colour_classes()) == 1
+    assert len(colour_classes(c)) == 1
     assert is_partition_friendly(g, c)
 
 
 def test_wmc_petersen():
     g = generalized_petersen(5, 2)
     c = weak_multicycle_colouring(g)
-    assert len(c.colour_classes()) == 2
+    assert len(colour_classes(c)) == 2
     assert is_partition_friendly(g, c)
 
 
@@ -260,7 +254,7 @@ def test_wmc_colour_count():
     for g, expected in ((complete_graph(5), 2), (complete_graph(4), 2),
                         (generalized_petersen(5, 2), 2), (cycle_graph(9), 1)):
         c = weak_multicycle_colouring(g)
-        assert len(c.colour_classes()) == expected
+        assert len(colour_classes(c)) == expected
         assert is_partition_friendly(g, c)
 
 
@@ -271,15 +265,14 @@ def test_partite_cayley_colouring_is_multicycle(petersen_sp):
     mapping = {}
     for d in g.edges():
         mapping[d] = "a" if g.colour[d] in ("a", "a^-1") else "b"
-    c = EdgeColouring(g, mapping)
-    assert is_multicycle(g, c)
+    assert is_multicycle(g, mapping)
 
 
 def test_pentagon_pair_plus_spokes_is_multicycle():
     g = generalized_petersen(5, 2)
     mapping = {d: ("spoke" if g.colour[d] == "spoke" else "cycles")
                for d in g.edges()}
-    assert is_multicycle(g, EdgeColouring(g, mapping))
+    assert is_multicycle(g, mapping)
 
 
 def test_path_colour_is_not_weak_multicycle():
@@ -287,7 +280,7 @@ def test_path_colour_is_not_weak_multicycle():
     ds = g.edges()
     mapping = {ds[0]: "x", ds[1]: "x", ds[2]: "y", ds[3]: "y"}
     # each colour induces a two-edge path
-    assert not is_weak_multicycle(g, EdgeColouring(g, mapping))
+    assert not is_weak_multicycle(g, mapping)
 
 
 def test_unequal_cycle_lengths_are_not_multicycle():
@@ -298,7 +291,7 @@ def test_unequal_cycle_lengths_are_not_multicycle():
         g.add_edge(i, (i + 1) % 3)
     for i in range(4):
         g.add_edge(3 + i, 3 + (i + 1) % 4)
-    c = EdgeColouring(g, {d: "x" for d in g.edges()})
+    c = {d: "x" for d in g.edges()}
     assert is_weak_multicycle(g, c)
     assert is_partition_friendly(g, c)
     assert not is_multicycle(g, c)
@@ -311,7 +304,7 @@ def test_loops_and_doubled_edges_are_cycles():
     g.add_edge(0, 0)
     g.add_edge(1, 2)
     g.add_edge(2, 1)
-    c = EdgeColouring(g, {d: "x" for d in g.edges()})
+    c = {d: "x" for d in g.edges()}
     assert is_weak_multicycle(g, c)
     assert is_partition_friendly(g, c)
     assert not is_multicycle(g, c)  # lengths 1 and 2 differ
@@ -319,7 +312,7 @@ def test_loops_and_doubled_edges_are_cycles():
 
 def test_partial_colouring_is_rejected():
     g = cycle_graph(3)
-    c = EdgeColouring(g, {g.edges()[0]: "x"})
+    c = {g.edges()[0]: "x"}
     assert not is_weak_multicycle(g, c)
 
 
@@ -336,7 +329,7 @@ def test_multicycle_predicates_match_the_component_oracles(gc):
 @given(multigraph_colourings())
 def test_component_walks_follow_the_least_neighbour_orientation(gc):
     g, c = gc
-    for darts in c.colour_classes().values():
+    for darts in colour_classes(c).values():
         deg = Counter(v for d in darts for v in g.edge_ends(d))
         walks = component_walks(g, darts)
         assert (walks is None) == (max(deg.values()) > 2)
@@ -361,7 +354,7 @@ def test_component_walks_follow_the_least_neighbour_orientation(gc):
 
 def test_k5_factorization():
     f = k_n_factorization(5)
-    classes = f.colouring.colour_classes()
+    classes = colour_classes(f.colouring)
     assert len(classes) == 2
     for colour, darts in classes.items():
         assert len(darts) == 5  # Hamiltonian cycles
@@ -370,26 +363,26 @@ def test_k5_factorization():
 
 def test_k4_factorization():
     f = k_n_factorization(4)
-    classes = f.colouring.colour_classes()
+    classes = colour_classes(f.colouring)
     assert len(classes) == 3
     assert all(len(darts) == 2 for darts in classes.values())
 
 
 def test_k2_factorization():
     f = k_n_factorization(2)
-    assert len(f.colouring.colour_classes()) == 1
+    assert len(colour_classes(f.colouring)) == 1
     assert f.graph.n_edges == 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_kn_permutations(n):
     f = k_n_factorization(n)
-    assert sorted(d for ds in f.colouring.colour_classes().values()
+    assert sorted(d for ds in colour_classes(f.colouring).values()
                   for d in ds) == f.graph.edges()
     for colour, perm in f.perms.items():
         assert sorted(perm) == list(range(n))
         assert all(perm[i] != i for i in range(n))
-        degs = class_degree(f.colouring, colour)
+        degs = class_degree(f.graph, f.colouring, colour)
         if degs[0] == 1:
             assert all(perm[perm[i]] == i for i in range(n))
 

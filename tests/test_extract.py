@@ -3,25 +3,22 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (bfs_is_partition_friendly, class_degree, complete_graph,
-                      cycle_graph, least_neighbour_successors,
+from conftest import (bfs_is_partition_friendly, class_degree, colour_classes,
+                      complete_graph, cycle_graph, least_neighbour_successors,
                       multigraph_colourings, regular_graphs)
 
-from parcay.acceptance import roundtrip_corpus
 from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   cyclic_group, dihedral_group,
                                   generalized_petersen, line_graph)
-from parcay.decompose import (EdgeColouring, is_partition_friendly,
-                              weak_multicycle_colouring)
+from parcay.decompose import is_partition_friendly, weak_multicycle_colouring
 from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
                            NotPartitionFriendly, SizeMismatch)
 from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
-                            pipeline_presentation, presentation_from_colouring,
-                            refine_colouring)
+                            pipeline_presentation, presentation_from_colouring)
 from parcay.graph import (LOCAL_CYCLE_LEVELS, ColouredGraph, _RootedTree,
                           _short_cycle_relators, cayley_like_witness,
-                          isomorphic, spanning_tree, write_graph)
+                          isomorphic, spanning_tree)
 from parcay.presentation import from_two_partite, validate
 from parcay.words import reduce as word_reduce
 
@@ -31,7 +28,7 @@ def roundtrip(g, colouring=None):
     p = presentation_from_colouring(g, colouring)
     assert validate(p) == []
     sp = build_sp(p)
-    coloured = refine_colouring(g, colouring)
+    coloured = presentation_graph(p)
     return p, isomorphic(sp, coloured, respect_colours=True) is not None
 
 
@@ -59,7 +56,7 @@ def test_k4_with_one_factorization_colouring():
                       frozenset((0, 2)): "y", frozenset((1, 3)): "y",
                       frozenset((0, 3)): "z", frozenset((1, 2)): "z"}[
                           frozenset((u, v))]
-    p, ok = roundtrip(g, EdgeColouring(g, mapping))
+    p, ok = roundtrip(g, mapping)
     assert ok
     assert set(p.alphabet.i_gens) == {"x", "y", "z"}
     assert p.alphabet.u_gens == ()
@@ -71,17 +68,6 @@ def test_relator_counts_match_cycle_rank():
         assert ok
         assert (sum(len(p.relators[x]) for x in p.classes)
                 == g.n_edges - g.n + 1)
-
-
-def test_refined_colouring_is_the_presentation_graph():
-    for name, g in roundtrip_corpus().items():
-        colouring = weak_multicycle_colouring(g)
-        refined = refine_colouring(g, colouring)
-        rebuilt = presentation_graph(presentation_from_colouring(g, colouring))
-        assert write_graph(refined) == write_graph(rebuilt), name
-        assert refined.names == rebuilt.names == [str(v) for v in range(g.n)]
-        assert refined.classes == rebuilt.classes
-        assert refined.colour_inv == rebuilt.colour_inv
 
 
 def test_pipeline_petersen():
@@ -113,7 +99,7 @@ def test_extraction_requires_connected():
 def test_extraction_requires_partition_friendly():
     g = cycle_graph(4)
     ds = g.edges()
-    bad = EdgeColouring(g, {ds[0]: "x", ds[1]: "x", ds[2]: "y", ds[3]: "y"})
+    bad = {ds[0]: "x", ds[1]: "x", ds[2]: "y", ds[3]: "y"}
     with pytest.raises(NotPartitionFriendly):
         presentation_from_colouring(g, bad)
 
@@ -124,7 +110,7 @@ def test_complete_graphs_of_degree_six_and_up_round_trip(n):
     # the first factor's orientation.
     g = complete_graph(n)
     colouring = weak_multicycle_colouring(g)
-    assert len(colouring.colour_classes()) == n // 2
+    assert len(colour_classes(colouring)) == n // 2
     assert is_partition_friendly(g, colouring)
     assert roundtrip(g, colouring)[1]
 
@@ -134,13 +120,12 @@ def test_complete_graphs_of_degree_six_and_up_round_trip(n):
 def test_moving_one_edge_between_two_factors_fails_extraction(case, data):
     _, g = case
     colouring = weak_multicycle_colouring(g)
-    classes = colouring.colour_classes()
+    classes = colour_classes(colouring)
     assume(len([c for c in classes if c != "m"]) >= 2)
     source, target = data.draw(st.permutations(
         sorted(c for c in classes if c != "m")))[:2]
-    mapping = dict(colouring.mapping)
-    mapping[data.draw(st.sampled_from(classes[source]))] = target
-    mutated = EdgeColouring(g, mapping)
+    mutated = dict(colouring)
+    mutated[data.draw(st.sampled_from(classes[source]))] = target
     assert not is_partition_friendly(g, mutated)
     with pytest.raises(NotPartitionFriendly):
         presentation_from_colouring(g, mutated)
@@ -324,7 +309,7 @@ def test_generated_graphs_round_trip(case):
     assert _class_edges(sp) == Counter(
         (frozenset((str(u), str(w))), colouring[d])
         for d in g.edges() for u, w in [g.edge_ends(d)])
-    assert isomorphic(sp, refine_colouring(g, colouring),
+    assert isomorphic(sp, presentation_graph(p),
                       respect_colours=True) is not None
 
 
@@ -335,8 +320,9 @@ def test_each_relator_closes_its_edge_with_earlier_edges(gc):
     if not (g.n_edges and g.is_connected()
             and bfs_is_partition_friendly(g, c)):
         return
-    alphabet = _colouring_presentation(g, c).alphabet
-    sp = refine_colouring(g, c)
+    free = _colouring_presentation(g, c)
+    alphabet = free.alphabet
+    sp = presentation_graph(free)
     parent, order = spanning_tree(sp, 0)
     tree = {d & ~1 for d in parent if d is not None}
     non_tree = [d for d in sp.edges() if d not in tree]
@@ -391,7 +377,7 @@ def test_extraction_counters_are_pinned(make, letters, long, stats):
     g = make()
     colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
-    sp = refine_colouring(g, colouring)
+    sp = presentation_graph(p)
     tree = _RootedTree(sp, p.alphabet)
     assert sum(len(r) for _, r in p.all_relators()) == letters
     fallbacks = [(d, v, w) for d, v, w in _short_cycle_relators(sp, p.alphabet)
@@ -418,11 +404,11 @@ def test_extracted_generators_follow_the_least_neighbour_orientation(gc):
             _colouring_presentation(g, c)
         return
     p = _colouring_presentation(g, c)
-    classes = c.colour_classes()
+    classes = colour_classes(c)
     assert p.alphabet.u_gens == tuple(
-        sorted(x for x in classes if class_degree(c, x)[0] == 2))
+        sorted(x for x in classes if class_degree(g, c, x)[0] == 2))
     assert p.alphabet.i_gens == tuple(
-        sorted(x for x in classes if class_degree(c, x)[0] == 1))
+        sorted(x for x in classes if class_degree(g, c, x)[0] == 1))
     for colour, darts in classes.items():
         table = p.action.table(colour)
         if colour in p.alphabet.u_gens:

@@ -83,7 +83,7 @@ def test_bulk_build_equals_incremental_build(case, data):
                                max_size=n))
     classes = data.draw(st.lists(st.none() | st.sampled_from("pq"),
                                  min_size=n, max_size=n))
-    edges = [(shape.src(d), shape.tau[d], colouring.mapping.get(d))
+    edges = [(shape.src(d), shape.tau[d], colouring.get(d))
              for d in shape.edges()]
     g = ColouredGraph()
     for name, cls in zip(names, classes):

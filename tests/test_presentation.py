@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import parse_by_lines
+from conftest import parse_by_lines, petersen
 
 from parcay.constructions import (bi_cayley, complete_graph, cycle_graph,
                                   cyclic_group, generalized_petersen, line_graph)
@@ -23,11 +23,6 @@ gen b : I : (0 1)
 rel 0 : a^5, a b a^2 b
 rel 1 : a^5
 """
-
-
-def petersen():
-    return from_two_partite(two_partite(["a"], [], ["b"],
-                                        ["a^5", "a b a^2 b"], ["a^5"]))
 
 
 def test_petersen_is_valid():
