@@ -59,8 +59,9 @@ def presentation_complex(p):
     g = presentation_graph(p)
     relators = list(p.all_relators())
     table = _witness(g) if relators else None
+    index = {x: i for i, x in enumerate(p.classes)}
     return PresentationComplex(g, [
-        (x, r, tuple(_dictated_darts(g, table, g.vertex(x), r)))
+        (x, r, tuple(_dictated_darts(g, table, index[x], r)))
         for x, r in relators])
 
 
@@ -461,17 +462,18 @@ def check_cover(sp, p):
     """The class-label map to the presentation graph commutes with terminus,
     involution and colours, and is locally bijective on darts."""
     c = presentation_graph(p)
+    index = {x: i for i, x in enumerate(p.classes)}
     for d in range(sp.n_darts):
         u, v = sp.src(d), sp.tau[d]
         colour = sp.colour[d]
-        cu, cv = c.vertex(sp.classes[u]), c.vertex(sp.classes[v])
+        cu, cv = index[sp.classes[u]], index[sp.classes[v]]
         image = [e for e in c.out_darts(cu)
                  if c.tau[e] == cv and c.colour[e] == colour]
         if len(image) != 1:
             return False
     for v in range(sp.n):
         out = sorted(sp.colour[d] for d in sp.out_darts(v))
-        ref = sorted(c.colour[d] for d in c.out_darts(c.vertex(sp.classes[v])))
+        ref = sorted(c.colour[d] for d in c.out_darts(index[sp.classes[v]]))
         if out != ref:
             return False
     return True

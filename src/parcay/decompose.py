@@ -58,42 +58,35 @@ class Matching:
 
 
 def euler_orientation(g, darts=None):
-    """One dart per undirected edge of the given canonical darts (default:
-    every edge), with in-degree = out-degree everywhere.  The other edges
-    are marked used before the walk starts, so it is the walk of the
-    subgraph of the given edges."""
-    used = bytearray(b"\0" if darts is None else b"\1") * g.n_edges
-    for d in darts or ():           # per edge, indexed by dart >> 1
-        used[d >> 1] = 0
-    for v in range(g.n):
-        if sum(not used[d >> 1] for d in g.out_darts(v)) % 2:
+    """One dart per undirected edge of the given darts (default: every
+    edge), with in-degree = out-degree everywhere.  The walk reads only
+    out-dart lists of the distinct edges ``d & ~1``, in dart order, so it
+    is the walk of the subgraph of those edges."""
+    tau, out = g.tau, [[] for _ in range(g.n)]
+    for e in g.edges() if darts is None else sorted({d & ~1 for d in darts}):
+        out[tau[e + 1]].append(e)
+        out[tau[e]].append(e + 1)
+    for v, darts_v in enumerate(out):
+        if len(darts_v) % 2:
             raise OddDegree(v)
-    ptr = [0] * g.n
-    orientation = []
+    used, ptr, orientation = set(), [0] * g.n, []   # used: edges, as d >> 1
     for start in range(g.n):
-        if all(used[d >> 1] for d in g.out_darts(start)):
-            continue
-        stack_v = [start]
-        stack_d = []
+        stack_v, stack_d = [start], []
         while stack_v:
             v = stack_v[-1]
-            out = g.out_darts(v)
-            found = None
-            while ptr[v] < len(out):
-                d = out[ptr[v]]
+            darts_v = out[v]
+            while ptr[v] < len(darts_v) and darts_v[ptr[v]] >> 1 in used:
                 ptr[v] += 1
-                if not used[d >> 1]:
-                    used[d >> 1] = 1
-                    found = d
-                    break
-            if found is None:
+            if ptr[v] == len(darts_v):
                 stack_v.pop()
                 if stack_d:
                     orientation.append(stack_d.pop())
             else:
-                stack_v.append(g.tau[found])
-                stack_d.append(found)
-    assert all(used)
+                d = darts_v[ptr[v]]
+                ptr[v] += 1
+                used.add(d >> 1)
+                stack_v.append(tau[d])
+                stack_d.append(d)
     return orientation
 
 

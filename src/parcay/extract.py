@@ -22,53 +22,52 @@ the class of the side where it closes.
 
 from __future__ import annotations
 
-from .builder import presentation_graph
 from .decompose import _class_walks, weak_multicycle_colouring
-from .errors import (BadParameters, Disconnected, InvolutionInR,
-                     NotPartitionFriendly, SizeMismatch)
+from .errors import (BadParameters, InvolutionInR, NotPartitionFriendly,
+                     SizeMismatch)
 from .graph import _short_cycle_relators, alphabet_graph
 from .presentation import PartitePresentation, TwoPartitePresentation
 from .words import Alphabet, ClassAction
 
 
 def _colouring_presentation(g, colouring):
-    """The relator-free presentation with one class ``str(v)`` per vertex v
-    of ``g``: each 2-regular colour is a free generator taking every vertex
-    to its successor on the colour's cycle walks, each matching colour an
-    involutive generator."""
+    """``(p, graph)``: the relator-free presentation with one class
+    ``str(v)`` per vertex v of ``g``, and its presentation graph, whose
+    vertex v is class ``str(v)``.  Each 2-regular colour is a free generator
+    taking every vertex to its successor on the colour's cycle walks, each
+    matching colour an involutive generator."""
     walks_of = _class_walks(g, colouring, "pf")
     if walks_of is None:
         raise NotPartitionFriendly(
             "the colouring is not a partition-friendly weak multicycle colouring")
     classes = tuple(str(v) for v in range(g.n))
     tau = g.tau
-    u_gens, i_gens, images = [], [], {}
+    u_gens, i_gens, images, targets = [], [], {}, {}
     for colour, (edges, cycles) in walks_of.items():
         name = str(colour)
-        steps = [(str(tau[d ^ 1]), str(tau[d]))
-                 for w in cycles or edges for d in w]
+        steps = [(tau[d ^ 1], tau[d]) for w in cycles or edges for d in w]
         if cycles:
             u_gens.append(name)
-            images[name] = dict(steps)
         else:
             i_gens.append(name)
-            images[name] = dict(steps + [(w, u) for u, w in steps])
+            steps += [(w, u) for u, w in steps]
+        images[name] = {classes[u]: classes[w] for u, w in steps}
+        targets[name] = [w for _, w in sorted(steps)]   # one step per vertex
     alphabet = Alphabet(tuple(sorted(u_gens)), tuple(sorted(i_gens)))
     action = ClassAction(alphabet, classes, images)
-    return PartitePresentation(classes, alphabet, action, {})
+    return (PartitePresentation(classes, alphabet, action, {}),
+            alphabet_graph(alphabet, targets, classes, classes))
 
 
 def presentation_from_colouring(g, colouring):
     """Partite presentation with one class per vertex of ``g``: one relator
     per non-tree edge of the BFS tree at vertex 0 of its own presentation
     graph, a short cycle at the class of its earliest vertex, or the edge's
-    cycle through the tree where no shorter cycle was found."""
+    cycle through the tree where no shorter cycle was found.  The tree
+    raises Disconnected when ``g`` is not connected."""
     if not g.n:
         raise BadParameters("a graph with no vertices has no presentation")
-    if not g.is_connected():
-        raise Disconnected("input graph must be connected")
-    free = _colouring_presentation(g, colouring)
-    sp = presentation_graph(free)
+    free, sp = _colouring_presentation(g, colouring)
     relators = {}
     for _, v, word in _short_cycle_relators(sp, free.alphabet):
         relators.setdefault(sp.classes[v], []).append(word)
@@ -91,8 +90,9 @@ def bicayley_to_presentation(group, R, L, S):
     """Two-partite presentation of Bi(group, R, L, S).
 
     Needs R and L inverse-closed and involution-free with |R| = |L|, and the
-    bi-Cayley graph connected.  Returns the presentation together with the
-    chosen orientation set and pairing, so callers can match colours.
+    bi-Cayley graph connected (its BFS tree raises Disconnected).  Returns
+    the presentation together with the chosen orientation set and pairing,
+    so callers can match colours.
     """
     R = sorted(set(R))
     L = sorted(set(L))
@@ -150,8 +150,6 @@ def bicayley_to_presentation(group, R, L, S):
                            [(group.names[x], side) for side in (0, 1)
                             for x in range(n)],
                            ["0"] * n + ["1"] * n)
-    if not graph.is_connected():
-        raise Disconnected("the bi-Cayley graph is not connected")
     # Left multiplication preserves colours and is transitive on each side,
     # so a cycle's word closes at every vertex on the side where it closes.
     found = _short_cycle_relators(graph, alphabet)

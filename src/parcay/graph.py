@@ -14,7 +14,9 @@ appends one dart pair.  ``ColouredGraph`` keeps one index, vertex ->
 out-darts in dart order, so ``degree``, ``out_darts`` and ``neighbours``
 cost O(deg) and a connectivity search costs O(darts it reaches).  Routines
 that walk out of a vertex read this index, and its dart order keeps their
-traversals, and so their outputs, deterministic.
+traversals, and so their outputs, deterministic.  It is the graph's only
+index: vertex names and classes are labels, and a caller that looks
+vertices up by label keeps its own map.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ class ColouredGraph:
             out[u].append(d)
             out[v].append(d + 1)
         self._out = out
-        self._name_index = {} if names is None else {
-            name: v for v, name in enumerate(names) if name is not None}
         self.meta = {}
 
     # -- construction -------------------------------------------------------
@@ -61,12 +61,7 @@ class ColouredGraph:
         self.names.append(name)
         self.classes.append(cls)
         self._out.append([])
-        if name is not None:
-            self._name_index[name] = idx
         return idx
-
-    def vertex(self, name):
-        return self._name_index[name]
 
     def declare_colour(self, colour, inverse=None):
         if colour is None:

@@ -556,6 +556,28 @@ def dfs_symmetric_difference_report(m1, m2, exhaustion):
 
 
 @st.composite
+def multigraphs(draw, max_vertices, max_edges, rebuilt=False):
+    """Random multigraphs of 1 to ``max_vertices`` vertices and at most
+    ``max_edges`` edges, loops and parallel edges allowed.  With
+    ``rebuilt``, possibly passed through ``subgraph_edges`` or ``copy``."""
+    n = draw(st.integers(1, max_vertices))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges)):
+        g.add_edge(u, v)
+    if not rebuilt:
+        return g
+    how = draw(st.sampled_from(("built", "subgraph", "copy")))
+    if how == "subgraph":
+        g = g.subgraph_edges([d for d in g.edges() if draw(st.booleans())])
+    elif how == "copy":
+        g = g.copy()
+    return g
+
+
+@st.composite
 def multigraph_colourings(draw):
     """A multigraph of at most 10 vertices, loops and parallel edges
     allowed, with an edge colouring.  Either the edges and colours are

@@ -79,10 +79,11 @@ def test_presentation_graph_matches_the_action(data):
 
 
 def test_presentation_complex_cells_close():
-    complex_ = presentation_complex(petersen())
+    p = petersen()
+    complex_ = presentation_complex(p)
     assert len(complex_.cells) == 3
     for x, r, darts in complex_.cells:
-        walk_start = complex_.graph.vertex(x)
+        walk_start = p.classes.index(x)
         here = walk_start
         for d in darts:
             assert complex_.graph.src(d) == here

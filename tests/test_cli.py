@@ -400,6 +400,17 @@ def test_input_without_what_the_command_needs_exits_2_with_one_line(
     _assert_one_error_line(capsys)
 
 
+def test_extract_of_two_disjoint_triangles_exits_2_with_one_line(tmp_path,
+                                                                   capsys):
+    f = tmp_path / "in.graph"
+    f.write_text("vertices 6\n" + "".join(
+        f"edge {u} {v}\n" for u, v in [(0, 1), (1, 2), (2, 0),
+                                       (3, 4), (4, 5), (5, 3)]))
+    # The BFS tree of the presentation graph finds it disconnected.
+    assert main(["extract", str(f)]) == 2
+    _assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["make", "petersen"],
     ["make", "petersen", "7"],

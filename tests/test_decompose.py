@@ -212,12 +212,48 @@ def test_euler_orientation_of_a_pool_is_the_walk_of_its_subgraph(case, data):
     sub = g.subgraph_edges(pool)
     assert orientation == [pool[e >> 1] | (e & 1)
                            for e in euler_orientation(sub)]
+    # Shuffled, with some darts odd and some repeated, it is the same pool.
+    odd = data.draw(st.lists(st.booleans(), min_size=len(pool),
+                             max_size=len(pool)))
+    repeated = data.draw(st.lists(st.sampled_from(pool), max_size=3)
+                         if pool else st.just([]))
+    darts = data.draw(st.permutations(
+        [d | k for d, k in zip(pool, odd)] + repeated))
+    assert euler_orientation(g, darts) == orientation
 
 
 def test_euler_orientation_of_a_pool_rejects_odd_degree():
     g = complete_graph(5)
     with pytest.raises(OddDegree):
         euler_orientation(g, g.edges()[1:])
+
+
+# K5's edges {0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4} and {3, 4} are its darts
+# 0, 2, 8, 14, 16 and 18.  Vertices 0 and 1 meet no edge of the triangle
+# 2, 3, 4, so its walk starts at vertex 2; the bowtie's two triangles meet
+# at vertex 2.  Each pool is also given reversed, odd and with a repeat.
+def _pool_variants(pool):
+    return [pool, pool[::-1], [d | 1 for d in pool], pool + pool[:1]]
+
+
+@pytest.mark.parametrize("pool,orientation", [
+    ([14, 16, 18], [17, 18, 14]),
+    ([0, 2, 8, 14, 16, 18], [3, 17, 18, 14, 8, 0]),
+    ([], []),
+], ids=["triangle", "bowtie", "empty"])
+def test_euler_orientation_of_a_pool_with_bare_vertices(pool, orientation):
+    g = complete_graph(5)
+    for darts in _pool_variants(pool):
+        assert euler_orientation(g, darts) == orientation
+
+
+@pytest.mark.parametrize("pool", [[0, 8], [2, 14]], ids=["0-1-2", "0-2-3"])
+def test_euler_orientation_of_a_path_names_its_least_end(pool):
+    g = complete_graph(5)
+    for darts in _pool_variants(pool):
+        with pytest.raises(OddDegree) as raised:
+            euler_orientation(g, darts)
+        assert raised.value.vertex == 0
 
 
 # -- weak multicycle colourings -----------------------------------------------------

@@ -92,7 +92,7 @@ def test_extraction_requires_connected():
     for d in h.edges():
         u, v = h.edge_ends(d)
         merged.add_edge(base + u, base + v)
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected, match="^graph is not connected$"):
         pipeline_presentation(merged)
 
 
@@ -320,7 +320,7 @@ def test_each_relator_closes_its_edge_with_earlier_edges(gc):
     if not (g.n_edges and g.is_connected()
             and bfs_is_partition_friendly(g, c)):
         return
-    free = _colouring_presentation(g, c)
+    free, _ = _colouring_presentation(g, c)
     alphabet = free.alphabet
     sp = presentation_graph(free)
     parent, order = spanning_tree(sp, 0)
@@ -350,6 +350,21 @@ def test_each_relator_closes_its_edge_with_earlier_edges(gc):
         assert set(crossed) <= closed | {d}
         assert rank[v] == min(rank[sp.src(e)] for e in darts)
         closed.add(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_colourings())
+def test_extraction_reads_relators_from_the_presentation_graph(gc):
+    # The graph built from the colour walks is the presentation graph that
+    # the presentation's class action gives.
+    g, c = gc
+    try:
+        p, graph = _colouring_presentation(g, c)
+    except NotPartitionFriendly:
+        return
+    reference = presentation_graph(p)
+    for field in ("n", "tau", "colour", "names", "classes", "colour_inv"):
+        assert getattr(graph, field) == getattr(reference, field), field
 
 
 def _assert_cyclically_reduced(word, alphabet):
@@ -403,7 +418,7 @@ def test_extracted_generators_follow_the_least_neighbour_orientation(gc):
         with pytest.raises(NotPartitionFriendly):
             _colouring_presentation(g, c)
         return
-    p = _colouring_presentation(g, c)
+    p, _ = _colouring_presentation(g, c)
     classes = colour_classes(c)
     assert p.alphabet.u_gens == tuple(
         sorted(x for x in classes if class_degree(g, c, x)[0] == 2))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (all_matchings, bfs_levels, cycle_graph,
                       dfs_symmetric_difference_report,
                       doubled_graph_coverable, multigraph_colourings,
-                      odd_cycle_multigraphs, per_call_cover_greedy,
-                      per_level_connected, per_level_miss_sequence,
-                      per_level_shell, random_graph)
+                      multigraphs, odd_cycle_multigraphs,
+                      per_call_cover_greedy, per_level_connected,
+                      per_level_miss_sequence, per_level_shell, random_graph)
 
 from parcay import infmatch
 from parcay.constructions import cubic_no_perfect_matching
@@ -22,13 +22,12 @@ from parcay.infmatch import (Exhaustion, _cover_greedy, is_coverable,
                              window_exhaustion, windowed_perfect_matching)
 
 
-def path_graph(n):
-    g = ColouredGraph()
-    for _ in range(n):
-        g.add_vertex()
+def path_graph(n, names=None):
+    """A path through vertices 0 to n - 1 in order, named ``names``."""
+    tau = []
     for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+        tau += (i + 1, i)
+    return ColouredGraph(n, tau, names=names)
 
 
 def ladder_exhaustion(width):
@@ -36,20 +35,6 @@ def ladder_exhaustion(width):
     g = ex.graph
     rungs = [d for d in g.edges() if g.colour[d] == "rung"]
     return g, ex.levels, rungs
-
-
-@st.composite
-def multigraphs(draw):
-    """Random multigraphs of at most 10 vertices with loops and parallel
-    edges."""
-    n = draw(st.integers(1, 10))
-    g = ColouredGraph()
-    for _ in range(n):
-        g.add_vertex()
-    vertex = st.integers(0, n - 1)
-    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=15)):
-        g.add_edge(u, v)
-    return g
 
 
 def covered(g, darts):
@@ -216,7 +201,7 @@ def test_is_coverable():
 
 
 @settings(deadline=None)
-@given(multigraphs(), st.data())
+@given(multigraphs(10, 15), st.data())
 def test_is_coverable_agrees_with_the_doubled_graph_and_brute_force(g, data):
     vertices = data.draw(st.sets(st.integers(0, g.n - 1)))
     expected = any(vertices <= covered(g, ds) for ds in all_matchings(g))
@@ -225,7 +210,7 @@ def test_is_coverable_agrees_with_the_doubled_graph_and_brute_force(g, data):
 
 
 @settings(deadline=None)
-@given(multigraphs(), st.data())
+@given(multigraphs(10, 15), st.data())
 def test_staged_optimum_on_random_nested_levels(g, data):
     # the levels are prefixes of a random order, so they need not induce
     # connected subgraphs
@@ -240,7 +225,7 @@ def test_staged_optimum_on_random_nested_levels(g, data):
 
 
 @settings(deadline=None)
-@given(multigraphs())
+@given(multigraphs(10, 15))
 def test_is_critical_agrees_with_brute_force_on_multigraphs(g):
     matchings = all_matchings(g)
     full = max(len(ds) for ds in matchings)
@@ -367,16 +352,8 @@ def test_windows_are_unshifted_and_agree_with_the_oracle(family, n, margin):
     assert all(m.covers(v) for v in ball)
 
 
-def _named_path(*names):
-    """A path through vertices named ``names``, in order."""
-    tau = []
-    for i in range(len(names) - 1):
-        tau += (i + 1, i)
-    return ColouredGraph(len(names), tau, names=list(names))
-
-
 def test_window_whose_ball_no_matching_covers_raises(monkeypatch):
-    g = _named_path((0, 0), (0, 1), (0, 2))
+    g = path_graph(3, [(0, 0), (0, 1), (0, 2)])
     monkeypatch.setitem(infmatch.FAMILIES, "stuck", lambda lo, hi: g)
     assert not doubled_graph_coverable(g, range(3))
     with pytest.raises(NoTransitiveSupply):
@@ -419,7 +396,7 @@ def test_a_window_takes_memory_linear_in_its_size():
 
 def test_window_family_levels_must_be_connected(monkeypatch):
     # B_0 is the path's two ends, which only the middle vertex joins.
-    g = _named_path((0, 0), (1, 0), (0, 1))
+    g = path_graph(3, [(0, 0), (1, 0), (0, 1)])
     monkeypatch.setitem(infmatch.FAMILIES, "split", lambda lo, hi: g)
     with pytest.raises(ValueError):
         window_exhaustion("split", 1)
