@@ -389,9 +389,10 @@ def line_graph_presentation(gen_names, relator_texts):
 
 def two_ended_window(n_min, n_max):
     """Layers n_min..n_max of ten vertices each; each layer spans a 10-cycle
-    and consecutive layers are joined by five cross edges."""
-    if n_min >= n_max:
-        raise BadParameters("need n_min < n_max")
+    and consecutive layers are joined by five cross edges.  A single layer
+    is a 10-cycle."""
+    if n_min > n_max:
+        raise BadParameters("need n_min <= n_max")
     layers = range(n_min, n_max + 1)
     tau = []                            # vertex (n, k) is 10 (n - n_min) + k
     for base in range(0, 10 * len(layers), 10):

@@ -27,7 +27,7 @@ from .errors import (BadParameters, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
 from .graph import _short_cycle_relators, alphabet_graph
 from .presentation import PartitePresentation, TwoPartitePresentation
-from .words import Alphabet, ClassAction
+from .words import Alphabet, ClassAction, is_generator_name
 
 
 def _colouring_presentation(g, colouring):
@@ -35,7 +35,8 @@ def _colouring_presentation(g, colouring):
     ``str(v)`` per vertex v of ``g``, and its presentation graph, whose
     vertex v is class ``str(v)``.  Each 2-regular colour is a free generator
     taking every vertex to its successor on the colour's cycle walks, each
-    matching colour an involutive generator."""
+    matching colour an involutive generator.  A colour must be a generator
+    name (see ``is_generator_name``), or BadParameters is raised."""
     walks_of = _class_walks(g, colouring, "pf")
     if walks_of is None:
         raise NotPartitionFriendly(
@@ -45,6 +46,9 @@ def _colouring_presentation(g, colouring):
     u_gens, i_gens, images, targets = [], [], {}, {}
     for colour, (edges, cycles) in walks_of.items():
         name = str(colour)
+        if not is_generator_name(name):
+            raise BadParameters(f"colour {name!r} cannot name a generator: "
+                                f"use letters, digits and '_'")
         steps = [(tau[d ^ 1], tau[d]) for w in cycles or edges for d in w]
         if cycles:
             u_gens.append(name)

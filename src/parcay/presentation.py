@@ -9,11 +9,11 @@ generator) and one relator list per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
-from .words import (Alphabet, ClassAction, Word, apply_action, parse_word,
-                    parse_words)
+from .words import (Alphabet, ClassAction, Word, apply_action,
+                    is_generator_name, parse_word, parse_words)
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,17 @@ def two_partite(s1, u2, i2, r0, r1):
 #   rel 0 : a^5, a b a^2 b
 #   rel 1 : a^5
 #
-# ``parse`` strips every line once and sorts the lines by their prefix: the
-# classes line first, then generator and relator lines in any order.  It
-# reads a generator's cycle notation by splitting it at each ')', and every
-# relator of the text through one token table.  When a line is malformed,
-# ``_raise_line_error`` walks the lines in order and raises the first error
-# with its line (and column); that walk builds nothing, so the bulk pass is
-# the only reader.  A malformed word, or a presentation that ``validate``
-# rejects, is reported by the bulk pass itself, at the line of the literal
-# or generator concerned.
+# ``parse`` reads the lines once, in line order, and raises the error of the
+# first malformed line where it meets it, with its line (and, in cycle
+# notation, its column in the raw line).  The classes line comes first;
+# generator and relator lines follow in any order.  Cycle notation is split
+# at each ')'.  Every relator literal of the text is then read through one
+# token table; a malformed one is reported at its line, found from its index
+# among the literals, and a presentation that ``validate`` rejects at the
+# line of the literal or generator concerned.  A bulk pass that only
+# accepts, with a second walk that only raises, read the pipeline
+# benchmark's presentations no faster than this one pass, so unlike graph
+# text the format keeps a single reader.
 
 
 def parse(text):
@@ -166,24 +168,28 @@ def parse(text):
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    read = _read_lines(list(map(str.strip, lines)))
-    if read is None:
-        _raise_line_error(text)
-    classes, gens, rels = read
-    u_gens = tuple(name for name, kind, _, _ in gens if kind == "U")
-    i_gens = tuple(name for name, kind, _, _ in gens if kind == "I")
-    alphabet = Alphabet(u_gens, i_gens)
+    classes, gens, rels = _read_lines(lines)
+    alphabet = Alphabet(
+        tuple(name for name, (kind, _, _) in gens.items() if kind == "U"),
+        tuple(name for name, (kind, _, _) in gens.items() if kind == "I"))
     try:
         action = ClassAction(alphabet, classes,
-                             {name: table for name, _, table, _ in gens})
+                             {name: table for name, (_, table, _) in gens.items()})
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
 
+    words = []
     try:
-        words = list(parse_words(chain.from_iterable(texts for _, texts, _ in rels),
-                                 alphabet))
-    except WordSyntaxError:
-        _raise_word_error(rels, alphabet)
+        for word in parse_words([t for _, texts, _ in rels for t in texts],
+                                alphabet):
+            words.append(word)
+    except WordSyntaxError as exc:
+        k = len(words)          # the bad literal's index among all of them
+        for _, texts, line_no in rels:
+            if k < len(texts):
+                raise DslSyntaxError(f"bad word {texts[k]!r}: {exc}",
+                                     line_no) from None
+            k -= len(texts)
     relators, parsed = {}, iter(words)
     for cname, texts, _ in rels:
         relators.setdefault(cname, []).extend(islice(parsed, len(texts)))
@@ -191,7 +197,7 @@ def parse(text):
     p = PartitePresentation(classes, alphabet, action, relators)
     violations = validate(p)
     if violations:
-        gen_line = {name: line_no for name, _, _, line_no in gens}
+        gen_line = {name: line_no for name, (_, _, line_no) in gens.items()}
         rel_line, parsed = {}, iter(words)
         for cname, texts, line_no in rels:
             for w in islice(parsed, len(texts)):
@@ -210,142 +216,85 @@ def parse(text):
 
 
 def _read_lines(lines):
-    """``(classes, gens, rels)`` of the stripped, comment-free ``lines``:
-    ``gens`` lists ``(name, kind, image table, line)`` and ``rels``
-    ``(class, word texts, line)``, both in line order.  None if any line
-    is malformed."""
-    numbered = [(line_no, line) for line_no, line in enumerate(lines, 1) if line]
-    if not numbered or not numbered[0][1].startswith("classes:"):
-        return None
-    classes = tuple(numbered[0][1][len("classes:"):].split())
-    class_set = set(classes)
-    if not classes or len(class_set) != len(classes):
-        return None
-    gen_lines = [(line_no, line[4:]) for line_no, line in numbered
-                 if line.startswith("gen ")]
-    rel_lines = [(line_no, line[4:].partition(":")) for line_no, line in numbered
-                 if line.startswith("rel ")]
-    if 1 + len(gen_lines) + len(rel_lines) != len(numbered):
-        return None
-    gens = []
-    for line_no, body in gen_lines:
-        parts = [part.strip() for part in body.split(":", 2)]
-        if len(parts) != 3:
-            return None
-        name, kind, cycles = parts
-        if (not name or not all(c.isalnum() or c == "_" for c in name)
-                or kind not in ("U", "I") or any(g[0] == name for g in gens)):
-            return None
-        table = _cycle_table(cycles, classes, class_set)
-        if table is None:
-            return None
-        gens.append((name, kind, table, line_no))
-    rels = [(cname.strip(), list(filter(None, map(str.strip, words.split(",")))),
-             line_no) for line_no, (cname, colon, words) in rel_lines if colon]
-    if len(rels) != len(rel_lines) or not class_set.issuperset(
-            cname for cname, _, _ in rels):
-        return None
-    return classes, gens, rels
-
-
-def _cycle_table(text, classes, class_set):
-    """The image of each class under cycle notation over ``class_set``,
-    classes it omits fixed, or None if the notation is malformed or names
-    a class twice."""
-    *cycles, rest = text.split(")")
-    if rest.strip():
-        return None
-    bodies = list(map(str.lstrip, cycles))
-    if not all(map(str.startswith, bodies, repeat("("))):
-        return None
-    cycles = [body[1:].replace(",", " ").split() for body in bodies]
-    moved = list(chain.from_iterable(cycles))
-    image = dict(zip(moved, chain.from_iterable(c[1:] + c[:1] for c in cycles)))
-    if len(image) != len(moved) or not image.keys() <= class_set:
-        return None
-    return dict(zip(classes, map(image.get, classes, classes)))
-
-
-def _raise_word_error(rels, alphabet):
-    """Raise the error of the first malformed relator word, with its line."""
-    for _, texts, line_no in rels:
-        for t in texts:
-            try:
-                parse_word(t, alphabet)
-            except WordSyntaxError as exc:
-                raise DslSyntaxError(f"bad word {t!r}: {exc}", line_no) from None
-
-
-def _raise_line_error(text):
-    """Raise the error of the first malformed line of ``text``, in line
-    order, or else report the missing classes line."""
-    class_set, names = None, set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("classes:"):
-            if class_set is not None:
+    """``(classes, gens, rels)`` of the comment-free ``lines``, read in
+    line order: ``gens`` maps each generator name to ``(kind, image table,
+    line)`` and ``rels`` lists ``(class, word texts, line)``.  Raises the
+    error of the first malformed line."""
+    classes, gens, rels = None, {}, []
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line.startswith("rel "):
+            if classes is None:
+                raise DslSyntaxError("classes must be declared before relators",
+                                     line_no)
+            cname, colon, words = line[4:].partition(":")
+            cname = cname.strip()
+            if not colon:
+                raise DslSyntaxError("expected 'rel CLASS : word, word'", line_no)
+            if cname not in class_set:
+                raise SemanticError(f"unknown class {cname!r}", line_no)
+            rels.append((cname, list(filter(None, map(str.strip, words.split(",")))),
+                         line_no))
+        elif line.startswith("gen "):
+            if classes is None:
+                raise DslSyntaxError("classes must be declared before generators",
+                                     line_no)
+            parts = [part.strip() for part in line[4:].split(":", 2)]
+            if len(parts) != 3:
+                raise DslSyntaxError("expected 'gen NAME : U|I : CYCLES'", line_no)
+            name, kind, _ = parts
+            if not is_generator_name(name):
+                raise DslSyntaxError(f"bad generator name {name!r}", line_no)
+            if kind not in ("U", "I"):
+                raise DslSyntaxError(f"generator kind must be U or I, got {kind!r}",
+                                     line_no)
+            if name in gens:
+                raise SemanticError(f"duplicate generator {name!r}", line_no)
+            gens[name] = (kind, _cycle_table(raw, classes, class_set, line_no),
+                          line_no)
+        elif line.startswith("classes:"):
+            if classes is not None:
                 raise DslSyntaxError("duplicate classes line", line_no)
-            classes = stripped[len("classes:"):].split()
+            classes = tuple(line[len("classes:"):].split())
             class_set = set(classes)
             if not classes:
                 raise DslSyntaxError("empty class list", line_no)
             if len(class_set) != len(classes):
                 raise SemanticError("duplicate class name", line_no)
-        elif stripped.startswith("gen "):
-            if class_set is None:
-                raise DslSyntaxError("classes must be declared before generators",
-                                     line_no)
-            parts = [part.strip() for part in stripped[4:].split(":", 2)]
-            if len(parts) != 3:
-                raise DslSyntaxError("expected 'gen NAME : U|I : CYCLES'", line_no)
-            name, kind, cycles = parts
-            if not name or not all(c.isalnum() or c == "_" for c in name):
-                raise DslSyntaxError(f"bad generator name {name!r}", line_no)
-            if kind not in ("U", "I"):
-                raise DslSyntaxError(f"generator kind must be U or I, got {kind!r}",
-                                     line_no)
-            if name in names:
-                raise SemanticError(f"duplicate generator {name!r}", line_no)
-            names.add(name)
-            _check_cycles(cycles, class_set, line_no)
-        elif stripped.startswith("rel "):
-            if class_set is None:
-                raise DslSyntaxError("classes must be declared before relators",
-                                     line_no)
-            cname, colon, _ = stripped[4:].partition(":")
-            if not colon:
-                raise DslSyntaxError("expected 'rel CLASS : word, word'", line_no)
-            if cname.strip() not in class_set:
-                raise SemanticError(f"unknown class {cname.strip()!r}", line_no)
-        else:
-            raise DslSyntaxError(f"unrecognised line {stripped!r}", line_no)
-    raise DslSyntaxError("missing classes line", 1)
+        elif line:
+            raise DslSyntaxError(f"unrecognised line {line!r}", line_no)
+    if classes is None:
+        raise DslSyntaxError("missing classes line", 1)
+    return classes, gens, rels
 
 
-def _check_cycles(text, class_set, line_no):
-    """Raise the first error of cycle notation, read one character at a
-    time so that a syntax error carries its column."""
-    moved = set()
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] != "(":
-            raise DslSyntaxError("expected '(' in cycle notation", line_no, i + 1)
-        j = text.find(")", i)
-        if j < 0:
-            raise DslSyntaxError("unclosed cycle", line_no, i + 1)
-        for x in text[i + 1:j].replace(",", " ").split():
-            if x not in class_set:
-                raise SemanticError(f"unknown class {x!r} in cycle notation", line_no)
-            if x in moved:
-                raise SemanticError(f"class {x!r} appears twice in cycle notation",
-                                    line_no)
-            moved.add(x)
-        i = j + 1
+def _cycle_table(text, classes, class_set, line_no):
+    """The image of each class under the cycle notation after the second
+    ':' of the generator line ``text``, classes it omits fixed.  Raises the
+    first error of the notation; a syntax error carries its column in
+    ``text``."""
+    col = text.index(":", text.index(":") + 1) + 1     # the next cycle's index
+    *cycles, rest = text[col:].split(")")
+    image = {}
+    for body in cycles:
+        cycle = body.lstrip()
+        if not cycle.startswith("("):
+            raise DslSyntaxError("expected '(' in cycle notation", line_no,
+                                 col + len(body) - len(cycle) + 1)
+        cycle = cycle[1:].replace(",", " ").split()
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            if x in image or x not in class_set:
+                raise SemanticError(
+                    f"class {x!r} appears twice in cycle notation" if x in image
+                    else f"unknown class {x!r} in cycle notation", line_no)
+            image[x] = y
+        col += len(body) + 1
+    cycle = rest.lstrip()
+    if cycle:
+        raise DslSyntaxError("unclosed cycle" if cycle[0] == "(" else
+                             "expected '(' in cycle notation", line_no,
+                             col + len(rest) - len(cycle) + 1)
+    return dict(zip(classes, map(image.get, classes, classes)))
 
 
 def serialize(p):

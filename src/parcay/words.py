@@ -30,6 +30,12 @@ import re
 from .errors import UnknownClass, UnknownGenerator, WordSyntaxError
 
 
+def is_generator_name(text):
+    """Whether ``text`` can name a generator: one or more letters, digits
+    and ``_``, which a word literal reads as one name run."""
+    return bool(text) and all(c.isalnum() or c == "_" for c in text)
+
+
 class Alphabet:
     """Ordered generator names split into free (``u_gens``) and involutive
     (``i_gens``) kinds."""
@@ -147,9 +153,6 @@ class Word:
 
     def __hash__(self):
         return hash(self.letters)
-
-    def __mul__(self, other):
-        return reduce(self.letters + other.letters, self.alphabet)
 
     def inverse(self):
         inverse = self.alphabet._inverse

@@ -1160,7 +1160,10 @@ def read_graph_by_lines(text, coloured=False):
     return g, dict(zip(range(0, len(tau), 2), column))
 
 
-def _oracle_parse_cycles(text, classes, class_set, line_no):
+def _oracle_parse_cycles(text, classes, class_set, line_no, offset):
+    """The image table of cycle notation ``text``, read one character at a
+    time; ``text`` starts ``offset`` characters into its line, and a syntax
+    error carries its column in the line."""
     table = {x: x for x in classes}
     moved = set()
     i = 0
@@ -1170,10 +1173,11 @@ def _oracle_parse_cycles(text, classes, class_set, line_no):
             i += 1
             continue
         if ch != "(":
-            raise DslSyntaxError("expected '(' in cycle notation", line_no, i + 1)
+            raise DslSyntaxError("expected '(' in cycle notation", line_no,
+                                 offset + i + 1)
         j = text.find(")", i)
         if j < 0:
-            raise DslSyntaxError("unclosed cycle", line_no, i + 1)
+            raise DslSyntaxError("unclosed cycle", line_no, offset + i + 1)
         entries = text[i + 1:j].replace(",", " ").split()
         for x in entries:
             if x not in class_set:
@@ -1262,7 +1266,9 @@ def parse_by_lines(text):
                                      line_no)
             if any(g[0] == name for g in gens):
                 raise SemanticError(f"duplicate generator {name!r}", line_no)
-            table = _oracle_parse_cycles(cycles, classes, class_set, line_no)
+            # ``line`` ends where ``cycles`` ends.
+            table = _oracle_parse_cycles(cycles, classes, class_set, line_no,
+                                         len(line) - len(cycles))
             gens.append((name, kind, table, line_no))
         elif stripped.startswith("rel "):
             if classes is None:

@@ -411,6 +411,27 @@ def test_extract_of_two_disjoint_triangles_exits_2_with_one_line(tmp_path,
     _assert_one_error_line(capsys)
 
 
+def test_extract_of_a_colour_that_is_not_a_generator_name_exits_2(tmp_path,
+                                                                    capsys):
+    f = tmp_path / "in.col"
+    f.write_text("vertices 4\n" + "".join(f"edge {v} {(v + 1) % 4} - x-1\n"
+                                         for v in range(4)))
+    assert main(["extract", str(f), "--roundtrip"]) == 2
+    assert capsys.readouterr().err == (
+        "error: colour 'x-1' cannot name a generator: use letters, digits "
+        "and '_'\n")
+
+
+def test_build_reports_a_cycle_error_at_its_column_in_the_line(tmp_path,
+                                                               capsys):
+    f = tmp_path / "bad.pp"
+    f.write_text("classes: 0 1\ngen a : U : (0)(1)\ngen b : I : (0 1\n")
+    assert main(["build", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: unclosed cycle (line 3, column 13)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["make", "petersen"],
     ["make", "petersen", "7"],

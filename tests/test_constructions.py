@@ -279,9 +279,11 @@ def test_layers_are_ten_cycles():
     assert len(ring) == 10
 
 
-def test_window_needs_two_layers():
+def test_window_is_at_least_one_layer():
+    g = two_ended_window(3, 3)
+    assert g.n == 10 and g.n_edges == 10       # one layer: a 10-cycle
     with pytest.raises(BadParameters):
-        two_ended_window(3, 3)
+        two_ended_window(3, 2)
 
 
 def test_sigma_and_tau_examples():

@@ -12,8 +12,9 @@ from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   cyclic_group, dihedral_group,
                                   generalized_petersen, line_graph)
 from parcay.decompose import is_partition_friendly, weak_multicycle_colouring
-from parcay.errors import (Disconnected, InvolutionInR, NoPerfectMatching,
-                           NotPartitionFriendly, SizeMismatch)
+from parcay.errors import (BadParameters, Disconnected, InvolutionInR,
+                           NoPerfectMatching, NotPartitionFriendly,
+                           SizeMismatch)
 from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring)
 from parcay.graph import (LOCAL_CYCLE_LEVELS, ColouredGraph, _RootedTree,
@@ -102,6 +103,15 @@ def test_extraction_requires_partition_friendly():
     bad = {ds[0]: "x", ds[1]: "x", ds[2]: "y", ds[3]: "y"}
     with pytest.raises(NotPartitionFriendly):
         presentation_from_colouring(g, bad)
+
+
+def test_extraction_rejects_a_colour_that_is_not_a_generator_name():
+    # 'x-1' would become 'gen x-1', a line that parse rejects.
+    g = cycle_graph(4)
+    with pytest.raises(BadParameters, match="^colour 'x-1' cannot name"):
+        presentation_from_colouring(g, dict.fromkeys(g.edges(), "x-1"))
+    p = presentation_from_colouring(g, dict.fromkeys(g.edges(), "x_1"))
+    assert p.alphabet.u_gens == ("x_1",)
 
 
 @pytest.mark.parametrize("n", range(7, 13))

@@ -743,3 +743,13 @@ def test_dot_export(petersen_sp):
     dot = to_dot(petersen_sp)
     assert dot.startswith("graph {")
     assert "color=" in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    # Graph text allows '"' and '\\' in class and colour tokens; DOT needs
+    # both escaped inside a quoted string.
+    g = read_graph('vertices 2\nclass 0 x"y\nclass 1 p\\q\nedge 0 1 a"b\n')
+    assert to_dot(g).splitlines()[1:4] == [
+        '  0 [label="0" xlabel="x\\"y"];',
+        '  1 [label="1" xlabel="p\\\\q"];',
+        '  0 -- 1 [color=red label="a\\"b"];']

@@ -156,6 +156,15 @@ def test_parse_rejects_bad_cycles():
         parse("classes: 0 1\ngen a : U : (0 1\n")
 
 
+@pytest.mark.parametrize("indent, col", [("", 13), ("  ", 15)])
+def test_cycle_errors_carry_their_column_in_the_raw_line(indent, col):
+    text = f"classes: 0 1\ngen a : U : (0)(1)\n{indent}gen b : I : (0 1\n"
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (3, col)
+    assert str(err.value) == f"unclosed cycle (line 3, column {col})"
+
+
 def test_multichar_class_names():
     text = ("classes: left right\n"
             "gen a : U : (left)(right)\n"
