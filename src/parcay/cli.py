@@ -133,6 +133,9 @@ def cmd_make(args):
     if args.family == "petersen":
         g = generalized_petersen(args.n, args.k)
     elif args.family == "two-ended":
+        if args.n > args.k:     # the layers run from n to k
+            raise BadParameters(f"make two-ended needs n <= k, got {args.n} "
+                                f"and {args.k}")
         g = two_ended_window(args.n, args.k)
     elif args.family == "linegraph":
         g = line_graph(read_graph(_read(args.graph)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, deque
-from itertools import count
+from itertools import chain, count
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                      SearchBoundExceeded)
@@ -413,21 +413,36 @@ def _short_cycle_relators(g, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and automorphisms: one search over vertex bijections.  Vertices
-# are placed in BFS order; a vertex is tried only at unused neighbours of its
-# BFS parent's image, and kept there only if its darts to placed vertices
-# match those of the image, neighbour by neighbour, in number (and colour, if
-# asked).  Both sides' dart counts are tabled once per search, so a placement
-# costs one lookup per neighbour.  The search is exhaustive, so an empty
-# result is a certificate.
+# Isomorphism and automorphisms: one search over vertex bijections.  The
+# vertices of g are placed in BFS order, component roots by decreasing
+# degree.  A vertex is tried only at unused neighbours of its BFS parent's
+# image (with colours, only at the heads of the darts of its tree dart's
+# colour), and kept there only if its darts to placed vertices match those
+# of the image, neighbour by neighbour, in number (and colour, if asked).
+# Every map the search yields keeps those dart counts between all pairs, so
+# it is an isomorphism of the underlying multigraphs and keeps distances.
+# Two more rules follow from that, and prune:
+# - a vertex at distance d from g's first root goes only to a vertex at
+#   distance d from the root's image;
+# - the spheres of h about the root's image have the sizes of g's spheres
+#   about the root, so once one size differs, the root takes its next image.
+# Only g's first component is measured.  h's distances come from a BFS from
+# the root's image that grows a layer at a time, to depth 2d + 1 when a
+# vertex at depth d is pushed, and is reset layer by layer on the next image.
+# A whole BFS per image would make a search that tries every image cost
+# O(n^2).  Each vertex's dart counts are tabled once per search as one dict,
+# neighbour -> summed dart weights, whose keys are also h's candidates and
+# BFS steps, so a placement costs one lookup per neighbour.  No rule drops a
+# map, so an empty result is a certificate, and the maps come in the order
+# of the search without the two rules.
 
 
-def _dart_counts(x, colour, v):
-    """(neighbour, colour) -> number of darts out of v."""
-    counts = {}
+def _dart_counts(x, weight, v):
+    """neighbour -> the sum of the weights of the darts out of v to it."""
+    counts, tau = {}, x.tau
     for d in x._out[v]:
-        key = (x.tau[d], colour[d])
-        counts[key] = counts.get(key, 0) + 1
+        u = tau[d]
+        counts[u] = counts.get(u, 0) + weight[d]
     return counts
 
 
@@ -444,13 +459,15 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
     n = g.n
     if n != h.n or g.n_darts != h.n_darts:
         return
-    if sorted(map(len, g._out)) != sorted(map(len, h._out)):
+    g_deg, h_deg = list(map(len, g._out)), list(map(len, h._out))
+    if sorted(g_deg) != sorted(h_deg):
         return
     if n == 0:
         yield ()
         return
-    order, parent, seen = [], [None] * n, [False] * n
-    for root in sorted(range(n), key=lambda v: -len(g._out[v])):
+    order, parent, tree_dart = [], [None] * n, [None] * n
+    seen = [False] * n
+    for root in sorted(range(n), key=lambda v: -g_deg[v]):
         if seen[root]:
             continue
         seen[root] = True
@@ -463,31 +480,45 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
                 w = g.tau[d]
                 if not seen[w]:
                     seen[w] = True
-                    parent[w] = v
+                    parent[w], tree_dart[w] = v, d
                     order.append(w)
+    # Depths from the first root, and g's sphere sizes about it.
+    depth, spheres = [-1] * n, [1]
+    depth[order[0]] = 0
+    for v in order[1:]:
+        p = parent[v]
+        if p is None:
+            break
+        d = depth[v] = depth[p] + 1
+        if d < len(spheres):
+            spheres[d] += 1
+        else:
+            spheres.append(1)
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    g_colour = g.colour if respect_colours else [None] * g.n_darts
-    h_colour = h.colour if respect_colours else [None] * h.n_darts
-    # Per vertex of g, its dart counts to the vertices placed with or
-    # before it; per vertex of h, all its dart counts.
+    # A dart weighs 1, or with colours base ** i for its colour's index i.
+    # No vertex has ``base`` darts, so the summed weights of the darts from
+    # one vertex to another give, digit by digit, how many have each colour.
+    base = max(g_deg) + 1
+    if respect_colours:
+        colours = dict.fromkeys(chain(g.colour, h.colour))
+        weight = {c: base ** i for i, c in enumerate(colours)}
+        g_weight = list(map(weight.__getitem__, g.colour))
+        h_weight = list(map(weight.__getitem__, h.colour))
+    else:
+        g_weight = h_weight = [1] * g.n_darts
+    # Per vertex of g, its dart weights to the vertices placed with or
+    # before it; per vertex of h, all its dart weights, keyed by its
+    # distinct neighbours in the order of their first darts.
     placed = []
     for v in range(n):
-        counts = _dart_counts(g, g_colour, v)
-        placed.append([(u, c, k) for (u, c), k in counts.items()
+        placed.append([(u, k) for u, k in _dart_counts(g, g_weight, v).items()
                        if position[u] <= position[v]])
-    h_counts = [_dart_counts(h, h_colour, w) for w in range(n)]
+    h_counts = [_dart_counts(h, h_weight, w) for w in range(n)]
+    g_cls, h_cls = g.classes, h.classes
     image, used = [None] * n, [False] * n
-
-    def fits(v, w):
-        """Darts out of v to placed vertices match those out of w to used
-        vertices, with v already placed at w, so loops count too."""
-        theirs = h_counts[w]
-        for u, c, k in placed[v]:
-            if theirs.get((image[u], c)) != k:
-                return False
-        return sum(used[x] for x, _ in theirs) == len(placed[v])
+    dist, layers = [-1] * n, []     # h's BFS from the root's image
 
     stack = [iter(range(n) if root_image is None else (root_image,))]
     while stack:
@@ -495,14 +526,21 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
         if image[v] is not None:   # retract this level's last choice
             used[image[v]] = False
             image[v] = None
-        deg, cls = len(g._out[v]), g.classes[v]
+        deg, cls, dv, mine = g_deg[v], g_cls[v], depth[v], placed[v]
         for w in stack[-1]:
-            if (used[w] or len(h._out[w]) != deg
-                    or (respect_classes and h.classes[w] != cls)):
+            if (used[w] or h_deg[w] != deg or (dv > 0 and dist[w] != dv)
+                    or (respect_classes and h_cls[w] != cls)):
                 continue
+            # Darts out of v to placed vertices match those out of w to
+            # used vertices; v is placed at w first, so loops count too.
             image[v], used[w] = w, True
-            if fits(v, w):
-                break
+            theirs = h_counts[w]
+            if sum(map(used.__getitem__, theirs)) == len(mine):
+                for u, k in mine:
+                    if theirs.get(image[u]) != k:
+                        break
+                else:
+                    break
             image[v], used[w] = None, False
         else:
             stack.pop()
@@ -510,9 +548,39 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
         if len(stack) == n:
             yield tuple(image)
             continue
-        p = parent[order[len(stack)]]
-        stack.append(iter(range(n)) if p is None else
-                     iter(dict.fromkeys(h.tau[e] for e in h._out[image[p]])))
+        v = order[len(stack)]
+        p, dv = parent[v], depth[v]
+        if p is None:
+            stack.append(iter(range(n)))
+            continue
+        if len(stack) == 1:        # a new root image: reset the BFS
+            for layer in layers:
+                for x in layer:
+                    dist[x] = -1
+            layers = [[image[p]]]
+            dist[image[p]] = 0
+        while len(layers) <= 2 * dv + 1 and layers[-1]:
+            k, new = len(layers), []
+            for x in layers[-1]:
+                for y in h_counts[x]:
+                    if dist[y] < 0:
+                        dist[y] = k
+                        new.append(y)
+            layers.append(new)
+            if len(new) != (spheres[k] if k < len(spheres) else 0):
+                break
+        else:
+            heads = h_counts[image[p]]
+            if respect_colours:    # only along darts of the tree dart's colour
+                t = g_weight[tree_dart[v]]
+                heads = [x for x, k in heads.items() if k // t % base]
+            stack.append(iter(heads))
+            continue
+        # A sphere differs: no map sends the root to its image.
+        for x in order[1:len(stack)]:
+            used[image[x]] = False
+            image[x] = None
+        del stack[1:]
 
 
 def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):

@@ -74,17 +74,20 @@ def scan_connected(g, vertices):
     return len({find(v) for v in parent}) <= 1
 
 
-def brute_force_automorphisms(g, colour_preserving=False):
-    """Independent oracle: every vertex permutation that maps the multiset
-    of darts (source, head and, if asked, colour) onto itself, in
-    lexicographic order."""
-    def darts(p):
-        return Counter((p[g.tau[d ^ 1]], p[g.tau[d]],
-                        g.colour[d] if colour_preserving else None)
-                       for d in range(g.n_darts))
+def brute_force_maps(g, h, colour_preserving=False):
+    """Independent oracle: every vertex bijection from g to h that maps the
+    multiset of g's darts (source, head and, if asked, colour) onto h's, in
+    lexicographic order.  With h = g, the automorphisms."""
+    def darts(x, p):
+        return Counter((p[x.tau[d ^ 1]], p[x.tau[d]],
+                        x.colour[d] if colour_preserving else None)
+                       for d in range(x.n_darts))
 
-    identity = darts(range(g.n))
-    return [p for p in itertools.permutations(range(g.n)) if darts(p) == identity]
+    if g.n != h.n:
+        return []
+    target = darts(h, range(h.n))
+    return [p for p in itertools.permutations(range(g.n))
+            if darts(g, p) == target]
 
 
 def listing_is_vertex_transitive(auts, n):

@@ -121,6 +121,15 @@ def test_make_two_ended(capsys):
     assert "vertices 50" in capsys.readouterr().out
 
 
+def test_make_two_ended_names_its_own_arguments(capsys):
+    # The window's layers run from n to k; the message names the command's
+    # arguments, not those of the constructor behind it.
+    assert main(["make", "two-ended", "3", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: make two-ended needs n <= k, got 3 and 2\n")
+
+
 def test_make_bicayley(capsys):
     assert main(["make", "bicayley", "5", "--r", "1", "4",
                  "--l", "2", "3", "--s", "0"]) == 0

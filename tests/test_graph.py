@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (brute_force_automorphisms, complete_graph, cycle_graph,
+from conftest import (brute_force_maps, complete_graph, cycle_graph,
                       listing_is_vertex_transitive, multigraph_colourings,
                       multigraphs, read_graph_by_lines, scan_connected,
                       scan_out_darts, semiregular_subgroup_cayley,
@@ -450,11 +450,65 @@ def test_automorphism_group_matches_brute_force(data):
     colours = data.draw(st.lists(st.sampled_from(("a", "A", "b")),
                                  min_size=len(edges), max_size=len(edges)))
     g = _from_edges(n, edges, colours)
-    auts = brute_force_automorphisms(g)
+    auts = brute_force_maps(g, g)
     assert automorphism_group(g) == auts
     assert (sorted(graph_maps(g, g, respect_colours=True))
-            == brute_force_automorphisms(g, colour_preserving=True))
+            == brute_force_maps(g, g, colour_preserving=True))
     _assert_symmetry_matches_the_listing_oracles(g, auts)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_graph_maps_match_brute_force(data):
+    # Maps between two multigraphs with loops and parallel edges of
+    # different colours, under each filter and root image.  A small random
+    # g is often disconnected, and only its first component has distances
+    # from the search's first vertex.
+    n = data.draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    colour = st.sampled_from(("a", "A", "b", None))
+    colours = data.draw(st.lists(colour, min_size=len(edges),
+                                 max_size=len(edges)))
+    classes = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    g = _from_edges(n, edges, colours)
+    g.classes = data.draw(classes)
+    how = data.draw(st.sampled_from(("relabelled", "recoloured", "random")))
+    if how == "random":
+        h = _from_edges(n, data.draw(st.lists(st.tuples(vertex, vertex),
+                                              min_size=len(edges),
+                                              max_size=len(edges))), colours)
+        h.classes = data.draw(classes)
+    else:
+        perm = data.draw(st.permutations(range(n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                   max_size=len(edges)))
+        h = _relabelled(g, perm, flips)
+        h.classes = [None] * n
+        for v in range(n):
+            h.classes[perm[v]] = g.classes[v]
+        if how == "recoloured" and edges:
+            d = 2 * data.draw(st.integers(0, len(edges) - 1))
+            c = data.draw(st.sampled_from(("a", "b", None)))
+            h.colour[d], h.colour[d + 1] = c, {"a": "A"}.get(c, c)
+    respect_colours, respect_classes = data.draw(st.booleans()), data.draw(
+        st.booleans())
+    r = data.draw(st.none() | vertex)
+    first = min(range(n), key=lambda v: -g.degree(v))
+    want = [p for p in brute_force_maps(g, h, respect_colours)
+            if r in (None, p[first]) and not (respect_classes and any(
+                h.classes[p[v]] != g.classes[v] for v in range(n)))]
+    assert sorted(graph_maps(g, h, respect_colours, respect_classes,
+                             root_image=r)) == want
+
+
+def test_graph_maps_measure_distances_in_the_first_component_only():
+    # The search starts at vertex 1, the middle of the path.  The triangle
+    # has no distances from it, and its vertices map to each other freely.
+    g = _from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+    h = _relabelled(g, [5, 3, 4, 0, 2, 1], [False] * 5)
+    maps = brute_force_maps(g, h)
+    assert len(maps) == 12 and sorted(graph_maps(g, h)) == maps
 
 
 @pytest.mark.parametrize("n,edges", [
@@ -491,7 +545,24 @@ def test_search_bound():
 
 
 def _petersen_parameters():
-    return [(n, k) for n in range(3, 15) for k in range(1, (n + 1) // 2)]
+    return [(n, k) for n in range(3, 17) for k in range(1, (n + 1) // 2)]
+
+
+def test_petersen_isomorphism_classes():
+    # Steimle and Staton: P(n, k) and P(n, l) are isomorphic exactly when
+    # k = +-l or kl = +-1 (mod n).
+    rng = random.Random(0)
+    for n in range(3, 17):
+        for l in range(1, (n + 1) // 2):
+            h = generalized_petersen(n, l)
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            h = _relabelled(h, perm, [rng.random() < 0.5
+                                      for _ in range(h.n_edges)])
+            for k in range(1, (n + 1) // 2):
+                want = (k in (l, n - l)) or k * l % n in (1, n - 1)
+                found = isomorphic(generalized_petersen(n, k), h)
+                assert (found is not None) == want, (n, k, l)
 
 
 def test_vertex_transitivity():
