@@ -6,9 +6,14 @@ relator of a row's class is scanned at that row and completed by definitions,
 deductions fill slots in both directions, and coincidences are merged through
 a union-find with slot merging, processed to a fixpoint before any new
 definition.  Closing a relator at every row of its class is what realises
-the conjugation closure of the relator subgroups.  A closed walk of a power
-s^e of one letter closes s^e at every row of its s-cycle, so such a relator
-is scanned once per cycle (Holt, Eick & O'Brien, §5.1–5.2).
+the conjugation closure of the relator subgroups.  A closed walk also
+closes the cyclic conjugates of its relator (Holt, Eick & O'Brien,
+§5.1–5.3): a power s^e of one letter closes s^e and s^-e at every row of
+its s-cycle, so such a relator is scanned once per cycle, and any other
+relator closes its rotations, and those of its inverse, at the rows its
+walk passes.  A scan that such a walk has certified is skipped; it would
+change nothing.  What is certified at a row stays certified at the row it
+merges into.
 
 A row's ``dist`` is its breadth-first distance from the base row in the
 current table: a deduction or a coincidence that gives a row a shorter
@@ -30,11 +35,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import BadParameters, Overflow
 from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
                     alphabet_graph, dart_bijections, graph_maps)
+from .record import Record
 
 DEFAULT_MAX_ROWS = 1_000_000
 DEFINE = 1          # a row's definitions, beside its relators' bits
@@ -49,10 +54,13 @@ def presentation_graph(p):
     return alphabet_graph(alphabet, targets, p.classes, p.classes)
 
 
-@dataclass
-class PresentationComplex:
-    graph: ColouredGraph
-    cells: list  # (class name, relator Word, dart tuple of the boundary walk)
+class PresentationComplex(Record):
+
+    _fields = ("graph", "cells")
+
+    def __init__(self, graph, cells):
+        self.graph = graph
+        self.cells = cells  # (class name, relator Word, dart tuple of the boundary walk)
 
 
 def presentation_complex(p):
@@ -75,6 +83,8 @@ class CosetTable:
     the edges of the table."""
 
     def __init__(self, p, max_rows=DEFAULT_MAX_ROWS, max_dist=None):
+        if max_rows < 1:
+            raise BadParameters(f"the row bound must be at least 1, got {max_rows}")
         self.p = p
         self.alphabet = p.alphabet
         self.codes = self.alphabet.letters()
@@ -85,11 +95,17 @@ class CosetTable:
         self.relators = {x: [tuple(map(slot_of.__getitem__, r.letters))
                              for r in rels]
                          for x, rels in p.relators.items()}
-        # Per class with relators, its plan: one (bit, relator, power) per
-        # relator, where power is (s, e) for a power s^e of one slot s with
-        # e > 1, else None.  Per class with powers, (s, e) -> their bits.
-        # Bit 0, DEFINE, stands for a row's definitions.
-        self.plans, self.powers = {}, {}
+        # Per class with relators, its plan: one (bit, relator, power, index)
+        # per relator; bit 0, DEFINE, stands for a row's definitions, and
+        # the index numbers the relators of all classes.  For a power s^e
+        # of one letter, power is (the lesser slot of s and its inverse, e),
+        # the key of s^e and s^-e in ``powers``: class -> key -> their
+        # bits.  Any other relator has power None, and ``echoes`` maps its
+        # index to 0 after its first closure in ``run`` and to its echo
+        # table (``_echo_table``) from its second, so that a relator that
+        # closes at one row costs no table.
+        self.plans, self.powers, self.echoes = {}, {}, {}
+        index = 0
         for x, rels in self.relators.items():
             if not rels:
                 continue
@@ -97,10 +113,13 @@ class CosetTable:
             for k, rel in enumerate(rels):
                 power = None
                 if len(rel) > 1 and rel.count(rel[0]) == len(rel):
-                    power = rel[0], len(rel)
+                    power = min(rel[0], self.inverse[rel[0]]), len(rel)
                     bits = self.powers.setdefault(x, {})
                     bits[power] = bits.get(power, 0) | 2 << k
-                plan.append((2 << k, rel, power))
+                plan.append((2 << k, rel, power, index))
+                index += 1
+        self.lookup = {}       # class -> relator -> bits, for the classes
+                               # with many relators that echo tables visit
         self.max_rows = max_rows
         self.max_dist = max_dist
         self.parent = []
@@ -109,6 +128,9 @@ class CosetTable:
         self.table = []
         self._blank = [None] * self.width
         self.held = {}         # row -> bits of the work the budget held back
+        self.marks = {}        # row -> bits of the relators that closed walks
+                               # certify there, for rows that run has yet to
+                               # process
         self.again = []        # held rows whose distance fell since
         self.version = 0       # bumps on every slot write or merge
         self.coincidences = 0
@@ -170,6 +192,7 @@ class CosetTable:
 
     def coincide(self, a, b):
         table, width, find, dist = self.table, self.width, self.find, self.dist
+        marks = self.marks
         queue = [(a, b)]
         moved = []      # roots whose neighbours may now be nearer the base
         while queue:
@@ -182,6 +205,8 @@ class CosetTable:
                 raise ValueError("attempted to merge rows of different classes; "
                                  "the presentation is inconsistent")
             self.parent[b] = a
+            if b in marks:      # what closes at b closes at a
+                marks[a] = marks.get(a, 0) | marks.pop(b)
             if dist[a] != dist[b]:
                 if dist[b] < dist[a]:
                     dist[a] = dist[b]
@@ -273,23 +298,80 @@ class CosetTable:
                 here = self.find(here)
         return here == start
 
-    def _mark_power(self, v, power, first, marks):
-        """The walk of s^e, ``power == (s, e)``, closes at the live row v, so
-        it closes at every row of v's s-cycle.  Record the bit of s^e in
-        ``marks`` at each row from ``first`` on that the walk passes and
-        whose class has s^e among its relators."""
+    def _mark_power(self, v, s, power, first, marks):
+        """The walk of s^e, ``power == (s or its inverse, e)``, closes at the
+        live row v, so s^e and s^-e close at every row of v's s-cycle.
+        Record their bits in ``marks`` at each row from ``first`` on that
+        the walk passes and whose class has either among its relators, and
+        return their bits at v."""
         table, parent, width, cls, powers = (self.table, self.parent, self.width,
                                              self.cls, self.powers)
-        s, e = power
         w = v
-        for _ in range(e - 1):
+        for _ in range(power[1] - 1):
             w = table[w * width + s]
             if parent[w] != w:
                 w = self.find(w)
             if w >= first and cls[w] in powers:
-                bit = powers[cls[w]].get(power)
-                if bit:
-                    marks[w] = marks.get(w, 0) | bit
+                bits = powers[cls[w]].get(power)
+                if bits:
+                    marks[w] = marks.get(w, 0) | bits
+        return powers[cls[v]][power]
+
+    def _echo_table(self, x, rel, bit):
+        """What one closed walk of ``rel``, the relator of class x with bit
+        ``bit``, certifies: after i letters the walk is at a row of the
+        class that the action gives, and there the i-th rotations of rel
+        and of its inverse close too.  Returns (the bits of the relators of
+        x other than rel that close at the walk's start, the bits of those
+        that close at the row reached after each letter), or () when rel
+        certifies nothing else.  Only the relator lists of the classes that
+        the walk visits are read: a short one, as in the presentations that
+        extraction writes, is searched by first letter, and a long one, as
+        in the line presentations, is indexed once."""
+        n, inverse = len(rel), self.inverse
+        images, plans, lookup = self.images, self.plans, self.lookup
+        back = tuple([inverse[s] for s in reversed(rel)])
+        bits, y = [], x
+        for i in range(n):
+            if i:
+                y = images[rel[i - 1]][y]
+            plan = plans.get(y, ())
+            if len(plan) > 8:
+                known = lookup.get(y)
+                if known is None:
+                    known = lookup[y] = {}
+                    for b, r, _, _ in plan:
+                        known[r] = known.get(r, 0) | b
+                bits.append(known.get(rel[i:] + rel[:i], 0)
+                            | known.get(back[n - i:] + back[:n - i], 0))
+                continue
+            found = 0
+            for b, r, _, _ in plan:
+                if len(r) == n and (r[0] == rel[i] and r == rel[i:] + rel[:i]
+                                    or r[0] == back[-i]
+                                    and r == back[n - i:] + back[:n - i]):
+                    found |= b
+            bits.append(found)
+        here, after = bits[0] & ~bit, tuple(bits[1:]) + (0,)
+        return (here, after) if here or any(after) else ()
+
+    def _echo(self, v, rel, echo, first, marks):
+        """Walk ``rel``, whose echo table is ``echo``, from the live row v.
+        If the walk closes, return the bits it certifies at v, having
+        recorded in ``marks`` those it certifies at each row from ``first``
+        on that it passes; else return None."""
+        table, parent, width = self.table, self.parent, self.width
+        here, after = echo
+        w = v
+        for s, bits in zip(rel, after):
+            w = table[w * width + s]
+            if w is None:
+                return None
+            if parent[w] != w:
+                w = self.find(w)
+            if bits and w >= first:
+                marks[w] = marks.get(w, 0) | bits
+        return here if w == v else None
 
     # -- main loop -------------------------------------------------------------
 
@@ -302,16 +384,21 @@ class CosetTable:
         ``dist[v] < R + longest - shortest`` define their empty slots; the
         rows they create are the farthest at which a relator is scanned.
         A row that the budget held back is processed again, for the work
-        held back, whenever its distance falls.  A power s^e of one letter
-        is not scanned at a row that an earlier closed walk of s^e passed
-        through: that scan would change nothing."""
+        held back, whenever its distance falls.  A relator is not scanned
+        at a row where an earlier closed walk certified it, since that scan
+        would change nothing: a walk of s^e certifies s^e and s^-e along
+        its s-cycle, and the walk of any other relator, once it has closed
+        at two rows, certifies by its echo table the rotations of it and of
+        its inverse along the walk.  A row that merges into another passes
+        its marks on."""
         base = self.new_row(self.p.classes[0], 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
         cls, plans, held, again = self.cls, self.plans, self.held, self.again
+        echoes = self.echoes
         lengths = [len(r) for rels in self.relators.values() for r in rels] or [1]
         reach = math.inf if self.max_dist is None else self.max_dist + max(lengths)
         define_below = reach - min(lengths)
-        marks = {}  # row -> the bits of its relators known to close there
+        marks = self.marks
         idx = 0
         while True:
             if again:
@@ -325,7 +412,8 @@ class CosetTable:
                 return self.find(base)
             if parent[v] != v:
                 continue
-            for bit, rel, power in plans.get(cls[v], ()):
+            x = cls[v]
+            for bit, rel, power, i in plans.get(x, ()):
                 if not todo & bit:
                     continue
                 if dist[v] + len(rel) > reach:
@@ -335,7 +423,16 @@ class CosetTable:
                 if parent[v] != v:
                     break
                 if power:
-                    self._mark_power(v, power, idx, marks)
+                    todo &= ~self._mark_power(v, rel[0], power, idx, marks)
+                    continue
+                echo = echoes.get(i)
+                if echo is None:
+                    echoes[i] = 0
+                    continue
+                if echo == 0:
+                    echo = echoes[i] = self._echo_table(x, rel, bit)
+                if echo:
+                    todo &= ~self._echo(v, rel, echo, idx, marks)
             if parent[v] != v or not todo & DEFINE:
                 continue
             if dist[v] >= define_below:
@@ -348,22 +445,30 @@ class CosetTable:
 
     def is_closed(self):
         """Every slot of every live row is filled and every relator closes
-        at every live row of its class.  A walk of a power s^e of one
-        letter that closes here certifies s^e at the rows it passes; no
-        mark of ``run`` is trusted."""
+        at every live row of its class.  A walk that closes here certifies
+        what it does in ``run``, at the rows it passes: powers along their
+        cycles, and by the echo tables that ``run`` built, which depend on
+        the presentation alone, rotations along the walk.  No mark of
+        ``run`` is trusted."""
         table, width, cls, plans = self.table, self.width, self.cls, self.plans
-        marks = {}
+        echoes, marks = self.echoes, {}
         for v in self.live_rows():
             if None in table[v * width:(v + 1) * width]:
                 return False
             done = marks.pop(v, 0)
-            for bit, rel, power in plans.get(cls[v], ()):
+            for bit, rel, power, i in plans.get(cls[v], ()):
                 if done & bit:
                     continue
-                if not self.scan_closes(v, rel):
+                echo = echoes.get(i)
+                if echo:        # one walk checks and marks
+                    here = self._echo(v, rel, echo, v + 1, marks)
+                    if here is None:
+                        return False
+                    done |= here
+                elif not self.scan_closes(v, rel):
                     return False
-                if power:
-                    self._mark_power(v, power, v + 1, marks)
+                elif power:
+                    done |= self._mark_power(v, rel[0], power, v + 1, marks)
         return True
 
     # -- extraction -------------------------------------------------------------

@@ -58,17 +58,22 @@ def cmd_validate(args):
     return 0
 
 
+def _stats_line(g):
+    """The enumeration's counters, which ``to_graph`` leaves in the graph."""
+    stats = g.meta["stats"]
+    return (f"# rows defined: {stats['rows']}, coincidences: "
+            f"{stats['coincidences']}, relator scans: {stats['scans']}")
+
+
 def cmd_build(args):
     p = parse(_read(args.file))
     g = build_sp(p, max_rows=args.max_rows)
     sizes = g.class_sizes()
-    stats = g.meta.get("stats", {})
     lines = [
         "# closed: true",
         "# class sizes: " + " ".join(f"{k}={v}" for k, v in sorted(sizes.items())),
         f"# vertex-group order: {sizes[p.classes[0]]}",
-        f"# rows defined: {stats.get('rows')}, coincidences: "
-        f"{stats.get('coincidences')}, relator scans: {stats.get('scans')}",
+        _stats_line(g),
     ]
     body = _graph_text(g, args.format)
     _emit("\n".join(lines) + "\n" + body, args.out)
@@ -84,6 +89,7 @@ def cmd_ball(args):
         f"# radius: {args.radius}",
         f"# frontier: {' '.join(map(str, frontier)) if frontier else '(none)'}",
         f"# soundness: {g.meta['soundness']}",
+        _stats_line(g),
     ]
     _emit("\n".join(lines) + "\n" + _graph_text(g, args.format), args.out)
     return 0

@@ -13,11 +13,11 @@ matchable; parallel edges are distinct objects throughout.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .constructions import complete_graph
 from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
 from .graph import ColouredGraph
+from .record import Record
 
 
 class Matching:
@@ -388,11 +388,14 @@ def is_multicycle(g, colouring):
 # Factorizations of complete graphs.
 
 
-@dataclass
-class KFactorization:
-    graph: ColouredGraph
-    colouring: dict  # canonical dart -> colour
-    perms: dict  # colour -> vertex permutation tuple
+class KFactorization(Record):
+
+    _fields = ("graph", "colouring", "perms")
+
+    def __init__(self, graph, colouring, perms):
+        self.graph = graph
+        self.colouring = colouring      # canonical dart -> colour
+        self.perms = perms              # colour -> vertex permutation tuple
 
 
 def k_n_factorization(n):

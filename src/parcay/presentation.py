@@ -8,19 +8,31 @@ generator) and one relator list per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
+from .record import Record
 from .words import (Alphabet, ClassAction, Word, apply_action,
                     is_generator_name, parse_word, parse_words)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    witness: object
-    detail: str
+class Violation(Record):
+    """One broken invariant: immutable and hashable."""
+
+    _fields = ("code", "witness", "detail")
+
+    def __init__(self, code, witness, detail):
+        for name, value in zip(self._fields, (code, witness, detail)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
@@ -57,14 +69,13 @@ class PartitePresentation:
                 f"u={list(self.alphabet.u_gens)}, i={list(self.alphabet.i_gens)})")
 
 
-@dataclass
-class TwoPartitePresentation:
+class TwoPartitePresentation(Record):
     """Two vertex classes; s1 stays inside a class, u2/i2 swap the classes."""
-    s1: tuple
-    u2: tuple
-    i2: tuple
-    r0: tuple
-    r1: tuple
+
+    _fields = ("s1", "u2", "i2", "r0", "r1")
+
+    def __init__(self, s1, u2, i2, r0, r1):
+        self.s1, self.u2, self.i2, self.r0, self.r1 = s1, u2, i2, r0, r1
 
     def alphabet(self):
         return Alphabet(tuple(self.s1) + tuple(self.u2), tuple(self.i2))

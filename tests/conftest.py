@@ -882,12 +882,14 @@ def positional_parse_word(text, alphabet):
 
 
 # Oracle for the coset enumeration: the relator loops of ``CosetTable.run``
-# and ``CosetTable.is_closed`` as they stood before a closed walk of a power
-# of one letter came to certify that power at every row it passes.  They
-# scan every relator at every row of its class.  Under a distance budget
-# the run keeps the same fit test, and processes again, by the table's
-# ``held`` and ``again``, a row that the budget held back when its distance
-# falls; it then scans every relator that fits there, closed or not.
+# and ``CosetTable.is_closed`` as they stood before a closed walk came to
+# certify what it passes: a power of one letter, and its inverse power, at
+# every row of its cycle, and any other relator's rotations, and those of
+# its inverse, at the rows its walk reaches.  They scan every relator at
+# every row of its class.  Under a distance budget the run keeps the same
+# fit test, and processes again, by the table's ``held`` and ``again``, a
+# row that the budget held back when its distance falls; it then scans
+# every relator that fits there, closed or not.
 
 def budget_reach(table):
     """The fit test of ``run`` under a distance budget R: a relator of
@@ -1093,6 +1095,29 @@ def power_presentations(draw):
             if word:
                 rels.insert(draw(st.integers(0, len(rels))), word)
     return PartitePresentation(classes, alphabet, action, relators)
+
+
+@st.composite
+def rotation_closed_presentations(draw):
+    """``power_presentations`` draws with the relator lists closed under
+    rotation and inversion, as the line-graph presentations list them: each
+    rotation of each relator and of its inverse sits at the class that the
+    relator's walk reaches where the rotation starts.  A rotation is
+    reduced as a word, so one that cancels is shorter than its relator.
+    Each class lists its relators once each, in a drawn order."""
+    p = draw(power_presentations())
+    relators = {x: list(rels) for x, rels in p.relators.items()}
+    for x, rels in p.relators.items():
+        for r in rels:
+            for letters in (r.letters, r.inverse().letters):
+                y = x
+                for i, c in enumerate(letters):
+                    turn = Word(p.alphabet, letters[i:] + letters[:i])
+                    if turn and turn not in relators[y]:
+                        relators[y].append(turn)
+                    y = p.action.image(c, y)
+    relators = {x: draw(st.permutations(rels)) for x, rels in relators.items()}
+    return PartitePresentation(p.classes, p.alphabet, p.action, relators)
 
 
 # Oracles for the text formats: the line-by-line readers that the bulk

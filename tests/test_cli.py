@@ -99,6 +99,25 @@ def test_ball_frontier_line_is_pinned(tmp_path, capsys, text, radius, frontier):
     assert capsys.readouterr().out.splitlines()[1] == f"# frontier: {frontier}"
 
 
+def test_ball_counter_line_is_pinned(tmp_path, capsys):
+    # The fourth comment line of a ball is the one that build writes.
+    f = tmp_path / "ball.pp"
+    f.write_text(FREE_F2 + "rel 0 : a^2\n")
+    assert main(["ball", str(f), "--radius", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == (
+        "# rows defined: 62, coincidences: 0, relator scans: 31")
+
+
+@pytest.mark.parametrize("argv", [["build", "PP"], ["ball", "PP", "--radius", "2"]],
+                         ids=["build", "ball"])
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_a_row_bound_below_1_is_an_error(argv, bound, pp, capsys):
+    argv = [str(pp) if a == "PP" else a for a in argv] + ["--max-rows", bound]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the row bound must be at least 1, got {bound}\n")
+
+
 def test_decompose_extract_roundtrip(tmp_path, capsys):
     g = tmp_path / "p52.graph"
     main(["make", "petersen", "5", "2", "-o", str(g)])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import parcay
@@ -9,3 +12,13 @@ def test_all_lists_resolvable_names_and_no_modules():
     for name in parcay.__all__:
         assert hasattr(parcay, name), name
         assert not isinstance(getattr(parcay, name), types.ModuleType), name
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which every
+    # command's start would pay for.
+    code = ("import sys, parcay, parcay.cli; "
+            "sys.exit('dataclasses' in sys.modules or 'inspect' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

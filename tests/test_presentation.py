@@ -11,8 +11,9 @@ from parcay.constructions import (bi_cayley, complete_graph, cycle_graph,
                                   cyclic_group, generalized_petersen, line_graph)
 from parcay.errors import DslSyntaxError, EmptyS2, ParcayError, SemanticError
 from parcay.extract import pipeline_presentation
-from parcay.presentation import (PartitePresentation, from_two_partite, parse,
-                                 serialize, two_partite, validate)
+from parcay.presentation import (PartitePresentation, TwoPartitePresentation,
+                                 Violation, from_two_partite, parse, serialize,
+                                 two_partite, validate)
 from parcay.words import Alphabet, ClassAction, apply_action, parse_word, reduce
 
 PETERSEN_TEXT = """\
@@ -27,6 +28,24 @@ rel 1 : a^5
 
 def test_petersen_is_valid():
     assert validate(petersen()) == []
+
+
+def test_records_compare_and_show_their_fields_in_order():
+    v = Violation("EmptyRelator", ("0", None), "empty relator")
+    assert v == Violation("EmptyRelator", ("0", None), "empty relator")
+    assert v != Violation("EmptyRelator", ("1", None), "empty relator")
+    assert repr(v) == ("Violation(code='EmptyRelator', witness=('0', None), "
+                       "detail='empty relator')")
+    assert len({v, Violation("EmptyRelator", ("0", None), "empty relator")}) == 1
+    with pytest.raises(AttributeError):
+        v.code = "RelatorNotClosed"
+    tp = TwoPartitePresentation(("a",), ("b",), (), (), ())
+    tp.r0 = ("a^5",)
+    assert tp == TwoPartitePresentation(("a",), ("b",), (), ("a^5",), ())
+    assert repr(tp) == ("TwoPartitePresentation(s1=('a',), u2=('b',), i2=(), "
+                        "r0=('a^5',), r1=())")
+    with pytest.raises(TypeError):
+        hash(tp)
 
 
 def test_fixed_point_involution_violation():
