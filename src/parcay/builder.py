@@ -119,7 +119,7 @@ class CosetTable:
                 plan.append((2 << k, rel, power, index))
                 index += 1
         self.lookup = {}       # class -> relator -> bits, for the classes
-                               # with many relators that echo tables visit
+                               # that echo tables visit
         self.max_rows = max_rows
         self.max_dist = max_dist
         self.parent = []
@@ -325,9 +325,7 @@ class CosetTable:
         x other than rel that close at the walk's start, the bits of those
         that close at the row reached after each letter), or () when rel
         certifies nothing else.  Only the relator lists of the classes that
-        the walk visits are read: a short one, as in the presentations that
-        extraction writes, is searched by first letter, and a long one, as
-        in the line presentations, is indexed once."""
+        the walk visits are read, each indexed once into ``lookup``."""
         n, inverse = len(rel), self.inverse
         images, plans, lookup = self.images, self.plans, self.lookup
         back = tuple([inverse[s] for s in reversed(rel)])
@@ -335,23 +333,13 @@ class CosetTable:
         for i in range(n):
             if i:
                 y = images[rel[i - 1]][y]
-            plan = plans.get(y, ())
-            if len(plan) > 8:
-                known = lookup.get(y)
-                if known is None:
-                    known = lookup[y] = {}
-                    for b, r, _, _ in plan:
-                        known[r] = known.get(r, 0) | b
-                bits.append(known.get(rel[i:] + rel[:i], 0)
-                            | known.get(back[n - i:] + back[:n - i], 0))
-                continue
-            found = 0
-            for b, r, _, _ in plan:
-                if len(r) == n and (r[0] == rel[i] and r == rel[i:] + rel[:i]
-                                    or r[0] == back[-i]
-                                    and r == back[n - i:] + back[:n - i]):
-                    found |= b
-            bits.append(found)
+            known = lookup.get(y)
+            if known is None:
+                known = lookup[y] = {}
+                for b, r, _, _ in plans.get(y, ()):
+                    known[r] = known.get(r, 0) | b
+            bits.append(known.get(rel[i:] + rel[:i], 0)
+                        | known.get(back[n - i:] + back[:n - i], 0))
         here, after = bits[0] & ~bit, tuple(bits[1:]) + (0,)
         return (here, after) if here or any(after) else ()
 

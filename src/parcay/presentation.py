@@ -8,6 +8,7 @@ generator) and one relator list per class.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
@@ -16,23 +17,10 @@ from .words import (Alphabet, ClassAction, Word, apply_action,
                     is_generator_name, parse_word, parse_words)
 
 
-class Violation(Record):
+class Violation(namedtuple("Violation", "code witness detail")):
     """One broken invariant: immutable and hashable."""
 
-    _fields = ("code", "witness", "detail")
-
-    def __init__(self, code, witness, detail):
-        for name, value in zip(self._fields, (code, witness, detail)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._values())
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
