@@ -10,8 +10,7 @@ from .constructions import (cayley_graph, complete_graph,
                             cyclic_group, generalized_petersen,
                             line_graph, line_graph_presentation,
                             petersen_presentation, two_ended_adjacent,
-                            two_ended_auto, two_ended_window, two_ended_word,
-                            parse_auto_word)
+                            two_ended_auto, two_ended_window, two_ended_word)
 from .decompose import (Matching, is_multicycle, k_n_factorization,
                         maximum_matching, two_factorization,
                         weak_multicycle_colouring)
@@ -250,7 +249,7 @@ def c10_two_ended():
             + ([("tau", 1)] * k)
         if two_ended_word(word, (0, 0)) != (n, k):
             return False, f"transitivity witness misses ({n},{k})"
-    stab = parse_auto_word("t^-3 s t s")
+    stab = [("tau", -1)] * 3 + [("sigma", 1), ("tau", 1), ("sigma", 1)]
     if two_ended_word(stab, (0, 0)) != (0, 0):
         return False, "the stabilising word moves the base vertex"
     if two_ended_word(stab, (0, 1)) != (0, 9):
@@ -289,20 +288,20 @@ def c11_complete_graph_factorizations():
 
 def all_matchings(g):
     """Every matching of a small graph, by brute force (the oracle side), as
-    tuples of canonical darts."""
+    tuples of canonical darts.  Edge i is left out before it is taken, and
+    an explicit stack keeps that order without a call per edge."""
     edges = [d for d in g.edges() if not g.is_loop(d)]
     out = []
-
-    def recurse(i, used, chosen):
+    stack = [(0, frozenset(), ())]
+    while stack:
+        i, used, chosen = stack.pop()
         if i == len(edges):
             out.append(chosen)
-            return
-        recurse(i + 1, used, chosen)
+            continue
         u, v = g.edge_ends(edges[i])
         if u not in used and v not in used:
-            recurse(i + 1, used | {u, v}, chosen + (edges[i],))
-
-    recurse(0, frozenset(), ())
+            stack.append((i + 1, used | {u, v}, chosen + (edges[i],)))
+        stack.append((i + 1, used, chosen))
     return out
 
 

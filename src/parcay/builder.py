@@ -34,12 +34,11 @@ scans index lists and never translate letters (Holt, Eick & O'Brien,
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .errors import BadParameters, Overflow
 from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
                     alphabet_graph, dart_bijections, graph_maps)
-from .record import Record
 
 DEFAULT_MAX_ROWS = 1_000_000
 DEFINE = 1          # a row's definitions, beside its relators' bits
@@ -54,13 +53,8 @@ def presentation_graph(p):
     return alphabet_graph(alphabet, targets, p.classes, p.classes)
 
 
-class PresentationComplex(Record):
-
-    _fields = ("graph", "cells")
-
-    def __init__(self, graph, cells):
-        self.graph = graph
-        self.cells = cells  # (class name, relator Word, dart tuple of the boundary walk)
+# cells: (class name, relator Word, dart tuple of the boundary walk) per relator
+PresentationComplex = namedtuple("PresentationComplex", "graph cells")
 
 
 def presentation_complex(p):
@@ -299,23 +293,26 @@ class CosetTable:
         return here == start
 
     def _mark_power(self, v, s, power, first, marks):
-        """The walk of s^e, ``power == (s or its inverse, e)``, closes at the
-        live row v, so s^e and s^-e close at every row of v's s-cycle.
-        Record their bits in ``marks`` at each row from ``first`` on that
-        the walk passes and whose class has either among its relators, and
-        return their bits at v."""
+        """Walk s^e, ``power == (s or its inverse, e)``, from the live row v,
+        with ``first > v``.  If the walk closes, s^e and s^-e close at every
+        row of v's s-cycle: return their bits at v, having recorded in
+        ``marks`` their bits at each row from ``first`` on that the walk
+        passes and whose class has either among its relators; else return
+        None."""
         table, parent, width, cls, powers = (self.table, self.parent, self.width,
                                              self.cls, self.powers)
         w = v
-        for _ in range(power[1] - 1):
+        for _ in range(power[1]):
             w = table[w * width + s]
+            if w is None:
+                return None
             if parent[w] != w:
                 w = self.find(w)
             if w >= first and cls[w] in powers:
                 bits = powers[cls[w]].get(power)
                 if bits:
                     marks[w] = marks.get(w, 0) | bits
-        return powers[cls[v]][power]
+        return powers[cls[v]][power] if w == v else None
 
     def _echo_table(self, x, rel, bit):
         """What one closed walk of ``rel``, the relator of class x with bit
@@ -450,13 +447,15 @@ class CosetTable:
                 echo = echoes.get(i)
                 if echo:        # one walk checks and marks
                     here = self._echo(v, rel, echo, v + 1, marks)
-                    if here is None:
-                        return False
-                    done |= here
-                elif not self.scan_closes(v, rel):
-                    return False
                 elif power:
-                    done |= self._mark_power(v, rel[0], power, v + 1, marks)
+                    here = self._mark_power(v, rel[0], power, v + 1, marks)
+                elif self.scan_closes(v, rel):
+                    continue
+                else:
+                    return False
+                if here is None:
+                    return False
+                done |= here
         return True
 
     # -- extraction -------------------------------------------------------------

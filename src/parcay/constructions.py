@@ -4,12 +4,14 @@ graphs, and the two-ended cubic example with its automorphisms."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .builder import build_sp
 from .errors import (BadParameters, InfiniteCayleyGraph, LoopsUnsupported,
                      NotSymmetric, Overflow)
 from .graph import ColouredGraph
 from .presentation import PartitePresentation, two_partite
-from .words import Alphabet, ClassAction, Word, _scan, parse_word
+from .words import Alphabet, ClassAction, Word, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +267,7 @@ def _knsym(names):
     return perms
 
 
-class LineGraphPresentation:
-    """Result bundle: the presentation and a chi translation function on
-    signed base letters."""
-
-    def __init__(self, presentation, chi):
-        self.presentation = presentation
-        self.chi = chi
+LineGraphPresentation = namedtuple("LineGraphPresentation", "presentation")
 
 
 def line_graph_presentation(gen_names, relator_texts):
@@ -283,7 +279,8 @@ def line_graph_presentation(gen_names, relator_texts):
     i, j, the symbols ``m<idx>_<ij>`` with the identification
     (m_{i,j})^-1 = (m^-1)_{-j,-i}; for matching colours this makes m_pm and
     m_mp involutive while m_pp and m_mm form an inverse pair.  Nothing is
-    enumerated, so the group may be infinite.
+    enumerated, so the group may be infinite.  Returns a named tuple whose
+    one field, ``presentation``, is that presentation.
     """
     gen_names = tuple(gen_names)
     base_alphabet = Alphabet(gen_names, ())
@@ -380,7 +377,7 @@ def line_graph_presentation(gen_names, relator_texts):
                 relators[x[0]].append(word)
 
     presentation = PartitePresentation(gen_names, alphabet, action, relators)
-    return LineGraphPresentation(presentation, chi)
+    return LineGraphPresentation(presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +451,6 @@ def two_ended_word(letters, v):
     for name, sign in reversed(list(letters)):
         v = two_ended_auto(name if sign > 0 else name + "^-1", v)
     return v
-
-
-_AUTO_LETTERS = Alphabet(("s", "t"))
-# letter code of _AUTO_LETTERS -> (name, sign) for two_ended_word
-_AUTO_PAIRS = {1: ("sigma", 1), -1: ("sigma", -1), 2: ("tau", 1), -2: ("tau", -1)}
-
-
-def parse_auto_word(text):
-    """Parse words like ``t^-3 s t s`` over s=sigma, t=tau with the grammar
-    of ``parse_word``.  The letters come back as written, unreduced, as
-    (name, sign) pairs: ``t t^-1`` applies both maps."""
-    return [_AUTO_PAIRS[c] for c in _scan(text, _AUTO_LETTERS)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ matchable; parallel edges are distinct objects throughout.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
 from .constructions import complete_graph
 from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
 from .graph import ColouredGraph
-from .record import Record
 
 
 class Matching:
@@ -388,14 +387,8 @@ def is_multicycle(g, colouring):
 # Factorizations of complete graphs.
 
 
-class KFactorization(Record):
-
-    _fields = ("graph", "colouring", "perms")
-
-    def __init__(self, graph, colouring, perms):
-        self.graph = graph
-        self.colouring = colouring      # canonical dart -> colour
-        self.perms = perms              # colour -> vertex permutation tuple
+# colouring: canonical dart -> colour; perms: colour -> vertex permutation tuple
+KFactorization = namedtuple("KFactorization", "graph colouring perms")
 
 
 def k_n_factorization(n):

@@ -94,9 +94,10 @@ def bicayley_to_presentation(group, R, L, S):
     """Two-partite presentation of Bi(group, R, L, S).
 
     Needs R and L inverse-closed and involution-free with |R| = |L|, and the
-    bi-Cayley graph connected (its BFS tree raises Disconnected).  Returns
-    the presentation together with the chosen orientation set and pairing,
-    so callers can match colours.
+    bi-Cayley graph connected (its BFS tree raises Disconnected).  The
+    presentation's field ``pairing`` maps the name of each element of L to
+    that of the element of R it is paired with, so callers can match
+    colours; two presentations that pair differently compare unequal.
     """
     R = sorted(set(R))
     L = sorted(set(L))
@@ -160,6 +161,6 @@ def bicayley_to_presentation(group, R, L, S):
     r0, r1 = (tuple(dict.fromkeys(w for _, v, w in found
                                   if graph.classes[v] == side))
               for side in "01")
-    tp = TwoPartitePresentation(s1, (), alphabet.i_gens, r0, r1)
-    tp.pairing = {group.names[l]: group.names[r] for l, r in pairing.items()}
-    return tp
+    return TwoPartitePresentation(
+        s1, (), alphabet.i_gens, r0, r1,
+        {group.names[l]: group.names[r] for l, r in pairing.items()})

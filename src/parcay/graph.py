@@ -624,9 +624,10 @@ def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
 def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=None):
     """A vertex/dart bijection witnessing isomorphism, or None.  The first
     vertex map of ``graph_maps`` that ``dart_bijections`` extends is
-    returned; with a ``colour_map`` (g-colour -> allowed h-colours) only
-    dart counts are matched per vertex and colours are left to the dart
-    map.  Both searches are exhaustive, so None is a certificate."""
+    returned, as the vertex-image tuple that ``graph_maps`` yields, with
+    its dart map; with a ``colour_map`` (g-colour -> allowed h-colours)
+    only dart counts are matched per vertex and colours are left to the
+    dart map.  Both searches are exhaustive, so None is a certificate."""
     if colour_map is not None:
         colour_ok = lambda gc, hc: hc in colour_map.get(gc, {gc})
     elif respect_colours:
@@ -637,7 +638,7 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     for vmap in graph_maps(g, h, exact, respect_classes):
         dmap = next(dart_bijections(g, h, vmap, colour_ok), None)
         if dmap is not None:
-            return dict(enumerate(vmap)), dmap
+            return vmap, dmap
     return None
 
 

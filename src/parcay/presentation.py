@@ -12,7 +12,6 @@ from collections import namedtuple
 from itertools import islice
 
 from .errors import DslSyntaxError, EmptyS2, SemanticError, WordSyntaxError
-from .record import Record
 from .words import (Alphabet, ClassAction, Word, apply_action,
                     is_generator_name, parse_word, parse_words)
 
@@ -57,13 +56,14 @@ class PartitePresentation:
                 f"u={list(self.alphabet.u_gens)}, i={list(self.alphabet.i_gens)})")
 
 
-class TwoPartitePresentation(Record):
-    """Two vertex classes; s1 stays inside a class, u2/i2 swap the classes."""
+class TwoPartitePresentation(
+        namedtuple("TwoPartitePresentation", "s1 u2 i2 r0 r1 pairing",
+                   defaults=(None,))):
+    """Two vertex classes; s1 stays inside a class, u2/i2 swap the classes.
+    ``pairing``, when set, maps each generator of side 1 to the generator
+    of side 0 that it is paired with (see ``bicayley_to_presentation``)."""
 
-    _fields = ("s1", "u2", "i2", "r0", "r1")
-
-    def __init__(self, s1, u2, i2, r0, r1):
-        self.s1, self.u2, self.i2, self.r0, self.r1 = s1, u2, i2, r0, r1
+    __slots__ = ()
 
     def alphabet(self):
         return Alphabet(tuple(self.s1) + tuple(self.u2), tuple(self.i2))
@@ -128,16 +128,14 @@ def from_two_partite(tp):
 
 def two_partite(s1, u2, i2, r0, r1):
     """Convenience constructor parsing relator literals."""
-    tp = TwoPartitePresentation(tuple(s1), tuple(u2), tuple(i2), (), ())
-    alphabet = tp.alphabet()
+    s1, u2, i2 = tuple(s1), tuple(u2), tuple(i2)
+    alphabet = Alphabet(s1 + u2, i2)
 
     def conv(ws):
         return tuple(w if isinstance(w, Word) else parse_word(w, alphabet)
                      for w in ws)
 
-    tp.r0 = conv(r0)
-    tp.r1 = conv(r1)
-    return tp
+    return TwoPartitePresentation(s1, u2, i2, conv(r0), conv(r1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from parcay.acceptance import CRITERIA
+from parcay.acceptance import CRITERIA, all_matchings
+from parcay.graph import ColouredGraph
 
 BUDGET_SECONDS = {
     "1 petersen build": 1.0,
@@ -28,3 +29,16 @@ def test_criterion(name, check):
     budget = BUDGET_SECONDS.get(name)
     if budget is not None:
         assert elapsed < budget, f"criterion {name} took {elapsed:.2f}s"
+
+
+def test_all_matchings_needs_no_recursion_per_edge():
+    # The star K(1,2000): the empty matching and one per edge, listed at
+    # the default recursion limit of 1000 frames.
+    star = ColouredGraph()
+    for _ in range(2001):
+        star.add_vertex()
+    for i in range(1, 2001):
+        star.add_edge(0, i)
+    matchings = all_matchings(star)
+    assert len(matchings) == 2001
+    assert matchings[0] == () and sorted(map(len, matchings)) == [0] + [1] * 2000

@@ -159,6 +159,15 @@ def test_bicayley_petersen_roundtrip():
     assert isomorphic(sp, target, colour_map=cmap) is not None
 
 
+def test_presentations_that_pair_differently_differ():
+    # The pairing is a field: equality and repr see it.
+    tp = bicayley_to_presentation(cyclic_group(5), [1, 4], [2, 3], [0])
+    other = tp._replace(pairing={"g2": "g4", "g3": "g1"})
+    assert other[:-1] == tp[:-1]
+    assert other != tp
+    assert repr(tp).endswith("pairing={'g2': 'g1', 'g3': 'g4'})")
+
+
 def test_bicayley_haar_roundtrip():
     group = cyclic_group(3)
     tp = bicayley_to_presentation(group, [], [], [0, 1, 2])

@@ -7,8 +7,11 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import parse_by_lines, petersen
 
+from parcay.builder import presentation_complex
 from parcay.constructions import (bi_cayley, complete_graph, cycle_graph,
-                                  cyclic_group, generalized_petersen, line_graph)
+                                  cyclic_group, generalized_petersen, line_graph,
+                                  line_graph_presentation)
+from parcay.decompose import k_n_factorization
 from parcay.errors import DslSyntaxError, EmptyS2, ParcayError, SemanticError
 from parcay.extract import pipeline_presentation
 from parcay.presentation import (PartitePresentation, TwoPartitePresentation,
@@ -31,21 +34,37 @@ def test_petersen_is_valid():
 
 
 def test_records_compare_and_show_their_fields_in_order():
+    # Records are named tuples: equal to the plain tuple of their fields,
+    # shown field by field, closed to assignment, and hashable exactly
+    # when every field is.
     v = Violation("EmptyRelator", ("0", None), "empty relator")
     assert v == Violation("EmptyRelator", ("0", None), "empty relator")
     assert v != Violation("EmptyRelator", ("1", None), "empty relator")
+    assert v == ("EmptyRelator", ("0", None), "empty relator")
     assert repr(v) == ("Violation(code='EmptyRelator', witness=('0', None), "
                        "detail='empty relator')")
     assert len({v, Violation("EmptyRelator", ("0", None), "empty relator")}) == 1
     with pytest.raises(AttributeError):
         v.code = "RelatorNotClosed"
-    tp = TwoPartitePresentation(("a",), ("b",), (), (), ())
-    tp.r0 = ("a^5",)
-    assert tp == TwoPartitePresentation(("a",), ("b",), (), ("a^5",), ())
+    tp = TwoPartitePresentation(("a",), ("b",), (), ("a^5",), ())
+    assert tp == (("a",), ("b",), (), ("a^5",), (), None)
     assert repr(tp) == ("TwoPartitePresentation(s1=('a',), u2=('b',), i2=(), "
-                        "r0=('a^5',), r1=())")
+                        "r0=('a^5',), r1=(), pairing=None)")
+    with pytest.raises(AttributeError):
+        tp.r0 = ()
+    assert hash(tp) == hash(tuple(tp))
     with pytest.raises(TypeError):
-        hash(tp)
+        hash(tp._replace(pairing={"b": "a"}))
+    fact = k_n_factorization(4)
+    assert fact == (fact.graph, fact.colouring, fact.perms)
+    with pytest.raises(TypeError):
+        hash(fact)                      # the colouring is a dict
+    cx = presentation_complex(petersen())
+    assert cx == (cx.graph, cx.cells)
+    with pytest.raises(AttributeError):
+        cx.cells = []
+    line = line_graph_presentation(["a", "b"], ["a b a^-1 b^-1"])
+    assert line == (line.presentation,)
 
 
 def test_fixed_point_involution_violation():
