@@ -8,12 +8,13 @@ a union-find with slot merging, processed to a fixpoint before any new
 definition.  Closing a relator at every row of its class is what realises
 the conjugation closure of the relator subgroups.  A closed walk also
 closes the cyclic conjugates of its relator (Holt, Eick & O'Brien,
-§5.1–5.3): a power s^e of one letter closes s^e and s^-e at every row of
-its s-cycle, so such a relator is scanned once per cycle, and any other
-relator closes its rotations, and those of its inverse, at the rows its
-walk passes.  A scan that such a walk has certified is skipped; it would
-change nothing.  What is certified at a row stays certified at the row it
-merges into.
+§5.1–5.3): at the rows it passes, the rotations of the relator and of its
+inverse close.  A relator's echo table lists, per letter of its walk, the
+relators of the class reached that are such a rotation; a power s^e of
+one letter is its own rotation, so its walk certifies s^e and s^-e at
+every row of its s-cycle.  A scan that a closed walk has certified is
+skipped; it would change nothing.  What is certified at a row stays
+certified at the row it merges into.
 
 A row's ``dist`` is its breadth-first distance from the base row in the
 current table: a deduction or a coincidence that gives a row a shorter
@@ -94,9 +95,11 @@ class CosetTable:
         # the index numbers the relators of all classes.  For a power s^e
         # of one letter, power is (the lesser slot of s and its inverse, e),
         # the key of s^e and s^-e in ``powers``: class -> key -> their
-        # bits.  Any other relator has power None, and ``echoes`` maps its
-        # index to 0 after its first closure in ``run`` and to its echo
-        # table (``_echo_table``) from its second, so that a relator that
+        # bits; any other relator has power None.  ``echoes`` maps a
+        # relator's index to 0 when its next closure in ``run`` builds its
+        # echo table (``_echo_table``), then to the table.  A power starts
+        # at 0, since its first walk already covers its s-cycle; any other
+        # relator gets 0 at its first closure, so that a relator that
         # closes at one row costs no table.
         self.plans, self.powers, self.echoes = {}, {}, {}
         index = 0
@@ -110,6 +113,7 @@ class CosetTable:
                     power = min(rel[0], self.inverse[rel[0]]), len(rel)
                     bits = self.powers.setdefault(x, {})
                     bits[power] = bits.get(power, 0) | 2 << k
+                    self.echoes[index] = 0
                 plan.append((2 << k, rel, power, index))
                 index += 1
         self.lookup = {}       # class -> relator -> bits, for the classes
@@ -292,44 +296,27 @@ class CosetTable:
                 here = self.find(here)
         return here == start
 
-    def _mark_power(self, v, s, power, first, marks):
-        """Walk s^e, ``power == (s or its inverse, e)``, from the live row v,
-        with ``first > v``.  If the walk closes, s^e and s^-e close at every
-        row of v's s-cycle: return their bits at v, having recorded in
-        ``marks`` their bits at each row from ``first`` on that the walk
-        passes and whose class has either among its relators; else return
-        None."""
-        table, parent, width, cls, powers = (self.table, self.parent, self.width,
-                                             self.cls, self.powers)
-        w = v
-        for _ in range(power[1]):
-            w = table[w * width + s]
-            if w is None:
-                return None
-            if parent[w] != w:
-                w = self.find(w)
-            if w >= first and cls[w] in powers:
-                bits = powers[cls[w]].get(power)
-                if bits:
-                    marks[w] = marks.get(w, 0) | bits
-        return powers[cls[v]][power] if w == v else None
-
-    def _echo_table(self, x, rel, bit):
+    def _echo_table(self, x, rel, bit, power):
         """What one closed walk of ``rel``, the relator of class x with bit
-        ``bit``, certifies: after i letters the walk is at a row of the
-        class that the action gives, and there the i-th rotations of rel
-        and of its inverse close too.  Returns (the bits of the relators of
-        x other than rel that close at the walk's start, the bits of those
-        that close at the row reached after each letter), or () when rel
+        ``bit`` and power key ``power``, certifies: after i letters the walk
+        is at a row of the class that the action gives, and there the i-th
+        rotations of rel and of its inverse close too.  For a power these
+        are the relators of that class under its key in ``powers``, and no
+        rotation is built.  Returns (the bits of the relators of x other
+        than rel that close at the walk's start, the bits of those that
+        close at the row reached after each letter), or () when rel
         certifies nothing else.  Only the relator lists of the classes that
         the walk visits are read, each indexed once into ``lookup``."""
-        n, inverse = len(rel), self.inverse
+        n, inverse, powers = len(rel), self.inverse, self.powers
         images, plans, lookup = self.images, self.plans, self.lookup
-        back = tuple([inverse[s] for s in reversed(rel)])
+        back = None if power else tuple([inverse[s] for s in reversed(rel)])
         bits, y = [], x
         for i in range(n):
             if i:
                 y = images[rel[i - 1]][y]
+            if power:
+                bits.append(powers[y].get(power, 0) if y in powers else 0)
+                continue
             known = lookup.get(y)
             if known is None:
                 known = lookup[y] = {}
@@ -371,11 +358,11 @@ class CosetTable:
         A row that the budget held back is processed again, for the work
         held back, whenever its distance falls.  A relator is not scanned
         at a row where an earlier closed walk certified it, since that scan
-        would change nothing: a walk of s^e certifies s^e and s^-e along
-        its s-cycle, and the walk of any other relator, once it has closed
-        at two rows, certifies by its echo table the rotations of it and of
-        its inverse along the walk.  A row that merges into another passes
-        its marks on."""
+        would change nothing: once a relator has a table, each walk of it
+        that closes certifies by its echo table the rotations of it and of
+        its inverse along the walk.  A power gets its table at its first
+        closure, and any other relator at its second.  A row that merges
+        into another passes its marks on."""
         base = self.new_row(self.p.classes[0], 0)
         parent, table, width, dist = self.parent, self.table, self.width, self.dist
         cls, plans, held, again = self.cls, self.plans, self.held, self.again
@@ -407,15 +394,12 @@ class CosetTable:
                 self.scan(v, rel)
                 if parent[v] != v:
                     break
-                if power:
-                    todo &= ~self._mark_power(v, rel[0], power, idx, marks)
-                    continue
                 echo = echoes.get(i)
                 if echo is None:
                     echoes[i] = 0
                     continue
                 if echo == 0:
-                    echo = echoes[i] = self._echo_table(x, rel, bit)
+                    echo = echoes[i] = self._echo_table(x, rel, bit, power)
                 if echo:
                     todo &= ~self._echo(v, rel, echo, idx, marks)
             if parent[v] != v or not todo & DEFINE:
@@ -430,25 +414,23 @@ class CosetTable:
 
     def is_closed(self):
         """Every slot of every live row is filled and every relator closes
-        at every live row of its class.  A walk that closes here certifies
-        what it does in ``run``, at the rows it passes: powers along their
-        cycles, and by the echo tables that ``run`` built, which depend on
-        the presentation alone, rotations along the walk.  No mark of
-        ``run`` is trusted."""
+        at every live row of its class.  A walk of a relator with an echo
+        table, which ``run`` built from the presentation alone, certifies
+        here what it does in ``run``: the rotations of it and of its
+        inverse at the rows it passes.  Any other relator is walked at
+        every row of its class.  No mark of ``run`` is trusted."""
         table, width, cls, plans = self.table, self.width, self.cls, self.plans
         echoes, marks = self.echoes, {}
         for v in self.live_rows():
             if None in table[v * width:(v + 1) * width]:
                 return False
             done = marks.pop(v, 0)
-            for bit, rel, power, i in plans.get(cls[v], ()):
+            for bit, rel, _, i in plans.get(cls[v], ()):
                 if done & bit:
                     continue
                 echo = echoes.get(i)
                 if echo:        # one walk checks and marks
                     here = self._echo(v, rel, echo, v + 1, marks)
-                elif power:
-                    here = self._mark_power(v, rel[0], power, v + 1, marks)
                 elif self.scan_closes(v, rel):
                     continue
                 else:
@@ -658,15 +640,12 @@ def presentation_symmetry_implies_vt(p):
     g = complex_.graph
     cell_counter = Counter(_cell_canonical(darts)
                            for _, _, darts in complex_.cells)
-    witnesses = []
-    # Every (vertex map, dart map) automorphism of the presentation graph,
-    # ignoring colours, one witness per pair that preserves the cells.
-    for vmap in graph_maps(g, g):
-        for dmap in dart_bijections(g, g, vmap):
-            image = Counter(_cell_canonical(tuple(dmap[d] for d in darts))
-                            for _, _, darts in complex_.cells)
-            if image == cell_counter:
-                witnesses.append(vmap)
+    # Every vertex map of an automorphism of the presentation graph,
+    # ignoring colours, over which some dart map preserves the cells.
+    witnesses = [vmap for vmap in graph_maps(g, g)
+                 if any(Counter(_cell_canonical(tuple(dmap[d] for d in darts))
+                                for _, _, darts in complex_.cells) == cell_counter
+                        for dmap in dart_bijections(g, g, vmap))]
     # The witnesses form a group, so their images of vertex 0 are its orbit.
     if witnesses and len({w[0] for w in witnesses}) == g.n:
         return witnesses

@@ -16,7 +16,6 @@ from collections import deque, namedtuple
 
 from .constructions import complete_graph
 from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
-from .graph import ColouredGraph
 
 
 class Matching:

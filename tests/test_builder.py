@@ -225,8 +225,9 @@ def _run(table, run):
 
 def _closing_walks(table, is_closed):
     """``is_closed(table)`` and the number of relator walks that it checked
-    closure with: ``scan_closes`` or, for a relator with an echo table,
-    ``_echo``."""
+    closure with: ``_echo`` for a relator with an echo table, which ``run``
+    builds at a power's first closure and at any other relator's second,
+    else ``scan_closes``.  These are all of its walks."""
     walks = 0
 
     def counted(walk):
@@ -241,6 +242,23 @@ def _closing_walks(table, is_closed):
         return is_closed(table), walks
     finally:
         del table.scan_closes, table._echo
+
+
+@pytest.mark.parametrize("make,walks,pairs", [
+    (lambda: _abelian_line((3, 3, 3, 3)), 5130, 28026),
+    (lambda: from_two_partite(petersen_presentation(200, 3)), 202, 600),
+    (lambda: one_class(["a"], ["a^5"]), 1, 5),
+], ids=["L(Z3^4)", "P(200,3)", "<a | a^5>"])
+def test_is_closed_walks_are_pinned(make, walks, pairs):
+    # is_closed checks every relator at every live row of its class, and a
+    # closed walk certifies the rotations of its relator, powers included,
+    # at the rows it passes.  A certificate lost here fails this test, not
+    # only a slower run.
+    table = CosetTable(make())
+    table.run()
+    assert sum(len(table.relators[table.cls[v]])
+               for v in table.live_rows()) == pairs
+    assert _closing_walks(table, CosetTable.is_closed) == (True, walks)
 
 
 @settings(max_examples=400, deadline=None)

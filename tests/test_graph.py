@@ -21,7 +21,7 @@ from parcay.graph import (ColouredGraph, _dictated_darts,
                           cayley_like_witness, dart_bijections, graph_maps,
                           is_cayley, is_vertex_transitive, isomorphic,
                           mulclose, read_graph, to_dot, write_graph)
-from parcay.presentation import from_two_partite
+from parcay.presentation import from_two_partite, parse
 from parcay.words import Alphabet, parse_word
 
 
@@ -663,6 +663,19 @@ def test_symmetry_certificate_petersen(k, expect):
     p = from_two_partite(petersen_presentation(5, k))
     cert = presentation_symmetry_implies_vt(p)
     assert (cert is not None) == expect
+
+
+@pytest.mark.parametrize("text,witnesses", [
+    ("classes: 0\ngen a : U : (0)\ngen b : U : (0)\nrel 0 : a b a^-1 b^-1\n",
+     [(0,)]),
+    ("classes: 0 1\ngen a : U : (0 1)\ngen b : U : (0 1)\n"
+     "rel 0 : a b^-1\nrel 1 : a b^-1\n", [(0, 1), (1, 0)]),
+], ids=["torus", "two classes"])
+def test_symmetry_certificate_lists_each_vertex_map_once(text, witnesses):
+    # Several dart maps over one vertex map preserve the cells here (eight
+    # for the torus, the identity on its one vertex); the set of
+    # automorphisms holds the vertex map once.
+    assert presentation_symmetry_implies_vt(parse(text)) == witnesses
 
 
 def test_symmetry_certificate_is_sound():
