@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from itertools import accumulate
 
 from .errors import BadParameters, Overflow
 from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
@@ -442,16 +443,17 @@ class CosetTable:
 
     # -- extraction -------------------------------------------------------------
 
-    def to_graph(self, keep=None):
-        """Quotient graph on the live rows (optionally restricted), numbered
-        by distance, then by row.  Darts come in row order: first each row's
-        edges of free letters, in alphabet order, then each edge of an
-        involutive letter, at the lower of its two rows."""
-        rows = self.live_rows()
-        if keep is not None:
-            rows = [r for r in rows if keep(r)]
+    def to_graph(self, radius=None):
+        """Quotient graph on the live rows, or with a ``radius`` on those
+        at most that far from the base row, numbered by distance, then by
+        row.  Darts come in row order: first each row's edges of free
+        letters, in alphabet order, then each edge of an involutive letter,
+        at the lower of its two rows."""
+        rows, dist = self.live_rows(), self.dist
+        if radius is not None:
+            rows = [r for r in rows if dist[r] <= radius]
         table, width, find, parent = self.table, self.width, self.find, self.parent
-        by_dist = sorted(rows, key=self.dist.__getitem__)
+        by_dist = sorted(rows, key=dist.__getitem__)
         number = [None] * len(parent)
         for i, r in enumerate(by_dist):
             number[r] = i
@@ -476,7 +478,9 @@ class CosetTable:
                     if r <= w and number[w] is not None:
                         tau_i += (number[w], v)
                         colour_i += colours
-        g = ColouredGraph(len(rows), tau + tau_i, colour + colour_i, by_dist,
+        tau += tau_i
+        colour += colour_i
+        g = ColouredGraph(len(rows), tau, colour, by_dist,
                           [self.cls[r] for r in by_dist], colour_inv)
         g.meta["stats"] = self.stats
         return g
@@ -511,17 +515,26 @@ def ball_sp(p, radius, max_rows=DEFAULT_MAX_ROWS):
     closed at every row of the window, and a shorter relator also beyond
     it, as far as its walk reaches no further than the longest relator's
     walk from the window's edge.  Vertices are guaranteed distinct only
-    relative to the identifications actually performed.  The frontier is
-    every vertex at the radius or with fewer darts than the presentation's
-    degree.
+    relative to the identifications actually performed.
+
+    ``meta["spheres"][d]`` is the number of vertices within distance d,
+    one entry per distance up to the farthest vertex's, so the vertices at
+    distance d are those from ``spheres[d - 1]`` up to ``spheres[d]``.
+    ``meta["frontier"]`` lists, in order, every vertex at the radius and
+    every nearer vertex with fewer darts than the presentation's degree.
     """
     table = ball_table(p, radius, max_rows)
-    g = table.to_graph(keep=lambda r: table.dist[r] <= radius)
-    distance = {i: table.dist[g.names[i]] for i in range(g.n)}
+    g = table.to_graph(radius)
+    counts = Counter(map(table.dist.__getitem__, g.names))
+    del table                   # freed before the dart count below
+    spheres = list(accumulate(counts[d] for d in range(max(counts) + 1)))
+    # The vertices nearer than the radius come first.
+    inner = spheres[min(radius, len(spheres)) - 1] if radius else 0
+    heads = Counter(g.tau)      # a vertex heads as many darts as leave it
     degree = p.degree()
-    g.meta["frontier"] = {i for i in range(g.n)
-                          if distance[i] == radius or g.degree(i) < degree}
-    g.meta["distance"] = distance
+    g.meta["frontier"] = ([v for v in range(inner) if heads[v] < degree]
+                          + list(range(inner, g.n)))
+    g.meta["spheres"] = spheres
     g.meta["soundness"] = ("vertices are distinct only relative to the "
                            "identifications performed within the radius plus "
                            "the longest relator")

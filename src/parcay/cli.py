@@ -10,6 +10,7 @@ fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,12 +30,19 @@ from .infmatch import (FAMILIES, maximal_matching_wrt_miss, miss_sequence,
 from .presentation import parse, serialize
 
 
-def _emit(text, out):
+@contextlib.contextmanager
+def _output(out):
+    """The file ``out``, opened for writing, or stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _read(path):
@@ -42,8 +50,15 @@ def _read(path):
         return fh.read()
 
 
-def _graph_text(g, fmt):
-    return to_dot(g) if fmt == "dot" else write_graph(g)
+def _emit_graph(g, out, fmt="graph", header=(), colouring=None):
+    """The header lines, then g in the format ``fmt``, written in chunks
+    so that the whole text is never held as one string."""
+    with _output(out) as fh:
+        fh.writelines(f"{line}\n" for line in header)
+        if fmt == "dot":
+            to_dot(g, file=fh)
+        else:
+            write_graph(g, colouring, file=fh)
 
 
 def cmd_validate(args):
@@ -69,14 +84,13 @@ def cmd_build(args):
     p = parse(_read(args.file))
     g = build_sp(p, max_rows=args.max_rows)
     sizes = g.class_sizes()
-    lines = [
+    header = [
         "# closed: true",
         "# class sizes: " + " ".join(f"{k}={v}" for k, v in sorted(sizes.items())),
         f"# vertex-group order: {sizes[p.classes[0]]}",
         _stats_line(g),
     ]
-    body = _graph_text(g, args.format)
-    _emit("\n".join(lines) + "\n" + body, args.out)
+    _emit_graph(g, args.out, args.format, header)
     print(f"{g.n} vertices, {g.n_edges} edges, closed", file=sys.stderr)
     return 0
 
@@ -84,14 +98,14 @@ def cmd_build(args):
 def cmd_ball(args):
     p = parse(_read(args.file))
     g = ball_sp(p, args.radius, max_rows=args.max_rows)
-    frontier = sorted(g.meta["frontier"])
-    lines = [
+    frontier = g.meta["frontier"]
+    header = [
         f"# radius: {args.radius}",
         f"# frontier: {' '.join(map(str, frontier)) if frontier else '(none)'}",
         f"# soundness: {g.meta['soundness']}",
         _stats_line(g),
     ]
-    _emit("\n".join(lines) + "\n" + _graph_text(g, args.format), args.out)
+    _emit_graph(g, args.out, args.format, header)
     return 0
 
 
@@ -106,7 +120,7 @@ def cmd_decompose(args):
         print(f"{args.check}: {verdict}")
         return 0 if verdict else 1
     colouring = weak_multicycle_colouring(g)
-    _emit(write_graph(g, colouring), args.out)
+    _emit_graph(g, args.out, colouring=colouring)
     return 0
 
 
@@ -149,7 +163,7 @@ def cmd_make(args):
         g = bi_cayley(cyclic_group(args.n), args.r, args.l, args.s)
     else:
         g = bi_cayley(cyclic_group(args.n), [], [], args.s)
-    _emit(_graph_text(g, args.format), args.out)
+    _emit_graph(g, args.out, args.format)
     return 0
 
 

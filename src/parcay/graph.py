@@ -14,9 +14,10 @@ appends one dart pair.  ``ColouredGraph`` keeps one index, vertex ->
 out-darts in dart order, so ``degree``, ``out_darts`` and ``neighbours``
 cost O(deg) and a connectivity search costs O(darts it reaches).  Routines
 that walk out of a vertex read this index, and its dart order keeps their
-traversals, and so their outputs, deterministic.  It is the graph's only
-index: vertex names and classes are labels, and a caller that looks
-vertices up by label keeps its own map.
+traversals, and so their outputs, deterministic.  The index is built on
+its first use, so a graph that is only written out never builds it.  It
+is the graph's only index: vertex names and classes are labels, and a
+caller that looks vertices up by label keeps its own map.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class ColouredGraph:
     the lists it is given, not copies: ``tau`` and ``colour`` (default: no
     colours) per dart, ``names`` and ``classes`` (default: None) per vertex,
     and ``colour_inv``, colour -> inverse colour, total on the colours
-    used.  ``ColouredGraph()`` is the empty graph."""
+    used.  ``ColouredGraph()`` is the empty graph.  The out-dart index is
+    built by ``_index`` on its first use; until then ``_out`` is None."""
 
     def __init__(self, n=0, tau=None, colour=None, names=None, classes=None,
                  colour_inv=None):
@@ -45,13 +47,22 @@ class ColouredGraph:
         self.names = [None] * n if names is None else names
         self.classes = [None] * n if classes is None else classes
         self.colour_inv = {} if colour_inv is None else colour_inv
-        out, tau = [[] for _ in range(n)], self.tau
-        # Each dart to its source, in dart order: 2i leaves tau[2i + 1].
-        for d, v, u in zip(count(0, 2), tau[0::2], tau[1::2]):
-            out[u].append(d)
-            out[v].append(d + 1)
-        self._out = out
+        self._out = None
         self.meta = {}
+
+    def _index(self):
+        """The out-dart index, vertex -> out-darts in dart order, built on
+        the first call.  Once built, ``add_vertex`` and ``add_edge`` keep
+        it up to date."""
+        out = self._out
+        if out is None:
+            out, tau = [[] for _ in range(self.n)], self.tau
+            # Each dart to its source, in dart order: 2i leaves tau[2i + 1].
+            for d, v, u in zip(count(0, 2), tau[0::2], tau[1::2]):
+                out[u].append(d)
+                out[v].append(d + 1)
+            self._out = out
+        return out
 
     # -- construction -------------------------------------------------------
 
@@ -60,7 +71,8 @@ class ColouredGraph:
         self.n += 1
         self.names.append(name)
         self.classes.append(cls)
-        self._out.append([])
+        if self._out is not None:
+            self._out.append([])
         return idx
 
     def declare_colour(self, colour, inverse=None):
@@ -75,12 +87,13 @@ class ColouredGraph:
         with the colour's inverse.  Returns the forward dart."""
         if colour is not None and colour not in self.colour_inv:
             self.declare_colour(colour)
-        out_u, out_v = self._out[u], self._out[v]
         d = len(self.tau)
+        if self._out is not None:
+            out_u, out_v = self._out[u], self._out[v]
+            out_u.append(d)
+            out_v.append(d + 1)
         self.tau += [v, u]
         self.colour += [colour, self.colour_inv.get(colour)]
-        out_u.append(d)
-        out_v.append(d + 1)
         return d
 
     # -- basic queries -------------------------------------------------------
@@ -100,12 +113,18 @@ class ColouredGraph:
         return self.tau[d] == self.tau[d ^ 1]
 
     def degree(self, v):
-        return len(self._out[v])
+        try:
+            return len(self._out[v])
+        except TypeError:       # no index yet
+            return len(self._index()[v])
 
     def out_darts(self, v):
         """Darts leaving v, in dart order.  This is the index itself, so
         callers must not modify it."""
-        return self._out[v]
+        try:
+            return self._out[v]
+        except TypeError:       # no index yet
+            return self._index()[v]
 
     def edges(self):
         """One canonical dart per undirected edge: the even darts."""
@@ -115,10 +134,10 @@ class ColouredGraph:
         return self.tau[d ^ 1], self.tau[d]
 
     def neighbours(self, v):
-        return sorted({self.tau[d] for d in self._out[v]})
+        return sorted({self.tau[d] for d in self.out_darts(v)})
 
     def is_regular(self):
-        return len({len(out) for out in self._out}) <= 1
+        return len({len(out) for out in self._index()}) <= 1
 
     def is_connected(self):
         """Whether the graph is connected (the empty graph is)."""
@@ -330,7 +349,7 @@ def _usable_path(g, usable, a, b, limit):
     vertex reached from both ends closes a shortest path."""
     if a == b:
         return []
-    tau, out = g.tau, g._out
+    tau, out = g.tau, g._index()
     seen = ({a: None}, {b: None})   # vertex -> dart it was reached by
     frontier = [[a], [b]]
     levels = [0, 0]
@@ -437,10 +456,11 @@ def _short_cycle_relators(g, alphabet):
 # of the search without the two rules.
 
 
-def _dart_counts(x, weight, v):
-    """neighbour -> the sum of the weights of the darts out of v to it."""
-    counts, tau = {}, x.tau
-    for d in x._out[v]:
+def _dart_counts(out, tau, weight, v):
+    """neighbour -> the sum of the weights of the darts in ``out[v]``, the
+    out-darts of v, to it."""
+    counts = {}
+    for d in out[v]:
         u = tau[d]
         counts[u] = counts.get(u, 0) + weight[d]
     return counts
@@ -459,7 +479,8 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
     n = g.n
     if n != h.n or g.n_darts != h.n_darts:
         return
-    g_deg, h_deg = list(map(len, g._out)), list(map(len, h._out))
+    g_out, h_out = g._index(), h._index()
+    g_deg, h_deg = list(map(len, g_out)), list(map(len, h_out))
     if sorted(g_deg) != sorted(h_deg):
         return
     if n == 0:
@@ -476,7 +497,7 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
         while i < len(order):
             v = order[i]
             i += 1
-            for d in g._out[v]:
+            for d in g_out[v]:
                 w = g.tau[d]
                 if not seen[w]:
                     seen[w] = True
@@ -513,9 +534,10 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
     # distinct neighbours in the order of their first darts.
     placed = []
     for v in range(n):
-        placed.append([(u, k) for u, k in _dart_counts(g, g_weight, v).items()
+        counts = _dart_counts(g_out, g.tau, g_weight, v)
+        placed.append([(u, k) for u, k in counts.items()
                        if position[u] <= position[v]])
-    h_counts = [_dart_counts(h, h_weight, w) for w in range(n)]
+    h_counts = [_dart_counts(h_out, h.tau, h_weight, w) for w in range(n)]
     g_cls, h_cls = g.classes, h.classes
     image, used = [None] * n, [False] * n
     dist, layers = [-1] * n, []     # h's BFS from the root's image
@@ -770,11 +792,28 @@ def is_cayley(g):
 # 1.7 times.
 
 
-def write_graph(g, colouring=None):
+def write_graph(g, colouring=None, file=None):
     """The text exchange format.  With a ``colouring`` (canonical dart ->
     colour), every edge line ends in the edge's base colour, '-' for none,
-    and its colour in the colouring."""
-    lines = [f"vertices {g.n}"]
+    and its colour in the colouring.  With a ``file``, the text goes to
+    ``file.write`` in chunks of at most 4096 lines and None is returned;
+    the text returned without one is the join of those chunks."""
+    return _written(_graph_chunks(g, colouring), file)
+
+
+def _written(chunks, file):
+    """The chunks joined, or with a ``file``, each written to it in turn."""
+    if file is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        file.write(chunk)
+    return None
+
+
+def _graph_chunks(g, colouring):
+    """``write_graph``'s lines, each ended by a newline, joined at most 4096
+    at a time, so that no chunk holds more than a slice of the graph."""
+    head = [f"vertices {g.n}\n"]
     seen = set()
     for c in sorted(k for k in g.colour_inv if k is not None):
         ci = g.colour_inv[c]
@@ -783,19 +822,23 @@ def write_graph(g, colouring=None):
         seen.add(c)
         seen.add(ci)
         if ci != c:
-            lines.append(f"colour {c} {ci}")
-    lines += [f"class {v} {x}" for v, x in enumerate(g.classes) if x is not None]
-    tau, base = g.tau, g.colour[0::2]
-    ends = zip(tau[1::2], tau[0::2], base)
-    if colouring is not None:
-        column = map(colouring.__getitem__, range(0, len(tau), 2))
-        lines += [f"edge {u} {v} {'-' if c is None else c} {k}"
-                  for (u, v, c), k in zip(ends, column)]
-    else:
-        lines += [f"edge {u} {v}" if c is None else f"edge {u} {v} {c}"
-                  for u, v, c in ends]
-    lines.append("")
-    return "\n".join(lines)
+            head.append(f"colour {c} {ci}\n")
+    yield "".join(head)
+    classes = g.classes
+    for i in range(0, g.n, 4096):
+        yield "".join([f"class {v} {x}\n" for v, x
+                       in enumerate(classes[i:i + 4096], i) if x is not None])
+    tau, colour = g.tau, g.colour
+    for i in range(0, len(tau), 8192):
+        j = i + 8192
+        ends = zip(tau[i + 1:j:2], tau[i:j:2], colour[i:j:2])
+        if colouring is not None:
+            column = map(colouring.__getitem__, range(i, min(j, len(tau)), 2))
+            yield "".join([f"edge {u} {v} {'-' if c is None else c} {k}\n"
+                           for (u, v, c), k in zip(ends, column)])
+        else:
+            yield "".join([f"edge {u} {v}\n" if c is None
+                           else f"edge {u} {v} {c}\n" for u, v, c in ends])
 
 
 # Fields after the keyword: (fewest, most).
@@ -988,7 +1031,13 @@ _DOT_PALETTE = ["red", "blue", "forestgreen", "orange", "purple", "brown",
                 "deeppink", "turquoise", "gray40", "olive"]
 
 
-def to_dot(g):
+def to_dot(g, file=None):
+    """The graph in Graphviz DOT, one line per vertex and per edge.  With a
+    ``file``, written to it in chunks as ``write_graph`` writes."""
+    return _written(_dot_chunks(g), file)
+
+
+def _dot_chunks(g):
     colours = sorted({c for c in g.colour if c is not None})
     pen = {}
     for c in colours:
@@ -997,19 +1046,25 @@ def to_dot(g):
         if key not in pen:
             pen[key] = _DOT_PALETTE[len(pen) % len(_DOT_PALETTE)]
         pen[c] = pen[key]
-    lines = ["graph {"]
-    for v in range(g.n):
-        label = g.names[v] if g.names[v] is not None else v
-        shape = ""
-        if g.classes[v] is not None:
-            shape = f" xlabel={_dot_string(g.classes[v])}"
-        lines.append(f"  {v} [label={_dot_string(label)}{shape}];")
-    for d in g.edges():
-        c = g.colour[d]
-        attr = f" [color={pen[c]} label={_dot_string(c)}]" if c is not None else ""
-        lines.append(f"  {g.src(d)} -- {g.tau[d]}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph {\n"
+    for i in range(0, g.n, 4096):
+        lines = []
+        for v in range(i, min(i + 4096, g.n)):
+            label = g.names[v] if g.names[v] is not None else v
+            shape = ""
+            if g.classes[v] is not None:
+                shape = f" xlabel={_dot_string(g.classes[v])}"
+            lines.append(f"  {v} [label={_dot_string(label)}{shape}];\n")
+        yield "".join(lines)
+    for i in range(0, g.n_darts, 8192):
+        lines = []
+        for d in range(i, min(i + 8192, g.n_darts), 2):
+            c = g.colour[d]
+            attr = (f" [color={pen[c]} label={_dot_string(c)}]"
+                    if c is not None else "")
+            lines.append(f"  {g.src(d)} -- {g.tau[d]}{attr};\n")
+        yield "".join(lines)
+    yield "}\n"
 
 
 def _dot_string(x):

@@ -562,7 +562,10 @@ def dfs_symmetric_difference_report(m1, m2, exhaustion):
 def multigraphs(draw, max_vertices, max_edges, rebuilt=False):
     """Random multigraphs of 1 to ``max_vertices`` vertices and at most
     ``max_edges`` edges, loops and parallel edges allowed.  With
-    ``rebuilt``, possibly passed through ``subgraph_edges`` or ``copy``."""
+    ``rebuilt``, possibly passed through ``subgraph_edges`` or ``copy``, or
+    grown: built from flat lists for its first vertices and some edges
+    among them, then given the rest by ``add_vertex`` and ``add_edge``
+    before anything reads its out-dart index."""
     n = draw(st.integers(1, max_vertices))
     g = ColouredGraph()
     for _ in range(n):
@@ -572,11 +575,21 @@ def multigraphs(draw, max_vertices, max_edges, rebuilt=False):
         g.add_edge(u, v)
     if not rebuilt:
         return g
-    how = draw(st.sampled_from(("built", "subgraph", "copy")))
+    how = draw(st.sampled_from(("built", "subgraph", "copy", "grown")))
     if how == "subgraph":
         g = g.subgraph_edges([d for d in g.edges() if draw(st.booleans())])
     elif how == "copy":
         g = g.copy()
+    elif how == "grown":
+        k = draw(st.integers(0, n))
+        flat = [d for d in g.edges()
+                if max(g.edge_ends(d)) < k and draw(st.booleans())]
+        grown = ColouredGraph(k, [t for d in flat for t in (g.tau[d], g.src(d))])
+        for _ in range(k, n):
+            grown.add_vertex()
+        for d in sorted(set(g.edges()) - set(flat)):
+            grown.add_edge(*g.edge_ends(d))
+        g = grown
     return g
 
 

@@ -1,3 +1,4 @@
+import bisect
 from collections import Counter
 
 import pytest
@@ -329,8 +330,9 @@ def test_to_graph_matches_the_alphabet_graph_route(p, max_dist, radius):
         table.run()
     except Overflow:
         pass
-    for keep in (None, lambda r: table.dist[r] <= radius):
-        g, oracle = table.to_graph(keep), alphabet_graph_quotient(table, keep)
+    for bound, keep in ((None, None),
+                        (radius, lambda r: table.dist[r] <= radius)):
+        g, oracle = table.to_graph(bound), alphabet_graph_quotient(table, keep)
         assert (g.tau, g.colour, g.names, g.classes, g.colour_inv) == (
             oracle.tau, oracle.colour, oracle.names, oracle.classes,
             oracle.colour_inv)
@@ -341,8 +343,8 @@ def test_to_graph_matches_the_alphabet_graph_route(p, max_dist, radius):
 def test_ball_of_free_presentation():
     g = ball_sp(one_class(["a", "b"], []), radius=2)
     assert g.n == 1 + 4 + 12
-    assert g.meta["frontier"] == {v for v in range(g.n)
-                                  if g.meta["distance"][v] == 2}
+    assert g.meta["frontier"] == [v for v, d in _ball_distances(g).items()
+                                  if d == 2]
 
 
 Z3_Z = ("classes: 0 1\ngen a : U : (0)(1)\ngen b : U : (0 1)\n"
@@ -357,6 +359,12 @@ Z2_Z2_Z = "classes: 0 1\ngen s : I : (0 1)\ngen t : I : (0 1)\ngen a : U : (0)(1
 def test_ball_sizes_are_the_growth_series(text, factors):
     p = parse(text)
     assert [ball_sp(p, r).n for r in range(9)] == free_product_balls(factors, 8)
+
+
+def _ball_distances(g):
+    """vertex -> distance, read from a ball's ``meta["spheres"]``."""
+    spheres = g.meta["spheres"]
+    return {v: bisect.bisect_right(spheres, v) for v in range(g.n)}
 
 
 def _bfs_distances(g):
@@ -379,7 +387,7 @@ def test_ball_distances_are_bfs_distances(p, radius):
         g = ball_sp(p, radius, max_rows=3000)
     except Overflow:
         return
-    assert g.meta["distance"] == _bfs_distances(g)
+    assert _ball_distances(g) == _bfs_distances(g)
     # The run that ball_sp reads closes every relator at every window row.
     assert relators_close_within(ball_table(p, radius, max_rows=3000), radius)
 
@@ -408,7 +416,7 @@ def test_a_ball_maps_onto_the_ball_of_its_finite_graph(p):
                     stack.append(w)
                 assert image[w] == x
         assert set(image.values()) == {x for x, d in whole.items() if d <= r}
-        assert all(whole[image[v]] <= d for v, d in g.meta["distance"].items())
+        assert all(whole[image[v]] <= d for v, d in _ball_distances(g).items())
 
 
 def test_ball_radius_must_be_at_least_0():
@@ -437,10 +445,14 @@ def test_ball_of_integer_line():
 
 
 def test_ball_stabilises_on_finite_graph(petersen_sp):
-    g = ball_sp(petersen(), radius=12)
-    assert g.n == 10
-    assert g.meta["frontier"] == set()
-    assert isomorphic(g, petersen_sp, respect_colours=True) is not None
+    # A window keeps one sphere offset per distance that occurs, so a huge
+    # radius costs no more than the graph's own diameter.
+    for radius in (12, 10**9):
+        g = ball_sp(petersen(), radius=radius)
+        assert g.n == 10
+        assert g.meta["spheres"] == [1, 4, 10]
+        assert g.meta["frontier"] == []
+        assert isomorphic(g, petersen_sp, respect_colours=True) is not None
 
 
 def test_ball_of_infinite_caterpillar():
