@@ -449,11 +449,20 @@ def _short_cycle_relators(g, alphabet):
 # the root's image that grows a layer at a time, to depth 2d + 1 when a
 # vertex at depth d is pushed, and is reset layer by layer on the next image.
 # A whole BFS per image would make a search that tries every image cost
-# O(n^2).  Each vertex's dart counts are tabled once per search as one dict,
-# neighbour -> summed dart weights, whose keys are also h's candidates and
-# BFS steps, so a placement costs one lookup per neighbour.  No rule drops a
-# map, so an empty result is a certificate, and the maps come in the order
-# of the search without the two rules.
+# O(n^2).  Each vertex's dart counts are tabled once per pair of graphs as
+# one dict, neighbour -> summed dart weights, whose keys are also h's
+# candidates and BFS steps, so a placement costs one lookup per neighbour.
+# No rule drops a map, so an empty result is a certificate, and the maps
+# come in the order of the search without the two rules.
+#
+# ``_map_search`` does the set-up (the BFS order, depths, spheres and dart
+# count tables) once, and returns a search that may run many times, each
+# with fixed images for a prefix of the BFS order.  ``graph_maps`` runs one
+# search, and ``_stabiliser_chain`` one per orbit point it cannot yet reach:
+# with the BFS order as its base, the automorphisms that fix b_0 .. b_(i-1)
+# send b_i only to neighbours of its BFS parent, which they fix, so each
+# level's candidates are few, and each of its searches stops at its first
+# map.  ``automorphism_group`` and ``is_cayley`` read that chain.
 
 
 def _dart_counts(out, tau, weight, v):
@@ -473,19 +482,27 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
     (per dart colour if ``respect_colours``) and, if asked, class labels.
     A map extends to a graph isomorphism exactly when ``dart_bijections``
     yields a dart map over it.  With ``root_image``, only the maps that send
-    the search's first vertex, the least vertex of largest degree, there.
-    The search keeps an explicit stack of candidate iterators, one per
-    placed vertex."""
+    the search's first vertex, the least vertex of largest degree, there."""
+    setup = _map_search(g, h, respect_colours, respect_classes)
+    if setup is not None:
+        yield from setup[2](() if root_image is None else (root_image,))
+
+
+def _map_search(g, h, respect_colours=False, respect_classes=False):
+    """The set-up of ``graph_maps``, for any number of searches.  Returns
+    g's search order, each vertex's BFS parent (None at a component root)
+    and ``search(prefix)``, which yields, in search order, the maps of
+    ``graph_maps`` that send ``order[i]`` to ``prefix[i]`` for every
+    i < len(prefix); or None when no map exists because the vertex or dart
+    counts or the degree sequences differ.  A search keeps an explicit
+    stack of candidate iterators, one per placed vertex."""
     n = g.n
     if n != h.n or g.n_darts != h.n_darts:
-        return
+        return None
     g_out, h_out = g._index(), h._index()
     g_deg, h_deg = list(map(len, g_out)), list(map(len, h_out))
     if sorted(g_deg) != sorted(h_deg):
-        return
-    if n == 0:
-        yield ()
-        return
+        return None
     order, parent, tree_dart = [], [None] * n, [None] * n
     seen = [False] * n
     for root in sorted(range(n), key=lambda v: -g_deg[v]):
@@ -504,13 +521,12 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
                     parent[w], tree_dart[w] = v, d
                     order.append(w)
     # Depths from the first root, and g's sphere sizes about it.
-    depth, spheres = [-1] * n, [1]
-    depth[order[0]] = 0
-    for v in order[1:]:
+    depth, spheres = [-1] * n, []
+    for v in order:
         p = parent[v]
-        if p is None:
+        if p is None and spheres:
             break
-        d = depth[v] = depth[p] + 1
+        d = depth[v] = 0 if p is None else depth[p] + 1
         if d < len(spheres):
             spheres[d] += 1
         else:
@@ -521,7 +537,7 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
     # A dart weighs 1, or with colours base ** i for its colour's index i.
     # No vertex has ``base`` darts, so the summed weights of the darts from
     # one vertex to another give, digit by digit, how many have each colour.
-    base = max(g_deg) + 1
+    base = max(g_deg, default=0) + 1
     if respect_colours:
         colours = dict.fromkeys(chain(g.colour, h.colour))
         weight = {c: base ** i for i, c in enumerate(colours)}
@@ -539,86 +555,99 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
                        if position[u] <= position[v]])
     h_counts = [_dart_counts(h_out, h.tau, h_weight, w) for w in range(n)]
     g_cls, h_cls = g.classes, h.classes
-    image, used = [None] * n, [False] * n
-    dist, layers = [-1] * n, []     # h's BFS from the root's image
 
-    stack = [iter(range(n) if root_image is None else (root_image,))]
-    while stack:
-        v = order[len(stack) - 1]
-        if image[v] is not None:   # retract this level's last choice
-            used[image[v]] = False
-            image[v] = None
-        deg, cls, dv, mine = g_deg[v], g_cls[v], depth[v], placed[v]
-        for w in stack[-1]:
-            if (used[w] or h_deg[w] != deg or (dv > 0 and dist[w] != dv)
-                    or (respect_classes and h_cls[w] != cls)):
-                continue
-            # Darts out of v to placed vertices match those out of w to
-            # used vertices; v is placed at w first, so loops count too.
-            image[v], used[w] = w, True
-            theirs = h_counts[w]
-            if sum(map(used.__getitem__, theirs)) == len(mine):
-                for u, k in mine:
-                    if theirs.get(image[u]) != k:
+    def search(prefix):
+        if n == 0:
+            yield ()
+            return
+        image, used = [None] * n, [False] * n
+        dist, layers = [-1] * n, []     # h's BFS from the root's image
+        stack = [iter(prefix[:1] or range(n))]
+        while stack:
+            v = order[len(stack) - 1]
+            if image[v] is not None:   # retract this level's last choice
+                used[image[v]] = False
+                image[v] = None
+            deg, cls, dv, mine = g_deg[v], g_cls[v], depth[v], placed[v]
+            for w in stack[-1]:
+                if (used[w] or h_deg[w] != deg or (dv > 0 and dist[w] != dv)
+                        or (respect_classes and h_cls[w] != cls)):
+                    continue
+                # Darts out of v to placed vertices match those out of w to
+                # used vertices; v is placed at w first, so loops count too.
+                image[v], used[w] = w, True
+                theirs = h_counts[w]
+                if sum(map(used.__getitem__, theirs)) == len(mine):
+                    for u, k in mine:
+                        if theirs.get(image[u]) != k:
+                            break
+                    else:
                         break
-                else:
+                image[v], used[w] = None, False
+            else:
+                stack.pop()
+                continue
+            k = len(stack)
+            if k == n:
+                yield tuple(image)
+                continue
+            v = order[k]
+            p, dv = parent[v], depth[v]
+            if p is None:
+                stack.append(iter(prefix[k:k + 1] or range(n)))
+                continue
+            if k == 1:                 # a new root image: reset the BFS
+                for layer in layers:
+                    for x in layer:
+                        dist[x] = -1
+                layers = [[image[p]]]
+                dist[image[p]] = 0
+            while len(layers) <= 2 * dv + 1 and layers[-1]:
+                d, new = len(layers), []
+                for x in layers[-1]:
+                    for y in h_counts[x]:
+                        if dist[y] < 0:
+                            dist[y] = d
+                            new.append(y)
+                layers.append(new)
+                if len(new) != (spheres[d] if d < len(spheres) else 0):
                     break
-            image[v], used[w] = None, False
-        else:
-            stack.pop()
-            continue
-        if len(stack) == n:
-            yield tuple(image)
-            continue
-        v = order[len(stack)]
-        p, dv = parent[v], depth[v]
-        if p is None:
-            stack.append(iter(range(n)))
-            continue
-        if len(stack) == 1:        # a new root image: reset the BFS
-            for layer in layers:
-                for x in layer:
-                    dist[x] = -1
-            layers = [[image[p]]]
-            dist[image[p]] = 0
-        while len(layers) <= 2 * dv + 1 and layers[-1]:
-            k, new = len(layers), []
-            for x in layers[-1]:
-                for y in h_counts[x]:
-                    if dist[y] < 0:
-                        dist[y] = k
-                        new.append(y)
-            layers.append(new)
-            if len(new) != (spheres[k] if k < len(spheres) else 0):
-                break
-        else:
-            heads = h_counts[image[p]]
-            if respect_colours:    # only along darts of the tree dart's colour
-                t = g_weight[tree_dart[v]]
-                heads = [x for x, k in heads.items() if k // t % base]
-            stack.append(iter(heads))
-            continue
-        # A sphere differs: no map sends the root to its image.
-        for x in order[1:len(stack)]:
-            used[image[x]] = False
-            image[x] = None
-        del stack[1:]
+            else:
+                if k < len(prefix):
+                    heads = prefix[k:k + 1]
+                else:
+                    heads = h_counts[image[p]]
+                    if respect_colours:    # only along darts of the tree
+                        t = g_weight[tree_dart[v]]     # dart's colour
+                        heads = [x for x, c in heads.items() if c // t % base]
+                stack.append(iter(heads))
+                continue
+            # A sphere differs: no map sends the root to its image.
+            for x in order[1:k]:
+                used[image[x]] = False
+                image[x] = None
+            del stack[1:]
+
+    return order, parent, search
 
 
-def dart_bijections(g, h, vmap, colour_ok=lambda a, b: True):
+def dart_bijections(g, h, vmap, colour_ok=None):
     """Yield every dart bijection from g to h over the vertex bijection
-    ``vmap`` that commutes with dart reversal and passes ``colour_ok`` on
-    both darts of each edge.  Parallel bundles are assigned by backtracking,
-    with an explicit stack of one level per edge; a loop may map to either
-    orientation of its image."""
-    order = g.edges()
+    ``vmap`` that commutes with dart reversal and, unless ``colour_ok`` is
+    None, passes ``colour_ok`` on both darts of each edge.  Parallel bundles
+    are assigned by backtracking, with an explicit stack of one level per
+    edge; a loop may map to either orientation of its image."""
+    order, g_tau, h_tau, h_out = g.edges(), g.tau, h.tau, h._index()
     candidates = []
     for d in order:
-        a, b = vmap[g.src(d)], vmap[g.tau[d]]
-        candidates.append([
-            e for e in h.out_darts(a)
-            if h.tau[e] == b and colour_ok(g.colour[d], h.colour[e])
-            and colour_ok(g.colour[d ^ 1], h.colour[e ^ 1])])
+        a, b = vmap[g_tau[d ^ 1]], vmap[g_tau[d]]
+        if colour_ok is None:
+            candidates.append([e for e in h_out[a] if h_tau[e] == b])
+            continue
+        c, r = g.colour[d], g.colour[d ^ 1]
+        candidates.append([e for e in h_out[a] if h_tau[e] == b
+                           and colour_ok(c, h.colour[e])
+                           and colour_ok(r, h.colour[e ^ 1])])
     if not order:
         yield {}
         return
@@ -655,7 +684,7 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     elif respect_colours:
         colour_ok = operator.eq
     else:
-        colour_ok = lambda gc, hc: True
+        colour_ok = None
     exact = respect_colours and colour_map is None
     for vmap in graph_maps(g, h, exact, respect_classes):
         dmap = next(dart_bijections(g, h, vmap, colour_ok), None)
@@ -664,16 +693,80 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     return None
 
 
+def _stabiliser_chain(g):
+    """Aut(g) as a stabiliser chain whose base is the search order b_0,
+    b_1, ... of ``_map_search(g, g)``.  Level i maps each point of the orbit
+    of b_i under G_i, the automorphisms that fix b_0 .. b_(i-1), to one
+    element of G_i that sends b_i there, the identity at b_i.  Levels are
+    built from the deepest up, so every map found below level i is known
+    there.  Level i's candidates are the vertices outside b_0 .. b_(i-1)
+    among the neighbours of b_i's BFS parent, which G_i fixes, or among all
+    vertices at a component root.  A candidate runs one search, which stops
+    at its first map, unless the maps found so far reach it from b_i or
+    from a candidate whose search failed.  Each search is exhaustive, so
+    every orbit is exact, and |Aut(g)| is the product of the orbit sizes."""
+    n = g.n
+    order, parent, search = _map_search(g, g)
+    out, tau = g._index(), g.tau
+    ident = tuple(range(n))
+    gens, chain, fixed = [], [None] * n, set(order)
+    for i in range(n - 1, -1, -1):
+        b, p = order[i], parent[order[i]]
+        fixed.discard(b)
+        level, missed = {b: ident}, {}
+        candidates = range(n) if p is None else dict.fromkeys(
+            tau[d] for d in out[p])
+        for w in candidates:
+            if w in level or w in fixed or w in missed:
+                continue
+            a = next(search(order[:i] + [w]), None)
+            if a is None:
+                # Nor can b reach the orbit of w under the maps found.
+                missed[w] = None
+                _close_orbit(missed, gens)
+            else:
+                gens.append(a)
+                _close_orbit(level, gens)
+        chain[i] = level
+    return chain
+
+
+def _close_orbit(orbit, gens):
+    """Close ``orbit``, a dict from points to the elements that reach them,
+    under ``gens``: a point s[x] it lacks gets s after orbit[x], or None
+    where orbit[x] is None."""
+    points = list(orbit)
+    for x in points:                    # the orbit grows as it is read
+        t = orbit[x]
+        for s in gens:
+            if s[x] not in orbit:
+                orbit[s[x]] = t and tuple(map(s.__getitem__, t))
+                points.append(s[x])
+
+
+def _chain_elements(levels, n):
+    """Every product, as a vertex-image tuple, of one element from each
+    level of a stabiliser chain on n vertices, top level applied last:
+    each element of the group at the top level, once."""
+    group = [tuple(range(n))]
+    for level in reversed(levels):
+        if len(level) > 1:
+            group = [tuple(map(t.__getitem__, x))
+                     for t in level.values() for x in group]
+    return group
+
+
 AUTOMORPHISM_BOUND = 64
 
 
 def automorphism_group(g):
-    """Complete list of automorphisms as vertex-image tuples, for graphs of
-    at most ``AUTOMORPHISM_BOUND`` vertices."""
+    """Complete list of automorphisms as sorted vertex-image tuples, for
+    graphs of at most ``AUTOMORPHISM_BOUND`` vertices, read from the
+    stabiliser chain of Aut(g)."""
     if g.n > AUTOMORPHISM_BOUND:
         raise SearchBoundExceeded(
             f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
-    return sorted(graph_maps(g, g))
+    return sorted(_chain_elements(_stabiliser_chain(g), g.n))
 
 
 def is_vertex_transitive(g):
@@ -685,19 +778,15 @@ def is_vertex_transitive(g):
     n = g.n
     if n == 0 or not g.is_regular():
         return False
-    seen, orbit, maps = [True] + [False] * (n - 1), [0], []
+    orbit, maps = {0: None}, []
     for v in range(1, n):
-        if seen[v]:
+        if v in orbit:
             continue
         a = next(graph_maps(g, g, root_image=v), None)
         if a is None:
             return False
         maps.append(a)
-        for x in orbit:            # the orbit grows as it is read
-            for a in maps:
-                if not seen[a[x]]:
-                    seen[a[x]] = True
-                    orbit.append(a[x])
+        _close_orbit(orbit, maps)
     return True
 
 
@@ -732,7 +821,11 @@ def mulclose(perms, cap=None):
 def is_cayley(g):
     """A subgroup of Aut(g) acting regularly on the vertices, as a generator
     list, or None, for graphs of at most ``AUTOMORPHISM_BOUND`` vertices.
-    A semiregular subgroup grows from the trivial group: each step adds a
+    Aut(g) is read from one stabiliser chain: it is transitive when the
+    orbit of its first base point, vertex 0 of a regular graph, is every
+    vertex, and the automorphisms 0 -> v are t_v G_0, with t_v from the
+    first level and G_0 the stabiliser of 0 listed from the others.  A
+    semiregular subgroup grows from the trivial group: each step adds a
     fixed-point-free automorphism sending 0 to the least vertex its orbit
     of 0 misses.  (All orbits of a semiregular group have its order, so the
     order divides n.)  A regular subgroup has exactly one element per image
@@ -742,9 +835,12 @@ def is_cayley(g):
     if n > AUTOMORPHISM_BOUND:
         raise SearchBoundExceeded(
             f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
-    if not is_vertex_transitive(g):
+    if n == 0:
         return None
-    ident = tuple(range(n))
+    chain = _stabiliser_chain(g)
+    if len(chain[0]) < n:
+        return None
+    ident, stabiliser = tuple(range(n)), _chain_elements(chain[1:], n)
 
     def fixed_point_free(p):
         return all(p[i] != i for i in range(n))
@@ -762,7 +858,9 @@ def is_cayley(g):
         covered = {p[0] for p in group}
         v = next(v for v in range(n) if v not in covered)
         if v not in candidates:
-            candidates[v] = [p for p in graph_maps(g, g, root_image=v)
+            t = chain[0][v]
+            candidates[v] = [p for p in (tuple(map(t.__getitem__, x))
+                                         for x in stabiliser)
                              if fixed_point_free(p)]
         for p in candidates[v]:
             closed = mulclose(gens + (p,), cap=n)

@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
 import re
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -511,7 +514,8 @@ def test_graph_maps_measure_distances_in_the_first_component_only():
     assert len(maps) == 12 and sorted(graph_maps(g, h)) == maps
 
 
-@pytest.mark.parametrize("n,edges", [
+# Small multigraphs, for the symmetry oracles and the stabiliser chain.
+SMALL_MULTIGRAPHS = [
     (1, [(0, 0)]),
     (2, [(0, 1), (1, 0), (0, 1)]),
     (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]),
@@ -526,7 +530,10 @@ def test_graph_maps_measure_distances_in_the_first_component_only():
     (8, [(u, v) for u in range(4) for v in range(4, 8)]),
     (8, [(i, (i + 1) % 4) for i in range(4)]
         + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]),
-])
+]
+
+
+@pytest.mark.parametrize("n,edges", SMALL_MULTIGRAPHS)
 def test_symmetry_of_small_multigraphs_matches_the_listing_oracles(n, edges):
     # Mostly vertex-transitive multigraphs, which random draws seldom give.
     # K_{4,4} has a subgroup of order 8, generated by fixed-point-free
@@ -607,6 +614,104 @@ def test_vertex_transitivity_searches_only_outside_the_orbit(g, monkeypatch):
         assert len(maps) == 1 and maps[0][0] == v
         found += maps
     assert _orbit(0, found) == set(range(g.n))
+
+
+@pytest.mark.parametrize(
+    "g", [generalized_petersen(n, k) for n in range(3, 13)
+          for k in range(1, (n + 1) // 2)]
+    + [complete_graph(n) for n in range(1, 8)]
+    + [cycle_graph(n) for n in range(3, 13)]
+    + [_from_edges(n, edges) for n, edges in SMALL_MULTIGRAPHS])
+def test_automorphism_group_matches_the_search_listing(g):
+    # The stabiliser chain's products are the maps of one search over all
+    # of Aut(g), which lists each automorphism once.
+    assert automorphism_group(g) == sorted(graph_maps(g, g))
+
+
+def test_automorphism_group_of_the_empty_graph():
+    assert automorphism_group(ColouredGraph()) == [()]
+
+
+@pytest.mark.parametrize("g,order", [
+    (complete_graph(8), 40320), (complete_graph(10), 3628800),
+    (generalized_petersen(24, 5), 288), (generalized_petersen(30, 11), 120)])
+def test_stabiliser_chain_orders(g, order):
+    # |Aut(g)| is the product of the orbit sizes, found without listing:
+    # the chain takes milliseconds, where listing K10 took over a minute.
+    # Level i holds, per orbit point u of b_i, an automorphism that fixes
+    # b_0 .. b_(i-1) and sends b_i to u.
+    start = time.perf_counter()
+    chain = graph_module._stabiliser_chain(g)
+    assert time.perf_counter() - start < 1.0
+    assert math.prod(map(len, chain)) == order
+    base, _, _ = graph_module._map_search(g, g)
+    edges = Counter(tuple(sorted(g.edge_ends(d))) for d in g.edges())
+    for i, level in enumerate(chain):
+        for u, t in level.items():
+            assert t[base[i]] == u
+            assert all(t[b] == b for b in base[:i])
+            assert Counter(tuple(sorted((t[x], t[y])))
+                           for x, y in edges.elements()) == edges
+
+
+def _recording_searches(monkeypatch):
+    """Record every search of every ``_map_search`` set-up, as (the search
+    order, the prefix, the maps the caller drew)."""
+    searches, map_search = [], graph_module._map_search
+
+    def recording(*args, **kwargs):
+        order, parent, search = map_search(*args, **kwargs)
+
+        def recorded(prefix):
+            searches.append((order, list(prefix), []))
+            for a in search(prefix):
+                searches[-1][2].append(a)
+                yield a
+
+        return order, parent, recorded
+
+    monkeypatch.setattr(graph_module, "_map_search", recording)
+    return searches
+
+
+@pytest.mark.parametrize("g,count", [(generalized_petersen(10, 2), 6),
+                                     (complete_graph(6), 5),
+                                     (cycle_graph(12), 2),
+                                     (generalized_petersen(7, 2), 8)])
+def test_stabiliser_chain_searches_only_outside_the_orbit(g, count,
+                                                         monkeypatch):
+    # Each search fixes b_0 .. b_(i-1), asks for b_i -> w with w outside the
+    # orbit of b_i under the maps found before it, and stops at its first
+    # map.  Without the orbit test the chain is still right, only slower,
+    # so the count of searches is pinned.  P(7,2) is not vertex transitive:
+    # one failed search at its first level rules out the inner rim.
+    want = len(automorphism_group(g))
+    searches = _recording_searches(monkeypatch)
+    chain = graph_module._stabiliser_chain(g)
+    found = []
+    for order, prefix, maps in searches:
+        i = len(prefix) - 1
+        assert prefix[:i] == order[:i]
+        assert prefix[i] not in _orbit(order[i], found)
+        assert len(maps) <= 1
+        found += maps
+    assert len(searches) == count
+    assert math.prod(map(len, chain)) == want
+
+
+@settings(deadline=None)
+@given(multigraphs(6, 6), st.data())
+def test_dart_bijections_default_tests_no_colour(g, data):
+    # With no colour test, the candidates are every dart to the right head,
+    # in the order that a test passing every colour gives.
+    perm = data.draw(st.permutations(range(g.n)))
+    flips = data.draw(st.lists(st.booleans(), min_size=g.n_edges,
+                               max_size=g.n_edges))
+    h = _relabelled(g, perm, flips)
+    for vmap in itertools.islice(graph_maps(g, h), 10):
+        assert (list(itertools.islice(dart_bijections(g, h, vmap), 50))
+                == list(itertools.islice(dart_bijections(
+                    g, h, vmap, lambda a, b: True), 50)))
 
 
 def test_is_cayley():
