@@ -638,16 +638,15 @@ def dart_bijections(g, h, vmap, colour_ok=None):
     are assigned by backtracking, with an explicit stack of one level per
     edge; a loop may map to either orientation of its image."""
     order, g_tau, h_tau, h_out = g.edges(), g.tau, h.tau, h._index()
+    g_colour, h_colour = g.colour, h.colour
     candidates = []
     for d in order:
         a, b = vmap[g_tau[d ^ 1]], vmap[g_tau[d]]
-        if colour_ok is None:
-            candidates.append([e for e in h_out[a] if h_tau[e] == b])
-            continue
-        c, r = g.colour[d], g.colour[d ^ 1]
-        candidates.append([e for e in h_out[a] if h_tau[e] == b
-                           and colour_ok(c, h.colour[e])
-                           and colour_ok(r, h.colour[e ^ 1])])
+        candidates.append([
+            e for e in h_out[a] if h_tau[e] == b and (
+                colour_ok is None
+                or (colour_ok(g_colour[d], h_colour[e])
+                    and colour_ok(g_colour[d ^ 1], h_colour[e ^ 1])))])
     if not order:
         yield {}
         return
@@ -693,7 +692,7 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     return None
 
 
-def _stabiliser_chain(g):
+def _stabiliser_chain(g, transitive=False):
     """Aut(g) as a stabiliser chain whose base is the search order b_0,
     b_1, ... of ``_map_search(g, g)``.  Level i maps each point of the orbit
     of b_i under G_i, the automorphisms that fix b_0 .. b_(i-1), to one
@@ -704,30 +703,47 @@ def _stabiliser_chain(g):
     vertices at a component root.  A candidate runs one search, which stops
     at its first map, unless the maps found so far reach it from b_i or
     from a candidate whose search failed.  Each search is exhaustive, so
-    every orbit is exact, and |Aut(g)| is the product of the orbit sizes."""
+    every orbit is exact, and |Aut(g)| is the product of the orbit sizes.
+
+    With ``transitive``, level 0 is built first, from its own maps, and
+    None is returned at its first failed search, which shows that g is not
+    vertex transitive, so such a graph costs no deeper level."""
     n = g.n
     order, parent, search = _map_search(g, g)
     out, tau = g._index(), g.tau
     ident = tuple(range(n))
-    gens, chain, fixed = [], [None] * n, set(order)
-    for i in range(n - 1, -1, -1):
+
+    def level(i, gens):
+        """The orbit of b_i, or None at a failed search at level 0 with
+        ``transitive``."""
         b, p = order[i], parent[order[i]]
-        fixed.discard(b)
-        level, missed = {b: ident}, {}
+        fixed = set(order[:i])
+        orbit, missed = {b: ident}, {}
         candidates = range(n) if p is None else dict.fromkeys(
             tau[d] for d in out[p])
         for w in candidates:
-            if w in level or w in fixed or w in missed:
+            if w in orbit or w in fixed or w in missed:
                 continue
             a = next(search(order[:i] + [w]), None)
             if a is None:
+                if transitive and i == 0:
+                    return None
                 # Nor can b reach the orbit of w under the maps found.
                 missed[w] = None
                 _close_orbit(missed, gens)
             else:
                 gens.append(a)
-                _close_orbit(level, gens)
-        chain[i] = level
+                _close_orbit(orbit, gens)
+        return orbit
+
+    chain, gens = [None] * n, []
+    if transitive:
+        chain[0] = level(0, [])
+        if chain[0] is None:
+            return None
+    for i in range(n - 1, -1, -1):
+        if chain[i] is None:
+            chain[i] = level(i, gens)
     return chain
 
 
@@ -821,9 +837,10 @@ def mulclose(perms, cap=None):
 def is_cayley(g):
     """A subgroup of Aut(g) acting regularly on the vertices, as a generator
     list, or None, for graphs of at most ``AUTOMORPHISM_BOUND`` vertices.
-    Aut(g) is read from one stabiliser chain: it is transitive when the
-    orbit of its first base point, vertex 0 of a regular graph, is every
-    vertex, and the automorphisms 0 -> v are t_v G_0, with t_v from the
+    Aut(g) is read from one stabiliser chain, whose first level is built
+    first: it is transitive when the orbit of its first base point, vertex
+    0 of a regular graph, is every vertex, and the chain stops at the first
+    vertex outside it.  The automorphisms 0 -> v are t_v G_0, with t_v from the
     first level and G_0 the stabiliser of 0 listed from the others.  A
     semiregular subgroup grows from the trivial group: each step adds a
     fixed-point-free automorphism sending 0 to the least vertex its orbit
@@ -837,8 +854,8 @@ def is_cayley(g):
             f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
     if n == 0:
         return None
-    chain = _stabiliser_chain(g)
-    if len(chain[0]) < n:
+    chain = _stabiliser_chain(g, transitive=True)
+    if chain is None:
         return None
     ident, stabiliser = tuple(range(n)), _chain_elements(chain[1:], n)
 

@@ -1,8 +1,6 @@
-import itertools
 import math
 import random
 import re
-import time
 from collections import Counter
 
 import pytest
@@ -635,14 +633,16 @@ def test_automorphism_group_of_the_empty_graph():
 @pytest.mark.parametrize("g,order", [
     (complete_graph(8), 40320), (complete_graph(10), 3628800),
     (generalized_petersen(24, 5), 288), (generalized_petersen(30, 11), 120)])
-def test_stabiliser_chain_orders(g, order):
+def test_stabiliser_chain_orders(g, order, monkeypatch):
     # |Aut(g)| is the product of the orbit sizes, found without listing:
-    # the chain takes milliseconds, where listing K10 took over a minute.
-    # Level i holds, per orbit point u of b_i, an automorphism that fixes
-    # b_0 .. b_(i-1) and sends b_i to u.
-    start = time.perf_counter()
+    # at most one search per level and vertex, each drawing at most one
+    # map, where listing K10 drew 3,628,800.  Level i holds, per orbit
+    # point u of b_i, an automorphism that fixes b_0 .. b_(i-1) and sends
+    # b_i to u.
+    searches = _recording_searches(monkeypatch)
     chain = graph_module._stabiliser_chain(g)
-    assert time.perf_counter() - start < 1.0
+    assert len(searches) <= g.n ** 2
+    assert all(len(maps) <= 1 for _, _, maps in searches)
     assert math.prod(map(len, chain)) == order
     base, _, _ = graph_module._map_search(g, g)
     edges = Counter(tuple(sorted(g.edge_ends(d))) for d in g.edges())
@@ -699,19 +699,18 @@ def test_stabiliser_chain_searches_only_outside_the_orbit(g, count,
     assert math.prod(map(len, chain)) == want
 
 
-@settings(deadline=None)
-@given(multigraphs(6, 6), st.data())
-def test_dart_bijections_default_tests_no_colour(g, data):
-    # With no colour test, the candidates are every dart to the right head,
-    # in the order that a test passing every colour gives.
-    perm = data.draw(st.permutations(range(g.n)))
-    flips = data.draw(st.lists(st.booleans(), min_size=g.n_edges,
-                               max_size=g.n_edges))
-    h = _relabelled(g, perm, flips)
-    for vmap in itertools.islice(graph_maps(g, h), 10):
-        assert (list(itertools.islice(dart_bijections(g, h, vmap), 50))
-                == list(itertools.islice(dart_bijections(
-                    g, h, vmap, lambda a, b: True), 50)))
+@pytest.mark.parametrize("g", [generalized_petersen(12, 2),
+                               generalized_petersen(7, 2),
+                               generalized_petersen(4, 2)])
+def test_is_cayley_stops_at_the_first_vertex_outside_the_first_orbit(
+        g, monkeypatch):
+    # is_cayley builds the chain's first level first, from its own maps,
+    # and a graph that is not vertex transitive costs no deeper level.
+    searches = _recording_searches(monkeypatch)
+    assert is_cayley(g) is None
+    assert all(len(prefix) == 1 for _, prefix, _ in searches)
+    assert ([len(maps) for _, _, maps in searches]
+            == [1] * (len(searches) - 1) + [0])
 
 
 def test_is_cayley():
