@@ -39,8 +39,9 @@ from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .errors import BadParameters, Overflow
-from .graph import (ColouredGraph, _dictated_darts, _witness, alphabet_colours,
-                    alphabet_graph, dart_bijections, graph_maps)
+from .graph import (ColouredGraph, _dictated_darts, _map_set_up, _witness,
+                    alphabet_colours, alphabet_graph, dart_bijections,
+                    graph_maps)
 
 DEFAULT_MAX_ROWS = 1_000_000
 DEFINE = 1          # a row's definitions, beside its relators' bits
@@ -579,11 +580,10 @@ def check_relator_closure(sp, p):
 
 def deck_group(sp):
     """Colour- and class-preserving automorphisms, or None when some vertex
-    has two out-darts of one colour."""
-    for v in range(sp.n):
-        if len({sp.colour[d] for d in sp.out_darts(v)}) < sp.degree(v):
-            return None
-    return sorted(graph_maps(sp, sp, respect_colours=True, respect_classes=True))
+    has two out-darts of one colour: then the search's set-up builds no
+    colour walk."""
+    _, _, search, walks = _map_set_up(sp, sp, True, True)
+    return None if walks is None else sorted(search(()))
 
 
 def check_deck_regular(sp):

@@ -455,14 +455,24 @@ def _short_cycle_relators(g, alphabet):
 # No rule drops a map, so an empty result is a certificate, and the maps
 # come in the order of the search without the two rules.
 #
-# ``_map_search`` does the set-up (the BFS order, depths, spheres and dart
-# count tables) once, and returns a search that may run many times, each
-# with fixed images for a prefix of the BFS order.  ``graph_maps`` runs one
-# search, and ``_stabiliser_chain`` one per orbit point it cannot yet reach:
-# with the BFS order as its base, the automorphisms that fix b_0 .. b_(i-1)
-# send b_i only to neighbours of its BFS parent, which they fix, so each
-# level's candidates are few, and each of its searches stops at its first
-# map.  ``automorphism_group`` and ``is_cayley`` read that chain.
+# Colours can dictate the map.  When colours are respected and no vertex of
+# g or h has two out-darts of one colour, as in a partite Cayley graph, a
+# vertex's tree dart leaves one candidate, so a root image fixes the map of
+# its component.  The search is then one walk per root image, in the same
+# order, from a colour -> out-dart table per vertex of each graph, with no
+# depths, spheres or dart-count tables; each dart of g is checked once, and
+# the walk's dart images are the dart map ``isomorphic`` returns.
+#
+# ``_map_search`` does the set-up (the BFS order and either the colour
+# tables or the depths, spheres and dart-count tables) once, and returns a
+# search that may run many times, each with fixed images for a prefix of
+# the BFS order.  ``graph_maps`` runs one search, ``is_vertex_transitive``
+# one per orbit point it cannot yet reach, and ``_stabiliser_chain`` one
+# per orbit point of each level: with the BFS order as its base, the
+# automorphisms that fix b_0 .. b_(i-1) send b_i only to neighbours of its
+# BFS parent, which they fix, so each level's candidates are few, and each
+# of its searches stops at its first map.  ``automorphism_group`` and
+# ``is_cayley`` read that chain.
 
 
 def _dart_counts(out, tau, weight, v):
@@ -489,12 +499,22 @@ def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
 
 
 def _map_search(g, h, respect_colours=False, respect_classes=False):
-    """The set-up of ``graph_maps``, for any number of searches.  Returns
-    g's search order, each vertex's BFS parent (None at a component root)
-    and ``search(prefix)``, which yields, in search order, the maps of
-    ``graph_maps`` that send ``order[i]`` to ``prefix[i]`` for every
-    i < len(prefix); or None when no map exists because the vertex or dart
-    counts or the degree sequences differ.  A search keeps an explicit
+    """The set-up of ``graph_maps``, for any number of searches: the first
+    three values of ``_map_set_up``, or None."""
+    setup = _map_set_up(g, h, respect_colours, respect_classes)
+    return setup and setup[:3]
+
+
+def _map_set_up(g, h, respect_colours, respect_classes):
+    """Returns g's search order, each vertex's BFS parent (None at a
+    component root), ``search(prefix)``, which yields, in search order, the
+    maps of ``graph_maps`` that send ``order[i]`` to ``prefix[i]`` for every
+    i < len(prefix), and ``walks``; or returns None when no map exists
+    because the vertex or dart counts or the degree sequences differ.  With
+    colours, when no vertex of g or h has two out-darts of one colour, the
+    search is ``_colour_walk``'s, and ``walks(prefix)`` yields each of its
+    maps with the image of every dart of g, a list that holds until the next
+    map.  Otherwise ``walks`` is None, and the search keeps an explicit
     stack of candidate iterators, one per placed vertex."""
     n = g.n
     if n != h.n or g.n_darts != h.n_darts:
@@ -504,8 +524,9 @@ def _map_search(g, h, respect_colours=False, respect_classes=False):
     if sorted(g_deg) != sorted(h_deg):
         return None
     order, parent, tree_dart = [], [None] * n, [None] * n
-    seen = [False] * n
-    for root in sorted(range(n), key=lambda v: -g_deg[v]):
+    seen, g_tau = [False] * n, g.tau
+    # Roots by decreasing degree; the reversed sort is stable too.
+    for root in sorted(range(n), key=g_deg.__getitem__, reverse=True):
         if seen[root]:
             continue
         seen[root] = True
@@ -515,11 +536,16 @@ def _map_search(g, h, respect_colours=False, respect_classes=False):
             v = order[i]
             i += 1
             for d in g_out[v]:
-                w = g.tau[d]
+                w = g_tau[d]
                 if not seen[w]:
                     seen[w] = True
                     parent[w], tree_dart[w] = v, d
                     order.append(w)
+    if respect_colours:
+        walk = _colour_walk(g, h, order, parent, g_deg, h_deg,
+                            respect_classes)
+        if walk is not None:
+            return order, parent, *walk
     # Depths from the first root, and g's sphere sizes about it.
     depth, spheres = [-1] * n, []
     for v in order:
@@ -628,15 +654,108 @@ def _map_search(g, h, respect_colours=False, respect_classes=False):
                 image[x] = None
             del stack[1:]
 
-    return order, parent, search
+    return order, parent, search, None
+
+
+def _dart_sources(g):
+    """The source of each dart of g, in dart order."""
+    sources = [0] * len(g.tau)
+    sources[0::2], sources[1::2] = g.tau[1::2], g.tau[0::2]
+    return sources
+
+
+def _colour_walk(g, h, order, parent, g_deg, h_deg, respect_classes):
+    """``search`` and ``walks`` of ``_map_set_up`` with colours, or None
+    when a vertex of g or h has two out-darts of one colour.  Then a root
+    image fixes its component's map, and one walk in g's search order finds
+    it: each vertex goes to the head of the dart out of its BFS parent's
+    image that has its tree dart's colour, and each dart of g is checked
+    against h's table as it leaves a walked vertex.  The walk meets g's
+    vertices in the search order, since both read g's out-darts in dart
+    order, so a search yields the maps of the backtracking one, in its
+    order.  Every vertex's colour -> out-dart table is one dict, from n
+    times the colour's index plus the vertex to the dart."""
+    n = g.n
+    offset = dict(zip(set(g.colour).union(h.colour), count(0, n)))
+    g_key = list(map(offset.__getitem__, g.colour))
+    h_table = dict(zip(map(operator.add, map(offset.__getitem__, h.colour),
+                           _dart_sources(h)), count()))
+    if (len(h_table) < h.n_darts or len(set(map(
+            operator.add, g_key, _dart_sources(g)))) < g.n_darts):
+        return None
+    g_out, g_tau, h_tau = g._index(), g.tau, h.tau
+    g_cls, h_cls = g.classes, h.classes
+    starts = [i for i, v in enumerate(order) if parent[v] is None]
+    spans = list(zip(starts, starts[1:] + [n]))
+
+    def walks(prefix):
+        if n == 0:
+            yield (), []
+            return
+        image, used, found = [None] * n, [False] * n, [0] * len(g_tau)
+
+        def retract(start, end):
+            """Clear the last walk of a component: a prefix of its span."""
+            for i in range(start, end):
+                v = order[i]
+                if image[v] is None:
+                    return
+                used[image[v]] = False
+                image[v] = None
+
+        def walk(start, end, w):
+            """Send the root ``order[start]`` to w and follow colours
+            through its component: whether every dart checks out."""
+            retract(start, end)
+            r = order[start]
+            if (used[w] or h_deg[w] != g_deg[r]
+                    or (respect_classes and h_cls[w] != g_cls[r])):
+                return False
+            image[r], used[w] = w, True
+            for i in range(start, end):
+                v = order[i]
+                x = image[v]
+                for d in g_out[v]:
+                    try:
+                        e = found[d] = h_table[g_key[d] + x]
+                    except KeyError:        # no dart of d's colour
+                        return False
+                    u, y = g_tau[d], h_tau[e]
+                    z = image[u]
+                    if z != y:
+                        if z is not None or used[y] or h_deg[y] != g_deg[u] or (
+                                respect_classes and h_cls[y] != g_cls[u]):
+                            return False
+                        image[u], used[y] = y, True  # u is next in order
+            return all(image[order[i]] == prefix[i]
+                       for i in range(start + 1, min(end, len(prefix))))
+
+        stack = [iter(prefix[:1] or range(n))]
+        while stack:
+            start, end = spans[len(stack) - 1]
+            if not any(walk(start, end, w) for w in stack[-1]):
+                retract(start, end)
+                stack.pop()
+                continue
+            if end == n:
+                yield tuple(image), found
+            else:
+                stack.append(iter(prefix[end:end + 1] or range(n)))
+
+    def search(prefix):
+        return (vmap for vmap, _ in walks(prefix))
+
+    return search, walks
 
 
 def dart_bijections(g, h, vmap, colour_ok=None):
     """Yield every dart bijection from g to h over the vertex bijection
     ``vmap`` that commutes with dart reversal and, unless ``colour_ok`` is
-    None, passes ``colour_ok`` on both darts of each edge.  Parallel bundles
-    are assigned by backtracking, with an explicit stack of one level per
-    edge; a loop may map to either orientation of its image."""
+    None, passes ``colour_ok`` on both darts of each edge.  When every edge
+    has one candidate, as in a simple graph, the map is forced, and it is
+    yielded if the candidates are distinct edges.  Otherwise parallel
+    bundles are assigned by backtracking, with an explicit stack of one
+    level per edge; a loop may map to either orientation of its image."""
     order, g_tau, h_tau, h_out = g.edges(), g.tau, h.tau, h._index()
     g_colour, h_colour = g.colour, h.colour
     candidates = []
@@ -647,8 +766,10 @@ def dart_bijections(g, h, vmap, colour_ok=None):
                 colour_ok is None
                 or (colour_ok(g_colour[d], h_colour[e])
                     and colour_ok(g_colour[d ^ 1], h_colour[e ^ 1])))])
-    if not order:
-        yield {}
+    if all(len(c) == 1 for c in candidates):
+        chosen = [c[0] for c in candidates]
+        if len({e >> 1 for e in chosen}) == len(chosen):
+            yield _dart_map(order, chosen)
         return
     chosen, used = [], set()   # h-dart per edge of ``order`` so far
     stack = [iter(candidates[0])]
@@ -665,27 +786,46 @@ def dart_bijections(g, h, vmap, colour_ok=None):
         if len(chosen) < len(order):
             stack.append(iter(candidates[len(chosen)]))
         else:
-            dmap = {}
-            for d, e in zip(order, chosen):
-                dmap[d], dmap[d ^ 1] = e, e ^ 1
-            yield dmap
+            yield _dart_map(order, chosen)
+
+
+def _dart_map(order, chosen):
+    """The dart map that sends each edge's dart ``order[i]`` to
+    ``chosen[i]``, and its reverse to the reverse."""
+    dmap = {}
+    for d, e in zip(order, chosen):
+        dmap[d], dmap[d ^ 1] = e, e ^ 1
+    return dmap
 
 
 def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=None):
     """A vertex/dart bijection witnessing isomorphism, or None.  The first
-    vertex map of ``graph_maps`` that ``dart_bijections`` extends is
-    returned, as the vertex-image tuple that ``graph_maps`` yields, with
-    its dart map; with a ``colour_map`` (g-colour -> allowed h-colours)
-    only dart counts are matched per vertex and colours are left to the
-    dart map.  Both searches are exhaustive, so None is a certificate."""
+    vertex map of ``graph_maps`` that extends to a dart map is returned, as
+    the vertex-image tuple that ``graph_maps`` yields, with its dart map.
+    With colours respected exactly and at most one out-dart per colour at
+    each vertex, the only candidate dart map is the one the colour walk
+    read from h's table, taken if it commutes with dart reversal, and
+    ``dart_bijections`` is not called.  With a ``colour_map`` (g-colour ->
+    allowed h-colours) only dart counts are matched per vertex and colours
+    are left to the dart map.  Both searches are exhaustive, so None is a
+    certificate."""
     if colour_map is not None:
         colour_ok = lambda gc, hc: hc in colour_map.get(gc, {gc})
     elif respect_colours:
         colour_ok = operator.eq
     else:
         colour_ok = None
-    exact = respect_colours and colour_map is None
-    for vmap in graph_maps(g, h, exact, respect_classes):
+    setup = _map_set_up(g, h, respect_colours and colour_map is None,
+                        respect_classes)
+    if setup is None:
+        return None
+    search, walks = setup[2:]
+    if walks is not None:
+        for vmap, found in walks(()):
+            if found[1::2] == [e ^ 1 for e in found[0::2]]:
+                return vmap, dict(enumerate(found))
+        return None
+    for vmap in search(()):
         dmap = next(dart_bijections(g, h, vmap, colour_ok), None)
         if dmap is not None:
             return vmap, dmap
@@ -787,18 +927,20 @@ def automorphism_group(g):
 
 def is_vertex_transitive(g):
     """Whether Aut(g) is transitive on the vertices; the empty graph is not.
-    The orbit of vertex 0 is grown by one automorphism 0 -> v for each v
-    outside the orbit of the automorphisms found so far, and closed under
-    them.  Each search is exhaustive, so False is a certificate, and Aut(g)
-    is never listed, so there is no size bound."""
+    The orbit of vertex 0, the search's first vertex in a regular graph, is
+    grown by one automorphism 0 -> v for each v outside the orbit of the
+    automorphisms found so far, and closed under them; every search shares
+    one set-up.  Each search is exhaustive, so False is a certificate, and
+    Aut(g) is never listed, so there is no size bound."""
     n = g.n
     if n == 0 or not g.is_regular():
         return False
+    search = _map_search(g, g)[2]
     orbit, maps = {0: None}, []
     for v in range(1, n):
         if v in orbit:
             continue
-        a = next(graph_maps(g, g, root_image=v), None)
+        a = next(search((v,)), None)
         if a is None:
             return False
         maps.append(a)

@@ -10,11 +10,12 @@ from conftest import (brute_force_maps, complete_graph, cycle_graph,
                       listing_is_vertex_transitive, multigraph_colourings,
                       multigraphs, read_graph_by_lines, scan_connected,
                       scan_out_darts, semiregular_subgroup_cayley,
-                      two_sided_closure)
+                      table_cayley_graph, two_sided_closure)
 
 import parcay.graph as graph_module
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
-from parcay.constructions import generalized_petersen, petersen_presentation
+from parcay.constructions import (cyclic_group, dihedral_group,
+                                  generalized_petersen, petersen_presentation)
 from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                            ParcayError, SearchBoundExceeded)
 from parcay.graph import (ColouredGraph, _dictated_darts,
@@ -512,6 +513,147 @@ def test_graph_maps_measure_distances_in_the_first_component_only():
     assert len(maps) == 12 and sorted(graph_maps(g, h)) == maps
 
 
+def _walk_and_backtracking(g, h, respect_classes, root_image, prefix=()):
+    """The maps of ``graph_maps(g, h, respect_colours=True, ...)``, after
+    checking that they, the maps of a search with fixed images ``prefix``
+    and the vertex and dart maps of ``isomorphic`` are the backtracking
+    search's, in its order, and that when no vertex of g or h has two
+    out-darts of one colour, the search builds no dart-count table."""
+    tabled, dart_counts = [], graph_module._dart_counts
+    walks = all(len({x.colour[d] for d in x.out_darts(v)}) == x.degree(v)
+                for x in (g, h) for v in range(x.n))
+
+    def counting(out, tau, weight, v):
+        tabled.append(v)
+        return dart_counts(out, tau, weight, v)
+
+    def run():
+        setup = graph_module._map_search(g, h, True, respect_classes)
+        return (list(graph_maps(g, h, True, respect_classes,
+                                root_image=root_image)),
+                setup and list(setup[2](prefix)),
+                isomorphic(g, h, True, respect_classes))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_dart_counts", counting)
+        walked = run()
+        assert not (walks and tabled)
+        mp.setattr(graph_module, "_colour_walk", lambda *args: None)
+        assert run() == walked
+        assert tabled or g.n == 0 or not walked[0]
+    return walked[0]
+
+
+def _oracle_maps(g, h, respect_classes, root_image):
+    first = min(range(g.n), key=lambda v: -g.degree(v))
+    return [p for p in brute_force_maps(g, h, colour_preserving=True)
+            if root_image in (None, p[first]) and not (respect_classes and any(
+                h.classes[p[v]] != g.classes[v] for v in range(g.n)))]
+
+
+@pytest.mark.parametrize("group,gens", [
+    (cyclic_group(1), {"a": 0}), (cyclic_group(5), {"a": 1}),
+    (cyclic_group(6), {"a": 2, "b": 3}), (cyclic_group(4), {"a": 1, "b": 2}),
+    (dihedral_group(3), {"r": 1, "s": 3})])
+def test_colour_walk_matches_backtracking_on_cayley_graphs(group, gens):
+    # One out-dart per colour at every vertex, so a root image fixes the
+    # map.  Classes by parity make some root images fail.
+    g = table_cayley_graph(group, gens)
+    rng = random.Random(len(group))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = _relabelled(g, perm, [rng.random() < 0.5 for _ in range(g.n_edges)])
+    for v in range(g.n):
+        g.classes[v] = h.classes[perm[v]] = v % 2
+    for respect_classes in (False, True):
+        for root_image in (None, perm[0], perm[-1]):
+            assert sorted(_walk_and_backtracking(
+                g, h, respect_classes, root_image)) == _oracle_maps(
+                    g, h, respect_classes, root_image)
+
+
+def test_colour_walk_dart_map_commutes_with_reversal():
+    # One out-dart per colour at each vertex, and the colour counts between
+    # the two vertices agree, but h reverses a into B and b into A: the
+    # vertex map exists, and no dart map commutes with reversal.
+    g, h = ColouredGraph(2), ColouredGraph(2)
+    g.declare_colour("a", "A")
+    g.declare_colour("b", "B")
+    h.declare_colour("a", "B")
+    h.declare_colour("b", "A")
+    for x in (g, h):
+        x.add_edge(0, 1, "a")
+        x.add_edge(0, 1, "b")
+    assert _walk_and_backtracking(g, h, False, None) == [(0, 1)]
+    assert isomorphic(g, h, respect_colours=True) is None
+
+
+def test_colour_walk_needs_one_out_dart_per_colour_in_both_graphs():
+    # g has two parallel darts coloured a, h one coloured a and one b: no
+    # map keeps the colour counts, though a walk from g would check out.
+    g, h = ColouredGraph(2), ColouredGraph(2)
+    for x, colours in ((g, "aa"), (h, "ab")):
+        for c in colours:
+            x.declare_colour(c, c.upper())
+            x.add_edge(0, 1, c)
+    assert _walk_and_backtracking(g, h, False, None) == []
+    assert _walk_and_backtracking(h, g, False, None) == []
+
+
+@st.composite
+def colour_deterministic_multigraphs(draw):
+    """A ``multigraphs()`` draw, often disconnected, coloured so that no
+    vertex has two out-darts of one colour: each edge takes the first pair
+    of (colour, inverse) from a drawn place in a short list that is free at
+    both ends, or else a pair of its own.  The list has a self-inverse
+    colour, which no loop can take."""
+    m = draw(multigraphs(6, 9))
+    pairs = [("a", "A"), ("b", "B"), ("c", "c"), ("d", "D")]
+    g = ColouredGraph()
+    for _ in range(m.n):
+        g.add_vertex()
+    taken = [set() for _ in range(m.n)]
+    for i, d in enumerate(m.edges()):
+        u, v = m.edge_ends(d)
+        start = draw(st.integers(0, len(pairs) - 1))
+        c, c_inv = next(
+            ((c, c_inv) for c, c_inv in pairs[start:] + pairs[:start]
+             if c not in taken[u] and c_inv not in taken[v]
+             and (u != v or c != c_inv)), (f"x{i}", f"X{i}"))
+        taken[u].add(c)
+        taken[v].add(c_inv)
+        g.declare_colour(c, c_inv)
+        g.add_edge(u, v, c)
+    return g
+
+
+@settings(deadline=None)
+@given(colour_deterministic_multigraphs(), st.data())
+def test_colour_walk_matches_backtracking_on_multigraphs(g, data):
+    # Relabelled and reoriented copies have maps; a recoloured edge may
+    # leave none, or leave h with two out-darts of one colour, where the
+    # walk is not used, in either direction.  A prefix fixes the images of
+    # the first vertices of the search order.
+    n = g.n
+    g.classes = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    h = _relabelled(g, perm, data.draw(st.lists(
+        st.booleans(), min_size=g.n_edges, max_size=g.n_edges)))
+    for v in range(n):
+        h.classes[perm[v]] = g.classes[v]
+    if g.n_edges and data.draw(st.booleans()):
+        d = 2 * data.draw(st.integers(0, g.n_edges - 1))
+        h.colour[d], h.colour[d + 1] = data.draw(st.sampled_from(
+            [("a", "A"), ("b", "B"), ("c", "c")]))
+    respect_classes = data.draw(st.booleans())
+    root_image = data.draw(st.none() | st.integers(0, n - 1))
+    prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    for x, y in ((g, h), (h, g)):
+        assert sorted(_walk_and_backtracking(
+            x, y, respect_classes, root_image, prefix)) == _oracle_maps(
+                x, y, respect_classes, root_image)
+
+
 # Small multigraphs, for the symmetry oracles and the stabiliser chain.
 SMALL_MULTIGRAPHS = [
     (1, [(0, 0)]),
@@ -595,17 +737,12 @@ def _orbit(v, maps):
                                complete_graph(5)])
 def test_vertex_transitivity_searches_only_outside_the_orbit(g, monkeypatch):
     # Each search asks for an automorphism sending 0 to a vertex outside
-    # the orbit of 0 under the automorphisms found before it.
-    searches, graph_maps = [], graph_module.graph_maps
-
-    def recording(*args, root_image=None, **kwargs):
-        searches.append((root_image, []))
-        for a in graph_maps(*args, root_image=root_image, **kwargs):
-            searches[-1][1].append(a)
-            yield a
-
-    monkeypatch.setattr(graph_module, "graph_maps", recording)
+    # the orbit of 0 under the automorphisms found before it, and every
+    # search runs on one set-up.
+    recorded = _recording_searches(monkeypatch)
     assert is_vertex_transitive(g)
+    assert len({id(order) for order, _, _ in recorded}) == 1
+    searches = [(prefix[0], maps) for _, prefix, maps in recorded]
     found = []
     for v, maps in searches:
         assert v not in _orbit(0, found)
