@@ -39,7 +39,7 @@ from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .errors import BadParameters, Overflow
-from .graph import (ColouredGraph, _dictated_darts, _map_set_up, _witness,
+from .graph import (ColouredGraph, _dictated_darts, _map_search, _witness,
                     alphabet_colours, alphabet_graph, dart_bijections,
                     graph_maps)
 
@@ -582,7 +582,7 @@ def deck_group(sp):
     """Colour- and class-preserving automorphisms, or None when some vertex
     has two out-darts of one colour: then the search's set-up builds no
     colour walk."""
-    _, _, search, walks = _map_set_up(sp, sp, True, True)
+    _, _, search, walks = _map_search(sp, sp, True, True)
     return None if walks is None else sorted(search(()))
 
 

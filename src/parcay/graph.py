@@ -23,7 +23,7 @@ caller that looks vertices up by label keeps its own map.
 from __future__ import annotations
 
 import operator
-from collections import Counter, deque
+from collections import Counter
 from itertools import chain, count
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
@@ -141,12 +141,7 @@ class ColouredGraph:
 
     def is_connected(self):
         """Whether the graph is connected (the empty graph is)."""
-        if self.n:
-            try:
-                spanning_tree(self, 0)
-            except Disconnected:
-                return False
-        return True
+        return not self.n or len(_bfs_forest(self, (0,))[0]) == self.n
 
     def class_sizes(self):
         sizes = Counter()
@@ -272,22 +267,34 @@ def alphabet_graph(alphabet, targets, names, classes):
 def spanning_tree(g, base):
     """BFS tree: returns (parent dart per vertex, BFS order).  Deterministic
     given dart numbering."""
-    parent = [None] * g.n
-    order = [base]
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for d in g.out_darts(v):
-            w = g.tau[d]
-            if w not in seen:
-                seen.add(w)
-                parent[w] = d
-                order.append(w)
-                queue.append(w)
+    order, tree = _bfs_forest(g, (base,))
     if len(order) != g.n:
         raise Disconnected("graph is not connected")
-    return parent, order
+    return tree, order
+
+
+def _bfs_forest(g, roots):
+    """A BFS from each of ``roots`` that no earlier BFS reached, in turn,
+    reading out-darts in dart order: returns the vertices in the order they
+    are reached and the tree dart into each vertex, None at a root and at a
+    vertex no BFS reaches."""
+    out, tau = g._index(), g.tau
+    tree, seen, order = [None] * g.n, [False] * g.n, []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            for d in out[order[i]]:
+                w = tau[d]
+                if not seen[w]:
+                    seen[w] = True
+                    tree[w] = d
+                    order.append(w)
+            i += 1
+    return order, tree
 
 
 class _RootedTree:
@@ -463,16 +470,17 @@ def _short_cycle_relators(g, alphabet):
 # depths, spheres or dart-count tables; each dart of g is checked once, and
 # the walk's dart images are the dart map ``isomorphic`` returns.
 #
-# ``_map_search`` does the set-up (the BFS order and either the colour
-# tables or the depths, spheres and dart-count tables) once, and returns a
-# search that may run many times, each with fixed images for a prefix of
-# the BFS order.  ``graph_maps`` runs one search, ``is_vertex_transitive``
-# one per orbit point it cannot yet reach, and ``_stabiliser_chain`` one
-# per orbit point of each level: with the BFS order as its base, the
+# ``_map_search`` does the set-up (the BFS order, read from ``_bfs_forest``
+# with roots by decreasing degree, and either the colour tables or the
+# depths, spheres and dart-count tables) once, and returns a search that
+# may run many times, each with fixed images for a prefix of the BFS order.
+# ``graph_maps`` runs one search, and ``_base_orbit`` one per orbit point
+# of one level of a stabiliser chain: with the BFS order as its base, the
 # automorphisms that fix b_0 .. b_(i-1) send b_i only to neighbours of its
 # BFS parent, which they fix, so each level's candidates are few, and each
-# of its searches stops at its first map.  ``automorphism_group`` and
-# ``is_cayley`` read that chain.
+# of its searches stops at its first map.  ``_stabiliser_chain`` builds
+# every level, and ``automorphism_group`` and ``is_cayley`` read it;
+# ``is_vertex_transitive`` builds level 0 alone and keeps no elements.
 
 
 def _dart_counts(out, tau, weight, v):
@@ -485,30 +493,22 @@ def _dart_counts(out, tau, weight, v):
     return counts
 
 
-def graph_maps(g, h, respect_colours=False, respect_classes=False, *,
-               root_image=None):
+def graph_maps(g, h, respect_colours=False, respect_classes=False):
     """Yield, as vertex-image tuples, every vertex bijection from g to h that
     preserves degrees, the number of darts between each pair of vertices
     (per dart colour if ``respect_colours``) and, if asked, class labels.
     A map extends to a graph isomorphism exactly when ``dart_bijections``
-    yields a dart map over it.  With ``root_image``, only the maps that send
-    the search's first vertex, the least vertex of largest degree, there."""
+    yields a dart map over it."""
     setup = _map_search(g, h, respect_colours, respect_classes)
     if setup is not None:
-        yield from setup[2](() if root_image is None else (root_image,))
+        yield from setup[2](())
 
 
 def _map_search(g, h, respect_colours=False, respect_classes=False):
-    """The set-up of ``graph_maps``, for any number of searches: the first
-    three values of ``_map_set_up``, or None."""
-    setup = _map_set_up(g, h, respect_colours, respect_classes)
-    return setup and setup[:3]
-
-
-def _map_set_up(g, h, respect_colours, respect_classes):
-    """Returns g's search order, each vertex's BFS parent (None at a
-    component root), ``search(prefix)``, which yields, in search order, the
-    maps of ``graph_maps`` that send ``order[i]`` to ``prefix[i]`` for every
+    """The set-up of ``graph_maps``, for any number of searches.  Returns
+    g's search order, each vertex's BFS parent (None at a component root),
+    ``search(prefix)``, which yields, in search order, the maps of
+    ``graph_maps`` that send ``order[i]`` to ``prefix[i]`` for every
     i < len(prefix), and ``walks``; or returns None when no map exists
     because the vertex or dart counts or the degree sequences differ.  With
     colours, when no vertex of g or h has two out-darts of one colour, the
@@ -523,24 +523,11 @@ def _map_set_up(g, h, respect_colours, respect_classes):
     g_deg, h_deg = list(map(len, g_out)), list(map(len, h_out))
     if sorted(g_deg) != sorted(h_deg):
         return None
-    order, parent, tree_dart = [], [None] * n, [None] * n
-    seen, g_tau = [False] * n, g.tau
     # Roots by decreasing degree; the reversed sort is stable too.
-    for root in sorted(range(n), key=g_deg.__getitem__, reverse=True):
-        if seen[root]:
-            continue
-        seen[root] = True
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for d in g_out[v]:
-                w = g_tau[d]
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w], tree_dart[w] = v, d
-                    order.append(w)
+    order, tree_dart = _bfs_forest(
+        g, sorted(range(n), key=g_deg.__getitem__, reverse=True))
+    g_tau = g.tau
+    parent = [None if d is None else g_tau[d ^ 1] for d in tree_dart]
     if respect_colours:
         walk = _colour_walk(g, h, order, parent, g_deg, h_deg,
                             respect_classes)
@@ -665,7 +652,7 @@ def _dart_sources(g):
 
 
 def _colour_walk(g, h, order, parent, g_deg, h_deg, respect_classes):
-    """``search`` and ``walks`` of ``_map_set_up`` with colours, or None
+    """``search`` and ``walks`` of ``_map_search`` with colours, or None
     when a vertex of g or h has two out-darts of one colour.  Then a root
     image fixes its component's map, and one walk in g's search order finds
     it: each vertex goes to the head of the dart out of its BFS parent's
@@ -815,7 +802,7 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
         colour_ok = operator.eq
     else:
         colour_ok = None
-    setup = _map_set_up(g, h, respect_colours and colour_map is None,
+    setup = _map_search(g, h, respect_colours and colour_map is None,
                         respect_classes)
     if setup is None:
         return None
@@ -832,59 +819,69 @@ def isomorphic(g, h, respect_colours=False, respect_classes=False, colour_map=No
     return None
 
 
+AUTOMORPHISM_BOUND = 64
+
+
 def _stabiliser_chain(g, transitive=False):
     """Aut(g) as a stabiliser chain whose base is the search order b_0,
-    b_1, ... of ``_map_search(g, g)``.  Level i maps each point of the orbit
-    of b_i under G_i, the automorphisms that fix b_0 .. b_(i-1), to one
-    element of G_i that sends b_i there, the identity at b_i.  Levels are
-    built from the deepest up, so every map found below level i is known
-    there.  Level i's candidates are the vertices outside b_0 .. b_(i-1)
-    among the neighbours of b_i's BFS parent, which G_i fixes, or among all
-    vertices at a component root.  A candidate runs one search, which stops
-    at its first map, unless the maps found so far reach it from b_i or
-    from a candidate whose search failed.  Each search is exhaustive, so
+    b_1, ... of ``_map_search(g, g)``, for graphs of at most
+    ``AUTOMORPHISM_BOUND`` vertices.  Level i, ``_base_orbit``'s orbit of
+    b_i, maps each point of the orbit of b_i under G_i, the automorphisms
+    that fix b_0 .. b_(i-1), to one element of G_i that sends b_i there, the
+    identity at b_i.  Levels are built from the deepest up, so every map
+    found below level i is known there.  Each search is exhaustive, so
     every orbit is exact, and |Aut(g)| is the product of the orbit sizes.
 
     With ``transitive``, level 0 is built first, from its own maps, and
     None is returned at its first failed search, which shows that g is not
     vertex transitive, so such a graph costs no deeper level."""
     n = g.n
-    order, parent, search = _map_search(g, g)
-    out, tau = g._index(), g.tau
-    ident = tuple(range(n))
-
-    def level(i, gens):
-        """The orbit of b_i, or None at a failed search at level 0 with
-        ``transitive``."""
-        b, p = order[i], parent[order[i]]
-        fixed = set(order[:i])
-        orbit, missed = {b: ident}, {}
-        candidates = range(n) if p is None else dict.fromkeys(
-            tau[d] for d in out[p])
-        for w in candidates:
-            if w in orbit or w in fixed or w in missed:
-                continue
-            a = next(search(order[:i] + [w]), None)
-            if a is None:
-                if transitive and i == 0:
-                    return None
-                # Nor can b reach the orbit of w under the maps found.
-                missed[w] = None
-                _close_orbit(missed, gens)
-            else:
-                gens.append(a)
-                _close_orbit(orbit, gens)
-        return orbit
-
+    if n > AUTOMORPHISM_BOUND:
+        raise SearchBoundExceeded(
+            f"{n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
+    setup, ident = _map_search(g, g), tuple(range(n))
     chain, gens = [None] * n, []
     if transitive:
-        chain[0] = level(0, [])
+        chain[0] = _base_orbit(g, setup, 0, [], ident, True)
         if chain[0] is None:
             return None
     for i in range(n - 1, -1, -1):
         if chain[i] is None:
-            chain[i] = level(i, gens)
+            chain[i] = _base_orbit(g, setup, i, gens, ident, False)
     return chain
+
+
+def _base_orbit(g, setup, i, gens, start, stop_at_failure):
+    """The orbit of b_i, the i-th vertex of the search order of ``setup``,
+    ``_map_search(g, g)``, under G_i, the automorphisms that fix b_0 ..
+    b_(i-1): a dict from each orbit point to an element that sends b_i
+    there, ``start`` at b_i, or None throughout when ``start`` is None.
+    The candidates are the vertices outside b_0 .. b_(i-1) among the
+    neighbours of b_i's BFS parent, which G_i fixes, or among all vertices
+    at a component root.  A candidate runs one search, which stops at its
+    first map, unless the maps in ``gens`` reach it from b_i or from a
+    candidate whose search failed; each map found joins ``gens``.  With
+    ``stop_at_failure``, returns None at the first failed search."""
+    order, parent, search, _ = setup
+    b, p = order[i], parent[order[i]]
+    fixed = set(order[:i])
+    orbit, missed = {b: start}, {}
+    candidates = range(g.n) if p is None else dict.fromkeys(
+        g.tau[d] for d in g._index()[p])
+    for w in candidates:
+        if w in orbit or w in fixed or w in missed:
+            continue
+        a = next(search(order[:i] + [w]), None)
+        if a is None:
+            if stop_at_failure:
+                return None
+            # Nor can b reach the orbit of w under the maps found.
+            missed[w] = None
+            _close_orbit(missed, gens)
+        else:
+            gens.append(a)
+            _close_orbit(orbit, gens)
+    return orbit
 
 
 def _close_orbit(orbit, gens):
@@ -912,40 +909,23 @@ def _chain_elements(levels, n):
     return group
 
 
-AUTOMORPHISM_BOUND = 64
-
-
 def automorphism_group(g):
     """Complete list of automorphisms as sorted vertex-image tuples, for
     graphs of at most ``AUTOMORPHISM_BOUND`` vertices, read from the
     stabiliser chain of Aut(g)."""
-    if g.n > AUTOMORPHISM_BOUND:
-        raise SearchBoundExceeded(
-            f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
     return sorted(_chain_elements(_stabiliser_chain(g), g.n))
 
 
 def is_vertex_transitive(g):
     """Whether Aut(g) is transitive on the vertices; the empty graph is not.
-    The orbit of vertex 0, the search's first vertex in a regular graph, is
-    grown by one automorphism 0 -> v for each v outside the orbit of the
-    automorphisms found so far, and closed under them; every search shares
-    one set-up.  Each search is exhaustive, so False is a certificate, and
-    Aut(g) is never listed, so there is no size bound."""
-    n = g.n
-    if n == 0 or not g.is_regular():
-        return False
-    search = _map_search(g, g)[2]
-    orbit, maps = {0: None}, []
-    for v in range(1, n):
-        if v in orbit:
-            continue
-        a = next(search((v,)), None)
-        if a is None:
-            return False
-        maps.append(a)
-        _close_orbit(orbit, maps)
-    return True
+    In a regular graph vertex 0 is the search's first vertex, b_0, and g is
+    vertex transitive when its orbit, the chain's level 0, is every vertex.
+    The orbit stores None at each point, so no element is kept, and the
+    level stops at its first failed search.  Each search is exhaustive, so
+    False is a certificate, and Aut(g) is never listed, so there is no size
+    bound."""
+    return g.n > 0 and g.is_regular() and _base_orbit(
+        g, _map_search(g, g), 0, [], None, True) is not None
 
 
 def _perm_mul(p, q):
@@ -991,9 +971,6 @@ def is_cayley(g):
     of 0, so the branch that always adds its element reaches it, and None
     is a certificate."""
     n = g.n
-    if n > AUTOMORPHISM_BOUND:
-        raise SearchBoundExceeded(
-            f"{g.n} vertices exceeds the bound {AUTOMORPHISM_BOUND}")
     if n == 0:
         return None
     chain = _stabiliser_chain(g, transitive=True)

@@ -74,6 +74,30 @@ def scan_connected(g, vertices):
     return len({find(v) for v in parent}) <= 1
 
 
+def deque_bfs(g, roots):
+    """Reference BFS forest: from each of ``roots`` that no earlier BFS
+    reached, a BFS with a ``deque`` and a set of seen vertices, reading
+    out-darts in dart order.  Returns (the tree dart into each vertex, None
+    at a root and at a vertex no BFS reaches, the vertices in BFS order)."""
+    parent, order, seen = [None] * g.n, [], set()
+    for base in roots:
+        if base in seen:
+            continue
+        seen.add(base)
+        order.append(base)
+        queue = deque([base])
+        while queue:
+            v = queue.popleft()
+            for d in g.out_darts(v):
+                w = g.tau[d]
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = d
+                    order.append(w)
+                    queue.append(w)
+    return parent, order
+
+
 def brute_force_maps(g, h, colour_preserving=False):
     """Independent oracle: every vertex bijection from g to h that maps the
     multiset of g's darts (source, head and, if asked, colour) onto h's, in

@@ -1,16 +1,18 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (brute_force_maps, complete_graph, cycle_graph,
-                      listing_is_vertex_transitive, multigraph_colourings,
-                      multigraphs, read_graph_by_lines, scan_connected,
-                      scan_out_darts, semiregular_subgroup_cayley,
-                      table_cayley_graph, two_sided_closure)
+                      deque_bfs, listing_is_vertex_transitive,
+                      multigraph_colourings, multigraphs, read_graph_by_lines,
+                      scan_connected, scan_out_darts,
+                      semiregular_subgroup_cayley, table_cayley_graph,
+                      two_sided_closure)
 
 import parcay.graph as graph_module
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
@@ -104,6 +106,26 @@ def test_out_dart_index_matches_a_dart_scan(g):
 
 def test_the_empty_graph_is_connected():
     assert ColouredGraph().is_connected()
+
+
+@given(multigraphs(7, 14, rebuilt=True))
+def test_bfs_forests_match_the_deque_oracle(g):
+    # spanning_tree from every base, is_connected, and the map search's
+    # order and BFS parents from the roots by decreasing degree, on graphs
+    # that are often disconnected.
+    for base in range(g.n):
+        parent, order = deque_bfs(g, [base])
+        if len(order) == g.n:
+            assert graph_module.spanning_tree(g, base) == (parent, order)
+        else:
+            with pytest.raises(Disconnected):
+                graph_module.spanning_tree(g, base)
+    assert g.is_connected() == (len(deque_bfs(g, [0])[1]) == g.n)
+    parent, order = deque_bfs(g, sorted(range(g.n), key=g.degree,
+                                        reverse=True))
+    setup = graph_module._map_search(g, g)
+    assert setup[0] == order
+    assert setup[1] == [None if d is None else g.src(d) for d in parent]
 
 
 # -- walks and words -----------------------------------------------------------
@@ -500,8 +522,9 @@ def test_graph_maps_match_brute_force(data):
     want = [p for p in brute_force_maps(g, h, respect_colours)
             if r in (None, p[first]) and not (respect_classes and any(
                 h.classes[p[v]] != g.classes[v] for v in range(n)))]
-    assert sorted(graph_maps(g, h, respect_colours, respect_classes,
-                             root_image=r)) == want
+    setup = graph_module._map_search(g, h, respect_colours, respect_classes)
+    maps = [] if setup is None else setup[2](() if r is None else (r,))
+    assert sorted(maps) == want
 
 
 def test_graph_maps_measure_distances_in_the_first_component_only():
@@ -529,8 +552,8 @@ def _walk_and_backtracking(g, h, respect_classes, root_image, prefix=()):
 
     def run():
         setup = graph_module._map_search(g, h, True, respect_classes)
-        return (list(graph_maps(g, h, True, respect_classes,
-                                root_image=root_image)),
+        first = () if root_image is None else (root_image,)
+        return ([] if setup is None else list(setup[2](first)),
                 setup and list(setup[2](prefix)),
                 isomorphic(g, h, True, respect_classes))
 
@@ -724,6 +747,20 @@ def test_vertex_transitivity():
             k * k % n in (1, n - 1) or (n, k) == (10, 2)), (n, k)
 
 
+def test_vertex_transitivity_keeps_no_transversal():
+    # The orbit of vertex 0 stores None at each point.  An element tuple
+    # per point of C3000 would hold 3000 tuples of 3000 entries, about
+    # 70 MiB; without them the search peaks at about 2 MiB.
+    g = cycle_graph(3000)
+    tracemalloc.start()
+    try:
+        assert is_vertex_transitive(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def _orbit(v, maps):
     orbit = [v]
     for x in orbit:
@@ -781,7 +818,7 @@ def test_stabiliser_chain_orders(g, order, monkeypatch):
     assert len(searches) <= g.n ** 2
     assert all(len(maps) <= 1 for _, _, maps in searches)
     assert math.prod(map(len, chain)) == order
-    base, _, _ = graph_module._map_search(g, g)
+    base = graph_module._map_search(g, g)[0]
     edges = Counter(tuple(sorted(g.edge_ends(d))) for d in g.edges())
     for i, level in enumerate(chain):
         for u, t in level.items():
@@ -797,7 +834,7 @@ def _recording_searches(monkeypatch):
     searches, map_search = [], graph_module._map_search
 
     def recording(*args, **kwargs):
-        order, parent, search = map_search(*args, **kwargs)
+        order, parent, search, walks = map_search(*args, **kwargs)
 
         def recorded(prefix):
             searches.append((order, list(prefix), []))
@@ -805,7 +842,7 @@ def _recording_searches(monkeypatch):
                 searches[-1][2].append(a)
                 yield a
 
-        return order, parent, recorded
+        return order, parent, recorded, walks
 
     monkeypatch.setattr(graph_module, "_map_search", recording)
     return searches
