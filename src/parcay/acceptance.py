@@ -4,7 +4,8 @@ subcommand and mirrored one-to-one by the acceptance test module."""
 
 from __future__ import annotations
 
-from .builder import build_sp, invariant_report, presentation_graph
+from .builder import (build_sp, check_deck_regular, deck_group,
+                      invariant_report, presentation_graph)
 from .constructions import (cayley_graph, complete_graph,
                             cubic_no_perfect_matching, cycle_graph,
                             cyclic_group, generalized_petersen,
@@ -16,8 +17,7 @@ from .decompose import (Matching, is_multicycle, k_n_factorization,
                         weak_multicycle_colouring)
 from .errors import NoPerfectMatching, Overflow
 from .extract import pipeline_presentation
-from .graph import (ColouredGraph, graph_maps, is_cayley, is_vertex_transitive,
-                    isomorphic)
+from .graph import ColouredGraph, is_cayley, is_vertex_transitive, isomorphic
 from .infmatch import (Exhaustion, maximal_matching_wrt_miss,
                        miss_sequence, symmetric_difference_report,
                        windowed_perfect_matching)
@@ -125,12 +125,8 @@ def c03_vertex_groups():
     sp = build_sp(from_two_partite(petersen_presentation(5, 2)))
     sizes = sp.class_sizes()
     orders = [sizes[x] for x in ("0", "1")]   # |V_x| is the fibre of x
-    auts = list(graph_maps(sp, sp, respect_colours=True))
-    fibres = {x: [v for v in range(sp.n) if sp.classes[v] == x] for x in ("0", "1")}
-    regular = all(
-        len({a[fibre[0]] for a in auts}) == len(fibre)
-        and all(sum(1 for a in auts if a[fibre[0]] == w) == 1 for w in fibre)
-        for fibre in fibres.values())
+    auts = deck_group(sp)
+    regular = check_deck_regular(sp)
     ok = orders == [5, 5] and len(auts) == 5 and regular
     return ok, f"orders {orders}, colour group {len(auts)}, regular {regular}"
 

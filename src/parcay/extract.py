@@ -25,9 +25,9 @@ from __future__ import annotations
 from .decompose import _class_walks, weak_multicycle_colouring
 from .errors import (BadParameters, InvolutionInR, NotPartitionFriendly,
                      SizeMismatch)
-from .graph import _short_cycle_relators, alphabet_graph
+from .graph import _witness, alphabet_graph, spanning_tree
 from .presentation import PartitePresentation, TwoPartitePresentation
-from .words import Alphabet, ClassAction, is_generator_name
+from .words import Alphabet, ClassAction, Word, is_generator_name
 
 
 def _colouring_presentation(g, colouring):
@@ -84,6 +84,127 @@ def pipeline_presentation(g):
     regular graph with a partition-friendly decomposition."""
     colouring = weak_multicycle_colouring(g)
     return presentation_from_colouring(g, colouring)
+
+
+# ---------------------------------------------------------------------------
+# Relators from short cycles.
+
+
+# Levels that each end of a non-tree edge searches for a short cycle.
+LOCAL_CYCLE_LEVELS = 4
+
+
+def _usable_path(g, usable, a, b, limit):
+    """The darts of a shortest path from a to b over edges marked in
+    ``usable`` (indexed by ``d >> 1``), of at most ``limit`` edges and at
+    most ``LOCAL_CYCLE_LEVELS`` levels from either end, or None.  The end
+    with the smaller frontier grows by one BFS level at a time; the first
+    vertex reached from both ends closes a shortest path."""
+    if a == b:
+        return []
+    tau, out = g.tau, g._index()
+    seen = ({a: None}, {b: None})   # vertex -> dart it was reached by
+    frontier = [[a], [b]]
+    levels = [0, 0]
+    while levels[0] + levels[1] < limit:
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        if levels[side] == LOCAL_CYCLE_LEVELS:
+            side = 1 - side
+            if levels[side] == LOCAL_CYCLE_LEVELS:
+                return None
+        mine, other = seen[side], seen[1 - side]
+        grown = []
+        for x in frontier[side]:
+            for d in out[x]:
+                y = tau[d]
+                if usable[d >> 1] and y not in mine:
+                    mine[y] = d
+                    if y in other:
+                        halves = []
+                        for reached in seen:    # from y back to each end
+                            half, v = [], y
+                            while reached[v] is not None:
+                                half.append(reached[v])
+                                v = tau[reached[v] ^ 1]
+                            halves.append(half)
+                        return halves[0][::-1] + [e ^ 1 for e in halves[1]]
+                    grown.append(y)
+        if not grown:
+            return None
+        frontier[side] = grown
+        levels[side] += 1
+    return None
+
+
+def _short_cycle_relators(g, alphabet):
+    """One relator per non-tree edge of the BFS tree at vertex 0, as
+    ``(dart, vertex, word)``: the edge's canonical dart, and a cyclically
+    reduced word that closes at the vertex.  ``g`` is a graph that
+    ``alphabet_graph`` built from ``alphabet``, so each dart's colour is its
+    letter's ``Alphabet.colour_of``.  NotCayleyLike is raised when ``g`` is
+    not Cayley-like, and Disconnected when it is not connected.
+
+    Edges are taken in BFS order of their later end, then of their earlier
+    end.  Edge u -> w is closed by a shortest path from w back to u over
+    tree edges and edges closed before it, and the cycle is read from its
+    earliest vertex in BFS order.  The search looks for a cycle at least
+    two letters shorter than depth(u) + depth(w) + 1, the walk from vertex
+    0 down to u, across the edge and back up from w; where it finds none,
+    the relator is the edge's cycle through the tree, at the lowest common
+    ancestor of its ends.  That cycle is the walk from vertex 0 when the
+    ends meet there, so on a tree one level deep no search runs.
+
+    Each relator crosses exactly one edge that is neither in the tree nor
+    closed, so by induction every non-tree edge is trivial in the
+    complex."""
+    _witness(g)
+    parent, order = spanning_tree(g, 0)
+    tau, inverse = g.tau, alphabet.inverse_letter
+    letter_of = {alphabet.colour_of(x): x for x in alphabet.letters()}
+    letter = [letter_of[c] for c in g.colour]
+    rank, depth = [0] * g.n, [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    for v in order[1:]:
+        depth[v] = depth[tau[parent[v] ^ 1]] + 1
+    usable = bytearray([1]) * g.n_edges
+    open_edges = []
+    for d in g.edges():
+        u, w = tau[d ^ 1], tau[d]
+        if parent[w] != d and parent[u] != d ^ 1:
+            usable[d >> 1] = 0
+            ru, rw = rank[u], rank[w]
+            open_edges.append((max(ru, rw), min(ru, rw), d))
+    open_edges.sort()
+    out = []
+    for _, _, d in open_edges:
+        u, w = tau[d ^ 1], tau[d]
+        path = _usable_path(g, usable, w, u, depth[u] + depth[w] - 2)
+        if path is not None:
+            cycle = [d] + path
+            starts = [rank[tau[e ^ 1]] for e in cycle]
+            i = starts.index(min(starts))
+            cycle = cycle[i:] + cycle[:i]
+            v, word = tau[cycle[0] ^ 1], [letter[e] for e in cycle]
+        else:
+            # The cycle through the tree: both ends climb by parent darts
+            # to their lowest common ancestor, so no root path is stored.
+            down, up = [letter[d]], []  # the word's two halves, down reversed
+            while u != w:
+                if depth[u] >= depth[w]:
+                    e = parent[u]
+                    down.append(letter[e])
+                    u = tau[e ^ 1]
+                else:
+                    e = parent[w]
+                    up.append(inverse(letter[e]))
+                    w = tau[e ^ 1]
+            v, word = u, down[::-1] + up
+        # A simple cycle of a Cayley-like graph spells a cyclically reduced
+        # word: cancelling letters would need a backtrack.
+        out.append((d, v, Word(alphabet, tuple(word), _reduced=True)))
+        usable[d >> 1] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from itertools import chain, count
 
 from .errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                      SearchBoundExceeded)
-from .words import Word
 
 
 class ColouredGraph:
@@ -169,7 +168,7 @@ class ColouredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Cayley-like colourings: walks along words, and relators from cycles.
+# Cayley-like colourings: walks along words.
 
 
 def cayley_like_witness(g):
@@ -295,147 +294,6 @@ def _bfs_forest(g, roots):
                     order.append(w)
             i += 1
     return order, tree
-
-
-class _RootedTree:
-    """The BFS tree of a Cayley-like graph at vertex 0, with the letter of
-    every dart: a colour that names a generator of ``alphabet`` is its
-    letter, any other colour the inverse of its inverse colour's letter.
-    ``_short_cycle_relators`` closes the edges outside this tree."""
-
-    def __init__(self, g, alphabet):
-        _witness(g)
-        self.g, self.alphabet = g, alphabet
-        self.parent, self.order = spanning_tree(g, 0)
-        code = {c: alphabet.code(c) if c in alphabet.names
-                else alphabet.code(g.colour_inv[c], -1)
-                for c in set(g.colour)}
-        self.letter = [code[c] for c in g.colour]
-        depth = self.depth = [0] * g.n
-        for v in self.order[1:]:
-            depth[v] = depth[g.src(self.parent[v])] + 1
-
-    def non_tree_edges(self):
-        """The canonical darts of the edges outside the tree, in dart order."""
-        parent, tau = self.parent, self.g.tau
-        return [d for d in self.g.edges()
-                if parent[tau[d]] != d and parent[tau[d ^ 1]] != d ^ 1]
-
-    def tree_cycle(self, d):
-        """``(vertex, word)``: the cycle of the non-tree edge u -> w through
-        the tree, read from the lowest common ancestor of u and w.  Both
-        ends climb by parent darts, so no root path is stored.  A simple
-        cycle of a Cayley-like graph spells a cyclically reduced word:
-        cancelling letters would need a backtrack."""
-        g, parent, depth, letter = self.g, self.parent, self.depth, self.letter
-        inverse = self.alphabet.inverse_letter
-        u, w = g.src(d), g.tau[d]
-        down, up = [letter[d]], []   # the word's two halves, down reversed
-        while u != w:
-            if depth[u] >= depth[w]:
-                e = parent[u]
-                down.append(letter[e])
-                u = g.src(e)
-            else:
-                e = parent[w]
-                up.append(inverse(letter[e]))
-                w = g.src(e)
-        down.reverse()
-        return u, Word(self.alphabet, tuple(down + up), _reduced=True)
-
-
-# Levels that each end of a non-tree edge searches for a short cycle.
-LOCAL_CYCLE_LEVELS = 4
-
-
-def _usable_path(g, usable, a, b, limit):
-    """The darts of a shortest path from a to b over edges marked in
-    ``usable`` (indexed by ``d >> 1``), of at most ``limit`` edges and at
-    most ``LOCAL_CYCLE_LEVELS`` levels from either end, or None.  The end
-    with the smaller frontier grows by one BFS level at a time; the first
-    vertex reached from both ends closes a shortest path."""
-    if a == b:
-        return []
-    tau, out = g.tau, g._index()
-    seen = ({a: None}, {b: None})   # vertex -> dart it was reached by
-    frontier = [[a], [b]]
-    levels = [0, 0]
-    while levels[0] + levels[1] < limit:
-        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        if levels[side] == LOCAL_CYCLE_LEVELS:
-            side = 1 - side
-            if levels[side] == LOCAL_CYCLE_LEVELS:
-                return None
-        mine, other = seen[side], seen[1 - side]
-        grown = []
-        for x in frontier[side]:
-            for d in out[x]:
-                y = tau[d]
-                if usable[d >> 1] and y not in mine:
-                    mine[y] = d
-                    if y in other:
-                        halves = []
-                        for reached in seen:    # from y back to each end
-                            half, v = [], y
-                            while reached[v] is not None:
-                                half.append(reached[v])
-                                v = tau[reached[v] ^ 1]
-                            halves.append(half)
-                        return halves[0][::-1] + [e ^ 1 for e in halves[1]]
-                    grown.append(y)
-        if not grown:
-            return None
-        frontier[side] = grown
-        levels[side] += 1
-    return None
-
-
-def _short_cycle_relators(g, alphabet):
-    """One relator per non-tree edge of the BFS tree at vertex 0, as
-    ``(dart, vertex, word)``: the edge's canonical dart, and a cyclically
-    reduced word that closes at the vertex.
-
-    Edges are taken in BFS order of their later end, then of their earlier
-    end.  Edge u -> w is closed by a shortest path from w back to u over
-    tree edges and edges closed before it, and the cycle is read from its
-    earliest vertex in BFS order.  The search looks for a cycle at least
-    two letters shorter than depth(u) + depth(w) + 1, the walk from vertex
-    0 down to u, across the edge and back up from w; where it finds none,
-    the relator is the edge's cycle through the tree, at the lowest common
-    ancestor of its ends.  That cycle is the walk from vertex 0 when the
-    ends meet there, so on a tree one level deep no search runs.
-
-    Each relator crosses exactly one edge that is neither in the tree nor
-    closed, so by induction every non-tree edge is trivial in the
-    complex."""
-    tree = _RootedTree(g, alphabet)
-    tau, depth, letter = g.tau, tree.depth, tree.letter
-    rank = [0] * g.n
-    for i, v in enumerate(tree.order):
-        rank[v] = i
-    usable = bytearray([1]) * g.n_edges
-    open_edges = []
-    for d in tree.non_tree_edges():
-        usable[d >> 1] = 0
-        ru, rw = rank[tau[d ^ 1]], rank[tau[d]]
-        open_edges.append((max(ru, rw), min(ru, rw), d))
-    open_edges.sort()
-    out = []
-    for _, _, d in open_edges:
-        u, w = tau[d ^ 1], tau[d]
-        path = _usable_path(g, usable, w, u, depth[u] + depth[w] - 2)
-        if path is None:
-            out.append((d, *tree.tree_cycle(d)))
-        else:                   # cyclically reduced, as in tree_cycle
-            cycle = [d] + path
-            starts = [rank[tau[e ^ 1]] for e in cycle]
-            i = starts.index(min(starts))
-            cycle = cycle[i:] + cycle[:i]
-            word = tuple(letter[e] for e in cycle)
-            out.append((d, tau[cycle[0] ^ 1],
-                        Word(alphabet, word, _reduced=True)))
-        usable[d >> 1] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------

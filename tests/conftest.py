@@ -13,7 +13,8 @@ from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
 from parcay.decompose import euler_orientation, maximum_matching
 from parcay.errors import (DslSyntaxError, GraphSyntaxError, SemanticError,
                           WordSyntaxError)
-from parcay.graph import ColouredGraph, _perm_mul, alphabet_graph, mulclose
+from parcay.graph import (ColouredGraph, _perm_mul, alphabet_graph, mulclose,
+                          spanning_tree)
 from parcay.presentation import (PartitePresentation, Violation,
                                  from_two_partite)
 from parcay.words import MAX_WORD_LETTERS, Alphabet, ClassAction, Word
@@ -96,6 +97,38 @@ def deque_bfs(g, roots):
                     order.append(w)
                     queue.append(w)
     return parent, order
+
+
+def root_path_tree_cycle(g, alphabet, d):
+    """Independent oracle for the cycle of a non-tree edge through the BFS
+    tree of ``spanning_tree(g, 0)``: ``(vertex, letters)``, the lowest
+    common ancestor of the edge's ends and the letters of the cycle from
+    it, down the tree to the source of d, across d and up from its head.
+    The ancestor ends the longest common prefix of the two root paths, and
+    a dart's letter is read from its colour's name: ``x`` is the code of
+    generator x, ``x^-1`` its negative."""
+    parent, _ = spanning_tree(g, 0)
+
+    def root_path(v):
+        darts = []
+        while parent[v] is not None:
+            darts.append(parent[v])
+            v = g.src(parent[v])
+        return darts[::-1]
+
+    def letter(e):
+        name = g.colour[e]
+        if name.endswith("^-1"):
+            return alphabet.code(name[:-3], -1)
+        return alphabet.code(name)
+
+    down, up = root_path(g.src(d)), root_path(g.tau[d])
+    k = 0
+    while k < min(len(down), len(up)) and down[k] == up[k]:
+        k += 1
+    ancestor = g.tau[down[k - 1]] if k else 0
+    cycle = down[k:] + [d] + [e ^ 1 for e in reversed(up[k:])]
+    return ancestor, tuple(letter(e) for e in cycle)
 
 
 def brute_force_maps(g, h, colour_preserving=False):

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bfs_is_partition_friendly, class_degree, colour_classes,
                       complete_graph, cycle_graph, least_neighbour_successors,
-                      multigraph_colourings, regular_graphs)
+                      multigraph_colourings, regular_graphs,
+                      root_path_tree_cycle)
 
 from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
@@ -15,11 +16,11 @@ from parcay.decompose import is_partition_friendly, weak_multicycle_colouring
 from parcay.errors import (BadParameters, Disconnected, InvolutionInR,
                            NoPerfectMatching, NotPartitionFriendly,
                            SizeMismatch)
-from parcay.extract import (_colouring_presentation, bicayley_to_presentation,
+from parcay.extract import (LOCAL_CYCLE_LEVELS, _colouring_presentation,
+                            _short_cycle_relators, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring)
-from parcay.graph import (LOCAL_CYCLE_LEVELS, ColouredGraph, _RootedTree,
-                          _short_cycle_relators, cayley_like_witness,
-                          isomorphic, spanning_tree)
+from parcay.graph import (ColouredGraph, cayley_like_witness, isomorphic,
+                          spanning_tree)
 from parcay.presentation import from_two_partite, validate
 from parcay.words import reduce as word_reduce
 
@@ -128,10 +129,17 @@ def test_complete_graphs_of_degree_six_and_up_round_trip(n):
 @settings(max_examples=60, deadline=None)
 @given(regular_graphs(), st.data())
 def test_moving_one_edge_between_two_factors_fails_extraction(case, data):
+    # A graph of degree below 4 gets random 2-factors x - p(x) until its
+    # colouring has two 2-factors or more.  It stays connected and regular,
+    # so no draw is discarded.
     _, g = case
+    while g.degree(0) < 4:
+        p = data.draw(st.permutations(range(g.n)))
+        for v in range(g.n):
+            g.add_edge(v, p[v])
     colouring = weak_multicycle_colouring(g)
     classes = colour_classes(colouring)
-    assume(len([c for c in classes if c != "m"]) >= 2)
+    assert len([c for c in classes if c != "m"]) >= 2
     source, target = data.draw(st.permutations(
         sorted(c for c in classes if c != "m")))[:2]
     mutated = dict(colouring)
@@ -412,7 +420,6 @@ def test_extraction_counters_are_pinned(make, letters, long, stats):
     colouring = weak_multicycle_colouring(g)
     p = presentation_from_colouring(g, colouring)
     sp = presentation_graph(p)
-    tree = _RootedTree(sp, p.alphabet)
     assert sum(len(r) for _, r in p.all_relators()) == letters
     fallbacks = [(d, v, w) for d, v, w in _short_cycle_relators(sp, p.alphabet)
                  if len(w) > 2 * LOCAL_CYCLE_LEVELS + 1]
@@ -420,7 +427,7 @@ def test_extraction_counters_are_pinned(make, letters, long, stats):
     # Each is its edge's cycle through the tree, at the ends' lowest common
     # ancestor, not the longer base word at vertex 0.
     for d, v, w in fallbacks:
-        assert (v, w) == tree.tree_cycle(d)
+        assert (v, w.letters) == root_path_tree_cycle(sp, p.alphabet, d)
     for _, r in p.all_relators():
         _assert_cyclically_reduced(r, p.alphabet)
     rebuilt = build_sp(p)

@@ -20,8 +20,8 @@ from parcay.constructions import (cyclic_group, dihedral_group,
                                   generalized_petersen, petersen_presentation)
 from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
                            ParcayError, SearchBoundExceeded)
-from parcay.graph import (ColouredGraph, _dictated_darts,
-                          _short_cycle_relators, automorphism_group,
+from parcay.extract import _short_cycle_relators
+from parcay.graph import (ColouredGraph, _dictated_darts, automorphism_group,
                           cayley_like_witness, dart_bijections, graph_maps,
                           is_cayley, is_vertex_transitive, isomorphic,
                           mulclose, read_graph, to_dot, write_graph)

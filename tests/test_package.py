@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,22 @@ def test_importing_the_cli_loads_no_dataclasses():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_graph_module_imports_nothing_from_words():
+    # graph.py holds the graph type, its searches and its text formats;
+    # words and relators belong to the modules above it.
+    path = os.path.join(os.path.dirname(parcay.__file__), "graph.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(base + ("" if base.endswith(".") else ".")
+                            + alias.name for alias in node.names)
+    assert ".errors" in imported
+    assert not {".words", "parcay.words"} & imported, sorted(imported)
