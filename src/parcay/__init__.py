@@ -17,13 +17,14 @@ from .builder import (ball_sp, build_sp, deck_group, invariant_report,
                       presentation_symmetry_implies_vt)
 from .decompose import (Matching, euler_orientation, is_multicycle,
                         is_partition_friendly, is_weak_multicycle,
-                        k_n_factorization, maximum_matching,
-                        two_factorization, weak_multicycle_colouring)
+                        maximum_matching, two_factorization,
+                        weak_multicycle_colouring)
 from .extract import (bicayley_to_presentation, pipeline_presentation,
                       presentation_from_colouring)
 from .constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
                             cubic_no_perfect_matching, cyclic_group,
-                            dihedral_group, generalized_petersen, line_graph,
+                            dihedral_group, generalized_petersen,
+                            k_n_factorization, line_graph,
                             line_graph_presentation, petersen_presentation,
                             two_ended_auto, two_ended_window, two_ended_word)
 from .infmatch import (Exhaustion, is_critical,
@@ -43,13 +44,14 @@ __all__ = [
     "presentation_complex", "presentation_graph",
     "presentation_symmetry_implies_vt",
     "Matching", "euler_orientation", "is_multicycle",
-    "is_partition_friendly", "is_weak_multicycle", "k_n_factorization",
-    "maximum_matching", "two_factorization", "weak_multicycle_colouring",
+    "is_partition_friendly", "is_weak_multicycle", "maximum_matching",
+    "two_factorization", "weak_multicycle_colouring",
     "bicayley_to_presentation", "pipeline_presentation",
     "presentation_from_colouring",
     "FiniteGroupTable", "bi_cayley", "cayley_graph",
     "cubic_no_perfect_matching", "cyclic_group", "dihedral_group",
-    "generalized_petersen", "line_graph", "line_graph_presentation",
+    "generalized_petersen", "k_n_factorization", "line_graph",
+    "line_graph_presentation",
     "petersen_presentation", "two_ended_auto", "two_ended_window",
     "two_ended_word",
     "Exhaustion", "is_critical", "maximal_matching_wrt_miss",

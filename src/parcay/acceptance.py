@@ -9,20 +9,21 @@ from .builder import (build_sp, check_deck_regular, deck_group,
 from .constructions import (cayley_graph, complete_graph,
                             cubic_no_perfect_matching, cycle_graph,
                             cyclic_group, generalized_petersen,
-                            line_graph, line_graph_presentation,
-                            petersen_presentation, two_ended_adjacent,
-                            two_ended_auto, two_ended_window, two_ended_word)
-from .decompose import (Matching, is_multicycle, k_n_factorization,
-                        maximum_matching, two_factorization,
-                        weak_multicycle_colouring)
+                            k_n_factorization, line_graph,
+                            line_graph_presentation, petersen_presentation,
+                            two_ended_adjacent, two_ended_auto,
+                            two_ended_window, two_ended_word)
+from .decompose import (Matching, is_multicycle, maximum_matching,
+                        two_factorization, weak_multicycle_colouring)
 from .errors import NoPerfectMatching, Overflow
-from .extract import pipeline_presentation
+from .extract import bicayley_to_presentation, pipeline_presentation
 from .graph import ColouredGraph, is_cayley, is_vertex_transitive, isomorphic
 from .infmatch import (Exhaustion, maximal_matching_wrt_miss,
                        miss_sequence, symmetric_difference_report,
                        windowed_perfect_matching)
-from .presentation import from_two_partite, two_partite, validate
-from .words import parse_word
+from .presentation import (PartitePresentation, from_two_partite, two_partite,
+                           validate)
+from .words import Alphabet, ClassAction, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +33,6 @@ from .words import parse_word
 def line_petersen_presentation():
     """The three-class presentation of the line graph of the Petersen graph:
     a acts as (12)(3), b as (1)(23)."""
-    from .presentation import PartitePresentation
-    from .words import Alphabet, ClassAction
-
     alphabet = Alphabet(("a", "b"), ())
     action = ClassAction(alphabet, ("1", "2", "3"), {
         "a": {"1": "2", "2": "1", "3": "3"},
@@ -365,7 +363,6 @@ def presentation_fixtures():
         "pipeline-C6": (pipeline_presentation(cycle_graph(6)), None),
         "pipeline-K4": (pipeline_presentation(complete_graph(4)), None),
     }
-    from .extract import bicayley_to_presentation
     tp = bicayley_to_presentation(cyclic_group(5), [1, 4], [2, 3], [0])
     fixtures["bicayley-Z5"] = (from_two_partite(tp), list(tp.s1))
     haar = bicayley_to_presentation(cyclic_group(3), [], [], [0, 1, 2])

@@ -1,6 +1,8 @@
-"""Concrete graph and presentation families: generalized Petersen graphs,
-bi-Cayley and Haar graphs, line graphs, line-graph presentations of Cayley
-graphs, and the two-ended cubic example with its automorphisms."""
+"""Concrete graph and presentation families: cycles, complete graphs and
+their factorizations, generalized Petersen graphs, bi-Cayley and Haar
+graphs, line graphs, line-graph presentations of Cayley graphs, and the
+two-ended cubic example with its automorphisms.  Graphs are made in one
+pass from flat lists (``tau``, dart colours, vertex labels)."""
 
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from .words import Alphabet, ClassAction, Word, parse_word
 
 
 # ---------------------------------------------------------------------------
-# Cycles, complete graphs and generalized Petersen graphs.
+# Cycles, complete graphs and their factorizations, and generalized
+# Petersen graphs.
 
 
 def cycle_graph(n):
@@ -36,31 +39,67 @@ def complete_graph(n):
     return ColouredGraph(n, tau, names=list(range(n)))
 
 
+# colouring: canonical dart -> colour; perms: colour -> vertex permutation tuple
+KFactorization = namedtuple("KFactorization", "graph colouring perms")
+
+
+def k_n_factorization(n):
+    """K_n split into (n-1)/2 Hamiltonian cycles (odd n, Walecki) or n-1
+    perfect matchings (even n, circle method), with one permutation per
+    colour: the cycle successor map, or the matching involution."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    g = complete_graph(n)
+    dart_of = {g.edge_ends(d): d for d in g.edges()}    # (u, v) with u < v
+    mapping = {}
+    perms = {}
+    hub = n - 1
+    if n % 2:
+        m = (n - 1) // 2
+        for j in range(m):
+            seq = [hub]
+            for i in range(n - 1):
+                step = (i + 1) // 2 if i % 2 else -(i // 2)
+                seq.append((j + step) % (n - 1))
+            colour = f"h{j}"
+            perm = list(range(n))
+            for idx in range(n):
+                a, b = seq[idx], seq[(idx + 1) % n]
+                mapping[dart_of[(min(a, b), max(a, b))]] = colour
+                perm[a] = b
+            perms[colour] = tuple(perm)
+    else:
+        for j in range(n - 1):
+            colour = f"f{j}"
+            perm = list(range(n))
+            pairs = [(hub, j)]
+            for i in range(1, (n - 1) // 2 + 1):
+                pairs.append(((j + i) % (n - 1), (j - i) % (n - 1)))
+            for a, b in pairs:
+                mapping[dart_of[(min(a, b), max(a, b))]] = colour
+                perm[a], perm[b] = b, a
+            perms[colour] = tuple(perm)
+    return KFactorization(g, mapping, perms)
+
+
 def generalized_petersen(n, k):
     """Outer n-cycle x_i, spokes x_i y_i, inner k-step edges y_i y_{i+k}.
     When 2k = 0 mod n the inner edges come in parallel pairs."""
     if n < 3 or not 1 <= k < n:
         raise BadParameters(f"generalized Petersen graph needs n >= 3 and "
                             f"1 <= k < n, got ({n}, {k})")
-    g = ColouredGraph()
-    xs = [g.add_vertex(name=("x", i)) for i in range(n)]
-    ys = [g.add_vertex(name=("y", i)) for i in range(n)]
-    for c in ("outer", "spoke", "inner"):
-        g.declare_colour(c)
+    tau = []                            # x_i is vertex i, y_i is n + i
     for i in range(n):
-        g.add_edge(xs[i], xs[(i + 1) % n], "outer")
+        tau += ((i + 1) % n, i)
     for i in range(n):
-        g.add_edge(xs[i], ys[i], "spoke")
-    seen = set()
+        tau += (n + i, i)
     for i in range(n):
-        j = (i + k) % n
-        key = frozenset((i, j))
-        if 2 * k % n != 0:
-            if key in seen:
-                continue
-            seen.add(key)
-        g.add_edge(ys[i], ys[j], "inner")
-    return g
+        tau += (n + (i + k) % n, n + i)
+    colour = [c for c in ("outer", "spoke", "inner") for _ in range(2 * n)]
+    return ColouredGraph(2 * n, tau, colour,
+                         [(side, i) for side in "xy" for i in range(n)],
+                         colour_inv={"outer": "outer", "spoke": "spoke",
+                                     "inner": "inner"})
 
 
 def petersen_presentation(n, k):
@@ -174,7 +213,10 @@ def _check_symmetric(group, elems, label):
 def bi_cayley(group, R, L, S):
     """Bi(G, R, L, S): two copies of G, R-edges inside copy 0, L-edges inside
     copy 1, S-spokes across, each given by element indices 0..|G|-1.  R
-    and L must be inverse-closed."""
+    and L must be inverse-closed.  The edge x -- x r of an element r that
+    is not an involution is added once, from its lower end; an involution
+    adds it from both ends, a parallel pair, and the identity a loop at
+    every vertex."""
     for label, elems in (("R", R), ("L", L), ("S", S)):
         if any(not 0 <= x < len(group) for x in elems):
             raise BadParameters(f"{label} must hold element indices "
@@ -182,33 +224,29 @@ def bi_cayley(group, R, L, S):
     R = _check_symmetric(group, R, "R")
     L = _check_symmetric(group, L, "L")
     S = sorted(set(S))
-    g = ColouredGraph()
-    side0 = [g.add_vertex(name=(group.names[x], 0), cls="0") for x in range(len(group))]
-    side1 = [g.add_vertex(name=(group.names[x], 1), cls="1") for x in range(len(group))]
-
-    def colour_pair(prefix, x):
-        name = f"{prefix}:{group.names[x]}"
-        inv = f"{prefix}:{group.names[group.inv(x)]}"
-        g.declare_colour(name, inv)
-        return name
-
-    seen = set()
-    for side, conn in ((side0, R), (side1, L)):
-        prefix = "R" if side is side0 else "L"
-        for x in range(len(group)):
-            for r in conn:
+    order, names = len(group), group.names
+    tau, colour, colour_inv = [], [], {}    # x in copy c is c |G| + x
+    for base, prefix, conn in ((0, "R", R), (order, "L", L)):
+        pairs = [(r, f"{prefix}:{names[r]}", f"{prefix}:{names[group.inv(r)]}")
+                 for r in conn]
+        for _, c, ci in pairs:
+            colour_inv[c], colour_inv[ci] = ci, c
+        for x in range(order):
+            for r, c, ci in pairs:
                 y = group.mul(x, r)
-                key = (prefix, frozenset((x, y)), frozenset((r, group.inv(r))))
-                if key in seen and r != group.inv(r):
-                    continue
-                seen.add(key)
-                g.add_edge(side[x], side[y], colour_pair(prefix, r))
-    for x in range(len(group)):
-        for s in S:
-            name = f"S:{group.names[s]}"
-            g.declare_colour(name)
-            g.add_edge(side0[x], side1[group.mul(x, s)], name)
-    return g
+                if x < y or c == ci:
+                    tau += (base + y, base + x)
+                    colour += (c, ci)
+    spokes = [(s, f"S:{names[s]}") for s in S]
+    for _, c in spokes:
+        colour_inv[c] = c
+    for x in range(order):
+        for s, c in spokes:
+            tau += (order + group.mul(x, s), x)
+            colour += (c, c)
+    return ColouredGraph(2 * order, tau, colour,
+                         [(names[x], c) for c in (0, 1) for x in range(order)],
+                         ["0"] * order + ["1"] * order, colour_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +293,6 @@ def line_graph(g):
 
 def _knsym(names):
     """Complete-graph factorization on a symbol set, as permutations."""
-    from .decompose import k_n_factorization
-
     if len(names) <= 1:
         return []
     fact = k_n_factorization(len(names))
@@ -290,30 +326,22 @@ def line_graph_presentation(gen_names, relator_texts):
 
     u_gens, i_gens = ["e"], []
     symbol = {}            # (colour idx, i, j) -> (name, sign) of the letter
+    images = {"e": {x: x for x in gen_names}}
     for idx, pi in enumerate(perms):
         involutive = all(pi[pi[x]] == x for x in gen_names)
         for i in (1, -1):
             for j in (1, -1):
                 name = f"m{idx}_{sign_tag[i]}{sign_tag[j]}"
-                if involutive:
-                    # (m_{i,j})^-1 = m_{-j,-i}: pp/mm collapse to one u-gen.
-                    if (i, j) == (1, 1):
-                        u_gens.append(name)
-                        symbol[(idx, 1, 1)] = (name, 1)
-                        symbol[(idx, -1, -1)] = (name, -1)
-                    elif (i, j) != (-1, -1):
-                        i_gens.append(name)
-                        symbol[(idx, i, j)] = (name, 1)
-                else:
-                    u_gens.append(name)
-                    symbol[(idx, i, j)] = (name, 1)
+                if involutive and i == j == -1:
+                    # (m_{i,j})^-1 = m_{-j,-i}: mm is pp^-1, and pm and mp
+                    # are involutions.
+                    symbol[(idx, i, j)] = (f"m{idx}_pp", -1)
+                    continue
+                (i_gens if involutive and i != j else u_gens).append(name)
+                symbol[(idx, i, j)] = (name, 1)
+                images[name] = pi
 
     alphabet = Alphabet(tuple(u_gens), tuple(i_gens))
-    images = {"e": {x: x for x in gen_names}}
-    for idx, pi in enumerate(perms):
-        for (cidx, i, j), (name, sign) in symbol.items():
-            if cidx == idx and sign == 1:
-                images.setdefault(name, dict(pi))
     action = ClassAction(alphabet, gen_names, images)
 
     colour_of_pair = {}
@@ -365,11 +393,10 @@ def line_graph_presentation(gen_names, relator_texts):
             for beta in signed:
                 if beta in (alpha, inv_pair(x)):
                     continue
-                letters = [chi(x, alpha), chi(inv_pair(alpha), beta),
-                           chi(inv_pair(beta), inv_pair(x))]
-                word = Word(alphabet, [c for c in letters if c is not None])
-                if not word:
-                    continue
+                # No pair cancels (alpha != x^-1, beta != alpha, x^-1), and
+                # three letters never reduce to the empty word.
+                word = Word(alphabet, [chi(x, alpha), chi(inv_pair(alpha), beta),
+                                       chi(inv_pair(beta), inv_pair(x))])
                 key = (x[0], word.letters)
                 if key in seen:
                     continue
@@ -459,13 +486,12 @@ def two_ended_word(letters, v):
 
 
 def cubic_no_perfect_matching():
-    g = ColouredGraph()
-    hub = g.add_vertex(name="v")
     gadget_edges = [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7),
                     (4, 5), (4, 7), (5, 6), (6, 7)]
-    for copy in range(3):
-        ids = {i: g.add_vertex(name=(copy, i)) for i in range(1, 8)}
-        g.add_edge(hub, ids[1])
+    tau = []                # the hub is vertex 0, (copy, i) is 7 copy + i
+    for base in (0, 7, 14):
+        tau += (base + 1, 0)
         for a, b in gadget_edges:
-            g.add_edge(ids[a], ids[b])
-    return g
+            tau += (base + b, base + a)
+    return ColouredGraph(22, tau, names=["v"] + [
+        (copy, i) for copy in range(3) for i in range(1, 8)])

@@ -1,6 +1,6 @@
 """Edge decompositions: Euler orientations, 2-factors, maximum matchings by
-the blossom algorithm, partition-friendly weak multicycle colourings, the
-multicycle predicates, and factorizations of complete graphs.
+the blossom algorithm, partition-friendly weak multicycle colourings and
+the multicycle predicates.
 
 An edge colouring is a plain dict, canonical dart -> colour, the same dict
 that ``read_graph(text, coloured=True)`` returns and ``write_graph(g,
@@ -12,9 +12,8 @@ matchable; parallel edges are distinct objects throughout.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 
-from .constructions import complete_graph
 from .errors import (NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree)
 
 
@@ -380,53 +379,3 @@ def is_multicycle(g, colouring):
     """Every colour class is a perfect matching or a spanning disjoint union
     of equal-length cycles."""
     return _class_walks(g, colouring, "multicycle") is not None
-
-
-# ---------------------------------------------------------------------------
-# Factorizations of complete graphs.
-
-
-# colouring: canonical dart -> colour; perms: colour -> vertex permutation tuple
-KFactorization = namedtuple("KFactorization", "graph colouring perms")
-
-
-def k_n_factorization(n):
-    """K_n split into (n-1)/2 Hamiltonian cycles (odd n, Walecki) or n-1
-    perfect matchings (even n, circle method), with one permutation per
-    colour: the cycle successor map, or the matching involution."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    g = complete_graph(n)
-    dart_of = {}
-    for d in g.edges():
-        u, v = g.edge_ends(d)
-        dart_of[(min(u, v), max(u, v))] = d
-    mapping = {}
-    perms = {}
-    hub = n - 1
-    if n % 2:
-        m = (n - 1) // 2
-        for j in range(m):
-            seq = [hub]
-            for i in range(n - 1):
-                step = (i + 1) // 2 if i % 2 else -(i // 2)
-                seq.append((j + step) % (n - 1))
-            colour = f"h{j}"
-            perm = list(range(n))
-            for idx in range(n):
-                a, b = seq[idx], seq[(idx + 1) % n]
-                mapping[dart_of[(min(a, b), max(a, b))]] = colour
-                perm[a] = b
-            perms[colour] = tuple(perm)
-    else:
-        for j in range(n - 1):
-            colour = f"f{j}"
-            perm = list(range(n))
-            pairs = [(hub, j)]
-            for i in range(1, (n - 1) // 2 + 1):
-                pairs.append(((j + i) % (n - 1), (j - i) % (n - 1)))
-            for a, b in pairs:
-                mapping[dart_of[(min(a, b), max(a, b))]] = colour
-                perm[a], perm[b] = b, a
-            perms[colour] = tuple(perm)
-    return KFactorization(g, mapping, perms)

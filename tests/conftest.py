@@ -9,11 +9,13 @@ from hypothesis import assume, strategies as st
 
 from parcay.acceptance import all_matchings  # noqa: F401
 from parcay.constructions import (complete_graph, cycle_graph,  # noqa: F401
+                                  cyclic_group, dihedral_group,
                                   generalized_petersen, petersen_presentation)
 from parcay.decompose import euler_orientation, maximum_matching
 from parcay.errors import (DslSyntaxError, GraphSyntaxError, SemanticError,
                           WordSyntaxError)
-from parcay.graph import (ColouredGraph, _perm_mul, alphabet_graph, mulclose,
+from parcay.graph import (ColouredGraph, _dictated_darts, _perm_mul,
+                          alphabet_graph, cayley_like_witness, mulclose,
                           spanning_tree)
 from parcay.presentation import (PartitePresentation, Violation,
                                  from_two_partite)
@@ -870,6 +872,102 @@ def group_law_tables(draw):
         for y in range(n):
             relabelled[label[x]][label[y]] = label[table[x][y]]
     return family, relabelled
+
+
+# Oracles for the graph families: ``generalized_petersen`` and ``bi_cayley``
+# as they stood before they were built from flat lists.  They add one edge
+# at a time, declare a colour pair at every edge and skip an edge whose key
+# is already in a set of the edges added.
+
+def petersen_by_edges(n, k):
+    """Oracle for ``generalized_petersen(n, k)``."""
+    g = ColouredGraph()
+    xs = [g.add_vertex(name=("x", i)) for i in range(n)]
+    ys = [g.add_vertex(name=("y", i)) for i in range(n)]
+    for c in ("outer", "spoke", "inner"):
+        g.declare_colour(c)
+    for i in range(n):
+        g.add_edge(xs[i], xs[(i + 1) % n], "outer")
+    for i in range(n):
+        g.add_edge(xs[i], ys[i], "spoke")
+    seen = set()
+    for i in range(n):
+        j = (i + k) % n
+        key = frozenset((i, j))
+        if 2 * k % n != 0:
+            if key in seen:
+                continue
+            seen.add(key)
+        g.add_edge(ys[i], ys[j], "inner")
+    return g
+
+
+def bi_cayley_by_edges(group, R, L, S):
+    """Oracle for ``bi_cayley`` on sorted inverse-closed R and L and a
+    sorted S, all of distinct element indices."""
+    g = ColouredGraph()
+    side0 = [g.add_vertex(name=(group.names[x], 0), cls="0")
+             for x in range(len(group))]
+    side1 = [g.add_vertex(name=(group.names[x], 1), cls="1")
+             for x in range(len(group))]
+
+    def colour_pair(prefix, x):
+        name = f"{prefix}:{group.names[x]}"
+        inv = f"{prefix}:{group.names[group.inv(x)]}"
+        g.declare_colour(name, inv)
+        return name
+
+    seen = set()
+    for side, conn in ((side0, R), (side1, L)):
+        prefix = "R" if side is side0 else "L"
+        for x in range(len(group)):
+            for r in conn:
+                y = group.mul(x, r)
+                key = (prefix, frozenset((x, y)), frozenset((r, group.inv(r))))
+                if key in seen and r != group.inv(r):
+                    continue
+                seen.add(key)
+                g.add_edge(side[x], side[y], colour_pair(prefix, r))
+    for x in range(len(group)):
+        for s in S:
+            name = f"S:{group.names[s]}"
+            g.declare_colour(name)
+            g.add_edge(side0[x], side1[group.mul(x, s)], name)
+    return g
+
+
+@st.composite
+def bi_cayley_arguments(draw):
+    """``(group, R, L, S)`` for ``bi_cayley``: a cyclic group of order 1-12
+    or a dihedral one of order 2-16, inverse-closed R and L in which the
+    identity and involutions may lie, and any S; each may be empty."""
+    if draw(st.booleans()):
+        group = cyclic_group(draw(st.integers(1, 12)))
+    else:
+        group = dihedral_group(draw(st.integers(1, 8)))
+    elements = st.sets(st.integers(0, len(group) - 1), max_size=len(group))
+    R, L = ({x for y in draw(elements) for x in (y, group.inv(y))}
+            for _ in "RL")
+    return group, sorted(R), sorted(L), sorted(draw(elements))
+
+
+# Shared by the tests of dictated walks and of the short-cycle relators.
+
+def coloured_triangle():
+    g = ColouredGraph()
+    for _ in range(3):
+        g.add_vertex()
+    g.declare_colour("a", "a^-1")
+    for i in range(3):
+        g.add_edge(i, (i + 1) % 3, "a")
+    return g
+
+
+def walk_end(g, v, word):
+    """Where the walk from v along the word's letters ends."""
+    for d in _dictated_darts(g, cayley_like_witness(g), v, word):
+        v = g.tau[d]
+    return v
 
 
 def petersen():

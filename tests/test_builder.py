@@ -14,7 +14,9 @@ from parcay.acceptance import (counterexample_expected_graph,
                                counterexample_presentations,
                                line_petersen_presentation)
 from parcay.builder import (CosetTable, ball_sp, ball_table, build_sp,
-                            check_cover, check_relator_closure, deck_group,
+                            check_cover, check_deck_regular,
+                            check_relator_closure,
+                            check_two_partite_discipline, deck_group,
                             invariant_report, presentation_complex,
                             presentation_graph)
 from parcay.constructions import (FiniteGroupTable, dihedral_group,
@@ -507,6 +509,77 @@ def test_deck_group_is_the_class_preserving_colour_group(p):
     assert autos == [a for a in sorted(graph_maps(sp, sp, respect_colours=True))
                      if all(sp.classes[a[v]] == sp.classes[v]
                             for v in range(sp.n))]
+
+
+def _planted(sp, tau=None, colour=None):
+    """A fresh copy of the build ``sp`` with the given ``tau`` or dart
+    colours in place of its own."""
+    return ColouredGraph(sp.n, list(sp.tau) if tau is None else tau,
+                         list(sp.colour) if colour is None else colour,
+                         list(sp.names), list(sp.classes), dict(sp.colour_inv))
+
+
+@pytest.mark.parametrize("dart, colour", [(0, "b"), (1, "a")],
+                         ids=["no-dart-of-the-quotient", "out-colours-differ"])
+def test_check_cover_fails_on_one_recoloured_dart(petersen_sp, dart, colour):
+    # Dart 0 is an a-dart inside class 0 and dart 1 its a^-1 reverse.  No
+    # b-dart joins class 0 to itself; an a^-1 dart recoloured a leaves its
+    # vertex with two a-darts and no a^-1.
+    assert petersen_sp.colour[0:2] == ["a", "a^-1"]
+    colours = list(petersen_sp.colour)
+    colours[dart] = colour
+    assert not check_cover(_planted(petersen_sp, colour=colours), petersen())
+
+
+def test_check_relator_closure_fails_when_two_heads_are_swapped(petersen_sp):
+    # Swapping the heads of two a-darts inside class 0 keeps one out-dart
+    # per colour at each vertex and every class label, so the graph still
+    # covers the presentation graph, but the a-cycle through them splits
+    # and a^5 no longer closes.
+    p, tau = petersen(), list(petersen_sp.tau)
+    assert petersen_sp.colour[0] == petersen_sp.colour[4] == "a"
+    tau[0], tau[4] = tau[4], tau[0]
+    g = _planted(petersen_sp, tau=tau)
+    assert check_cover(g, p)
+    assert not check_relator_closure(g, p)
+    assert not check_deck_regular(g)        # only the identity is left
+
+
+def test_check_deck_regular_fails_on_two_out_darts_of_one_colour(petersen_sp):
+    colours = list(petersen_sp.colour)
+    colours[1] = "a"
+    g = _planted(petersen_sp, colour=colours)
+    assert deck_group(g) is None
+    assert not check_deck_regular(g)
+
+
+@pytest.mark.parametrize("classes, autos", [
+    (["0", "1", "1"], [(0, 1, 2)]),
+    (["0", "0", "1", "1"], [(0, 1, 2, 3), (1, 0, 2, 3)]),
+], ids=["fibres-of-unequal-size", "fibre-the-deck-group-misses"])
+def test_check_deck_regular_fails_when_the_group_misses_a_fibre(classes,
+                                                                 autos):
+    # An a-edge joins the two vertices of the last class, and no deck map
+    # swaps its ends.  The group is as large as vertex 0's fibre, but the
+    # fibres differ in size, or the last one splits into two orbits.
+    n = len(classes)
+    g = ColouredGraph(n, [n - 1, n - 2], ["a", "a^-1"], None, classes,
+                      {"a": "a^-1", "a^-1": "a"})
+    assert deck_group(g) == autos
+    assert len(autos) == g.class_sizes()["0"]
+    assert not check_deck_regular(g)
+
+
+def test_check_two_partite_discipline_fails_on_a_stay_colour_across(
+        petersen_sp):
+    # The stay-inside generator a colours a b-edge, which joins class 0 to
+    # class 1.
+    assert check_two_partite_discipline(petersen_sp, ["a"])
+    d = petersen_sp.colour.index("b") & ~1
+    colours = list(petersen_sp.colour)
+    colours[d:d + 2] = ["a", "a^-1"]
+    assert not check_two_partite_discipline(
+        _planted(petersen_sp, colour=colours), ["a"])
 
 
 def test_invariant_report_all_green():

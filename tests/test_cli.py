@@ -460,6 +460,29 @@ def test_build_reports_a_cycle_error_at_its_column_in_the_line(tmp_path,
         "", "error: unclosed cycle (line 3, column 13)\n")
 
 
+@pytest.mark.parametrize("command, text, error", [
+    ("build", "rel 0 : a\n",
+     "classes must be declared before relators (line 1)"),
+    ("build", "classes: 0\ngen a-1 : U : (0)\n",
+     "bad generator name 'a-1' (line 2)"),
+    ("build", "classes: 0\ngen a : U : (0)\ngen a : U : (0)\n",
+     "duplicate generator 'a' (line 3)"),
+    ("build", "classes: 0\nclasses: 0\n", "duplicate classes line (line 2)"),
+    ("build", "\nclasses:\n", "empty class list (line 2)"),
+    ("build", "# no classes\n", "missing classes line (line 1)"),
+    ("iso", "vertices x\n", "'x' is not an integer (line 1)"),
+], ids=["rel-before-classes", "bad-generator-name", "duplicate-generator",
+        "duplicate-classes", "empty-classes", "missing-classes",
+        "vertex-count-not-a-number"])
+def test_malformed_input_exits_2_naming_its_line(command, text, error,
+                                                 tmp_path, capsys):
+    f = tmp_path / "in"
+    f.write_text(text)
+    assert main([command] + [str(f)] * (2 if command == "iso" else 1)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["make", "petersen"],
     ["make", "petersen", "7"],

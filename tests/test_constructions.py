@@ -3,7 +3,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import cycle_graph, group_law_tables, triple_scan_table_error
+from conftest import (bi_cayley_arguments, bi_cayley_by_edges, cycle_graph,
+                      group_law_tables, petersen_by_edges,
+                      triple_scan_table_error)
 
 from parcay.builder import build_sp
 from parcay.constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
@@ -14,12 +16,28 @@ from parcay.constructions import (FiniteGroupTable, bi_cayley, cayley_graph,
                                   two_ended_adjacent, two_ended_auto,
                                   two_ended_window, two_ended_word)
 from parcay.errors import BadParameters, LoopsUnsupported, NotSymmetric
-from parcay.graph import ColouredGraph, is_vertex_transitive, isomorphic
+from parcay.graph import (ColouredGraph, is_vertex_transitive, isomorphic,
+                          write_graph)
 from parcay.presentation import from_two_partite, validate
 from parcay.words import Alphabet, parse_word
 
 
+def _built(g):
+    """What a construction's graph holds, colour pairs in declared order,
+    and its text."""
+    return (g.n, g.tau, g.colour, g.names, g.classes,
+            list(g.colour_inv.items()), write_graph(g))
+
+
 # -- generalized Petersen graphs -----------------------------------------------
+
+def test_petersen_graphs_match_the_edge_by_edge_oracle():
+    # Every P(n, k) with 3 <= n <= 40, parallel inner pairs (2k = n) too.
+    for n in range(3, 41):
+        for k in range(1, n):
+            assert _built(generalized_petersen(n, k)) == _built(
+                petersen_by_edges(n, k)), (n, k)
+
 
 def test_petersen_counts():
     g = generalized_petersen(5, 2)
@@ -98,6 +116,11 @@ def test_group_table_checks_agree_with_the_triple_scan(case):
     except ValueError as e:
         error = str(e)
     assert error == triple_scan_table_error(table)
+
+
+@given(bi_cayley_arguments())
+def test_bi_cayley_matches_the_edge_key_oracle(args):
+    assert _built(bi_cayley(*args)) == _built(bi_cayley_by_edges(*args))
 
 
 def test_bi_cayley_petersen_example():

@@ -17,12 +17,13 @@ from conftest import (bfs_is_multicycle, bfs_is_partition_friendly,
                       regular_graphs)
 
 from parcay.constructions import (cubic_no_perfect_matching,
-                                  generalized_petersen, line_graph)
+                                  generalized_petersen, k_n_factorization,
+                                  line_graph)
 from parcay.decompose import (Matching, _maximum_mates, component_walks,
                               euler_orientation, is_multicycle,
                               is_partition_friendly, is_weak_multicycle,
-                              k_n_factorization, maximum_matching,
-                              two_factorization, weak_multicycle_colouring)
+                              maximum_matching, two_factorization,
+                              weak_multicycle_colouring)
 from parcay.errors import NoPerfectMatching, NotEvenRegular, NotRegular, OddDegree
 from parcay.graph import ColouredGraph
 

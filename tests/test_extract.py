@@ -4,9 +4,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bfs_is_partition_friendly, class_degree, colour_classes,
-                      complete_graph, cycle_graph, least_neighbour_successors,
-                      multigraph_colourings, regular_graphs,
-                      root_path_tree_cycle)
+                      coloured_triangle, complete_graph, cycle_graph,
+                      least_neighbour_successors, multigraph_colourings,
+                      regular_graphs, root_path_tree_cycle, walk_end)
 
 from parcay.builder import build_sp, presentation_graph
 from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
@@ -14,14 +14,15 @@ from parcay.constructions import (bi_cayley, cubic_no_perfect_matching,
                                   generalized_petersen, line_graph)
 from parcay.decompose import is_partition_friendly, weak_multicycle_colouring
 from parcay.errors import (BadParameters, Disconnected, InvolutionInR,
-                           NoPerfectMatching, NotPartitionFriendly,
-                           SizeMismatch)
+                           NoPerfectMatching, NotCayleyLike,
+                           NotPartitionFriendly, SizeMismatch)
 from parcay.extract import (LOCAL_CYCLE_LEVELS, _colouring_presentation,
                             _short_cycle_relators, bicayley_to_presentation,
                             pipeline_presentation, presentation_from_colouring)
 from parcay.graph import (ColouredGraph, cayley_like_witness, isomorphic,
-                          spanning_tree)
+                          read_graph, spanning_tree)
 from parcay.presentation import from_two_partite, validate
+from parcay.words import Alphabet
 from parcay.words import reduce as word_reduce
 
 
@@ -460,3 +461,102 @@ def test_extracted_generators_follow_the_least_neighbour_orientation(gc):
             pairs = [g.edge_ends(d) for d in darts]
             assert table == {str(u): str(w) for u, w in pairs + [
                 (w, u) for u, w in pairs]}
+
+
+# -- relators from short cycles --------------------------------------------------
+
+def test_fundamental_cycles_of_tree():
+    # One vertex without edges, the Cayley graph of the trivial group and
+    # the empty set, is a tree: it has no relators.
+    assert _short_cycle_relators(ColouredGraph(1, []), Alphabet((), ())) == []
+    # A tree with more vertices is not Cayley-like: here vertex 2 has no
+    # a-dart.
+    g = ColouredGraph()
+    for _ in range(3):
+        g.add_vertex()
+    g.declare_colour("a", "a^-1")
+    g.add_edge(0, 1, "a")
+    with pytest.raises(NotCayleyLike):
+        _short_cycle_relators(g, Alphabet(("a",), ()))
+
+
+def test_fundamental_cycles_of_cycle():
+    g = coloured_triangle()
+    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
+    assert len(relators) == 1
+    assert str(relators[0][2]) in ("a^3", "a^-3")
+
+
+def test_fundamental_cycles_of_petersen(petersen_sp):
+    g = petersen_sp
+    relators = _short_cycle_relators(g, Alphabet(("a",), ("b",)))
+    assert len(relators) == g.n_edges - g.n + 1 == 6
+    for _, v, w in relators:
+        assert walk_end(g, v, w) == v
+
+
+def test_fundamental_cycles_ignore_a_declared_but_unused_colour():
+    # The alphabet need not name a colour that no edge carries.
+    g = read_graph("vertices 3\ncolour a a^-1\ncolour b b^-1\n"
+                   "edge 0 1 a\nedge 1 2 a\nedge 2 0 a\n")
+    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
+    assert [str(w) for _, _, w in relators] in (["a^3"], ["a^-3"])
+
+
+def test_fundamental_cycles_need_connectivity():
+    g = ColouredGraph()
+    for _ in range(2):
+        g.add_vertex()
+    g.declare_colour("a", "a^-1")
+    g.add_edge(0, 0, "a")
+    g.add_edge(1, 1, "a")
+    with pytest.raises(Disconnected):
+        _short_cycle_relators(g, Alphabet(("a",), ()))
+
+
+@st.composite
+def cayley_like_graphs(draw):
+    """A connected Cayley-like colouring on at most 12 vertices: each random
+    permutation (fixed points give loops) is a free colour, and an optional
+    perfect matching is an involutive one.  Returns the graph and the
+    alphabet of its colours."""
+    n = draw(st.integers(1, 12))
+    g = ColouredGraph()
+    for _ in range(n):
+        g.add_vertex()
+    free, involutive = [], []
+    for i in range(draw(st.integers(0, 3))):
+        perm = draw(st.permutations(range(n)))
+        free.append(f"a{i}")
+        g.declare_colour(f"a{i}", f"a{i}^-1")
+        for v in range(n):
+            g.add_edge(v, perm[v], f"a{i}")
+    if n % 2 == 0 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        involutive.append("s")
+        g.declare_colour("s")
+        for i in range(0, n, 2):
+            g.add_edge(order[i], order[i + 1], "s")
+    assume(g.n_darts and g.is_connected())
+    return g, Alphabet(tuple(free), tuple(involutive))
+
+
+@given(cayley_like_graphs())
+def test_short_cycle_relators_close_at_their_vertices(case):
+    g, alphabet = case
+    parent, order = spanning_tree(g, 0)
+    depth = {0: 0}
+    for v in order[1:]:
+        depth[v] = depth[g.src(parent[v])] + 1
+    tree = {d & ~1 for d in parent if d is not None}
+    relators = _short_cycle_relators(g, alphabet)
+    assert sorted(d for d, _, _ in relators) == [d for d in g.edges()
+                                                  if d not in tree]
+    assert len(relators) == g.n_edges - g.n + 1
+    for d, v, w in relators:
+        assert walk_end(g, v, w) == v
+        assert 0 < len(w) <= depth[g.src(d)] + depth[g.tau[d]] + 1
+        letters = w.letters
+        if len(letters) > 1:        # cyclically reduced
+            assert all(y != alphabet.inverse_letter(x)
+                       for x, y in zip(letters, letters[1:] + letters[:1]))

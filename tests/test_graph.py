@@ -7,36 +7,25 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (brute_force_maps, complete_graph, cycle_graph,
-                      deque_bfs, listing_is_vertex_transitive,
+from conftest import (brute_force_maps, coloured_triangle, complete_graph,
+                      cycle_graph, deque_bfs, listing_is_vertex_transitive,
                       multigraph_colourings, multigraphs, read_graph_by_lines,
                       scan_connected, scan_out_darts,
                       semiregular_subgroup_cayley, table_cayley_graph,
-                      two_sided_closure)
+                      two_sided_closure, walk_end)
 
 import parcay.graph as graph_module
 from parcay.builder import build_sp, presentation_symmetry_implies_vt
 from parcay.constructions import (cyclic_group, dihedral_group,
                                   generalized_petersen, petersen_presentation)
-from parcay.errors import (Disconnected, GraphSyntaxError, NotCayleyLike,
-                           ParcayError, SearchBoundExceeded)
-from parcay.extract import _short_cycle_relators
+from parcay.errors import (Disconnected, GraphSyntaxError, ParcayError,
+                           SearchBoundExceeded)
 from parcay.graph import (ColouredGraph, _dictated_darts, automorphism_group,
                           cayley_like_witness, dart_bijections, graph_maps,
                           is_cayley, is_vertex_transitive, isomorphic,
                           mulclose, read_graph, to_dot, write_graph)
 from parcay.presentation import from_two_partite, parse
 from parcay.words import Alphabet, parse_word
-
-
-def coloured_triangle():
-    g = ColouredGraph()
-    for _ in range(3):
-        g.add_vertex()
-    g.declare_colour("a", "a^-1")
-    for i in range(3):
-        g.add_edge(i, (i + 1) % 3, "a")
-    return g
 
 
 def test_dart_involution_invariants(petersen_sp):
@@ -130,13 +119,6 @@ def test_bfs_forests_match_the_deque_oracle(g):
 
 # -- walks and words -----------------------------------------------------------
 
-def walk_end(g, v, word):
-    """Where the walk from v along the word's letters ends."""
-    for d in _dictated_darts(g, cayley_like_witness(g), v, word):
-        v = g.tau[d]
-    return v
-
-
 def test_dictated_walk_of_empty_word(petersen_sp):
     alph = Alphabet(("a",), ("b",))
     word = parse_word("", alph)
@@ -173,112 +155,7 @@ def test_cayley_like_witness_rejects_duplicate_colours():
 
 def test_one_vertex_without_edges_is_cayley_like():
     # the Cayley graph of the trivial group and the empty set
-    g = ColouredGraph(1, [])
-    assert cayley_like_witness(g) == [{}]
-    assert _short_cycle_relators(g, Alphabet((), ())) == []
-
-
-# -- relators from cycles -------------------------------------------------------
-
-def test_fundamental_cycles_of_tree():
-    g = ColouredGraph()
-    for _ in range(4):
-        g.add_vertex()
-    g.declare_colour("a", "a^-1")
-    g.declare_colour("b", "b^-1")
-    g.add_edge(0, 1, "a")
-    g.add_edge(1, 2, "b")
-    g.add_edge(1, 3, "a")
-    # not Cayley-like (vertex 1 has two outgoing a-darts), so recolour
-    g2 = ColouredGraph()
-    for _ in range(3):
-        g2.add_vertex()
-    g2.declare_colour("a", "a^-1")
-    g2.add_edge(0, 1, "a")
-    with pytest.raises(NotCayleyLike):
-        _short_cycle_relators(g2, Alphabet(("a",), ()))
-
-
-def test_fundamental_cycles_of_cycle():
-    g = coloured_triangle()
-    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
-    assert len(relators) == 1
-    assert str(relators[0][2]) in ("a^3", "a^-3")
-
-
-def test_fundamental_cycles_of_petersen(petersen_sp):
-    g = petersen_sp
-    relators = _short_cycle_relators(g, Alphabet(("a",), ("b",)))
-    assert len(relators) == g.n_edges - g.n + 1 == 6
-    for _, v, w in relators:
-        assert walk_end(g, v, w) == v
-
-
-def test_fundamental_cycles_ignore_a_declared_but_unused_colour():
-    # The alphabet need not name a colour that no edge carries.
-    g = read_graph("vertices 3\ncolour a a^-1\ncolour b b^-1\n"
-                   "edge 0 1 a\nedge 1 2 a\nedge 2 0 a\n")
-    relators = _short_cycle_relators(g, Alphabet(("a",), ()))
-    assert [str(w) for _, _, w in relators] in (["a^3"], ["a^-3"])
-
-
-def test_fundamental_cycles_need_connectivity():
-    g = ColouredGraph()
-    for _ in range(2):
-        g.add_vertex()
-    g.declare_colour("a", "a^-1")
-    g.add_edge(0, 0, "a")
-    g.add_edge(1, 1, "a")
-    with pytest.raises(Disconnected):
-        _short_cycle_relators(g, Alphabet(("a",), ()))
-
-
-@st.composite
-def cayley_like_graphs(draw):
-    """A connected Cayley-like colouring on at most 12 vertices: each random
-    permutation (fixed points give loops) is a free colour, and an optional
-    perfect matching is an involutive one.  Returns the graph and the
-    alphabet of its colours."""
-    n = draw(st.integers(1, 12))
-    g = ColouredGraph()
-    for _ in range(n):
-        g.add_vertex()
-    free, involutive = [], []
-    for i in range(draw(st.integers(0, 3))):
-        perm = draw(st.permutations(range(n)))
-        free.append(f"a{i}")
-        g.declare_colour(f"a{i}", f"a{i}^-1")
-        for v in range(n):
-            g.add_edge(v, perm[v], f"a{i}")
-    if n % 2 == 0 and draw(st.booleans()):
-        order = draw(st.permutations(range(n)))
-        involutive.append("s")
-        g.declare_colour("s")
-        for i in range(0, n, 2):
-            g.add_edge(order[i], order[i + 1], "s")
-    assume(g.n_darts and g.is_connected())
-    return g, Alphabet(tuple(free), tuple(involutive))
-
-
-@given(cayley_like_graphs())
-def test_short_cycle_relators_close_at_their_vertices(case):
-    g, alphabet = case
-    parent, order = graph_module.spanning_tree(g, 0)
-    depth = {0: 0}
-    for v in order[1:]:
-        depth[v] = depth[g.src(parent[v])] + 1
-    tree = {d & ~1 for d in parent if d is not None}
-    relators = _short_cycle_relators(g, alphabet)
-    assert sorted(d for d, _, _ in relators) == [d for d in g.edges()
-                                                  if d not in tree]
-    assert len(relators) == g.n_edges - g.n + 1
-    for d, v, w in relators:
-        assert walk_end(g, v, w) == v
-        assert 0 < len(w) <= depth[g.src(d)] + depth[g.tau[d]] + 1
-        letters = w.letters
-        if len(letters) > 1:        # cyclically reduced
-            assert all(y != alphabet.inverse_letter(x)
-                       for x, y in zip(letters, letters[1:] + letters[:1]))
+    assert cayley_like_witness(ColouredGraph(1, [])) == [{}]
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -292,6 +169,15 @@ def test_cycle_relabelled_isomorphic():
     for i in range(6):
         h.add_edge(perm[i], perm[(i + 1) % 6])
     assert isomorphic(g, h) is not None
+
+
+@pytest.mark.parametrize("coloured", [False, True])
+def test_two_empty_graphs_have_the_one_empty_map(coloured):
+    # The colour walk serves the coloured search, the backtracking one the
+    # other: each yields the empty map once.
+    g, h = ColouredGraph(), ColouredGraph()
+    assert list(graph_maps(g, h, respect_colours=coloured)) == [()]
+    assert isomorphic(g, h, respect_colours=coloured) == ((), {})
 
 
 def test_prism_not_isomorphic_to_k33():

@@ -9,9 +9,9 @@ from conftest import parse_by_lines, petersen
 
 from parcay.builder import presentation_complex
 from parcay.constructions import (bi_cayley, complete_graph, cycle_graph,
-                                  cyclic_group, generalized_petersen, line_graph,
+                                  cyclic_group, generalized_petersen,
+                                  k_n_factorization, line_graph,
                                   line_graph_presentation)
-from parcay.decompose import k_n_factorization
 from parcay.errors import DslSyntaxError, EmptyS2, ParcayError, SemanticError
 from parcay.extract import pipeline_presentation
 from parcay.presentation import (PartitePresentation, TwoPartitePresentation,
