@@ -23,6 +23,7 @@ caller that looks vertices up by label keeps its own map.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter
 from itertools import chain, count
 
@@ -875,9 +876,11 @@ def is_cayley(g):
 # of lines of one kind and one field count is an evenly strided stretch of
 # one token list.  It converts and bound-checks each column of vertex
 # numbers with one ``int`` pass and builds ``tau`` and the dart colours by
-# slices.  When it meets anything it does not accept, ``_raise_graph_error``
-# walks the lines in order and raises the first error with its line number;
-# that walk builds nothing, so the bulk pass is the only reader.  Here,
+# slices.  The same pass raises each error where it meets it, with the line
+# number of the bad line: runs come in line order, a bad kind or field
+# count is bad on a run's first line, and only a run whose vertex columns
+# fail their ``int`` pass is walked a line at a time, tail before head.
+# ``_GRAPH_FIELDS`` is the one statement of the field counts.  Here,
 # unlike presentation text, the split pays: on the 13 ``.graph`` and ``.col``
 # inputs of the pipeline benchmark (seed 1), a reader that took one line at a
 # time took 1.2 times as long, and finding the runs with ``groupby`` 1.5 to
@@ -939,7 +942,8 @@ _GRAPH_FIELDS = {"vertices": (1, 1), "colour": (1, 2), "class": (2, 2),
 
 
 def _graph_number(token, lineno, bound=None):
-    """A non-negative integer field, below ``bound`` for a vertex."""
+    """A non-negative integer field, below ``bound`` for a vertex and at
+    most ``sys.maxsize`` for a count, the largest a list can be."""
     try:
         value = int(token)
     except ValueError:
@@ -947,16 +951,25 @@ def _graph_number(token, lineno, bound=None):
     if value < 0 or (bound is not None and value >= bound):
         what = "a count" if bound is None else f"a vertex of 0..{bound - 1}"
         raise GraphSyntaxError(f"{value} is not {what}", lineno)
+    if value > sys.maxsize:
+        raise GraphSyntaxError(f"{value} is too large a count", lineno)
     return value
 
 
-def _vertex_column(fields, n):
-    """``int`` of every field, or None unless all are vertices of 0..n-1."""
+def _vertex_columns(columns, n, line):
+    """``int`` of every field of a run's vertex ``columns`` (tails before
+    heads), each a vertex of 0..n-1; the run's first line is ``line``.  Only
+    when the bulk pass fails are the fields walked, line by line, to raise
+    the error of the first bad one."""
     try:
-        column = list(map(int, fields))
+        ints = [list(map(int, column)) for column in columns]
+        if all(0 <= min(column) and max(column) < n for column in ints):
+            return ints
     except ValueError:
-        return None
-    return column if 0 <= min(column) and max(column) < n else None
+        pass
+    for lineno, fields in enumerate(zip(*columns), line):
+        for token in fields:
+            _graph_number(token, lineno, n)
 
 
 def read_graph(text, coloured=False):
@@ -972,17 +985,15 @@ def read_graph(text, coloured=False):
         lines = [line.split("#", 1)[0] for line in lines]
     tokens = " # ".join(lines).split()
     tokens.append("#")
-    read = _read_runs(tokens, _line_runs(tokens, len(lines)), coloured)
-    if read is None:
-        _raise_graph_error(text, coloured)
-    return read
+    return _read_runs(tokens, lines, coloured)
 
 
 def _line_runs(tokens, lines):
-    """``(kind, width, first, k)`` for each maximal run of ``k`` lines, in
-    order, whose tokens start at ``tokens[first]`` and which all hold
-    ``width`` tokens, the first of them ``kind``.  ``tokens`` ends each of
-    its ``lines`` lines with '#' and holds no other '#'.
+    """``(kind, width, first, k, line)`` for each maximal run of ``k`` lines,
+    in order, from line number ``line``, whose tokens start at
+    ``tokens[first]`` and which all hold ``width`` tokens, the first of them
+    ``kind``.  ``tokens`` ends each of its ``lines`` lines with '#' and
+    holds no other '#'.
 
     The k lines from token p form a run when the slots where their '#'
     would be hold k '#', the slots of their first tokens hold k ``kind``
@@ -992,7 +1003,7 @@ def _line_runs(tokens, lines):
     try halves the lines that may try it again, so the tries take linear
     time in all.  Shorter runs are found by doubling k, then halving the
     gap."""
-    p, may_reach_end = 0, lines
+    p, line, may_reach_end = 0, 1, lines
     while lines:
         width = tokens.index("#", p) - p
         kind, step = tokens[p], width + 1
@@ -1015,46 +1026,53 @@ def _line_runs(tokens, lines):
                 k = mid
             else:
                 fails = mid
-        yield kind, width, p, k
-        p, lines = p + k * step, lines - k
+        yield kind, width, p, k, line
+        p, line, lines = p + k * step, line + k, lines - k
 
 
-def _read_runs(tokens, runs, coloured):
-    """The graph (and colouring) of the line runs of ``read_graph``; None if
-    any line is malformed."""
+def _read_runs(tokens, lines, coloured):
+    """The graph (and colouring) of ``read_graph``'s ``lines``, whose tokens
+    are ``tokens``, built a run of lines at a time.  The first malformed
+    line raises its error; with ``coloured``, so does the first edge line
+    without the colour column when another edge line has it."""
+    fields_of = dict(_GRAPH_FIELDS, edge=(2, 4)) if coloured else _GRAPH_FIELDS
     n, classes, tau, dart_colour, colour_inv, column = None, [], [], [], {}, []
-    for kind, width, first, k in runs:
+    missing = None
+    for kind, width, first, k, line in _line_runs(tokens, len(lines)):
+        if kind == "#":         # blank lines
+            continue
+        if kind not in fields_of:
+            raise GraphSyntaxError(
+                f"unknown graph line {lines[line - 1].strip()!r}", line)
+        fewest, most = fields_of[kind]
+        if not fewest < width <= most + 1:
+            raise GraphSyntaxError(
+                f"wrong number of fields in {lines[line - 1].strip()!r}", line)
         step = width + 1
         stop = first + k * step
 
         def field(i):
             return tokens[first + i:stop:step]
 
-        if kind == "#":         # blank lines
-            continue
-        if kind == "colour" and width in (2, 3):
+        if kind == "colour":
             for c, ci in zip(field(1), field(width - 1)):
                 colour_inv[c], colour_inv[ci] = ci, c
-        elif kind == "vertices" and width == 2 and k == 1 and n is None:
-            try:
-                n = int(tokens[first + 1])
-            except ValueError:
-                return None
-            if n < 0:
-                return None
+        elif kind == "vertices":
+            if n is not None:
+                raise GraphSyntaxError("repeated 'vertices' line", line)
+            n = _graph_number(tokens[first + 1], line)
+            if k > 1:
+                raise GraphSyntaxError("repeated 'vertices' line", line + 1)
             classes = [None] * n
         elif n is None:
-            return None
-        elif kind == "class" and width == 3:
-            vertices = _vertex_column(field(1), n)
-            if vertices is None:
-                return None
+            raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
+                                   line)
+        elif kind == "class":
+            vertices, = _vertex_columns([field(1)], n, line)
             for v, x in zip(vertices, field(2)):
                 classes[v] = x
-        elif kind == "edge" and 3 <= width <= (5 if coloured else 4):
-            heads, tails = _vertex_column(field(2), n), _vertex_column(field(1), n)
-            if heads is None or tails is None:
-                return None
+        else:
+            tails, heads = _vertex_columns([field(1), field(2)], n, line)
             darts = [None] * (2 * k)
             darts[0::2], darts[1::2] = heads, tails
             tau += darts
@@ -1065,8 +1083,8 @@ def _read_runs(tokens, runs, coloured):
                     base = None
                 elif "-" in base:
                     base = [None if c == "-" else c for c in base]
-            elif coloured:
-                column += [None] * k
+            elif missing is None:
+                missing = line
             if base is None:
                 dart_colour += [None] * (2 * k)
                 continue
@@ -1075,48 +1093,15 @@ def _read_runs(tokens, runs, coloured):
                     colour_inv.setdefault(c, c)
             darts[0::2], darts[1::2] = base, map(colour_inv.get, base)
             dart_colour += darts
-        else:
-            return None
     g = ColouredGraph(n or 0, tau, dart_colour, None, classes, colour_inv)
     if not coloured:
         return g
-    if column.count(None) == len(column):
+    if not column:
         return g, None
-    if None in column:
-        return None
+    if missing is not None:
+        raise GraphSyntaxError("some edge lines are missing the colour column",
+                               missing)
     return g, dict(zip(range(0, len(tau), 2), column))
-
-
-def _raise_graph_error(text, coloured):
-    """Raise the error of the first malformed line of ``text``, in line
-    order, or else name the first edge line without the colour column:
-    the bulk pass rejects nothing else."""
-    n, missing = None, None
-    fields_of = dict(_GRAPH_FIELDS, edge=(2, 4)) if coloured else _GRAPH_FIELDS
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *fields = line.split()
-        if kind not in fields_of:
-            raise GraphSyntaxError(f"unknown graph line {line!r}", lineno)
-        fewest, most = fields_of[kind]
-        if not fewest <= len(fields) <= most:
-            raise GraphSyntaxError(f"wrong number of fields in {line!r}", lineno)
-        if kind == "vertices":
-            if n is not None:
-                raise GraphSyntaxError("repeated 'vertices' line", lineno)
-            n = _graph_number(fields[0], lineno)
-        elif kind != "colour":
-            if n is None:
-                raise GraphSyntaxError(f"'{kind}' line before the 'vertices' line",
-                                       lineno)
-            _graph_number(fields[0], lineno, n)
-            if kind == "edge":
-                _graph_number(fields[1], lineno, n)
-                if len(fields) < 4 and missing is None:
-                    missing = lineno
-    raise GraphSyntaxError("some edge lines are missing the colour column", missing)
 
 
 _DOT_PALETTE = ["red", "blue", "forestgreen", "orange", "purple", "brown",

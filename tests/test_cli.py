@@ -471,9 +471,11 @@ def test_build_reports_a_cycle_error_at_its_column_in_the_line(tmp_path,
     ("build", "\nclasses:\n", "empty class list (line 2)"),
     ("build", "# no classes\n", "missing classes line (line 1)"),
     ("iso", "vertices x\n", "'x' is not an integer (line 1)"),
+    ("iso", "vertices 99999999999999999999\n",
+     "99999999999999999999 is too large a count (line 1)"),
 ], ids=["rel-before-classes", "bad-generator-name", "duplicate-generator",
         "duplicate-classes", "empty-classes", "missing-classes",
-        "vertex-count-not-a-number"])
+        "vertex-count-not-a-number", "vertex-count-too-large"])
 def test_malformed_input_exits_2_naming_its_line(command, text, error,
                                                  tmp_path, capsys):
     f = tmp_path / "in"

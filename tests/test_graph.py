@@ -888,7 +888,22 @@ MALFORMED_GRAPH_TEXTS = [     # (text, line of the error, coloured)
     ("vertices 2\nvertex 0\n", 2, False),
     # The first edge line without the colour column, after one with it.
     ("vertices 3\nedge 0 1 - c0\nedge 1 2 a\nedge 2 0\n", 3, True),
+    # Errors inside runs of lines of one kind and field count: the first
+    # bad line, its tail before its head.
+    ("vertices 3\nedge 0 1\nedge 1 2\nedge 2 9\nedge 0 x\n", 4, False),
+    ("vertices 3\nedge 0 1\nedge 1 9\nedge x 2\n", 3, False),
+    ("vertices 2\nedge 5 x\n", 2, False),
+    ("vertices 3\nclass 0 a\nclass 1 b\nclass 7 c\n", 4, False),
+    ("vertices 3\n\nfoo 1\nfoo 2\n", 3, False),
+    ("# c\nvertices 3\n# x\nclass 0 a # y\nedge 0 1\nedge 1 3\n", 6, False),
+    # A count no list can hold.
+    ("vertices 99999999999999999999\n", 1, False),
 ]
+
+# The line reader names no line for a missing colour column, and a count no
+# list can hold overflows its list of classes.
+NOT_AS_THE_LINE_READER = {"vertices 3\nedge 0 1 - c0\nedge 1 2 a\nedge 2 0\n",
+                          "vertices 99999999999999999999\n"}
 
 
 @pytest.mark.parametrize("text,line,coloured", MALFORMED_GRAPH_TEXTS,
@@ -897,14 +912,23 @@ def test_malformed_graph_text_names_its_line(text, line, coloured):
     with pytest.raises(GraphSyntaxError) as info:
         read_graph(text, coloured=coloured)
     assert info.value.line == line
+    if text not in NOT_AS_THE_LINE_READER:
+        with pytest.raises(GraphSyntaxError) as want:
+            read_graph_by_lines(text, coloured)
+        assert str(info.value) == str(want.value)
 
 
-# Graph texts to mutate: a coloured, classed build and a plain multigraph
-# with a loop.
+# Graph texts to mutate: a coloured, classed build, a plain multigraph
+# with a loop, and runs of 9 lines (classes, edges with the colour column,
+# edges without it), so that mutations land deep inside a run; its numbers
+# are all 0, 1 or 2, which leaves room under the bound on their product.
 GRAPH_MUTATION_SEEDS = (
     "vertices 4\ncolour a a^-1\nclass 0 x\nclass 1 y\nclass 2 x\nclass 3 y\n"
     "edge 0 1 a\nedge 1 2 a\nedge 2 3 s\nedge 3 0 a^-1\n",
-    "# plain\nvertices 3\nedge 0 1\nedge 1 2\nedge 1 2\nedge 2 2\n")
+    "# plain\nvertices 3\nedge 0 1\nedge 1 2\nedge 1 2\nedge 2 2\n",
+    "vertices 2\n" + "class 0 x\nclass 1 y\n" * 4 + "class 0 x\n"
+    + "edge 0 1 a p\nedge 1 0 - q\n" * 4 + "edge 0 1 a p\n"
+    + "edge 0 1 b\nedge 1 1 b\n" * 4 + "edge 0 0 b\n")
 GRAPH_MUTATION_PIECES = ("vertices ", "edge ", "class ", "colour ", "0", "2",
                          "9", "-", "+", "_", " ", "\t", "\n", "#", "a", "a^-1",
                          "x", "\u00b2", "\u0663", "\u00e9")
